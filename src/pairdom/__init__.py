@@ -46,16 +46,18 @@ from .families import (
     recognize_family,
 )
 from .characterizations import (
+    ALL_CHECK_IDS,
+    CHECKS,
+    EQUALITY_CLASSES,
     Decision,
+    Facts,
     HuntReport,
     STRUCTURAL_CHECKS,
     Verdict,
-    check_independent_gamma_set,
-    check_structural_lemma,
-    check_unicyclic_gamma_bound,
     decide_equality_bruteforce,
     decide_equality_fastpath,
     hunt_c3free_counterexamples,
+    run_checks,
 )
 from .generate import enumerate_labeled_graphs, nonisomorphic_graphs
 

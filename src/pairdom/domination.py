@@ -7,7 +7,7 @@ when an input is too large for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graph import Graph, GraphError, VertexSet, as_mask, bits_of
 from .matching import perfect_matching_tester
@@ -237,10 +237,12 @@ def independence_number(g: Graph) -> int:
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """γ, Γ, γ_pr, Γ_pr with lexicographically least witness sets.
+    """γ, Γ, γ_pr, Γ_pr with lexicographically least witness sets, and the
+    minimal (paired) dominating sets they were taken from, as bitsets in
+    increasing order.
 
-    The paired fields are None when the graph has an isolated vertex, where
-    paired domination is undefined.
+    The paired fields are None, and there are no minimal PDS masks, when
+    the graph has an isolated vertex, where paired domination is undefined.
     """
 
     gamma: int
@@ -248,6 +250,8 @@ class InvariantReport:
     gamma_pr: int | None
     upper_gamma_pr: int | None
     witnesses: dict
+    mds_masks: list[int] = field(repr=False, compare=False)
+    mpds_masks: list[int] = field(repr=False, compare=False)
 
     @property
     def paired_defined(self) -> bool:
@@ -273,6 +277,7 @@ def invariants(g: Graph) -> InvariantReport:
         "upper_gamma_pr": None,
     }
     gamma_pr = upper_gamma_pr = None
+    mpds = []
     if not has_isolated_vertex(g):
         mpds = minimal_paired_dominating_masks(g)
         psizes = [m.bit_count() for m in mpds]
@@ -284,4 +289,5 @@ def invariants(g: Graph) -> InvariantReport:
         witnesses["upper_gamma_pr"] = _lex_least(
             [m for m in mpds if m.bit_count() == upper_gamma_pr], g.n
         )
-    return InvariantReport(gamma, upper_gamma, gamma_pr, upper_gamma_pr, witnesses)
+    return InvariantReport(gamma, upper_gamma, gamma_pr, upper_gamma_pr, witnesses,
+                           mds, mpds)

@@ -1,10 +1,11 @@
-"""Batch verification harness: the check registry, graph sources, and the
-run driver behind the command-line front end.
+"""Batch harness behind the command-line front end: graph sources, the
+run configuration and report, and `run`, which executes one command.
 
-Every check maps one graph to a holds / fails / not-applicable verdict.
-Runs are deterministic: results come back in input order regardless of the
-worker count, and failing verdicts are streamed as JSON lines while a run
-is in progress.
+The checks themselves live in ``characterizations.CHECKS``; this module
+maps them, or one of the other per-graph workers, over a source. Runs are
+deterministic: results come back in input order regardless of the worker
+count, and failing verdicts and hunt exceptions are streamed to stderr as
+JSON lines as they are found.
 """
 
 from __future__ import annotations
@@ -14,266 +15,20 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations
 from multiprocessing import Pool
 
 from . import characterizations as ch
-from .characterizations import Facts, Verdict
-from .domination import GuardError, IsolatedVertexError, independence_number
-from .families import looks_like_family_spec, parse_family_spec
-from .graph import Graph, GraphError, bits_of, parse_edge_list, parse_graph6
+# CHECKS and run_checks are re-exported as part of this module's API.
+from .characterizations import ALL_CHECK_IDS, CHECKS, Facts, run_checks  # noqa: F401
+from .domination import GuardError, IsolatedVertexError, invariants
+from .families import (
+    classify,
+    looks_like_family_spec,
+    parse_family_spec,
+    recognize_family,
+)
+from .graph import Graph, GraphError, encode_graph6, parse_edge_list, parse_graph6
 from .generate import enumerate_labeled_graphs, nonisomorphic_graphs
-
-
-# --- check registry ---------------------------------------------------------
-
-
-def _verdict(facts, check_id, ok, witness=None):
-    if ok:
-        return Verdict(check_id, facts.graph6, "holds")
-    return Verdict(check_id, facts.graph6, "fails", witness or {})
-
-
-def _check_gpr_equals_n(facts):
-    """The upper paired number equals the order exactly for disjoint
-    unions of single edges."""
-    cid = "gpr-equals-n"
-    if facts.g.n == 0 or not facts.no_isolated:
-        return Verdict(cid, facts.graph6, "na")
-    hits = facts.report.upper_gamma_pr == facts.g.n
-    is_mk2 = facts.family is not None and facts.family.kind == "mK2"
-    return _verdict(
-        facts, cid, hits == is_mk2,
-        {"upper_gamma_pr": facts.report.upper_gamma_pr, "is_mk2": is_mk2},
-    )
-
-
-def _check_gpr_upper_bound(facts):
-    """Connected graphs of order at least 3 have upper paired number at
-    most n - 1."""
-    cid = "gpr-upper-bound"
-    if facts.g.n < 3 or not facts.flags.connected:
-        return Verdict(cid, facts.graph6, "na")
-    ok = facts.report.upper_gamma_pr <= facts.g.n - 1
-    return _verdict(facts, cid, ok, {"upper_gamma_pr": facts.report.upper_gamma_pr})
-
-
-def _check_gpr_equals_n_minus_1(facts):
-    """Upper paired number n - 1 characterizes the triangle, the 5-cycle,
-    and the subdivided stars with attached triangles."""
-    cid = "gpr-equals-n-minus-1"
-    if facts.g.n < 3 or not facts.flags.connected:
-        return Verdict(cid, facts.graph6, "na")
-    hits = facts.report.upper_gamma_pr == facts.g.n - 1
-    fam = facts.family
-    in_family = fam is not None and fam.kind in ("C3", "C5", "star")
-    return _verdict(
-        facts, cid, hits == in_family,
-        {"upper_gamma_pr": facts.report.upper_gamma_pr,
-         "family": fam.spec_string() if fam else None},
-    )
-
-
-def _check_gpr_at_most_2gamma(facts):
-    cid = "gpr-at-most-2gamma"
-    if facts.g.n == 0 or not facts.no_isolated:
-        return Verdict(cid, facts.graph6, "na")
-    r = facts.report
-    return _verdict(
-        facts, cid, r.upper_gamma_pr <= 2 * r.upper_gamma,
-        {"upper_gamma_pr": r.upper_gamma_pr, "upper_gamma": r.upper_gamma},
-    )
-
-
-def _check_gamma_ge_independence(facts):
-    cid = "gamma-ge-independence"
-    alpha = independence_number(facts.g)
-    return _verdict(
-        facts, cid, facts.report.upper_gamma >= alpha,
-        {"upper_gamma": facts.report.upper_gamma, "independence": alpha},
-    )
-
-
-def _pair_epn_nonempty(g, u, v, smask):
-    pair = (1 << u) | (1 << v)
-    for w in bits_of((g.adj[u] | g.adj[v]) & ~smask):
-        if g.adj[w] & smask & ~pair == 0:
-            return True
-    return False
-
-
-def _check_pds_pair_removal_private(facts):
-    """If a minimal PDS stays dominating and matchable after removing a
-    pair {u, v}, the pair keeps an external private neighbor."""
-    cid = "pds-pair-removal-private"
-    g = facts.g
-    if g.n < 3 or not facts.flags.connected:
-        return Verdict(cid, facts.graph6, "na")
-    pm = facts.pm_test
-    for smask in facts.minimal_pds_masks:
-        verts = list(bits_of(smask))
-        for u, v in combinations(verts, 2):
-            rest = smask & ~((1 << u) | (1 << v))
-            if not (g.adj[u] & rest and g.adj[v] & rest):
-                continue
-            if not pm(rest):
-                continue
-            if not _pair_epn_nonempty(g, u, v, smask):
-                return _verdict(facts, cid, False,
-                                {"pds": verts, "pair": [u, v]})
-    return _verdict(facts, cid, True)
-
-
-def _check_pds_matched_pair_private(facts):
-    """A matched pair whose endpoints both have degree >= 2 inside the PDS
-    keeps an external private neighbor."""
-    cid = "pds-matched-pair-private"
-    g = facts.g
-    if g.n < 3 or not facts.flags.connected:
-        return Verdict(cid, facts.graph6, "na")
-    for smask in facts.minimal_pds_masks:
-        for matching in facts.matchings(smask):
-            for u, v in matching.pairs:
-                if (g.adj[u] & smask).bit_count() < 2:
-                    continue
-                if (g.adj[v] & smask).bit_count() < 2:
-                    continue
-                if not _pair_epn_nonempty(g, u, v, smask):
-                    return _verdict(
-                        facts, cid, False,
-                        {"pds": list(bits_of(smask)),
-                         "matching": list(matching.pairs), "pair": [u, v]},
-                    )
-    return _verdict(facts, cid, True)
-
-
-def _check_pds_contains_half_mds(facts):
-    """Every minimal PDS contains a minimal dominating set of at least
-    half its size."""
-    cid = "pds-contains-half-mds"
-    if facts.g.n == 0 or not facts.no_isolated:
-        return Verdict(cid, facts.graph6, "na")
-    mds = facts.minimal_dominating_set_masks
-    for pmask in facts.minimal_pds_masks:
-        half = pmask.bit_count() / 2
-        sub = pmask
-        found = False
-        while sub:
-            if sub.bit_count() >= half and sub in mds:
-                found = True
-                break
-            sub = (sub - 1) & pmask
-        if not found:
-            return _verdict(facts, cid, False, {"pds": list(bits_of(pmask))})
-    return _verdict(facts, cid, True)
-
-
-def _check_unicyclic_gamma_bound(facts):
-    if not facts.flags.unicyclic:
-        return Verdict("unicyclic-gamma-bound", facts.graph6, "na")
-    return ch.check_unicyclic_gamma_bound(facts.g, facts)
-
-
-def _equality_check(cid, applicable, expected):
-    def run(facts):
-        if facts.g.n == 0 or not facts.no_isolated or not applicable(facts):
-            return Verdict(cid, facts.graph6, "na")
-        fam = facts.family
-        return _verdict(
-            facts, cid, facts.equality == expected(facts),
-            {"equality": facts.equality,
-             "family": fam.spec_string() if fam else None},
-        )
-
-    return run
-
-
-def _is_k2(facts):
-    fam = facts.family
-    return fam is not None and fam.kind == "mK2" and fam.params[0] == 1
-
-
-def _is_mk2(facts):
-    return facts.family is not None and facts.family.kind == "mK2"
-
-
-def _is_edge_c5_union(facts):
-    fam = facts.family
-    return fam is not None and fam.kind in ("mK2", "C5", "mK2+mC5")
-
-
-def _is_unicyclic_equality_family(facts):
-    fam = facts.family
-    return fam is not None and (
-        fam.kind in ("C3", "C5") or (fam.kind == "star" and fam.params[1] == 1)
-    )
-
-
-def _check_fastpath_matches_brute(facts):
-    cid = "fastpath-matches-brute"
-    fast = ch.decide_equality_fastpath(facts.g, facts)
-    if fast is None:
-        return Verdict(cid, facts.graph6, "na")
-    brute = ch.decide_equality_bruteforce(facts.g, facts)
-    return _verdict(
-        facts, cid, fast.equality_holds == brute.equality_holds,
-        {"fastpath": fast.equality_holds, "method": fast.method,
-         "brute": brute.equality_holds},
-    )
-
-
-CHECKS = {
-    "gpr-equals-n": _check_gpr_equals_n,
-    "gpr-upper-bound": _check_gpr_upper_bound,
-    "gpr-equals-n-minus-1": _check_gpr_equals_n_minus_1,
-    "gpr-at-most-2gamma": _check_gpr_at_most_2gamma,
-    "gamma-ge-independence": _check_gamma_ge_independence,
-    "pds-pair-removal-private": _check_pds_pair_removal_private,
-    "pds-matched-pair-private": _check_pds_matched_pair_private,
-    "pds-contains-half-mds": _check_pds_contains_half_mds,
-    "unicyclic-gamma-bound": _check_unicyclic_gamma_bound,
-    "independent-core": lambda facts: ch.check_independent_gamma_set(
-        facts.g, facts
-    ),
-    "equality-bipartite": _equality_check(
-        "equality-bipartite",
-        lambda f: f.flags.connected and f.flags.bipartite,
-        _is_k2,
-    ),
-    "equality-unicyclic": _equality_check(
-        "equality-unicyclic",
-        lambda f: f.flags.unicyclic,
-        _is_unicyclic_equality_family,
-    ),
-    "equality-girth6": _equality_check(
-        "equality-girth6", lambda f: f.flags.girth >= 6, _is_mk2
-    ),
-    "equality-c3free-cactus": _equality_check(
-        "equality-c3free-cactus",
-        lambda f: f.componentwise_c3free_cactus,
-        _is_edge_c5_union,
-    ),
-    "fastpath-matches-brute": _check_fastpath_matches_brute,
-}
-for _name in ch.STRUCTURAL_CHECKS:
-    CHECKS[_name] = partial(
-        lambda facts, which: ch.check_structural_lemma(facts.g, which, facts),
-        which=_name,
-    )
-
-ALL_CHECK_IDS = tuple(CHECKS)
-
-
-def run_checks(g: Graph, check_ids) -> list[Verdict]:
-    """Run the selected checks on one graph, sharing computed facts."""
-    facts = Facts(g)
-    out = []
-    for cid in check_ids:
-        try:
-            out.append(CHECKS[cid](facts))
-        except (GuardError, IsolatedVertexError) as exc:
-            out.append(Verdict(cid, facts.graph6, "na", {"skipped": str(exc)}))
-    return out
 
 
 # --- input sources ----------------------------------------------------------
@@ -403,18 +158,15 @@ class RunReport:
 # --- per-graph workers (top level so they pickle for multiprocessing) --------
 
 
-def _verify_worker(g: Graph, arg):
-    return [v.to_record() for v in run_checks(g, arg)]
+def _verify_worker(g: Graph, check_ids):
+    return [v.to_record() for v in run_checks(g, check_ids)]
 
 
 def _witness_members(ws):
     return None if ws is None else list(ws.members())
 
 
-def _invariants_worker(g: Graph, arg=None):
-    from .domination import invariants
-    from .graph import encode_graph6
-
+def _invariants_worker(g: Graph):
     r = invariants(g)
     return {
         "graph6": encode_graph6(g),
@@ -427,10 +179,7 @@ def _invariants_worker(g: Graph, arg=None):
     }
 
 
-def _classify_worker(g: Graph, arg=None):
-    from .families import classify, recognize_family
-    from .graph import encode_graph6
-
+def _classify_worker(g: Graph):
     flags = classify(g)
     fam = recognize_family(g)
     return {
@@ -448,26 +197,28 @@ def _classify_worker(g: Graph, arg=None):
 def _decision_record(d: ch.Decision | None):
     if d is None:
         return None
-    return {"equality_holds": d.equality_holds, "method": d.method}
+    rec = {"equality_holds": d.equality_holds, "method": d.method}
+    if d.equality_holds is None:
+        rec["votes"] = d.evidence
+    return rec
 
 
-def _decide_worker(g: Graph, arg="both"):
-    from .graph import encode_graph6
-
+def _decide_worker(g: Graph, mode: str):
     facts = Facts(g)
-    rec = {"graph6": encode_graph6(g)}
+    rec = {"graph6": facts.graph6}
     fast = brute = None
-    if arg in ("fastpath", "both"):
-        fast = ch.decide_equality_fastpath(g, facts)
+    if mode in ("fastpath", "both"):
+        fast = ch.decide_equality_fastpath(facts)
         rec["fastpath"] = _decision_record(fast)
-    if arg in ("brute", "both"):
+    if mode in ("brute", "both"):
         try:
-            brute = ch.decide_equality_bruteforce(g, facts)
+            brute = ch.decide_equality_bruteforce(facts)
         except IsolatedVertexError:
             brute = None
         rec["brute"] = _decision_record(brute)
-    if arg == "both":
-        rec["agree"] = (
+    split = fast is not None and fast.equality_holds is None
+    if mode == "both" or split:
+        rec["agree"] = not split and (
             fast is None
             or brute is None
             or fast.equality_holds == brute.equality_holds
@@ -475,25 +226,13 @@ def _decide_worker(g: Graph, arg="both"):
     return rec
 
 
-def _hunt_worker(g: Graph, arg=None):
-    return ch.hunt_record(g)
-
-
-_WORKERS = {
-    "verify": _verify_worker,
-    "invariants": _invariants_worker,
-    "classify": _classify_worker,
-    "decide": _decide_worker,
-    "hunt": _hunt_worker,
-}
-
-
-def _map_graphs(worker, graphs, arg, jobs: int):
-    fn = partial(worker, arg=arg)
+def _map_graphs(fn, graphs, jobs: int):
+    """fn over graphs, lazily and in input order, in ``jobs`` processes."""
     if jobs <= 1 or len(graphs) < 4:
-        return [fn(g) for g in graphs]
+        yield from map(fn, graphs)
+        return
     with Pool(processes=jobs) as pool:
-        return list(pool.imap(fn, graphs, chunksize=32))
+        yield from pool.imap(fn, graphs, chunksize=32)
 
 
 def run(config: RunConfig):
@@ -501,20 +240,21 @@ def run(config: RunConfig):
     start = time.monotonic()
     report = RunReport(config=vars(config).copy())
     report.config["checks"] = list(config.checks)
+
+    def done(code: int):
+        report.elapsed_ms = int((time.monotonic() - start) * 1000)
+        return report, code
+
     try:
         if config.command == "gen":
             g = parse_family_spec(config.source)
-            from .graph import encode_graph6
-
             report.results.append({"graph6": encode_graph6(g), "n": g.n,
                                    "edges": g.edges()})
-            report.elapsed_ms = int((time.monotonic() - start) * 1000)
-            return report, 0
+            return done(0)
         items = load_source(config.source)
     except (OSError, GraphError, ValueError) as exc:
         report.errors.append(str(exc))
-        report.elapsed_ms = int((time.monotonic() - start) * 1000)
-        return report, 2
+        return done(2)
 
     graphs = [it.graph for it in items if it.graph is not None]
     bad = [it for it in items if it.graph is None]
@@ -524,8 +264,8 @@ def run(config: RunConfig):
     if config.command == "verify":
         check_ids = config.checks or ALL_CHECK_IDS
         totals = {cid: CheckTotals() for cid in check_ids}
-        rows = _map_graphs(_verify_worker, graphs, tuple(check_ids), config.jobs)
-        for row in rows:
+        worker = partial(_verify_worker, check_ids=tuple(check_ids))
+        for row in _map_graphs(worker, graphs, config.jobs):
             for rec in row:
                 t = totals[rec["check_id"]]
                 t.scanned += 1
@@ -543,35 +283,24 @@ def run(config: RunConfig):
             t.scanned += len(bad)
             t.skipped += len(bad)
         report.totals = totals
-        code = 1 if report.failures else 0
     elif config.command == "hunt":
-        rows = _map_graphs(_hunt_worker, graphs, None, config.jobs)
         hunt = ch.HuntReport()
-        hunt.scanned = len(items)
-        hunt.skipped = len(bad)
-        for rec in rows:
-            if rec is None:
-                hunt.skipped += 1
-                continue
-            if not rec.pop("satisfier"):
-                continue
-            hunt.satisfiers.append(rec)
-            if not rec["expected_form"]:
-                hunt.exceptions.append(rec)
+        for _ in bad:
+            hunt.add(None)
+        for rec in _map_graphs(ch.hunt_scan, graphs, config.jobs):
+            if hunt.add(rec):
                 print(json.dumps(rec), file=sys.stderr)
         report.hunt = hunt.to_record()
         report.failures = list(hunt.exceptions)
-        code = 1 if hunt.exceptions else 0
     elif config.command in ("invariants", "classify", "decide"):
-        worker = _WORKERS[config.command]
-        arg = config.mode if config.command == "decide" else None
-        report.results = _map_graphs(worker, graphs, arg, config.jobs)
-        if config.command == "decide":
-            report.failures = [r for r in report.results if r.get("agree") is False]
-        code = 1 if report.failures else 0
+        worker = {
+            "invariants": _invariants_worker,
+            "classify": _classify_worker,
+            "decide": partial(_decide_worker, mode=config.mode),
+        }[config.command]
+        report.results = list(_map_graphs(worker, graphs, config.jobs))
+        report.failures = [r for r in report.results if r.get("agree") is False]
     else:
         report.errors.append(f"unknown command {config.command!r}")
-        code = 2
-
-    report.elapsed_ms = int((time.monotonic() - start) * 1000)
-    return report, code
+        return done(2)
+    return done(1 if report.failures else 0)

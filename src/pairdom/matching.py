@@ -8,6 +8,7 @@ unmatched vertex with each of its unmatched neighbors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .graph import Graph, GraphError, as_mask, bits_of
 
@@ -27,26 +28,28 @@ class Matching:
         return mask
 
 
+def _has_perfect_matching(adj: list[int], memo: dict, mask: int) -> bool:
+    cached = memo.get(mask)
+    if cached is not None:
+        return cached
+    v = (mask & -mask).bit_length() - 1
+    rest = mask ^ (1 << v)
+    ok = False
+    for u in bits_of(adj[v] & rest):
+        if _has_perfect_matching(adj, memo, rest ^ (1 << u)):
+            ok = True
+            break
+    memo[mask] = ok
+    return ok
+
+
 def perfect_matching_tester(g: Graph):
-    """A memoized ``mask -> bool`` test for perfect matchings of G[mask]."""
-    adj = g.adj
-    memo = {0: True}
+    """A memoized ``mask -> bool`` test for perfect matchings of G[mask].
 
-    def pm(mask: int) -> bool:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        v = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << v)
-        ok = False
-        for u in bits_of(adj[v] & rest):
-            if pm(rest ^ (1 << u)):
-                ok = True
-                break
-        memo[mask] = ok
-        return ok
-
-    return pm
+    The search recurses through a module-level function, not a closure
+    that refers to itself, so no reference cycle holds the memo: it is
+    freed as soon as the tester is dropped."""
+    return partial(_has_perfect_matching, g.adj, {0: True})
 
 
 def has_perfect_matching(g: Graph, S) -> bool:

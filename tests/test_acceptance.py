@@ -8,6 +8,7 @@ generator."""
 
 import itertools
 import time
+from collections import defaultdict
 
 import pytest
 
@@ -37,7 +38,7 @@ from pairdom.generate import (
     nonisomorphic_graphs,
     triangle_free,
 )
-from pairdom.harness import RunConfig, run, run_checks
+from pairdom.harness import ALL_CHECK_IDS, RunConfig, run, run_checks
 
 
 def _record(name: str, ok: bool, detail: str):
@@ -46,30 +47,37 @@ def _record(name: str, ok: bool, detail: str):
     assert ok, line
 
 
-def _sweep(graphs, check_ids):
-    """Run harness checks over a stream; return (scanned, failures)."""
-    failures = []
+def _sweep(graphs, check_ids=ALL_CHECK_IDS):
+    """Run registry checks over a stream; return (scanned, failures by
+    check id)."""
+    failures = defaultdict(list)
     scanned = 0
     for g in graphs:
         scanned += 1
         for v in run_checks(g, check_ids):
             if v.status == "fails":
-                failures.append((v.check_id, v.graph6, v.witness))
+                failures[v.check_id].append((v.check_id, v.graph6, v.witness))
     return scanned, failures
 
 
-@pytest.fixture(scope="module")
-def all_graphs_8():
-    return nonisomorphic_graphs(8)
+def _failures_of(failures, check_ids):
+    return [f for cid in check_ids for f in failures[cid]]
 
 
 @pytest.fixture(scope="module")
-def c3free_cactus_9():
-    return nonisomorphic_graphs(
+def sweep_8():
+    """Every registry check over every graph with n <= 8, once."""
+    return _sweep(nonisomorphic_graphs(8))
+
+
+@pytest.fixture(scope="module")
+def sweep_c3free_cactus_9():
+    """Every registry check over the triangle-free cacti with n = 9, once."""
+    return _sweep(nonisomorphic_graphs(
         9,
         predicate=lambda g: triangle_free(g) and every_block_edge_or_cycle(g),
         min_n=9,
-    )
+    ))
 
 
 def test_criterion_1_closed_forms():
@@ -96,9 +104,10 @@ def test_criterion_1_closed_forms():
     )
 
 
-def test_criterion_2_extremal_characterizations(all_graphs_8):
+def test_criterion_2_extremal_characterizations(sweep_8):
     checks = ("gpr-equals-n", "gpr-upper-bound", "gpr-equals-n-minus-1")
-    scanned, failures = _sweep(all_graphs_8, checks)
+    scanned, by_check = sweep_8
+    failures = _failures_of(by_check, checks)
     _record(
         "criterion-2 Γ_pr = n and Γ_pr = n−1 characterizations",
         not failures,
@@ -107,8 +116,9 @@ def test_criterion_2_extremal_characterizations(all_graphs_8):
     )
 
 
-def test_criterion_3_double_bound(all_graphs_8):
-    scanned, failures = _sweep(all_graphs_8, ("gpr-at-most-2gamma",))
+def test_criterion_3_double_bound(sweep_8):
+    scanned, by_check = sweep_8
+    failures = by_check["gpr-at-most-2gamma"]
     _record(
         "criterion-3 Γ_pr ≤ 2Γ",
         not failures,
@@ -117,7 +127,7 @@ def test_criterion_3_double_bound(all_graphs_8):
     )
 
 
-def test_criterion_4_equality_theorems(all_graphs_8, c3free_cactus_9):
+def test_criterion_4_equality_theorems(sweep_8, sweep_c3free_cactus_9):
     checks = (
         "equality-bipartite",
         "equality-unicyclic",
@@ -125,7 +135,8 @@ def test_criterion_4_equality_theorems(all_graphs_8, c3free_cactus_9):
         "equality-c3free-cactus",
         "unicyclic-gamma-bound",
     )
-    scanned, failures = _sweep(all_graphs_8, checks)
+    scanned, by_check = sweep_8
+    failures = _failures_of(by_check, checks)
 
     uni9 = [
         g
@@ -134,11 +145,13 @@ def test_criterion_4_equality_theorems(all_graphs_8, c3free_cactus_9):
         )
         if is_connected(g) and g.edge_count == g.n
     ]
-    s2, f2 = _sweep(uni9, ("equality-unicyclic", "unicyclic-gamma-bound"))
+    uni_checks = ("equality-unicyclic", "unicyclic-gamma-bound")
+    s2, f2 = _sweep(uni9, uni_checks)
     g69 = nonisomorphic_graphs(9, predicate=girth_at_least(6), min_n=9)
     s3, f3 = _sweep(g69, ("equality-girth6",))
-    s4, f4 = _sweep(c3free_cactus_9, ("equality-c3free-cactus",))
-    failures += f2 + f3 + f4
+    s4, f4 = sweep_c3free_cactus_9
+    failures += (_failures_of(f2, uni_checks) + f3["equality-girth6"]
+                 + f4["equality-c3free-cactus"])
     _record(
         "criterion-4 equality theorems (bipartite/unicyclic/girth≥6/cactus)",
         not failures,
@@ -148,11 +161,11 @@ def test_criterion_4_equality_theorems(all_graphs_8, c3free_cactus_9):
     )
 
 
-def test_criterion_5_structural_lemmas(all_graphs_8, c3free_cactus_9):
+def test_criterion_5_structural_lemmas(sweep_8, sweep_c3free_cactus_9):
     checks = ("independent-core",) + STRUCTURAL_CHECKS
-    scanned, failures = _sweep(all_graphs_8, checks)
-    s2, f2 = _sweep(c3free_cactus_9, checks)
-    failures += f2
+    scanned, f1 = sweep_8
+    s2, f2 = sweep_c3free_cactus_9
+    failures = _failures_of(f1, checks) + _failures_of(f2, checks)
     _record(
         "criterion-5 structural properties of equality graphs",
         not failures,
@@ -162,7 +175,7 @@ def test_criterion_5_structural_lemmas(all_graphs_8, c3free_cactus_9):
     )
 
 
-def test_criterion_6_oracle_equivalences(all_graphs_8):
+def test_criterion_6_oracle_equivalences(sweep_8):
     mismatches = []
     small = [g for g in nonisomorphic_graphs(6)]
     # minimality criterion vs the literal no-dominating-proper-subset test
@@ -182,8 +195,8 @@ def test_criterion_6_oracle_equivalences(all_graphs_8):
                 if has_perfect_matching(g, S) != bool(all_perfect_matchings(g, S)):
                     mismatches.append(("matching", encode_graph6(g), list(S)))
     # fast-path equality decision vs brute force, whole n <= 8 universe
-    scanned, failures = _sweep(all_graphs_8, ("fastpath-matches-brute",))
-    mismatches += failures
+    scanned, by_check = sweep_8
+    mismatches += by_check["fastpath-matches-brute"]
     _record(
         "criterion-6 independent-oracle equivalences",
         not mismatches,

@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 
 import oracles
-from pairdom.graph import build_graph
+from pairdom import characterizations, domination
+from pairdom.graph import build_graph, encode_graph6
 from pairdom.domination import IsolatedVertexError
 from pairdom.families import (
     disjoint_union,
@@ -12,29 +15,35 @@ from pairdom.families import (
     make_subdivided_star,
 )
 from pairdom.characterizations import (
+    ALL_CHECK_IDS,
     Facts,
     STRUCTURAL_CHECKS,
-    check_independent_gamma_set,
-    check_structural_lemma,
-    check_unicyclic_gamma_bound,
     decide_equality_bruteforce,
     decide_equality_fastpath,
     hunt_c3free_counterexamples,
     hunt_record,
+    run_checks,
 )
 from pairdom.generate import nonisomorphic_graphs, triangle_free
+from pairdom.harness import RunConfig, run
+
+
+def check(g, check_id):
+    """The verdict of one registry check on g."""
+    (verdict,) = run_checks(g, [check_id])
+    return verdict
 
 
 class TestDecideBruteforce:
     def test_examples(self):
-        assert decide_equality_bruteforce(make_k2()).equality_holds
-        assert decide_equality_bruteforce(make_cycle(5)).equality_holds
-        assert not decide_equality_bruteforce(make_path(4)).equality_holds
-        assert not decide_equality_bruteforce(make_cycle(4)).equality_holds
+        assert decide_equality_bruteforce(Facts(make_k2())).equality_holds
+        assert decide_equality_bruteforce(Facts(make_cycle(5))).equality_holds
+        assert not decide_equality_bruteforce(Facts(make_path(4))).equality_holds
+        assert not decide_equality_bruteforce(Facts(make_cycle(4))).equality_holds
 
     def test_isolated_vertex_raises(self):
         with pytest.raises(IsolatedVertexError):
-            decide_equality_bruteforce(build_graph(3, [(0, 1)]))
+            decide_equality_bruteforce(Facts(build_graph(3, [(0, 1)])))
 
     def test_matches_oracle(self, graphs_up_to_5):
         for g in graphs_up_to_5:
@@ -44,27 +53,27 @@ class TestDecideBruteforce:
             ):
                 continue
             expect = ug_pr == 2 * oracles.upper_gamma(g)
-            assert decide_equality_bruteforce(g).equality_holds == expect
+            assert decide_equality_bruteforce(Facts(g)).equality_holds == expect
 
 
 class TestDecideFastpath:
     def test_applicable_classes(self):
-        d = decide_equality_fastpath(make_cycle(5))
+        d = decide_equality_fastpath(Facts(make_cycle(5)))
         # C5 is both a triangle-free cactus and unicyclic; the first
         # applicable class in precedence order reports
         assert d is not None and d.equality_holds and d.method == "c3-free-cactus"
-        d = decide_equality_fastpath(make_k2())
+        d = decide_equality_fastpath(Facts(make_k2()))
         assert d is not None and d.equality_holds
-        d = decide_equality_fastpath(make_path(4))
+        d = decide_equality_fastpath(Facts(make_path(4)))
         assert d is not None and not d.equality_holds
-        d = decide_equality_fastpath(make_cycle(7))
+        d = decide_equality_fastpath(Facts(make_cycle(7)))
         assert d is not None and not d.equality_holds and d.method == "girth-at-least-6"
 
     def test_inapplicable_returns_none(self):
         k4 = build_graph(4, [(i, j) for i in range(4) for j in range(i)])
-        assert decide_equality_fastpath(k4) is None
+        assert decide_equality_fastpath(Facts(k4)) is None
         # butterfly: has triangles, two cycles, not bipartite, not girth >= 6
-        assert decide_equality_fastpath(make_subdivided_star(0, 2)) is None
+        assert decide_equality_fastpath(Facts(make_subdivided_star(0, 2))) is None
 
     def test_agrees_with_bruteforce(self, graphs_up_to_6):
         checked = 0
@@ -72,32 +81,58 @@ class TestDecideFastpath:
             if g.n == 0 or any(g.degree(v) == 0 for v in range(g.n)):
                 continue
             facts = Facts(g)
-            fast = decide_equality_fastpath(g, facts)
+            fast = decide_equality_fastpath(facts)
             if fast is None:
                 continue
             checked += 1
             assert fast.equality_holds == decide_equality_bruteforce(
-                g, facts
+                facts
             ).equality_holds, facts.graph6
         assert checked >= 40
+
+    def test_disagreement_is_a_failure(self, monkeypatch, tmp_path):
+        c6 = make_cycle(6)
+        facts = Facts(c6)
+        table = characterizations.EQUALITY_CLASSES
+        assert all(c.applies(facts) for c in table)
+        wrong = dataclasses.replace(table[0], expected=lambda fam: True)
+        monkeypatch.setattr(characterizations, "EQUALITY_CLASSES",
+                            (wrong,) + table[1:])
+        d = decide_equality_fastpath(facts)
+        assert d.equality_holds is None and d.method == "disagreement"
+        v = check(c6, "fastpath-matches-brute")
+        assert v.status == "fails"
+        assert v.witness == {
+            "votes": {"girth-at-least-6": True, "c3-free-cactus": False,
+                      "unicyclic": False, "bipartite": False},
+            "brute": False,
+        }
+        path = tmp_path / "c6.g6"
+        path.write_text(encode_graph6(c6) + "\n")
+        for mode in ("both", "fastpath"):
+            report, code = run(RunConfig("decide", str(path), mode=mode))
+            assert code == 1
+            (rec,) = report.results
+            assert rec["agree"] is False
+            assert rec["fastpath"]["equality_holds"] is None
 
 
 class TestIndependentCore:
     def test_holds_on_equality_graphs(self):
         for g in (make_k2(), make_cycle(5), disjoint_union([make_k2()] * 2),
                   make_cycle(3), make_subdivided_star(2, 1)):
-            v = check_independent_gamma_set(g)
+            v = check(g, "independent-core")
             assert v.status == "holds", v
 
     def test_na_when_equality_fails_or_undefined(self):
-        assert check_independent_gamma_set(make_path(4)).status == "na"
-        assert check_independent_gamma_set(build_graph(2, [])).status == "na"
+        assert check(make_path(4), "independent-core").status == "na"
+        assert check(build_graph(2, []), "independent-core").status == "na"
 
     def test_definition_against_first_principles(self, graphs_up_to_5):
         import itertools
 
         for g in graphs_up_to_5:
-            v = check_independent_gamma_set(g)
+            v = check(g, "independent-core")
             if v.status == "na":
                 continue
             facts = Facts(g)
@@ -117,50 +152,65 @@ class TestIndependentCore:
 
 class TestUnicyclicBound:
     def test_bound_values(self):
-        v = check_unicyclic_gamma_bound(make_cycle(6))
-        assert v.status == "holds"
-        v = check_unicyclic_gamma_bound(make_cycle(5))
-        assert v.status == "holds"
+        assert check(make_cycle(6), "unicyclic-gamma-bound").status == "holds"
+        assert check(make_cycle(5), "unicyclic-gamma-bound").status == "holds"
 
     def test_requires_unicyclic(self):
-        with pytest.raises(Exception):
-            check_unicyclic_gamma_bound(make_path(4))
+        assert check(make_path(4), "unicyclic-gamma-bound").status == "na"
 
     def test_all_small_unicyclic(self):
         for g in nonisomorphic_graphs(7):
-            facts = Facts(g)
-            if not facts.flags.unicyclic:
+            if not Facts(g).flags.unicyclic:
                 continue
-            assert check_unicyclic_gamma_bound(g, facts).status == "holds"
+            assert check(g, "unicyclic-gamma-bound").status == "holds"
 
 
 class TestStructuralChecks:
     def test_holds_on_c5_and_unions(self):
         for g in (make_cycle(5), disjoint_union([make_cycle(5)] * 2),
                   disjoint_union([make_k2(), make_cycle(5)])):
-            for which in STRUCTURAL_CHECKS:
-                assert check_structural_lemma(g, which).status == "holds", which
+            for v in run_checks(g, STRUCTURAL_CHECKS):
+                assert v.status == "holds", v
 
     def test_na_outside_scope(self):
         # C3 meets the equality but is not triangle-free
-        for which in STRUCTURAL_CHECKS:
-            assert check_structural_lemma(make_cycle(3), which).status == "na"
+        for v in run_checks(make_cycle(3), STRUCTURAL_CHECKS):
+            assert v.status == "na", v
         # P4 is a triangle-free cactus but fails the equality
-        for which in STRUCTURAL_CHECKS:
-            assert check_structural_lemma(make_path(4), which).status == "na"
+        for v in run_checks(make_path(4), STRUCTURAL_CHECKS):
+            assert v.status == "na", v
 
     def test_unknown_check_rejected(self):
-        with pytest.raises(Exception):
-            check_structural_lemma(make_cycle(5), "no-such-check")
+        with pytest.raises(KeyError):
+            run_checks(make_cycle(5), ["no-such-check"])
 
     def test_never_fails_on_small_graphs(self, graphs_up_to_6):
         for g in graphs_up_to_6:
-            facts = Facts(g)
-            for which in STRUCTURAL_CHECKS:
-                v = check_structural_lemma(g, which, facts)
-                assert v.status in ("holds", "na")
-                if v.status == "holds":
-                    assert facts.equality is True
+            verdicts = run_checks(g, STRUCTURAL_CHECKS)
+            assert {v.status for v in verdicts} <= {"holds", "na"}
+            if any(v.status == "holds" for v in verdicts):
+                assert Facts(g).equality is True
+
+
+class TestRegistry:
+    def test_each_scan_runs_once_per_graph(self, monkeypatch, graphs_up_to_5):
+        calls = {"mds": 0, "mpds": 0}
+
+        def counted(name, scan):
+            def wrapper(g):
+                calls[name] += 1
+                return scan(g)
+            return wrapper
+
+        monkeypatch.setattr(domination, "minimal_dominating_masks",
+                            counted("mds", domination.minimal_dominating_masks))
+        monkeypatch.setattr(domination, "minimal_paired_dominating_masks",
+                            counted("mpds", domination.minimal_paired_dominating_masks))
+        paired = 0
+        for g in graphs_up_to_5:
+            run_checks(g, ALL_CHECK_IDS)
+            paired += not any(row == 0 for row in g.adj)
+        assert calls == {"mds": len(graphs_up_to_5), "mpds": paired}
 
 
 class TestHunt:

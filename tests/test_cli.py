@@ -2,11 +2,13 @@ import json
 
 import pytest
 
+from pairdom.characterizations import Verdict, hunt_c3free_counterexamples
 from pairdom.cli import main
 from pairdom.graph import encode_graph6, format_edge_list
 from pairdom.families import make_cycle, make_path
 from pairdom.harness import (
     ALL_CHECK_IDS,
+    CHECKS,
     RunConfig,
     load_source,
     run,
@@ -130,6 +132,38 @@ class TestCommands:
         code, out, _ = run_cli(capsys, "hunt", "enum:5")
         assert code == 0
         assert json.loads(out)["hunt"]["exception_count"] == 0
+
+    def test_hunt_skips_graph_too_large_to_scan(self, capsys, tmp_path):
+        graphs = [make_cycle(25), make_cycle(5)]
+        p = tmp_path / "graphs.g6"
+        p.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
+        code, out, _ = run_cli(capsys, "hunt", str(p))
+        assert code == 0
+        h = json.loads(out)["hunt"]
+        assert h["skipped"] == 1 and h["satisfier_count"] == 1
+        assert h == hunt_c3free_counterexamples(graphs).to_record()
+
+    def test_verify_failure_streams_before_next_graph(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        first = encode_graph6(make_cycle(5))
+        p = tmp_path / "graphs.g6"
+        p.write_text(first + "\n" + encode_graph6(make_path(3)) + "\n")
+        stderr_at_second_graph = []
+
+        def fails_on_first(facts):
+            if facts.graph6 == first:
+                return Verdict("gpr-at-most-2gamma", first, "fails", {})
+            stderr_at_second_graph.append(capsys.readouterr().err)
+            return Verdict("gpr-at-most-2gamma", facts.graph6, "holds")
+
+        monkeypatch.setitem(CHECKS, "gpr-at-most-2gamma", fails_on_first)
+        code = main(["verify", str(p), "--checks", "gpr-at-most-2gamma"])
+        assert code == 1
+        (err,) = stderr_at_second_graph
+        assert json.loads(err) == {
+            "check_id": "gpr-at-most-2gamma", "graph6": first,
+            "holds": False, "witness": {}}
 
     def test_gen(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "union:K2*2+C5*1", "--format", "json")

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -41,6 +43,18 @@ class TestHasPerfectMatching:
             for mask in range(1 << g.n):
                 S = [v for v in range(g.n) if (mask >> v) & 1]
                 assert pm(mask) == has_perfect_matching(g, S)
+
+    def test_tester_is_freed_without_cyclic_gc(self):
+        g = make_cycle(6)
+        pm = perfect_matching_tester(g)
+        assert pm(g.full_mask)
+        ref = weakref.ref(pm)
+        gc.disable()
+        try:
+            del pm
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestFindPerfectMatching:
