@@ -20,7 +20,7 @@ from itertools import combinations
 from .domination import (
     InvariantReport,
     IsolatedVertexError,
-    epn_pair,
+    has_epn_pair,
     has_isolated_vertex,
     independence_number,
     invariants,
@@ -331,7 +331,7 @@ def _check_pds_pair_removal_private(facts: Facts) -> Verdict:
                 continue
             if not pm(rest):
                 continue
-            if not epn_pair(g, u, v, smask):
+            if not has_epn_pair(g, u, v, smask):
                 return _verdict(facts, cid, False, {"pds": verts, "pair": [u, v]})
     return _verdict(facts, cid, True)
 
@@ -350,7 +350,7 @@ def _check_pds_matched_pair_private(facts: Facts) -> Verdict:
                     continue
                 if (g.adj[v] & smask).bit_count() < 2:
                     continue
-                if not epn_pair(g, u, v, smask):
+                if not has_epn_pair(g, u, v, smask):
                     return _verdict(
                         facts, cid, False,
                         {"pds": _verts(smask),

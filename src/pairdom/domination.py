@@ -61,6 +61,15 @@ def external_private_neighborhood(g: Graph, v: int, S) -> VertexSet:
     return VertexSet(pn.bits & ~mask, g.n)
 
 
+def _pair_private(g: Graph, u: int, v: int, mask: int):
+    """Yield the vertices outside ``mask`` whose only neighbours in it are
+    u and/or v."""
+    others = mask & ~((1 << u) | (1 << v))
+    for w in bits_of((g.adj[u] | g.adj[v]) & ~mask):
+        if g.adj[w] & others == 0:
+            yield w
+
+
 def epn_pair(g: Graph, u: int, v: int, S) -> VertexSet:
     """epn(u, v; S): vertices outside S seen only by u and/or v within S."""
     mask = as_mask(S, g.n)
@@ -69,13 +78,13 @@ def epn_pair(g: Graph, u: int, v: int, S) -> VertexSet:
     for w in (u, v):
         if not (mask >> w) & 1:
             raise GraphError(f"vertex {w} is not in S")
-    pair = (1 << u) | (1 << v)
-    candidates = (g.adj[u] | g.adj[v]) & ~mask
-    out = 0
-    for w in bits_of(candidates):
-        if g.adj[w] & mask & ~pair == 0:
-            out |= 1 << w
-    return VertexSet(out, g.n)
+    return VertexSet.of(_pair_private(g, u, v, mask), g.n)
+
+
+def has_epn_pair(g: Graph, u: int, v: int, mask: int) -> bool:
+    """Whether epn(u, v; S) is non-empty, for distinct u, v in the bitset
+    ``mask``; stops at the first private neighbour."""
+    return next(_pair_private(g, u, v, mask), None) is not None
 
 
 def _irredundant(g: Graph, mask: int) -> bool:

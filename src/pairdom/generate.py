@@ -1,19 +1,20 @@
 """Exhaustive small-graph sources.
 
-Two generators live here. ``enumerate_labeled_graphs`` walks every labeled
-graph on up to 7 vertices, optionally deduplicated by the minimum
-adjacency-bit-string over all vertex permutations. ``nonisomorphic_graphs``
-scales further (one vertex-addition level at a time, one representative per
-isomorphism class) and accepts a hereditary predicate so restricted streams
-such as triangle-free graphs never materialize the unrestricted universe.
+``enumerate_labeled_graphs`` walks every labeled graph on up to 7 vertices.
+``nonisomorphic_graphs`` emits one representative per isomorphism class,
+one vertex-addition level at a time. Each child of a kept representative
+is refined once (colour refinement on neighbour tuples), bucketed on the
+multiset of its final refinement signatures, and kept unless exact
+backtracking maps it onto an earlier representative in its bucket, so the
+first candidate of each class wins in (parent, mask) order. A hereditary
+predicate prunes each level, so restricted streams such as triangle-free
+graphs never materialize the unrestricted universe.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
-
 from .domination import GuardError
-from .graph import Graph, bits_of, girth, components
+from .graph import MAX_VERTICES, Graph, bits_of, components, girth
 
 LABELED_GUARD = 7
 
@@ -31,148 +32,131 @@ def graph_from_pair_mask(n: int, mask: int) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def _permutation_tables(n: int) -> list[list[int]]:
-    """For each permutation p, table[k] = pair index of (p[i], p[j])."""
-    pairs = _pair_index(n)
-    index = {pair: k for k, pair in enumerate(pairs)}
-    tables = []
-    for p in permutations(range(n)):
-        tables.append(
-            [index[tuple(sorted((p[i], p[j])))] for (i, j) in pairs]
-        )
-    return tables
-
-
-def enumerate_labeled_graphs(n: int, dedup: bool = False):
-    """Yield all labeled graphs on n vertices; with dedup, only the
-    representative whose pair bitmask is minimal over all relabelings."""
+def enumerate_labeled_graphs(n: int):
+    """Yield all labeled graphs on n vertices, in pair-bitmask order."""
     if n > LABELED_GUARD:
         raise GuardError(f"labeled enumeration limited to n <= {LABELED_GUARD}")
-    npairs = n * (n - 1) // 2
-    tables = _permutation_tables(n) if dedup else None
-    for mask in range(1 << npairs):
-        if dedup:
-            canon = mask
-            for table in tables:
-                image = 0
-                m = mask
-                while m:
-                    low = m & -m
-                    image |= 1 << table[low.bit_length() - 1]
-                    m ^= low
-                if image < canon:
-                    canon = image
-            if canon != mask:
-                continue
+    for mask in range(1 << (n * (n - 1) // 2)):
         yield graph_from_pair_mask(n, mask)
 
 
 # --- isomorphism machinery ---------------------------------------------------
 
 
-def refinement_colors(g: Graph) -> list[int]:
-    """Stable vertex colors under iterated neighborhood refinement,
-    canonically renumbered (independent of labeling up to isomorphism)."""
-    colors = [g.adj[v].bit_count() for v in range(g.n)]
-    for _ in range(g.n):
-        sig = [
-            (colors[v], tuple(sorted(colors[u] for u in bits_of(g.adj[v]))))
-            for v in range(g.n)
-        ]
-        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
-        fresh = [palette[s] for s in sig]
-        if fresh == colors:
-            break
-        colors = fresh
-    return colors
+# A signature packs a vertex's colour above the multiset of its neighbours'
+# colours, 6 bits of count per colour: colours are below n <= 62 and a
+# vertex has at most 61 neighbours.
+_COUNT_BIT = [1 << (6 * c) for c in range(MAX_VERTICES)]
 
 
-def iso_key(g: Graph) -> tuple:
-    """A cheap isomorphism-invariant bucket key (not a complete invariant)."""
-    colors = refinement_colors(g)
-    edge_colors = sorted(
-        tuple(sorted((colors[u], colors[v]))) for u, v in g.edges()
-    )
-    return (g.n, g.edge_count, tuple(sorted(colors)), tuple(edge_colors))
+def _refine(nbrs) -> tuple[tuple, list[int]]:
+    """Colour refinement from the degrees until the partition is stable or
+    discrete.
+
+    ``nbrs[v]`` lists the neighbours of v. Returns ``(key, colors)``: the
+    key is the sorted tuple of the last round's signatures, an isomorphism
+    invariant; ``colors[v]`` is the rank of v's signature among the
+    distinct ones, so two graphs with equal keys have comparable colours."""
+    n = len(nbrs)
+    top = 6 * n
+    colors = [len(t) for t in nbrs]
+    count = len(set(colors))
+    while True:
+        count_bit = [_COUNT_BIT[c] for c in colors].__getitem__
+        sig = [c << top | sum(map(count_bit, t)) for c, t in zip(colors, nbrs)]
+        key = tuple(sorted(sig))
+        palette = {s: i for i, s in enumerate(dict.fromkeys(key))}
+        colors = [palette[s] for s in sig]
+        if len(palette) in (count, n):
+            return key, colors
+        count = len(palette)
 
 
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism test: refinement colors plus backtracking."""
-    if g1.n != g2.n or g1.edge_count != g2.edge_count:
-        return False
-    n = g1.n
-    c1 = refinement_colors(g1)
-    c2 = refinement_colors(g2)
-    if sorted(c1) != sorted(c2):
-        return False
-    freq: dict[int, int] = {}
-    for c in c1:
-        freq[c] = freq.get(c, 0) + 1
-    order = sorted(range(n), key=lambda v: (freq[c1[v]], c1[v], v))
-    mapping = [-1] * n
-    used = [False] * n
+def _cells(colors: list[int]) -> list[list[int]]:
+    """The vertices of each colour, in increasing order."""
+    cells = [[] for _ in range(max(colors, default=-1) + 1)]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    return cells
 
-    def extend(k: int) -> bool:
+
+def _isomorphic(adj1, colors1, adj2, cells2) -> bool:
+    """Exact test for two graphs with equal refinement keys: map each vertex
+    of the first, rarest colour first, onto an unused vertex of the same
+    colour in the second whose adjacency to the vertices mapped so far
+    agrees, backtracking on a dead end."""
+    n = len(adj1)
+    order = sorted(range(n), key=lambda v: (len(cells2[colors1[v]]), colors1[v], v))
+    image = [0] * n  # image[v]: the bit of the vertex v is mapped to
+
+    def extend(k: int, done1: int, done2: int) -> bool:
         if k == n:
             return True
         v = order[k]
-        for w in range(n):
-            if used[w] or c2[w] != c1[v]:
-                continue
-            ok = True
-            for prev in range(k):
-                u = order[prev]
-                if ((g1.adj[v] >> u) & 1) != ((g2.adj[w] >> mapping[u]) & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used[w] = True
-            if extend(k + 1):
-                return True
-            used[w] = False
-            mapping[v] = -1
+        want = 0
+        for u in bits_of(adj1[v] & done1):
+            want |= image[u]
+        for w in cells2[colors1[v]]:
+            bit = 1 << w
+            if not done2 & bit and adj2[w] & done2 == want:
+                image[v] = bit
+                if extend(k + 1, done1 | 1 << v, done2 | bit):
+                    return True
         return False
 
-    return extend(0)
+    return extend(0, 0, 0)
 
 
-def nonisomorphic_levels(n: int, predicate=None) -> dict[int, list[Graph]]:
-    """Representatives of every isomorphism class on 0..n vertices.
-
-    ``predicate`` must be hereditary under vertex deletion (triangle-free,
-    girth bounds, cactus-like conditions all qualify); it prunes each level
-    so restricted families are generated directly.
-    """
-    levels: dict[int, list[Graph]] = {0: [Graph(0, ())]}
-    for k in range(1, n + 1):
-        buckets: dict[tuple, list[Graph]] = {}
-        reps: list[Graph] = []
-        for base in levels[k - 1]:
-            for mask in range(1 << (k - 1)):
-                adj = list(base.adj)
-                for u in bits_of(mask):
-                    adj[u] |= 1 << (k - 1)
-                adj.append(mask)
-                g = Graph(k, tuple(adj))
-                if predicate is not None and not predicate(g):
-                    continue
-                bucket = buckets.setdefault(iso_key(g), [])
-                if any(are_isomorphic(g, h) for h in bucket):
-                    continue
-                bucket.append(g)
-                reps.append(g)
-        levels[k] = reps
-    return levels
+def are_isomorphic(g1: Graph, g2: Graph) -> bool:
+    """Exact isomorphism test: refinement colours plus backtracking."""
+    if g1.n != g2.n or g1.edge_count != g2.edge_count:
+        return False
+    key1, colors1 = _refine([tuple(bits_of(row)) for row in g1.adj])
+    key2, colors2 = _refine([tuple(bits_of(row)) for row in g2.adj])
+    return key1 == key2 and _isomorphic(g1.adj, colors1, g2.adj, _cells(colors2))
 
 
 def nonisomorphic_graphs(n: int, predicate=None, min_n: int = 0) -> list[Graph]:
-    """One representative per isomorphism class with min_n..n vertices."""
-    levels = nonisomorphic_levels(n, predicate)
-    out: list[Graph] = []
-    for k in range(min_n, n + 1):
-        out.extend(levels[k])
+    """One representative per isomorphism class with min_n..n vertices.
+
+    Level k extends each representative of level k - 1 by a new vertex
+    k - 1 joined to every subset of the old vertices. ``predicate`` must be
+    hereditary under vertex deletion (triangle-free, girth bounds,
+    cactus-like conditions all qualify); it sees each candidate as a
+    ``Graph`` and prunes the level, so restricted families are generated
+    directly.
+    """
+    out = [Graph(0, ())] if min_n <= 0 <= n else []
+    parents = [((), ())]  # (adjacency rows, neighbour tuples) per representative
+    for k in range(1, n + 1):
+        new = k - 1
+        bit = 1 << new
+        masks = [(mask, tuple(bits_of(mask))) for mask in range(bit)]
+        buckets: dict[tuple, list] = {}
+        kept = []
+        for adj0, nbrs0 in parents:
+            for mask, joined in masks:
+                adj = [row | bit if (mask >> u) & 1 else row
+                       for u, row in enumerate(adj0)]
+                adj.append(mask)
+                g = None
+                if predicate is not None:
+                    g = Graph(k, tuple(adj))
+                    if not predicate(g):
+                        continue
+                nbrs = [t + (new,) if (mask >> u) & 1 else t
+                        for u, t in enumerate(nbrs0)]
+                nbrs.append(joined)
+                key, colors = _refine(nbrs)
+                bucket = buckets.setdefault(key, [])
+                if any(_isomorphic(adj, colors, adj2, cells2)
+                       for adj2, cells2 in bucket):
+                    continue
+                bucket.append((adj, _cells(colors)))
+                kept.append((adj, nbrs))
+                if k >= min_n:
+                    out.append(g or Graph(k, tuple(adj)))
+        parents = kept
     return out
 
 

@@ -46,7 +46,6 @@ def _looks_like_edge_list(first_line: str) -> bool:
     return len(parts) == 2 and all(p.isdigit() for p in parts)
 
 
-INTERNAL_ENUM_GUARD = 7
 INTERNAL_ISO_ENUM_GUARD = 9
 
 
@@ -56,23 +55,20 @@ def load_source(source: str) -> list[SourceItem]:
 
     ``enum:N`` yields one representative per isomorphism class (n <= 9,
     produced by vertex augmentation); ``enum:N:labeled`` yields every
-    labeled graph (n <= 7)."""
+    labeled graph (n <= 7, ``generate.LABELED_GUARD``)."""
     if source.startswith("enum:"):
         parts = source.split(":")
         n = int(parts[1])
-        labeled = len(parts) > 2 and parts[2] == "labeled"
-        if labeled:
-            if n > INTERNAL_ENUM_GUARD:
-                raise GuardError(
-                    f"labeled enumerator limited to n <= {INTERNAL_ENUM_GUARD}"
-                )
-            graphs: list[Graph] = list(enumerate_labeled_graphs(n, dedup=False))
+        if n < 0:
+            raise ValueError(f"enum order must be >= 0, got {n}")
+        if len(parts) > 2 and parts[2] == "labeled":
+            graphs: list[Graph] = list(enumerate_labeled_graphs(n))
         else:
             if n > INTERNAL_ISO_ENUM_GUARD:
                 raise GuardError(
                     f"enumerator limited to n <= {INTERNAL_ISO_ENUM_GUARD}"
                 )
-            graphs = list(nonisomorphic_graphs(n, min_n=n))
+            graphs = nonisomorphic_graphs(n, min_n=n)
         return [SourceItem(i, g) for i, g in enumerate(graphs)]
     if looks_like_family_spec(source):
         return [SourceItem(0, parse_family_spec(source))]

@@ -5,7 +5,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from pairdom.generate import nonisomorphic_graphs
+from pairdom.generate import (
+    at_most_one_cycle_per_component,
+    girth_at_least,
+    nonisomorphic_graphs,
+    triangle_free,
+)
 
 # One [PASS]/[FAIL] line per acceptance criterion, echoed after the run.
 acceptance_lines: list[str] = []
@@ -32,3 +37,28 @@ def graphs_up_to_5():
 @pytest.fixture(scope="session")
 def graphs_up_to_6():
     return nonisomorphic_graphs(6)
+
+
+@pytest.fixture(scope="session")
+def graphs_up_to_7():
+    return nonisomorphic_graphs(7)
+
+
+@pytest.fixture(scope="session")
+def graphs_up_to_8():
+    return nonisomorphic_graphs(8)
+
+
+@pytest.fixture(scope="session")
+def c3free_up_to_9():
+    return nonisomorphic_graphs(9, predicate=triangle_free)
+
+
+@pytest.fixture(scope="session")
+def girth6_up_to_9():
+    return nonisomorphic_graphs(9, predicate=girth_at_least(6))
+
+
+@pytest.fixture(scope="session")
+def one_cycle_per_component_up_to_8():
+    return nonisomorphic_graphs(8, predicate=at_most_one_cycle_per_component)

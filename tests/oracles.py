@@ -131,3 +131,28 @@ def encode_graph6(g: Graph) -> str:
             val = (val << 1) | b
         out.append(chr(val + 63))
     return "".join(out)
+
+
+def nonisomorphic_by_permutation(n: int) -> list[Graph]:
+    """One labeled graph per isomorphism class on n vertices: the one whose
+    pair bitmask (pairs (i, j), i < j, in lexicographic order) is minimal
+    over all n! relabelings. It tries n! relabelings of each of the
+    2^(n(n-1)/2) labeled graphs, so it is meant for n <= 5."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {pair: k for k, pair in enumerate(pairs)}
+    images = [
+        [index[tuple(sorted((p[i], p[j])))] for i, j in pairs]
+        for p in itertools.permutations(range(n))
+    ]
+    out = []
+    for mask in range(1 << len(pairs)):
+        present = [k for k in range(len(pairs)) if (mask >> k) & 1]
+        if any(sum(1 << image[k] for k in present) < mask for image in images):
+            continue
+        adj = [0] * n
+        for k in present:
+            i, j = pairs[k]
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        out.append(Graph(n, tuple(adj)))
+    return out

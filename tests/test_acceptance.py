@@ -34,7 +34,6 @@ from pairdom.characterizations import (
 )
 from pairdom.generate import (
     at_most_one_cycle_per_component,
-    girth_at_least,
     nonisomorphic_graphs,
     triangle_free,
 )
@@ -65,9 +64,9 @@ def _failures_of(failures, check_ids):
 
 
 @pytest.fixture(scope="module")
-def sweep_8():
+def sweep_8(graphs_up_to_8):
     """Every registry check over every graph with n <= 8, once."""
-    return _sweep(nonisomorphic_graphs(8))
+    return _sweep(graphs_up_to_8)
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +126,8 @@ def test_criterion_3_double_bound(sweep_8):
     )
 
 
-def test_criterion_4_equality_theorems(sweep_8, sweep_c3free_cactus_9):
+def test_criterion_4_equality_theorems(sweep_8, sweep_c3free_cactus_9,
+                                       girth6_up_to_9):
     checks = (
         "equality-bipartite",
         "equality-unicyclic",
@@ -147,7 +147,7 @@ def test_criterion_4_equality_theorems(sweep_8, sweep_c3free_cactus_9):
     ]
     uni_checks = ("equality-unicyclic", "unicyclic-gamma-bound")
     s2, f2 = _sweep(uni9, uni_checks)
-    g69 = nonisomorphic_graphs(9, predicate=girth_at_least(6), min_n=9)
+    g69 = [g for g in girth6_up_to_9 if g.n == 9]
     s3, f3 = _sweep(g69, ("equality-girth6",))
     s4, f4 = sweep_c3free_cactus_9
     failures += (_failures_of(f2, uni_checks) + f3["equality-girth6"]
@@ -207,9 +207,8 @@ def test_criterion_6_oracle_equivalences(sweep_8):
     )
 
 
-def test_criterion_7_triangle_free_hunt():
-    stream = nonisomorphic_graphs(9, predicate=triangle_free)
-    report = hunt_c3free_counterexamples(stream)
+def test_criterion_7_triangle_free_hunt(c3free_up_to_9):
+    report = hunt_c3free_counterexamples(c3free_up_to_9)
     cactus_bad = [
         s for s in report.satisfiers if s["cactus"] and not s["expected_form"]
     ]

@@ -113,6 +113,14 @@ class TestCommands:
         assert code == 2
         assert json.loads(out)["errors"]
 
+    def test_negative_enum_order_is_usage_error(self, capsys):
+        for source in ("enum:-1", "enum:-3:labeled"):
+            code, out, _ = run_cli(capsys, "verify", source)
+            assert code == 2
+            assert json.loads(out)["errors"] == [
+                f"enum order must be >= 0, got {source.split(':')[1]}"
+            ]
+
     def test_malformed_graph6_line_counts_skipped(self, capsys, tmp_path):
         p = tmp_path / "graphs.g6"
         p.write_text(encode_graph6(make_cycle(5)) + "\n???garbage\n")

@@ -20,6 +20,7 @@ from pairdom.domination import (
     enumerate_minimal_paired_dominating_sets,
     epn_pair,
     external_private_neighborhood,
+    has_epn_pair,
     has_isolated_vertex,
     independence_number,
     invariants,
@@ -65,6 +66,14 @@ class TestPrivateNeighborhoods:
         assert epn_pair(g2, 0, 1, [0, 1]).members() == (2, 4)
         # vertex 4 also sees 3 in S, so it is not private to the pair
         assert epn_pair(g2, 0, 1, [0, 1, 3]).members() == ()
+
+    def test_has_epn_pair_agrees_with_epn_pair(self, graphs_up_to_5):
+        for g in graphs_up_to_5:
+            for mask in range(1 << g.n):
+                members = [v for v in range(g.n) if (mask >> v) & 1]
+                for u, v in itertools.combinations(members, 2):
+                    assert has_epn_pair(g, u, v, mask) == bool(
+                        epn_pair(g, u, v, mask))
 
 
 class TestMinimalDominating:

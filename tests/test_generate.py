@@ -1,11 +1,14 @@
+import hashlib
 import itertools
-import math
 import random
+from collections import Counter, defaultdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pairdom.graph import build_graph, girth
-from pairdom.families import make_cycle, make_path, disjoint_union, make_k2
+import oracles
+from pairdom.graph import build_graph, encode_graph6, girth
+from pairdom.families import make_cycle, make_path, disjoint_union
 from pairdom.generate import (
     LABELED_GUARD,
     are_isomorphic,
@@ -13,7 +16,6 @@ from pairdom.generate import (
     enumerate_labeled_graphs,
     girth_at_least,
     graph_from_pair_mask,
-    iso_key,
     nonisomorphic_graphs,
     relabel,
     triangle_free,
@@ -21,6 +23,22 @@ from pairdom.generate import (
 
 # Published counts of graphs up to isomorphism on n = 0..8 vertices.
 CLASS_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044, 12346]
+
+# sha256 of the graph6 stream (one line per graph) of each generated list.
+# The generator keeps the first candidate of each isomorphism class in
+# (parent, mask) order, so these pin its labeled output, not just counts.
+PINNED_STREAMS = {
+    "graphs_up_to_7":
+        "434bc757ac10473178bb7ca3f96f58aac2d25897662c3b47ad070505a6808c87",
+    "graphs_up_to_8":
+        "beef61fbf5d902f8db83f02fbca62c200d5769b8d73db30681e189057370000c",
+    "c3free_up_to_9":
+        "a1aeea0c08e2367ae9936700ba55606e5720bd9258081e1f65b4ac007424cd34",
+    "girth6_up_to_9":
+        "3e3151bff3d80b4b4e1d9f98121f64d9b6c426c440cce53823340a9d283d7e2a",
+    "one_cycle_per_component_up_to_8":
+        "b402d8395de891668ab2b64ec9a8e85dd146cde1244df4c85007e98bec57cbff",
+}
 
 
 class TestLabeledEnumeration:
@@ -30,7 +48,7 @@ class TestLabeledEnumeration:
 
     def test_dedup_counts(self):
         for n in range(6):
-            assert len(list(enumerate_labeled_graphs(n, dedup=True))) == CLASS_COUNTS[n]
+            assert len(oracles.nonisomorphic_by_permutation(n)) == CLASS_COUNTS[n]
 
     def test_guard(self):
         with pytest.raises(Exception):
@@ -60,14 +78,22 @@ class TestIsomorphism:
         for g in nonisomorphic_graphs(5, min_n=5):
             perm = list(range(5))
             rng.shuffle(perm)
-            h = relabel(g, perm)
-            assert iso_key(g) == iso_key(h)
-            assert are_isomorphic(g, h)
+            assert are_isomorphic(g, relabel(g, perm))
 
     def test_exhaustive_pairs_n4(self):
         graphs = nonisomorphic_graphs(4, min_n=4)
         for a, b in itertools.combinations(graphs, 2):
             assert not are_isomorphic(a, b)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_relabel_finds_only_its_representative(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=6))
+        reps = nonisomorphic_graphs(n, min_n=n)
+        g = data.draw(st.sampled_from(reps))
+        h = relabel(g, data.draw(st.permutations(range(n))))
+        assert are_isomorphic(g, h)
+        assert [r for r in reps if are_isomorphic(h, r)] == [g]
 
 
 class TestAugmentationGenerator:
@@ -78,10 +104,38 @@ class TestAugmentationGenerator:
     def test_matches_labeled_dedup(self):
         for n in range(6):
             ours = nonisomorphic_graphs(n, min_n=n)
-            ref = list(enumerate_labeled_graphs(n, dedup=True))
+            ref = oracles.nonisomorphic_by_permutation(n)
             assert len(ours) == len(ref)
             for g in ours:
                 assert any(are_isomorphic(g, h) for h in ref)
+
+    def test_matches_networkx_atlas(self, graphs_up_to_7):
+        nx = pytest.importorskip("networkx")
+
+        def profile(n, degrees):
+            return n, sum(degrees) // 2, tuple(sorted(degrees))
+
+        def order_size(groups):
+            counts = Counter()
+            for (n, m, _), group in groups.items():
+                counts[n, m] += len(group)
+            return counts
+
+        atlas = defaultdict(list)
+        for a in nx.graph_atlas_g():
+            atlas[profile(a.number_of_nodes(), [d for _, d in a.degree()])].append(a)
+        ours = defaultdict(list)
+        for g in graphs_up_to_7:
+            ours[profile(g.n, [g.degree(v) for v in range(g.n)])].append(g)
+        assert order_size(ours) == order_size(atlas)
+        for key, group in ours.items():
+            unmatched = list(atlas[key])
+            for g in group:
+                h = nx.Graph()
+                h.add_nodes_from(range(g.n))
+                h.add_edges_from(g.edges())
+                match = next(a for a in unmatched if nx.is_isomorphic(h, a))
+                unmatched.remove(match)
 
     def test_cumulative(self):
         assert len(nonisomorphic_graphs(4)) == sum(CLASS_COUNTS[:5])
@@ -102,6 +156,12 @@ class TestAugmentationGenerator:
         expect = [g for g in nonisomorphic_graphs(5, min_n=5) if triangle_free(g)]
         got = nonisomorphic_graphs(5, predicate=triangle_free, min_n=5)
         assert len(expect) == len(got)
+
+    @pytest.mark.parametrize("stream", sorted(PINNED_STREAMS))
+    def test_pinned_graph6_stream(self, request, stream):
+        graphs = request.getfixturevalue(stream)
+        text = "".join(encode_graph6(g) + "\n" for g in graphs)
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_STREAMS[stream]
 
 
 class TestRelabel:
