@@ -8,6 +8,7 @@ when an input is too large for them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .graph import Graph, GraphError, VertexSet, as_mask, bits_of
 from .matching import perfect_matching_tester
@@ -32,13 +33,19 @@ def has_isolated_vertex(g: Graph) -> bool:
     return any(row == 0 for row in g.adj)
 
 
+def _cover(closed: list[int], mask: int) -> int:
+    """The union of the closed neighborhoods ``closed[v]`` over v in mask."""
+    cover = 0
+    while mask:
+        low = mask & -mask
+        cover |= closed[low.bit_length() - 1]
+        mask ^= low
+    return cover
+
+
 def is_dominating(g: Graph, D) -> bool:
     """True iff every vertex is in D or adjacent to a vertex of D."""
-    mask = as_mask(D, g.n)
-    cover = mask
-    for v in bits_of(mask):
-        cover |= g.adj[v]
-    return cover == g.full_mask
+    return _cover(closed_neighborhoods(g), as_mask(D, g.n)) == g.full_mask
 
 
 def private_neighborhood(g: Graph, v: int, S) -> VertexSet:
@@ -87,31 +94,26 @@ def has_epn_pair(g: Graph, u: int, v: int, mask: int) -> bool:
     return next(_pair_private(g, u, v, mask), None) is not None
 
 
-def _irredundant(g: Graph, mask: int) -> bool:
-    """Every v in the set has a closed private neighbor: either some
-    outside vertex whose only neighbor in the set is v, or v itself when
-    none of v's neighbors is in the set."""
-    flagged = 0
-    for u in range(g.n):
-        if (mask >> u) & 1:
-            if g.adj[u] & mask == 0:
-                flagged |= 1 << u
-        else:
-            t = g.adj[u] & mask
-            if t and t.bit_count() == 1:
-                flagged |= t
-    return mask & ~flagged == 0
+def _minimal_dominating(cover, full: int, mask: int) -> bool:
+    """``cover(mask) == full`` and ``cover(mask ^ bit) != full`` for every
+    bit of mask. Supersets of dominating sets dominate, so a dominating set
+    is minimal exactly when dropping any one vertex breaks domination."""
+    if cover(mask) != full:
+        return False
+    rest = mask
+    while rest:
+        bit = rest & -rest
+        if cover(mask ^ bit) == full:
+            return False
+        rest ^= bit
+    return True
 
 
 def is_minimal_dominating(g: Graph, D) -> bool:
-    """Dominating with no dominating proper subset.
-
-    Decided via private neighbors: every v in D either has some vertex whose
-    only D-neighbor is v, or has no neighbor in D at all (so v dominates
-    itself privately).
-    """
-    mask = as_mask(D, g.n)
-    return is_dominating(g, mask) and _irredundant(g, mask)
+    """Dominating with no dominating proper subset: D dominates and no
+    D - v does, for any v in D."""
+    return _minimal_dominating(partial(_cover, closed_neighborhoods(g)),
+                               g.full_mask, as_mask(D, g.n))
 
 
 def is_paired_dominating(g: Graph, P) -> bool:
@@ -133,12 +135,8 @@ def is_minimal_paired_dominating(g: Graph, P) -> bool:
     full = g.full_mask
     sub = (mask - 1) & mask
     while sub:
-        if sub.bit_count() % 2 == 0:
-            cover = 0
-            for v in bits_of(sub):
-                cover |= closed[v]
-            if cover == full and pm(sub):
-                return False
+        if sub.bit_count() % 2 == 0 and _cover(closed, sub) == full and pm(sub):
+            return False
         sub = (sub - 1) & mask
     return True
 
@@ -159,27 +157,19 @@ def coverage_table(g: Graph) -> list[int]:
 
 
 def minimal_dominating_masks(g: Graph) -> list[int]:
-    """All minimal dominating sets as bitsets, in increasing mask order."""
+    """All minimal dominating sets as bitsets, in increasing mask order: the
+    masks that dominate and stop dominating when any one vertex is dropped.
+
+    Coverage comes from the table for n <= PAIRED_GUARD and is computed per
+    mask above it, where a table would need 2^n entries."""
     if g.n > DOMINATION_GUARD:
         raise GuardError(f"dominating-set scan limited to n <= {DOMINATION_GUARD}")
-    full = g.full_mask
-    if g.n == 0:
-        return [0]
-    out = []
     if g.n <= PAIRED_GUARD:
-        cover = coverage_table(g)
-        for mask in range(1 << g.n):
-            if cover[mask] == full and _irredundant(g, mask):
-                out.append(mask)
+        cover = coverage_table(g).__getitem__
     else:
-        closed = closed_neighborhoods(g)
-        for mask in range(1 << g.n):
-            c = 0
-            for v in bits_of(mask):
-                c |= closed[v]
-            if c == full and _irredundant(g, mask):
-                out.append(mask)
-    return out
+        cover = partial(_cover, closed_neighborhoods(g))
+    full = g.full_mask
+    return [mask for mask in range(1 << g.n) if _minimal_dominating(cover, full, mask)]
 
 
 def paired_dominating_masks(g: Graph) -> list[int]:
@@ -188,8 +178,6 @@ def paired_dominating_masks(g: Graph) -> list[int]:
         raise GuardError(f"paired-dominating scan limited to n <= {PAIRED_GUARD}")
     if has_isolated_vertex(g):
         raise IsolatedVertexError("graph has an isolated vertex")
-    if g.n == 0:
-        return [0]
     cover = coverage_table(g)
     full = g.full_mask
     pm = perfect_matching_tester(g)

@@ -202,11 +202,6 @@ def is_cactus(g: Graph) -> bool:
     return g.n > 0 and is_connected(g) and every_block_edge_or_cycle(g)
 
 
-def is_componentwise_cactus(g: Graph) -> bool:
-    """Every component is a cactus (unions of cacti, empty graph included)."""
-    return every_block_edge_or_cycle(g)
-
-
 def classify(g: Graph) -> ClassFlags:
     gth = girth(g)
     connected = is_connected(g)

@@ -36,7 +36,6 @@ from .generate import enumerate_labeled_graphs, nonisomorphic_graphs
 
 @dataclass
 class SourceItem:
-    index: int
     graph: Graph | None
     error: str | None = None
 
@@ -58,10 +57,14 @@ def load_source(source: str) -> list[SourceItem]:
     labeled graph (n <= 7, ``generate.LABELED_GUARD``)."""
     if source.startswith("enum:"):
         parts = source.split(":")
+        if parts[2:] not in ([], ["labeled"]):
+            raise ValueError(
+                f"unknown enum source {source!r}: expected enum:N or enum:N:labeled"
+            )
         n = int(parts[1])
         if n < 0:
             raise ValueError(f"enum order must be >= 0, got {n}")
-        if len(parts) > 2 and parts[2] == "labeled":
+        if parts[2:] == ["labeled"]:
             graphs: list[Graph] = list(enumerate_labeled_graphs(n))
         else:
             if n > INTERNAL_ISO_ENUM_GUARD:
@@ -69,23 +72,23 @@ def load_source(source: str) -> list[SourceItem]:
                     f"enumerator limited to n <= {INTERNAL_ISO_ENUM_GUARD}"
                 )
             graphs = nonisomorphic_graphs(n, min_n=n)
-        return [SourceItem(i, g) for i, g in enumerate(graphs)]
+        return [SourceItem(g) for g in graphs]
     if looks_like_family_spec(source):
-        return [SourceItem(0, parse_family_spec(source))]
+        return [SourceItem(parse_family_spec(source))]
     with open(source) as fh:
         text = fh.read()
     lines = text.splitlines()
     first = next((ln for ln in lines if ln.strip()), "")
     if _looks_like_edge_list(first):
-        return [SourceItem(0, parse_edge_list(text))]
+        return [SourceItem(parse_edge_list(text))]
     items = []
     for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
         try:
-            items.append(SourceItem(lineno, parse_graph6(raw)))
+            items.append(SourceItem(parse_graph6(raw)))
         except GraphError as exc:
-            items.append(SourceItem(lineno, None, f"line {lineno}: {exc}"))
+            items.append(SourceItem(None, f"line {lineno}: {exc}"))
     return items
 
 

@@ -121,6 +121,14 @@ class TestCommands:
                 f"enum order must be >= 0, got {source.split(':')[1]}"
             ]
 
+    def test_unknown_enum_field_is_usage_error(self, capsys):
+        for source in ("enum:3:bogus", "enum:3:labeled:x", "enum:3:"):
+            code, out, _ = run_cli(capsys, "verify", source)
+            assert code == 2
+            assert json.loads(out)["errors"] == [
+                f"unknown enum source {source!r}: expected enum:N or enum:N:labeled"
+            ]
+
     def test_malformed_graph6_line_counts_skipped(self, capsys, tmp_path):
         p = tmp_path / "graphs.g6"
         p.write_text(encode_graph6(make_cycle(5)) + "\n???garbage\n")

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import oracles
+from pairdom import domination
 from pairdom.graph import VertexSet, build_graph
 from pairdom.families import (
     disjoint_union,
@@ -28,6 +29,7 @@ from pairdom.domination import (
     is_minimal_dominating,
     is_minimal_paired_dominating,
     is_paired_dominating,
+    minimal_dominating_masks,
     private_neighborhood,
 )
 
@@ -92,6 +94,22 @@ class TestMinimalDominating:
                 assert is_minimal_dominating(g, S) == oracles.is_minimal_dominating(
                     g, S
                 ), (g.edges(), S)
+
+    @pytest.mark.parametrize("table", [True, False], ids=["table", "on-demand"])
+    def test_scan_matches_literal_oracle(self, graphs_up_to_5, monkeypatch, table):
+        # Below PAIRED_GUARD the scan reads the coverage table; with the
+        # guard lowered every graph takes the on-demand path of n > 20.
+        if not table:
+            monkeypatch.setattr(domination, "PAIRED_GUARD", -1)
+        for g in graphs_up_to_5:
+            expect = [
+                mask
+                for mask in range(1 << g.n)
+                if oracles.is_minimal_dominating(
+                    g, [v for v in range(g.n) if (mask >> v) & 1]
+                )
+            ]
+            assert minimal_dominating_masks(g) == expect, g.edges()
 
     def test_c5_has_exactly_five_minimal_dominating_sets(self):
         got = enumerate_minimal_dominating_sets(make_cycle(5))
