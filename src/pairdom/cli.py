@@ -105,6 +105,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.jobs < 1:
+            parser.error(f"--jobs must be at least 1, got {args.jobs}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     checks: tuple[str, ...] = ()

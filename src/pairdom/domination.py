@@ -1,14 +1,19 @@
 """Dominating sets, private neighborhoods, and the four exact invariants.
 
-Everything is computed by exhaustive scans over vertex subsets encoded as
-bitsets. The scans are exact and deliberately simple; guards fail loudly
-when an input is too large for them.
+A vertex subset is a bitset S. The whole-graph scans hold one property of
+all 2^n subsets in a *subset bitmap*, an int whose bit S is set iff S has
+the property. ``_members(n)[i]`` is the bitmap of the subsets containing
+i; ORs and ANDs of these combine conditions, and ``(x & ~members[i]) <<
+2^i`` maps each subset in x without i to itself plus i, so a scan is
+O(n + m) big-int operations. The per-set predicates (``is_dominating`` and
+the like) share nothing with the bitmaps: they are the cross-check.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache
 
 from .graph import Graph, GraphError, VertexSet, as_mask, bits_of
 from .matching import perfect_matching_tester
@@ -94,26 +99,14 @@ def has_epn_pair(g: Graph, u: int, v: int, mask: int) -> bool:
     return next(_pair_private(g, u, v, mask), None) is not None
 
 
-def _minimal_dominating(cover, full: int, mask: int) -> bool:
-    """``cover(mask) == full`` and ``cover(mask ^ bit) != full`` for every
-    bit of mask. Supersets of dominating sets dominate, so a dominating set
-    is minimal exactly when dropping any one vertex breaks domination."""
-    if cover(mask) != full:
-        return False
-    rest = mask
-    while rest:
-        bit = rest & -rest
-        if cover(mask ^ bit) == full:
-            return False
-        rest ^= bit
-    return True
-
-
 def is_minimal_dominating(g: Graph, D) -> bool:
     """Dominating with no dominating proper subset: D dominates and no
-    D - v does, for any v in D."""
-    return _minimal_dominating(partial(_cover, closed_neighborhoods(g)),
-                               g.full_mask, as_mask(D, g.n))
+    D - v does, for any v in D. Supersets of dominating sets dominate, so
+    dropping one vertex at a time is enough."""
+    closed = closed_neighborhoods(g)
+    mask = as_mask(D, g.n)
+    return _cover(closed, mask) == g.full_mask and all(
+        _cover(closed, mask ^ (1 << v)) != g.full_mask for v in bits_of(mask))
 
 
 def is_paired_dominating(g: Graph, P) -> bool:
@@ -144,65 +137,88 @@ def is_minimal_paired_dominating(g: Graph, P) -> bool:
 # --- whole-graph scans ------------------------------------------------------
 
 
-def coverage_table(g: Graph) -> list[int]:
-    """cover[mask] = union of closed neighborhoods over the mask (n <= 20)."""
-    if g.n > PAIRED_GUARD:
-        raise GuardError(f"coverage table limited to n <= {PAIRED_GUARD}")
-    closed = closed_neighborhoods(g)
-    cover = [0] * (1 << g.n)
-    for mask in range(1, 1 << g.n):
-        low = mask & -mask
-        cover[mask] = cover[mask ^ low] | closed[low.bit_length() - 1]
-    return cover
+@lru_cache(maxsize=1)
+def _members(n: int) -> tuple[int, ...]:
+    """members[i]: the subsets of {0..n-1} that contain i, by doubling a
+    2^(i+1)-bit period. Only the last order is kept (48 MB at n = 24)."""
+    out = []
+    for i in range(n):
+        bitmap, width = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while width < 1 << n:
+            bitmap |= bitmap << width
+            width <<= 1
+        out.append(bitmap)
+    return tuple(out)
+
+
+def _one_more(bitmap: int, members) -> int:
+    """The subsets S + v for every S in the bitmap and every v not in S."""
+    out = 0
+    for i, has_i in enumerate(members):
+        out |= (bitmap & ~has_i) << (1 << i)
+    return out
+
+
+def _dominating(g: Graph, members) -> int:
+    """Bitmap of the dominating sets: for every v, some u in N[v] is in S."""
+    out = (1 << (1 << g.n)) - 1
+    for closed in closed_neighborhoods(g):
+        hit = 0
+        for u in bits_of(closed):
+            hit |= members[u]
+        out &= hit
+    return out
+
+
+def _masks(bitmap: int) -> list[int]:
+    """The set bits of a bitmap, in increasing order."""
+    return [m.start() for m in re.finditer("1", format(bitmap, "b")[::-1])]
+
+
+def _bitmap(masks, n: int) -> int:
+    """The bitmap with exactly the given bits set, inverse of ``_masks``."""
+    digits = bytearray(b"0" * (1 << n))
+    for mask in masks:
+        digits[~mask] = ord("1")
+    return int(digits, 2)
 
 
 def minimal_dominating_masks(g: Graph) -> list[int]:
     """All minimal dominating sets as bitsets, in increasing mask order: the
-    masks that dominate and stop dominating when any one vertex is dropped.
-
-    Coverage comes from the table for n <= PAIRED_GUARD and is computed per
-    mask above it, where a table would need 2^n entries."""
+    dominating sets S with no dominating S - v (not in ``_one_more``)."""
     if g.n > DOMINATION_GUARD:
         raise GuardError(f"dominating-set scan limited to n <= {DOMINATION_GUARD}")
-    if g.n <= PAIRED_GUARD:
-        cover = coverage_table(g).__getitem__
-    else:
-        cover = partial(_cover, closed_neighborhoods(g))
-    full = g.full_mask
-    return [mask for mask in range(1 << g.n) if _minimal_dominating(cover, full, mask)]
+    members = _members(g.n)
+    dominating = _dominating(g, members)
+    return _masks(dominating & ~_one_more(dominating, members))
 
 
 def paired_dominating_masks(g: Graph) -> list[int]:
-    """All paired dominating sets (not only minimal ones) as bitsets."""
+    """All paired dominating sets (not only minimal ones) as bitsets, in
+    increasing mask order. A set with least vertex v has a perfect matching
+    iff it is {v, u} plus a matchable set above v without u, u ~ v, u > v."""
     if g.n > PAIRED_GUARD:
         raise GuardError(f"paired-dominating scan limited to n <= {PAIRED_GUARD}")
     if has_isolated_vertex(g):
         raise IsolatedVertexError("graph has an isolated vertex")
-    cover = coverage_table(g)
-    full = g.full_mask
-    pm = perfect_matching_tester(g)
-    return [
-        mask
-        for mask in range(1 << g.n)
-        if mask.bit_count() % 2 == 0 and cover[mask] == full and pm(mask)
-    ]
+    members = _members(g.n)
+    matchable = 1
+    for v in reversed(range(g.n)):
+        above_v = matchable
+        for u in bits_of(g.adj[v] >> (v + 1) << (v + 1)):
+            matchable |= (above_v & ~members[u]) << ((1 << v) | (1 << u))
+    return _masks(_dominating(g, members) & matchable)
 
 
 def minimal_paired_dominating_masks(g: Graph) -> list[int]:
-    pds = paired_dominating_masks(g)
-    pds_set = set(pds)
-    out = []
-    for mask in pds:
-        sub = (mask - 1) & mask
-        minimal = True
-        while sub:
-            if sub in pds_set:
-                minimal = False
-                break
-            sub = (sub - 1) & mask
-        if minimal:
-            out.append(mask)
-    return out
+    """The paired dominating sets with no paired dominating proper subset:
+    those outside ``_one_more`` of the up-closure of all of them."""
+    pds = _bitmap(paired_dominating_masks(g), g.n)
+    members = _members(g.n)
+    above = pds
+    for i, has_i in enumerate(members):
+        above |= (above & ~has_i) << (1 << i)
+    return _masks(pds & ~_one_more(above, members))
 
 
 def _lex_sorted(masks, n: int) -> list[VertexSet]:
@@ -219,17 +235,26 @@ def enumerate_minimal_paired_dominating_sets(g: Graph) -> list[VertexSet]:
     return _lex_sorted(minimal_paired_dominating_masks(g), g.n)
 
 
+def _alpha(adj: list[int], cand: int) -> int:
+    """Largest independent subset of the bitset cand: the least vertex v is
+    taken outright when it has no neighbour in cand, else
+    max(alpha(cand - v), 1 + alpha(cand - N[v]))."""
+    size = 0
+    while cand:
+        v = (cand & -cand).bit_length() - 1
+        cand ^= 1 << v
+        if adj[v] & cand:
+            return size + max(_alpha(adj, cand), 1 + _alpha(adj, cand & ~adj[v]))
+        size += 1
+    return size
+
+
 def independence_number(g: Graph) -> int:
-    """Maximum independent set size, by scanning all subsets."""
+    """Maximum independent set size, by branching on vertices. Shares no
+    code with the subset bitmaps, so alpha <= Gamma stays a cross-check."""
     if g.n > DOMINATION_GUARD:
         raise GuardError(f"independence scan limited to n <= {DOMINATION_GUARD}")
-    best = 0
-    for mask in range(1 << g.n):
-        if mask.bit_count() <= best:
-            continue
-        if all(g.adj[v] & mask == 0 for v in bits_of(mask)):
-            best = mask.bit_count()
-    return best
+    return _alpha(g.adj, g.full_mask)
 
 
 @dataclass(frozen=True)

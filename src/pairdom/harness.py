@@ -225,6 +225,14 @@ def _decide_worker(g: Graph, mode: str):
     return rec
 
 
+def _or_skipped(worker, g: Graph):
+    """worker(g), or a ``skipped`` record when a guard stops it on g."""
+    try:
+        return worker(g)
+    except GraphError as exc:
+        return {"graph6": encode_graph6(g), "n": g.n, "skipped": str(exc)}
+
+
 def _map_graphs(fn, graphs, jobs: int):
     """fn over graphs, lazily and in input order, in ``jobs`` processes."""
     if jobs <= 1 or len(graphs) < 4:
@@ -292,11 +300,11 @@ def run(config: RunConfig):
         report.hunt = hunt.to_record()
         report.failures = list(hunt.exceptions)
     elif config.command in ("invariants", "classify", "decide"):
-        worker = {
+        worker = partial(_or_skipped, {
             "invariants": _invariants_worker,
             "classify": _classify_worker,
             "decide": partial(_decide_worker, mode=config.mode),
-        }[config.command]
+        }[config.command])
         report.results = list(_map_graphs(worker, graphs, config.jobs))
         report.failures = [r for r in report.results if r.get("agree") is False]
     else:

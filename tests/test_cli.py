@@ -4,6 +4,7 @@ import pytest
 
 from pairdom.characterizations import Verdict, hunt_c3free_counterexamples
 from pairdom.cli import main
+from pairdom.domination import invariants
 from pairdom.graph import encode_graph6, format_edge_list
 from pairdom.families import make_cycle, make_path
 from pairdom.harness import (
@@ -158,6 +159,33 @@ class TestCommands:
         h = json.loads(out)["hunt"]
         assert h["skipped"] == 1 and h["satisfier_count"] == 1
         assert h == hunt_c3free_counterexamples(graphs).to_record()
+
+    @pytest.mark.parametrize("command", ["invariants", "decide"])
+    def test_graph_too_large_is_skipped_not_fatal(self, capsys, tmp_path, command):
+        # C22 is past the paired-dominating guard; the run must go on to C5.
+        big, c5 = make_cycle(22), make_cycle(5)
+        p = tmp_path / "graphs.g6"
+        p.write_text(encode_graph6(big) + "\n" + encode_graph6(c5) + "\n")
+        code, out, _ = run_cli(capsys, command, str(p))
+        assert code == 0
+        skipped, rec = json.loads(out)["results"]
+        assert skipped == {"graph6": encode_graph6(big), "n": 22,
+                           "skipped": "paired-dominating scan limited to n <= 20"}
+        _, alone, _ = run_cli(capsys, command, "C5")
+        assert rec == json.loads(alone)["results"][0]
+        if command == "invariants":
+            r = invariants(c5)
+            assert [rec["gamma"], rec["upper_gamma"], rec["gamma_pr"],
+                    rec["upper_gamma_pr"]] == [r.gamma, r.upper_gamma,
+                                               r.gamma_pr, r.upper_gamma_pr]
+        else:
+            assert rec["brute"]["equality_holds"] is True
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "verify", "enum:4", "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert "--jobs" in err
 
     def test_verify_failure_streams_before_next_graph(
         self, capsys, monkeypatch, tmp_path

@@ -16,7 +16,6 @@ from pairdom.families import (
 from pairdom.domination import (
     GuardError,
     IsolatedVertexError,
-    coverage_table,
     enumerate_minimal_dominating_sets,
     enumerate_minimal_paired_dominating_sets,
     epn_pair,
@@ -30,6 +29,8 @@ from pairdom.domination import (
     is_minimal_paired_dominating,
     is_paired_dominating,
     minimal_dominating_masks,
+    minimal_paired_dominating_masks,
+    paired_dominating_masks,
     private_neighborhood,
 )
 
@@ -95,22 +96,6 @@ class TestMinimalDominating:
                     g, S
                 ), (g.edges(), S)
 
-    @pytest.mark.parametrize("table", [True, False], ids=["table", "on-demand"])
-    def test_scan_matches_literal_oracle(self, graphs_up_to_5, monkeypatch, table):
-        # Below PAIRED_GUARD the scan reads the coverage table; with the
-        # guard lowered every graph takes the on-demand path of n > 20.
-        if not table:
-            monkeypatch.setattr(domination, "PAIRED_GUARD", -1)
-        for g in graphs_up_to_5:
-            expect = [
-                mask
-                for mask in range(1 << g.n)
-                if oracles.is_minimal_dominating(
-                    g, [v for v in range(g.n) if (mask >> v) & 1]
-                )
-            ]
-            assert minimal_dominating_masks(g) == expect, g.edges()
-
     def test_c5_has_exactly_five_minimal_dominating_sets(self):
         got = enumerate_minimal_dominating_sets(make_cycle(5))
         assert [s.members() for s in got] == [
@@ -160,17 +145,55 @@ class TestPairedDominating:
         assert got == expect
 
 
-class TestCoverageTable:
-    def test_table(self, graphs_up_to_5):
-        for g in graphs_up_to_5:
-            table = coverage_table(g)
-            for mask in range(1 << g.n):
-                S = {v for v in range(g.n) if (mask >> v) & 1}
-                covered = set()
-                for v in S:
-                    covered.add(v)
-                    covered.update(u for u in range(g.n) if g.has_edge(u, v))
-                assert table[mask] == sum(1 << u for u in covered)
+def _accepted(g, predicate) -> list[int]:
+    """The masks of g whose vertex sets the oracle predicate accepts, in
+    increasing order."""
+    return [
+        mask
+        for mask in range(1 << g.n)
+        if predicate(g, [v for v in range(g.n) if (mask >> v) & 1])
+    ]
+
+
+SCANS = [
+    (minimal_dominating_masks, oracles.is_minimal_dominating),
+    (paired_dominating_masks, oracles.is_paired_dominating),
+    (minimal_paired_dominating_masks, oracles.is_minimal_paired_dominating),
+]
+
+
+class TestScans:
+    def test_scans_match_literal_oracle(self, graphs_up_to_6):
+        for g in graphs_up_to_6:
+            for scan, predicate in SCANS:
+                if scan is not minimal_dominating_masks and has_isolated_vertex(g):
+                    with pytest.raises(IsolatedVertexError):
+                        scan(g)
+                else:
+                    assert scan(g) == _accepted(g, predicate), (scan.__name__,
+                                                                 g.edges())
+
+    @pytest.mark.parametrize(
+        "scan, predicate, cycle, copies",
+        [
+            (*SCANS[0], 7, 3),
+            (*SCANS[0], 8, 3),
+            (*SCANS[1], 5, 4),
+            (*SCANS[2], 5, 4),
+        ],
+        ids=["mds-3C7", "mds-3C8", "pds-4C5", "mpds-4C5"],
+    )
+    def test_disjoint_union_is_product(self, scan, predicate, cycle, copies):
+        # Domination and perfect matchings split over components, so the
+        # (minimal) (paired) dominating sets of a union are the unions of
+        # one such set per component: orders 20-24 checked without 2^n
+        # oracle calls.
+        parts = _accepted(make_cycle(cycle), predicate)
+        expect = [0]
+        for k in range(copies):
+            expect = [m | (part << (k * cycle)) for m in expect for part in parts]
+        union = disjoint_union([make_cycle(cycle)] * copies)
+        assert scan(union) == sorted(expect)
 
 
 class TestInvariants:
@@ -235,9 +258,18 @@ class TestInvariants:
 
 
 class TestIndependence:
-    def test_against_oracle(self, graphs_up_to_5):
-        for g in graphs_up_to_5:
+    def test_against_oracle(self, graphs_up_to_6):
+        for g in graphs_up_to_6:
             assert independence_number(g) == oracles.independence_number(g)
+
+    @pytest.mark.parametrize(
+        "g, alpha",
+        [(make_cycle(24), 12), (disjoint_union([make_cycle(8)] * 3), 12),
+         (disjoint_union([make_cycle(7)] * 3), 9)],
+        ids=["C24", "3C8", "3C7"],
+    )
+    def test_large_orders(self, g, alpha):
+        assert independence_number(g) == alpha
 
 
 class TestGuards:
@@ -250,3 +282,21 @@ class TestGuards:
         big = build_graph(21, [(i, (i + 1) % 21) for i in range(21)])
         with pytest.raises(GuardError):
             enumerate_minimal_paired_dominating_sets(big)
+
+    @pytest.mark.parametrize(
+        "scan, n",
+        [(enumerate_minimal_dominating_sets, 25),
+         (enumerate_minimal_dominating_sets, 40),
+         (enumerate_minimal_paired_dominating_sets, 21),
+         (enumerate_minimal_paired_dominating_sets, 40)],
+        ids=["mds-25", "mds-40", "mpds-21", "mpds-40"],
+    )
+    def test_guard_fires_before_any_bitmap(self, scan, n, monkeypatch):
+        # A subset bitmap has 2^n bits, so an oversized graph must be
+        # refused before one is built.
+        def no_bitmaps(order):
+            raise AssertionError(f"subset bitmaps built for n = {order}")
+
+        monkeypatch.setattr(domination, "_members", no_bitmaps)
+        with pytest.raises(GuardError):
+            scan(make_cycle(n))
