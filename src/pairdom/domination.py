@@ -281,7 +281,14 @@ class InvariantReport:
 
 
 def _lex_least(masks, n: int) -> VertexSet:
-    return min((VertexSet(m, n) for m in masks), key=VertexSet.sort_key)
+    """The lexicographically least of bitsets of one size: A precedes B iff
+    the lowest vertex in exactly one of them is in A."""
+    best, *rest = masks
+    for mask in rest:
+        diff = mask ^ best
+        if diff & -diff & mask:
+            best = mask
+    return VertexSet(best, n)
 
 
 def invariants(g: Graph) -> InvariantReport:

@@ -2,13 +2,17 @@
 
 ``enumerate_labeled_graphs`` walks every labeled graph on up to 7 vertices.
 ``nonisomorphic_graphs`` emits one representative per isomorphism class,
-one vertex-addition level at a time. Each child of a kept representative
-is refined once (colour refinement on neighbour tuples), bucketed on the
-multiset of its final refinement signatures, and kept unless exact
-backtracking maps it onto an earlier representative in its bucket, so the
-first candidate of each class wins in (parent, mask) order. A hereditary
-predicate prunes each level, so restricted streams such as triangle-free
-graphs never materialize the unrestricted universe.
+one vertex-addition level at a time. A kept representative P that becomes
+a parent gets a new vertex joined to one subset of each orbit of Aut(P),
+the least (McKay's first rule: subsets in one orbit give isomorphic
+children). Each such child is refined once (colour refinement on neighbour
+tuples), bucketed on the multiset of its final refinement signatures, and
+kept unless exact backtracking maps it onto an earlier representative in
+its bucket, so the first candidate of each class wins in (parent, mask)
+order. The same backtracking routine, with a pinned prefix, finds the
+generators of Aut(P). A hereditary predicate prunes each level, so
+restricted streams such as triangle-free graphs never materialize the
+unrestricted universe.
 """
 
 from __future__ import annotations
@@ -80,13 +84,24 @@ def _cells(colors: list[int]) -> list[list[int]]:
     return cells
 
 
-def _isomorphic(adj1, colors1, adj2, cells2) -> bool:
-    """Exact test for two graphs with equal refinement keys: map each vertex
-    of the first, rarest colour first, onto an unused vertex of the same
-    colour in the second whose adjacency to the vertices mapped so far
-    agrees, backtracking on a dead end."""
+def _search_order(colors: list[int], cells) -> list[int]:
+    """The vertices rarest colour first: the order in which a search maps
+    them, and the base of the automorphism group's stabilizer chain."""
+    return sorted(range(len(colors)),
+                  key=lambda v: (len(cells[colors[v]]), colors[v], v))
+
+
+def _isomorphism(adj1, colors1, adj2, cells2, pinned=()) -> list[int] | None:
+    """An isomorphism between two graphs with equal refinement keys, as the
+    list of images of the first graph's vertices, or None if there is none.
+
+    Each vertex of the first, in ``_search_order``, is mapped onto an unused
+    vertex of the same colour in the second whose adjacency to the vertices
+    mapped so far agrees, backtracking on a dead end. ``pinned[i]``, a
+    vertex of the right colour, is the only image tried for the i-th vertex
+    of the order."""
     n = len(adj1)
-    order = sorted(range(n), key=lambda v: (len(cells2[colors1[v]]), colors1[v], v))
+    order = _search_order(colors1, cells2)
     image = [0] * n  # image[v]: the bit of the vertex v is mapped to
 
     def extend(k: int, done1: int, done2: int) -> bool:
@@ -96,7 +111,7 @@ def _isomorphic(adj1, colors1, adj2, cells2) -> bool:
         want = 0
         for u in bits_of(adj1[v] & done1):
             want |= image[u]
-        for w in cells2[colors1[v]]:
+        for w in (pinned[k],) if k < len(pinned) else cells2[colors1[v]]:
             bit = 1 << w
             if not done2 & bit and adj2[w] & done2 == want:
                 image[v] = bit
@@ -104,7 +119,9 @@ def _isomorphic(adj1, colors1, adj2, cells2) -> bool:
                     return True
         return False
 
-    return extend(0, 0, 0)
+    if not extend(0, 0, 0):
+        return None
+    return [bit.bit_length() - 1 for bit in image]
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -113,29 +130,98 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
         return False
     key1, colors1 = _refine([tuple(bits_of(row)) for row in g1.adj])
     key2, colors2 = _refine([tuple(bits_of(row)) for row in g2.adj])
-    return key1 == key2 and _isomorphic(g1.adj, colors1, g2.adj, _cells(colors2))
+    return key1 == key2 and _isomorphism(
+        g1.adj, colors1, g2.adj, _cells(colors2)) is not None
+
+
+def _orbit(point: int, generators) -> set[int]:
+    """The images of point under every product of the generators, each a
+    list or table mapping a point to its image."""
+    orbit = {point}
+    stack = [point]
+    while stack:
+        x = stack.pop()
+        for perm in generators:
+            if perm[x] not in orbit:
+                orbit.add(perm[x])
+                stack.append(perm[x])
+    return orbit
+
+
+def _automorphisms(adj, colors, cells) -> tuple[list[list[int]], list[int]]:
+    """A strong generating set of Aut(G) for the base ``_search_order``, and
+    the basic orbit lengths, whose product is |Aut(G)|.
+
+    Base points b_0, b_1, ... are taken deepest first. The generators found
+    so far fix b_0..b_{i-1}; each vertex of b_i's colour outside the orbit
+    of b_i under them is tried as the image of b_i, with b_0..b_{i-1}
+    pinned, and an automorphism found joins the generators."""
+    order = _search_order(colors, cells)
+    generators = []
+    lengths = []
+    for i in reversed(range(len(order))):
+        base = order[i]
+        orbit = _orbit(base, generators)
+        for w in cells[colors[base]]:
+            if w not in orbit:
+                perm = _isomorphism(adj, colors, adj, cells, order[:i] + [w])
+                if perm is not None:
+                    generators.append(perm)
+                    orbit = _orbit(base, generators)
+        lengths.append(len(orbit))
+    return generators, lengths[::-1]
+
+
+def _orbit_minima(m: int, generators) -> list[int]:
+    """The subsets of {0..m-1}, as increasing bitsets, that are least in
+    their orbit under the group the permutations generate."""
+    if not generators:
+        return list(range(1 << m))
+    tables = []  # tables[j][mask]: the image of mask under generators[j]
+    for perm in generators:
+        table = [0]
+        for v in range(m):
+            bit = 1 << perm[v]
+            table += [x | bit for x in table]
+        tables.append(table)
+    minima = []
+    seen = set()
+    for mask in range(1 << m):
+        if mask not in seen:
+            minima.append(mask)
+            seen |= _orbit(mask, tables)
+    return minima
+
+
+def _augmenting_masks(adj, colors, cells) -> list[int]:
+    """The neighbourhoods a new vertex may get in G: one per orbit of
+    Aut(G) on vertex subsets, the least. A subset S and its image under an
+    automorphism give isomorphic children, and the image comes first."""
+    return _orbit_minima(len(adj), _automorphisms(adj, colors, cells)[0])
 
 
 def nonisomorphic_graphs(n: int, predicate=None, min_n: int = 0) -> list[Graph]:
     """One representative per isomorphism class with min_n..n vertices.
 
     Level k extends each representative of level k - 1 by a new vertex
-    k - 1 joined to every subset of the old vertices. ``predicate`` must be
-    hereditary under vertex deletion (triangle-free, girth bounds,
-    cactus-like conditions all qualify); it sees each candidate as a
-    ``Graph`` and prunes the level, so restricted families are generated
-    directly.
+    k - 1 joined to a subset of the old vertices, the least subset of each
+    orbit of the parent's automorphism group. ``predicate`` must be
+    invariant under isomorphism and hereditary under vertex deletion
+    (triangle-free, girth bounds, cactus-like conditions all qualify); it
+    sees each candidate as a ``Graph`` and prunes the level, so restricted
+    families are generated directly.
     """
     out = [Graph(0, ())] if min_n <= 0 <= n else []
-    parents = [((), ())]  # (adjacency rows, neighbour tuples) per representative
+    # (adjacency rows, neighbour tuples, colours, colour cells) per representative
+    parents = [((), (), [], [])]
     for k in range(1, n + 1):
         new = k - 1
         bit = 1 << new
-        masks = [(mask, tuple(bits_of(mask))) for mask in range(bit)]
+        joined = [tuple(bits_of(mask)) for mask in range(bit)]
         buckets: dict[tuple, list] = {}
         kept = []
-        for adj0, nbrs0 in parents:
-            for mask, joined in masks:
+        for adj0, nbrs0, colors0, cells0 in parents:
+            for mask in _augmenting_masks(adj0, colors0, cells0):
                 adj = [row | bit if (mask >> u) & 1 else row
                        for u, row in enumerate(adj0)]
                 adj.append(mask)
@@ -146,14 +232,16 @@ def nonisomorphic_graphs(n: int, predicate=None, min_n: int = 0) -> list[Graph]:
                         continue
                 nbrs = [t + (new,) if (mask >> u) & 1 else t
                         for u, t in enumerate(nbrs0)]
-                nbrs.append(joined)
+                nbrs.append(joined[mask])
                 key, colors = _refine(nbrs)
                 bucket = buckets.setdefault(key, [])
-                if any(_isomorphic(adj, colors, adj2, cells2)
+                if any(_isomorphism(adj, colors, adj2, cells2) is not None
                        for adj2, cells2 in bucket):
                     continue
-                bucket.append((adj, _cells(colors)))
-                kept.append((adj, nbrs))
+                cells = _cells(colors)
+                bucket.append((adj, cells))
+                if k < n:
+                    kept.append((adj, nbrs, colors, cells))
                 if k >= min_n:
                     out.append(g or Graph(k, tuple(adj)))
         parents = kept

@@ -109,10 +109,15 @@ class Graph:
                 raise GraphError("adjacency row mentions a vertex >= n")
             if (row >> v) & 1:
                 raise GraphError(f"loop at vertex {v}")
-        for v in range(self.n):
-            for u in bits_of(self.adj[v]):
-                if not (self.adj[u] >> v) & 1:
+        adj = self.adj
+        for v, row in enumerate(adj):
+            bit = 1 << v
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
+                if not adj[u] & bit:
                     raise GraphError(f"asymmetric adjacency at ({v},{u})")
+                row ^= low
 
     @property
     def edge_count(self) -> int:

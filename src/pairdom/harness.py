@@ -212,9 +212,11 @@ def _decide_worker(g: Graph, mode: str):
     if mode in ("brute", "both"):
         try:
             brute = ch.decide_equality_bruteforce(facts)
+            rec["brute"] = _decision_record(brute)
         except IsolatedVertexError:
-            brute = None
-        rec["brute"] = _decision_record(brute)
+            rec["brute"] = None
+        except GuardError as exc:
+            rec["brute"] = {"skipped": str(exc)}
     split = fast is not None and fast.equality_holds is None
     if mode == "both" or split:
         rec["agree"] = not split and (

@@ -156,3 +156,13 @@ def nonisomorphic_by_permutation(n: int) -> list[Graph]:
             adj[j] |= 1 << i
         out.append(Graph(n, tuple(adj)))
     return out
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every permutation p of the vertices with p(u) ~ p(v) iff u ~ v,
+    found by trying all n! of them."""
+    edges = {frozenset(e) for e in g.edges()}
+    return [
+        p for p in itertools.permutations(range(g.n))
+        if {frozenset((p[u], p[v])) for u, v in edges} == edges
+    ]

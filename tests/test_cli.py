@@ -168,18 +168,28 @@ class TestCommands:
         p.write_text(encode_graph6(big) + "\n" + encode_graph6(c5) + "\n")
         code, out, _ = run_cli(capsys, command, str(p))
         assert code == 0
-        skipped, rec = json.loads(out)["results"]
-        assert skipped == {"graph6": encode_graph6(big), "n": 22,
-                           "skipped": "paired-dominating scan limited to n <= 20"}
+        first, rec = json.loads(out)["results"]
+        guard = "paired-dominating scan limited to n <= 20"
         _, alone, _ = run_cli(capsys, command, "C5")
         assert rec == json.loads(alone)["results"][0]
         if command == "invariants":
+            assert first == {"graph6": encode_graph6(big), "n": 22, "skipped": guard}
             r = invariants(c5)
             assert [rec["gamma"], rec["upper_gamma"], rec["gamma_pr"],
                     rec["upper_gamma_pr"]] == [r.gamma, r.upper_gamma,
                                                r.gamma_pr, r.upper_gamma_pr]
         else:
+            # The fast path needs no 2^n scan, so it still decides C22;
+            # only the brute side is skipped.
+            fast = {"equality_holds": False, "method": "girth-at-least-6"}
+            assert first == {"graph6": encode_graph6(big), "fastpath": fast,
+                             "brute": {"skipped": guard}, "agree": True}
             assert rec["brute"]["equality_holds"] is True
+            _, out, _ = run_cli(capsys, command, str(p), "--fastpath")
+            assert json.loads(out)["results"][0]["fastpath"] == fast
+            _, out, _ = run_cli(capsys, command, str(p), "--brute")
+            assert json.loads(out)["results"][0] == {
+                "graph6": encode_graph6(big), "brute": {"skipped": guard}}
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, capsys, jobs):

@@ -247,6 +247,28 @@ class TestInvariants:
                 assert len(wp) == r.upper_gamma_pr
                 assert is_minimal_paired_dominating(g, wp)
 
+    def test_lex_least_matches_sort_key_order(self, graphs_up_to_7):
+        # The integer rule must pick what the member-tuple order picks, for
+        # every size class of every scan and so for every witness.
+        for g in graphs_up_to_7:
+            r = invariants(g)
+            for masks in (r.mds_masks, r.mpds_masks):
+                by_size = {}
+                for m in masks:
+                    by_size.setdefault(m.bit_count(), []).append(m)
+                for group in by_size.values():
+                    old = min((VertexSet(m, g.n) for m in group),
+                              key=VertexSet.sort_key)
+                    assert domination._lex_least(group, g.n) == old
+            for kind, masks in (("gamma", r.mds_masks),
+                                ("upper_gamma", r.mds_masks),
+                                ("gamma_pr", r.mpds_masks),
+                                ("upper_gamma_pr", r.mpds_masks)):
+                size = getattr(r, kind)
+                group = [VertexSet(m, g.n) for m in masks if m.bit_count() == size]
+                expect = min(group, key=VertexSet.sort_key) if group else None
+                assert r.witnesses[kind] == expect
+
     def test_component_additivity(self):
         parts = [make_cycle(5), make_star(3), make_path(4)]
         whole = invariants(disjoint_union(parts))

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 from collections import Counter, defaultdict
 
@@ -7,10 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from pairdom.graph import build_graph, encode_graph6, girth
+from pairdom.graph import bits_of, build_graph, encode_graph6, girth
 from pairdom.families import make_cycle, make_path, disjoint_union
 from pairdom.generate import (
     LABELED_GUARD,
+    _augmenting_masks,
+    _automorphisms,
+    _cells,
+    _refine,
     are_isomorphic,
     at_most_one_cycle_per_component,
     enumerate_labeled_graphs,
@@ -157,11 +162,51 @@ class TestAugmentationGenerator:
         got = nonisomorphic_graphs(5, predicate=triangle_free, min_n=5)
         assert len(expect) == len(got)
 
+    def test_predicate_sees_one_candidate_per_orbit(self):
+        # Triangle-free n <= 9: 121,683 candidates without the orbit rule.
+        calls = 0
+
+        def counting(g):
+            nonlocal calls
+            calls += 1
+            return triangle_free(g)
+
+        graphs = nonisomorphic_graphs(9, predicate=counting)
+        assert len(graphs) == 2480
+        assert calls == 57395
+
     @pytest.mark.parametrize("stream", sorted(PINNED_STREAMS))
     def test_pinned_graph6_stream(self, request, stream):
         graphs = request.getfixturevalue(stream)
         text = "".join(encode_graph6(g) + "\n" for g in graphs)
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_STREAMS[stream]
+
+
+def _parent_state(g):
+    """The adjacency rows, colours and colour cells the generator keeps for
+    a representative that becomes a parent."""
+    _, colors = _refine([tuple(bits_of(row)) for row in g.adj])
+    return list(g.adj), colors, _cells(colors)
+
+
+class TestOrbitPruning:
+    def test_group_order_matches_oracle(self, graphs_up_to_6):
+        for g in graphs_up_to_6:
+            group = set(oracles.automorphisms(g))
+            generators, lengths = _automorphisms(*_parent_state(g))
+            assert all(tuple(p) in group for p in generators)
+            assert math.prod(lengths) == len(group)
+
+    def test_kept_masks_are_oracle_orbit_minima(self, graphs_up_to_6):
+        for g in graphs_up_to_6:
+            group = oracles.automorphisms(g)
+
+            def image(mask, p):
+                return sum(1 << p[v] for v in range(g.n) if (mask >> v) & 1)
+
+            minima = [mask for mask in range(1 << g.n)
+                      if all(image(mask, p) >= mask for p in group)]
+            assert _augmenting_masks(*_parent_state(g)) == minima
 
 
 class TestRelabel:

@@ -68,6 +68,18 @@ class TestBuild:
         g = build_graph(4, [(3, 2), (1, 0)])
         assert g.edges() == [(0, 1), (2, 3)]
 
+    @pytest.mark.parametrize("n, adj, message", [
+        (3, (0b010, 0b000, 0b000), "asymmetric adjacency at (0,1)"),
+        (3, (0b100, 0b100, 0b001), "asymmetric adjacency at (1,2)"),
+        (2, (0b10, 0b100), "adjacency row mentions a vertex >= n"),
+        (2, (0b10, 0b10), "loop at vertex 1"),
+        (2, (0b1,), "adjacency length does not match order"),
+    ])
+    def test_rejects_malformed_adjacency(self, n, adj, message):
+        with pytest.raises(GraphError) as excinfo:
+            Graph(n, adj)
+        assert str(excinfo.value) == message
+
 
 class TestVertexSet:
     def test_members_and_ops(self):
