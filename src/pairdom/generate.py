@@ -1,8 +1,9 @@
 """Exhaustive small-graph sources.
 
 ``enumerate_labeled_graphs`` walks every labeled graph on up to 7 vertices.
-``nonisomorphic_graphs`` emits one representative per isomorphism class,
-one vertex-addition level at a time. A kept representative P that becomes
+``nonisomorphic_stream`` yields one representative per isomorphism class,
+one vertex-addition level at a time, each as soon as it is kept;
+``nonisomorphic_graphs`` is its list. A kept representative P that becomes
 a parent gets a new vertex joined to one subset of each orbit of Aut(P),
 the least (McKay's first rule: subsets in one orbit give isomorphic
 children). Each such child is refined once (colour refinement on neighbour
@@ -37,11 +38,12 @@ def graph_from_pair_mask(n: int, mask: int) -> Graph:
 
 
 def enumerate_labeled_graphs(n: int):
-    """Yield all labeled graphs on n vertices, in pair-bitmask order."""
+    """All labeled graphs on n vertices, lazily, in pair-bitmask order. The
+    guard is checked on the call, before the first graph is taken."""
     if n > LABELED_GUARD:
         raise GuardError(f"labeled enumeration limited to n <= {LABELED_GUARD}")
-    for mask in range(1 << (n * (n - 1) // 2)):
-        yield graph_from_pair_mask(n, mask)
+    return (graph_from_pair_mask(n, mask)
+            for mask in range(1 << (n * (n - 1) // 2)))
 
 
 # --- isomorphism machinery ---------------------------------------------------
@@ -201,7 +203,14 @@ def _augmenting_masks(adj, colors, cells) -> list[int]:
 
 
 def nonisomorphic_graphs(n: int, predicate=None, min_n: int = 0) -> list[Graph]:
-    """One representative per isomorphism class with min_n..n vertices.
+    """The list of ``nonisomorphic_stream(n, predicate, min_n)``."""
+    return list(nonisomorphic_stream(n, predicate, min_n))
+
+
+def nonisomorphic_stream(n: int, predicate=None, min_n: int = 0):
+    """Yield one representative per isomorphism class with min_n..n
+    vertices, each as soon as it is kept; no work is done before the first
+    graph is taken.
 
     Level k extends each representative of level k - 1 by a new vertex
     k - 1 joined to a subset of the old vertices, the least subset of each
@@ -211,7 +220,8 @@ def nonisomorphic_graphs(n: int, predicate=None, min_n: int = 0) -> list[Graph]:
     sees each candidate as a ``Graph`` and prunes the level, so restricted
     families are generated directly.
     """
-    out = [Graph(0, ())] if min_n <= 0 <= n else []
+    if min_n <= 0 <= n:
+        yield Graph(0, ())
     # (adjacency rows, neighbour tuples, colours, colour cells) per representative
     parents = [((), (), [], [])]
     for k in range(1, n + 1):
@@ -243,9 +253,8 @@ def nonisomorphic_graphs(n: int, predicate=None, min_n: int = 0) -> list[Graph]:
                 if k < n:
                     kept.append((adj, nbrs, colors, cells))
                 if k >= min_n:
-                    out.append(g or Graph(k, tuple(adj)))
+                    yield g or Graph(k, tuple(adj))
         parents = kept
-    return out
 
 
 # --- hereditary predicates ----------------------------------------------------

@@ -209,27 +209,33 @@ def distance_layer(g: Graph, v: int, i: int) -> VertexSet:
 def girth(g: Graph):
     """Length of a shortest cycle; INFINITE when the graph is acyclic.
 
-    One BFS per vertex; a non-tree edge (u,w) seen from root s bounds the
-    girth by dist[u] + dist[w] + 1, and the bound is tight for roots lying
-    on a shortest cycle.
+    A BFS per root, by layers (vertex masks). An edge inside layer d, or a
+    vertex of layer d + 1 reached twice from layer d, closes a cycle of
+    length at most 2d + 1, or 2d + 2; from a root on a shortest cycle the
+    bound is tight. A search stops once 2d + 1 reaches the best so far.
     """
     best = INFINITE
+    adj = g.adj
     for s in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in bits_of(g.adj[u]):
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif w != parent[u]:
-                    cand = dist[u] + dist[w] + 1
-                    if cand < best:
-                        best = cand
+        layer = seen = 1 << s
+        d = 0
+        while layer and 2 * d + 1 < best:
+            nxt = twice = 0
+            rest = layer
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row = adj[low.bit_length() - 1]
+                if row & layer:
+                    best = 2 * d + 1
+                new = row & ~seen
+                twice |= nxt & new
+                nxt |= new
+            if twice and 2 * d + 2 < best:
+                best = 2 * d + 2
+            seen |= nxt
+            layer = nxt
+            d += 1
     return best
 
 

@@ -2,10 +2,12 @@
 run configuration and report, and `run`, which executes one command.
 
 The checks themselves live in ``characterizations.CHECKS``; this module
-maps them, or one of the other per-graph workers, over a source. Runs are
-deterministic: results come back in input order regardless of the worker
-count, and failing verdicts and hunt exceptions are streamed to stderr as
-JSON lines as they are found.
+maps them, or one of the other per-graph workers, over a source. An
+``enum:`` source is generated as the run takes it and the worker pool
+takes its input as it goes, so with ``jobs`` > 1 checking overlaps
+generation. Runs are deterministic: results come back in input order
+regardless of the worker count, and failing verdicts and hunt exceptions
+are streamed to stderr as JSON lines as they are found.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from __future__ import annotations
 import json
 import sys
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, islice
 from multiprocessing import Pool
 
 from . import characterizations as ch
@@ -28,7 +32,7 @@ from .families import (
     recognize_family,
 )
 from .graph import Graph, GraphError, encode_graph6, parse_edge_list, parse_graph6
-from .generate import enumerate_labeled_graphs, nonisomorphic_graphs
+from .generate import enumerate_labeled_graphs, nonisomorphic_stream
 
 
 # --- input sources ----------------------------------------------------------
@@ -48,13 +52,14 @@ def _looks_like_edge_list(first_line: str) -> bool:
 INTERNAL_ISO_ENUM_GUARD = 9
 
 
-def load_source(source: str) -> list[SourceItem]:
+def load_source(source: str) -> Iterable[SourceItem]:
     """Resolve a source spec: ``enum:N[:labeled]``, a family spec string,
     or a path to a graph6 / edge-list file.
 
     ``enum:N`` yields one representative per isomorphism class (n <= 9,
     produced by vertex augmentation); ``enum:N:labeled`` yields every
-    labeled graph (n <= 7, ``generate.LABELED_GUARD``)."""
+    labeled graph (n <= 7, ``generate.LABELED_GUARD``). Both are checked
+    here and generated as the result is iterated; files are read whole."""
     if source.startswith("enum:"):
         parts = source.split(":")
         if parts[2:] not in ([], ["labeled"]):
@@ -65,14 +70,10 @@ def load_source(source: str) -> list[SourceItem]:
         if n < 0:
             raise ValueError(f"enum order must be >= 0, got {n}")
         if parts[2:] == ["labeled"]:
-            graphs: list[Graph] = list(enumerate_labeled_graphs(n))
-        else:
-            if n > INTERNAL_ISO_ENUM_GUARD:
-                raise GuardError(
-                    f"enumerator limited to n <= {INTERNAL_ISO_ENUM_GUARD}"
-                )
-            graphs = nonisomorphic_graphs(n, min_n=n)
-        return [SourceItem(g) for g in graphs]
+            return map(SourceItem, enumerate_labeled_graphs(n))
+        if n > INTERNAL_ISO_ENUM_GUARD:
+            raise GuardError(f"enumerator limited to n <= {INTERNAL_ISO_ENUM_GUARD}")
+        return map(SourceItem, nonisomorphic_stream(n, min_n=n))
     if looks_like_family_spec(source):
         return [SourceItem(parse_family_spec(source))]
     with open(source) as fh:
@@ -218,12 +219,12 @@ def _decide_worker(g: Graph, mode: str):
         except GuardError as exc:
             rec["brute"] = {"skipped": str(exc)}
     split = fast is not None and fast.equality_holds is None
-    if mode == "both" or split:
-        rec["agree"] = not split and (
-            fast is None
-            or brute is None
-            or fast.equality_holds == brute.equality_holds
-        )
+    if split:
+        rec["agree"] = False
+    elif mode == "both":  # null when a guard skipped the brute side
+        rec["agree"] = None if "skipped" in (rec["brute"] or {}) else (
+            fast is None or brute is None
+            or fast.equality_holds == brute.equality_holds)
     return rec
 
 
@@ -236,8 +237,12 @@ def _or_skipped(worker, g: Graph):
 
 
 def _map_graphs(fn, graphs, jobs: int):
-    """fn over graphs, lazily and in input order, in ``jobs`` processes."""
-    if jobs <= 1 or len(graphs) < 4:
+    """fn over graphs, a stream the pool takes as it goes, lazily and in
+    input order, in ``jobs`` processes; serially for fewer than 4 graphs."""
+    graphs = iter(graphs)
+    head = list(islice(graphs, 4))
+    graphs = chain(head, graphs)
+    if jobs <= 1 or len(head) < 4:
         yield from map(fn, graphs)
         return
     with Pool(processes=jobs) as pool:
@@ -245,7 +250,8 @@ def _map_graphs(fn, graphs, jobs: int):
 
 
 def run(config: RunConfig):
-    """Execute one harness run. Returns (RunReport, exit_code)."""
+    """Execute one harness run. Returns (RunReport, exit_code); a source
+    that raises ValueError partway gives an error and exit 2."""
     start = time.monotonic()
     report = RunReport(config=vars(config).copy())
     report.config["checks"] = list(config.checks)
@@ -265,16 +271,29 @@ def run(config: RunConfig):
         report.errors.append(str(exc))
         return done(2)
 
-    graphs = [it.graph for it in items if it.graph is not None]
-    bad = [it for it in items if it.graph is None]
-    for it in bad:
-        report.errors.append(it.error)
+    bad = 0  # unreadable items, each counted as skipped
+    broken = False  # the source raised partway through
+
+    def graphs():
+        # Under a pool this runs in its task-feeding thread; the pool's
+        # results end after it returns, so then bad and broken are final.
+        nonlocal bad, broken
+        try:
+            for it in items:
+                if it.graph is None:
+                    bad += 1
+                    report.errors.append(it.error)
+                else:
+                    yield it.graph
+        except ValueError as exc:  # GraphError and GuardError too
+            broken = True
+            report.errors.append(str(exc))
 
     if config.command == "verify":
         check_ids = config.checks or ALL_CHECK_IDS
         totals = {cid: CheckTotals() for cid in check_ids}
         worker = partial(_verify_worker, check_ids=tuple(check_ids))
-        for row in _map_graphs(worker, graphs, config.jobs):
+        for row in _map_graphs(worker, graphs(), config.jobs):
             for rec in row:
                 t = totals[rec["check_id"]]
                 t.scanned += 1
@@ -289,16 +308,16 @@ def run(config: RunConfig):
                 else:
                     t.na += 1
         for t in totals.values():
-            t.scanned += len(bad)
-            t.skipped += len(bad)
+            t.scanned += bad
+            t.skipped += bad
         report.totals = totals
     elif config.command == "hunt":
         hunt = ch.HuntReport()
-        for _ in bad:
-            hunt.add(None)
-        for rec in _map_graphs(ch.hunt_scan, graphs, config.jobs):
+        for rec in _map_graphs(ch.hunt_scan, graphs(), config.jobs):
             if hunt.add(rec):
                 print(json.dumps(rec), file=sys.stderr)
+        for _ in range(bad):
+            hunt.add(None)
         report.hunt = hunt.to_record()
         report.failures = list(hunt.exceptions)
     elif config.command in ("invariants", "classify", "decide"):
@@ -307,9 +326,9 @@ def run(config: RunConfig):
             "classify": _classify_worker,
             "decide": partial(_decide_worker, mode=config.mode),
         }[config.command])
-        report.results = list(_map_graphs(worker, graphs, config.jobs))
+        report.results = list(_map_graphs(worker, graphs(), config.jobs))
         report.failures = [r for r in report.results if r.get("agree") is False]
     else:
         report.errors.append(f"unknown command {config.command!r}")
         return done(2)
-    return done(1 if report.failures else 0)
+    return done(2 if broken else 1 if report.failures else 0)

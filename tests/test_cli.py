@@ -1,16 +1,20 @@
 import json
+import threading
 
 import pytest
 
+from pairdom import generate, harness
 from pairdom.characterizations import Verdict, hunt_c3free_counterexamples
 from pairdom.cli import main
-from pairdom.domination import invariants
-from pairdom.graph import encode_graph6, format_edge_list
+from pairdom.domination import GuardError, invariants
+from pairdom.generate import nonisomorphic_graphs
+from pairdom.graph import GraphError, encode_graph6, format_edge_list
 from pairdom.families import make_cycle, make_path
 from pairdom.harness import (
     ALL_CHECK_IDS,
     CHECKS,
     RunConfig,
+    _map_graphs,
     load_source,
     run,
 )
@@ -24,8 +28,22 @@ def run_cli(capsys, *argv):
 
 class TestSources:
     def test_enum(self):
-        assert len(load_source("enum:4")) == 11
-        assert len(load_source("enum:3:labeled")) == 8
+        assert len(list(load_source("enum:4"))) == 11
+        assert len(list(load_source("enum:3:labeled"))) == 8
+
+    def test_enum_is_generated_as_taken(self, monkeypatch):
+        calls = []
+        original = generate._augmenting_masks
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(generate, "_augmenting_masks", counting)
+        items = load_source("enum:8")
+        assert calls == []
+        assert next(iter(items)).graph.n == 8
+        assert calls
 
     def test_enum_guards(self):
         with pytest.raises(Exception):
@@ -182,8 +200,9 @@ class TestCommands:
             # The fast path needs no 2^n scan, so it still decides C22;
             # only the brute side is skipped.
             fast = {"equality_holds": False, "method": "girth-at-least-6"}
+            # Nothing was compared, so agreement is unknown, not a failure.
             assert first == {"graph6": encode_graph6(big), "fastpath": fast,
-                             "brute": {"skipped": guard}, "agree": True}
+                             "brute": {"skipped": guard}, "agree": None}
             assert rec["brute"]["equality_holds"] is True
             _, out, _ = run_cli(capsys, command, str(p), "--fastpath")
             assert json.loads(out)["results"][0]["fastpath"] == fast
@@ -247,18 +266,24 @@ class TestCommands:
 
 
 class TestDeterminismAcrossJobs:
-    def test_verify_results_independent_of_jobs(self, capsys):
+    def test_verify_results_independent_of_jobs(self, capsys, tmp_path):
+        # enum:7 streams into the pool while it is generated; the same
+        # graphs read from a graph6 file must give the same report.
+        p = tmp_path / "enum7.g6"
+        p.write_text("".join(encode_graph6(g) + "\n"
+                             for g in nonisomorphic_graphs(7, min_n=7)))
         reports = []
-        for jobs in ("1", "3"):
-            code, out, _ = run_cli(
-                capsys, "verify", "enum:5", "--jobs", jobs
-            )
+        for source, jobs in (("enum:7", "1"), ("enum:7", "2"), ("enum:7", "3"),
+                             (str(p), "2")):
+            code, out, _ = run_cli(capsys, "verify", source, "--jobs", jobs)
             assert code == 0
             rec = json.loads(out)
             rec["config"].pop("jobs")
+            rec["config"].pop("source")
             rec.pop("elapsed_ms")
             reports.append(rec)
-        assert reports[0] == reports[1]
+        assert reports[0]["totals"]["gpr-at-most-2gamma"]["scanned"] == 1044
+        assert all(rec == reports[0] for rec in reports)
 
     def test_invariants_order_matches_input(self, capsys, tmp_path):
         p = tmp_path / "graphs.g6"
@@ -275,3 +300,45 @@ class TestRunApi:
         report, code = run(RunConfig(command="verify", source="C3"))
         assert code == 0
         assert report.to_record()["totals"]["gpr-equals-n-minus-1"]["holds"] == 1
+
+
+class TestStreaming:
+    def test_no_pool_below_four_graphs(self, monkeypatch):
+        class PoolStarted(Exception):
+            pass
+
+        def pool(processes):
+            raise PoolStarted(processes)
+
+        monkeypatch.setattr(harness, "Pool", pool)
+        three = [make_cycle(3), make_cycle(4), make_cycle(5)]
+        expect = [encode_graph6(g) for g in three]
+        for graphs in (three, iter(three)):
+            assert list(_map_graphs(encode_graph6, graphs, 2)) == expect
+        with pytest.raises(PoolStarted):
+            list(_map_graphs(encode_graph6, iter(three + three[:1]), 2))
+
+    @pytest.mark.parametrize("exc", [GraphError("bad graph"),
+                                     ValueError("bad value"),
+                                     GuardError("over budget")],
+                             ids=["graph", "value", "guard"])
+    @pytest.mark.parametrize("jobs,k", [(1, 10), (2, 2), (2, 40)])
+    def test_source_raising_partway_is_an_error(self, monkeypatch, exc, jobs, k):
+        graphs = nonisomorphic_graphs(6, min_n=6)[:k]
+
+        def failing_stream(n, min_n):
+            yield from graphs
+            raise exc
+
+        monkeypatch.setattr(harness, "nonisomorphic_stream", failing_stream)
+        done = []
+        runner = threading.Thread(
+            target=lambda: done.append(run(RunConfig("verify", "enum:6", jobs=jobs))),
+            daemon=True)
+        runner.start()
+        runner.join(60)
+        assert not runner.is_alive(), "run hung on a failing source"
+        report, code = done[0]
+        assert code == 2
+        assert report.errors == [str(exc)]
+        assert {t.scanned for t in report.totals.values()} == {k}

@@ -130,8 +130,8 @@ class TestGirth:
         g = build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
         assert girth(g) == 3
 
-    def test_against_oracle(self, graphs_up_to_6):
-        for g in graphs_up_to_6:
+    def test_against_oracle(self, graphs_up_to_7, girth6_up_to_9):
+        for g in graphs_up_to_7 + girth6_up_to_9:
             expect = oracles.girth(g)
             got = girth(g)
             assert got == (math.inf if expect is None else expect), g.edges()
