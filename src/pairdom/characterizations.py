@@ -1,10 +1,14 @@
 """Every check on one graph, and the deciders and hunt built on the same
 facts.
 
-``CHECKS`` is the one check registry: each entry maps a ``Facts`` to a
-``Verdict``, holds, fails (with a counterexample witness), or na when the
-graph misses the check's hypothesis. A check never raises for an unmet
-hypothesis, and an na verdict is never silently treated as holds.
+``CHECKS`` is the one check registry. Each entry is a ``Check`` row: a
+hypothesis ``applies(facts)`` and a ``violation(facts)`` that returns a
+counterexample witness or None. Called on a ``Facts``, it gives a
+``Verdict`` whose status is na when the graph misses the hypothesis, holds
+when there is no violation, and fails (with the witness) otherwise. A
+fourth status, skipped, is set only by ``run_checks``, when a guard stops
+a check on a graph too large for the exact scans. A check never raises for
+an unmet hypothesis, and an na verdict is never silently treated as holds.
 ``EQUALITY_CLASSES`` is the one table of the four equality
 characterizations; it gives both the ``equality-*`` checks and the fast
 path of ``decide_equality_fastpath``.
@@ -48,18 +52,14 @@ class Decision:
 class Verdict:
     check_id: str
     graph6: str
-    status: str  # "holds" | "fails" | "na"
+    status: str  # "holds" | "fails" | "na" | "skipped"
     witness: dict | None = None
-
-    @property
-    def holds(self) -> bool:
-        return self.status == "holds"
 
     def to_record(self) -> dict:
         rec = {
             "check_id": self.check_id,
             "graph6": self.graph6,
-            "holds": {"holds": True, "fails": False, "na": None}[self.status],
+            "holds": {"holds": True, "fails": False}.get(self.status),
         }
         if self.witness is not None:
             rec["witness"] = self.witness
@@ -136,22 +136,51 @@ class Facts:
         return got
 
 
+# --- the check row and its shared hypotheses ---------------------------------
+
+
+@dataclass(frozen=True)
+class Check:
+    """One registry check: a hypothesis and the statement it implies.
+
+    Called on a Facts, it is na when ``applies`` is false; otherwise it
+    holds when ``violation`` returns None, and fails with the returned
+    dict as the counterexample witness."""
+
+    check_id: str
+    applies: Callable[[Facts], bool]
+    violation: Callable[[Facts], dict | None]
+
+    def __call__(self, facts: Facts) -> Verdict:
+        if not self.applies(facts):
+            return Verdict(self.check_id, facts.graph6, "na")
+        witness = self.violation(facts)
+        if witness is None:
+            return Verdict(self.check_id, facts.graph6, "holds")
+        return Verdict(self.check_id, facts.graph6, "fails", witness)
+
+
 def _paired(facts: Facts) -> bool:
     """A non-empty graph without isolated vertices, so Γ_pr is defined."""
     return facts.g.n > 0 and facts.no_isolated
 
 
+def _connected_order_3(facts: Facts) -> bool:
+    return facts.g.n >= 3 and facts.flags.connected
+
+
+def _equality_met(facts: Facts) -> bool:
+    return facts.no_isolated and facts.equality is True
+
+
+def _structural_scope(facts: Facts) -> bool:
+    """Components are triangle-free cacti and the equality is met."""
+    return (facts.no_isolated and facts.componentwise_c3free_cactus
+            and facts.equality is True)
+
+
 def _spec(fam: FamilyLabel | None) -> str | None:
     return fam.spec_string() if fam else None
-
-
-def _verdict(facts: Facts, check_id: str, ok: bool | None, witness=None) -> Verdict:
-    """holds when ok, fails with the witness when not, na when ok is None."""
-    if ok is None:
-        return Verdict(check_id, facts.graph6, "na")
-    if ok:
-        return Verdict(check_id, facts.graph6, "holds")
-    return Verdict(check_id, facts.graph6, "fails", witness or {})
 
 
 # --- the equality characterizations ---------------------------------------
@@ -165,24 +194,12 @@ def _edges_and_5_cycles(fam: FamilyLabel | None) -> bool:
 
 @dataclass(frozen=True)
 class EqualityClass:
-    """A graph class on which Γ_pr = 2Γ holds exactly for one family.
-
-    Called on a Facts, it is that theorem's check: na off the class or when
-    Γ_pr is undefined, else the equality must match family membership."""
+    """A graph class on which Γ_pr = 2Γ holds exactly for one family."""
 
     check_id: str
     method: str  # the name the fast path reports
     applies: Callable[[Facts], bool]
     expected: Callable[[FamilyLabel | None], bool]
-
-    def __call__(self, facts: Facts) -> Verdict:
-        if not _paired(facts) or not self.applies(facts):
-            return _verdict(facts, self.check_id, None)
-        fam = facts.family
-        return _verdict(
-            facts, self.check_id, facts.equality == self.expected(fam),
-            {"equality": facts.equality, "family": _spec(fam)},
-        )
 
 
 # In fast-path precedence order: the first class that applies names the
@@ -213,6 +230,24 @@ EQUALITY_CLASSES = (
 )
 
 
+def _equality_check(c: EqualityClass) -> Check:
+    """The theorem's check: where Γ_pr is defined and the class applies,
+    the equality must match family membership."""
+
+    def mismatch(facts: Facts) -> dict | None:
+        fam = facts.family
+        if facts.equality == c.expected(fam):
+            return None
+        return {"equality": facts.equality, "family": _spec(fam)}
+
+    return Check(c.check_id, lambda f: _paired(f) and c.applies(f), mismatch)
+
+
+def _in_equality_class(facts: Facts) -> bool:
+    """Some characterization applies, so the fast path decides."""
+    return _paired(facts) and any(c.applies(facts) for c in EQUALITY_CLASSES)
+
+
 def decide_equality_bruteforce(facts: Facts) -> Decision:
     """Decide the equality by computing both invariants exactly."""
     if not facts.no_isolated:
@@ -239,89 +274,67 @@ def decide_equality_fastpath(facts: Facts) -> Decision | None:
     return Decision(verdict, method, votes)
 
 
-# --- extremal values and bounds --------------------------------------------
+# --- violations: each returns a counterexample witness, or None ---------------
 
 
-def _check_gpr_equals_n(facts: Facts) -> Verdict:
+def _gpr_equals_n(facts: Facts) -> dict | None:
     """The upper paired number equals the order exactly for disjoint
     unions of single edges."""
-    cid = "gpr-equals-n"
-    if not _paired(facts):
-        return _verdict(facts, cid, None)
-    hits = facts.report.upper_gamma_pr == facts.g.n
+    upper_gamma_pr = facts.report.upper_gamma_pr
     is_mk2 = facts.family is not None and facts.family.kind == "mK2"
-    return _verdict(
-        facts, cid, hits == is_mk2,
-        {"upper_gamma_pr": facts.report.upper_gamma_pr, "is_mk2": is_mk2},
-    )
+    if (upper_gamma_pr == facts.g.n) == is_mk2:
+        return None
+    return {"upper_gamma_pr": upper_gamma_pr, "is_mk2": is_mk2}
 
 
-def _check_gpr_upper_bound(facts: Facts) -> Verdict:
+def _gpr_upper_bound(facts: Facts) -> dict | None:
     """Connected graphs of order at least 3 have upper paired number at
     most n - 1."""
-    cid = "gpr-upper-bound"
-    if facts.g.n < 3 or not facts.flags.connected:
-        return _verdict(facts, cid, None)
-    ok = facts.report.upper_gamma_pr <= facts.g.n - 1
-    return _verdict(facts, cid, ok, {"upper_gamma_pr": facts.report.upper_gamma_pr})
+    upper_gamma_pr = facts.report.upper_gamma_pr
+    if upper_gamma_pr <= facts.g.n - 1:
+        return None
+    return {"upper_gamma_pr": upper_gamma_pr}
 
 
-def _check_gpr_equals_n_minus_1(facts: Facts) -> Verdict:
+def _gpr_equals_n_minus_1(facts: Facts) -> dict | None:
     """Upper paired number n - 1 characterizes the triangle, the 5-cycle,
     and the subdivided stars with attached triangles."""
-    cid = "gpr-equals-n-minus-1"
-    if facts.g.n < 3 or not facts.flags.connected:
-        return _verdict(facts, cid, None)
-    hits = facts.report.upper_gamma_pr == facts.g.n - 1
+    upper_gamma_pr = facts.report.upper_gamma_pr
     fam = facts.family
     in_family = fam is not None and fam.kind in ("C3", "C5", "star")
-    return _verdict(
-        facts, cid, hits == in_family,
-        {"upper_gamma_pr": facts.report.upper_gamma_pr, "family": _spec(fam)},
-    )
+    if (upper_gamma_pr == facts.g.n - 1) == in_family:
+        return None
+    return {"upper_gamma_pr": upper_gamma_pr, "family": _spec(fam)}
 
 
-def _check_gpr_at_most_2gamma(facts: Facts) -> Verdict:
-    cid = "gpr-at-most-2gamma"
-    if not _paired(facts):
-        return _verdict(facts, cid, None)
+def _gpr_at_most_2gamma(facts: Facts) -> dict | None:
     r = facts.report
-    return _verdict(
-        facts, cid, r.upper_gamma_pr <= 2 * r.upper_gamma,
-        {"upper_gamma_pr": r.upper_gamma_pr, "upper_gamma": r.upper_gamma},
-    )
+    if r.upper_gamma_pr <= 2 * r.upper_gamma:
+        return None
+    return {"upper_gamma_pr": r.upper_gamma_pr, "upper_gamma": r.upper_gamma}
 
 
-def _check_gamma_ge_independence(facts: Facts) -> Verdict:
+def _gamma_ge_independence(facts: Facts) -> dict | None:
     alpha = independence_number(facts.g)
-    return _verdict(
-        facts, "gamma-ge-independence", facts.report.upper_gamma >= alpha,
-        {"upper_gamma": facts.report.upper_gamma, "independence": alpha},
-    )
+    if facts.report.upper_gamma >= alpha:
+        return None
+    return {"upper_gamma": facts.report.upper_gamma, "independence": alpha}
 
 
-def _check_unicyclic_gamma_bound(facts: Facts) -> Verdict:
+def _unicyclic_gamma_bound(facts: Facts) -> dict | None:
     """Upper domination of a connected unicyclic graph is at least n/2
     (even n) or (n-1)/2 (odd n)."""
-    cid = "unicyclic-gamma-bound"
-    if not facts.flags.unicyclic:
-        return _verdict(facts, cid, None)
     bound = facts.g.n // 2
     upper_gamma = facts.report.upper_gamma
-    return _verdict(facts, cid, upper_gamma >= bound,
-                    {"upper_gamma": upper_gamma, "bound": bound})
+    if upper_gamma >= bound:
+        return None
+    return {"upper_gamma": upper_gamma, "bound": bound}
 
 
-# --- private neighbors of minimal PDSs ---------------------------------------
-
-
-def _check_pds_pair_removal_private(facts: Facts) -> Verdict:
+def _pds_pair_removal_private(facts: Facts) -> dict | None:
     """If a minimal PDS stays dominating and matchable after removing a
     pair {u, v}, the pair keeps an external private neighbor."""
-    cid = "pds-pair-removal-private"
     g = facts.g
-    if g.n < 3 or not facts.flags.connected:
-        return _verdict(facts, cid, None)
     pm = facts.pm_test
     for smask in facts.minimal_pds_masks:
         verts = _verts(smask)
@@ -332,17 +345,14 @@ def _check_pds_pair_removal_private(facts: Facts) -> Verdict:
             if not pm(rest):
                 continue
             if not has_epn_pair(g, u, v, smask):
-                return _verdict(facts, cid, False, {"pds": verts, "pair": [u, v]})
-    return _verdict(facts, cid, True)
+                return {"pds": verts, "pair": [u, v]}
+    return None
 
 
-def _check_pds_matched_pair_private(facts: Facts) -> Verdict:
+def _pds_matched_pair_private(facts: Facts) -> dict | None:
     """A matched pair whose endpoints both have degree >= 2 inside the PDS
     keeps an external private neighbor."""
-    cid = "pds-matched-pair-private"
     g = facts.g
-    if g.n < 3 or not facts.flags.connected:
-        return _verdict(facts, cid, None)
     for smask in facts.minimal_pds_masks:
         for matching in facts.matchings(smask):
             for u, v in matching.pairs:
@@ -351,20 +361,14 @@ def _check_pds_matched_pair_private(facts: Facts) -> Verdict:
                 if (g.adj[v] & smask).bit_count() < 2:
                     continue
                 if not has_epn_pair(g, u, v, smask):
-                    return _verdict(
-                        facts, cid, False,
-                        {"pds": _verts(smask),
-                         "matching": list(matching.pairs), "pair": [u, v]},
-                    )
-    return _verdict(facts, cid, True)
+                    return {"pds": _verts(smask),
+                            "matching": list(matching.pairs), "pair": [u, v]}
+    return None
 
 
-def _check_pds_contains_half_mds(facts: Facts) -> Verdict:
+def _pds_contains_half_mds(facts: Facts) -> dict | None:
     """Every minimal PDS contains a minimal dominating set of at least
     half its size."""
-    cid = "pds-contains-half-mds"
-    if not _paired(facts):
-        return _verdict(facts, cid, None)
     mds = facts.minimal_dominating_set_masks
     for pmask in facts.minimal_pds_masks:
         half = pmask.bit_count() / 2
@@ -374,32 +378,25 @@ def _check_pds_contains_half_mds(facts: Facts) -> Verdict:
                 break
             sub = (sub - 1) & pmask
         else:
-            return _verdict(facts, cid, False, {"pds": _verts(pmask)})
-    return _verdict(facts, cid, True)
+            return {"pds": _verts(pmask)}
+    return None
 
 
-def _check_fastpath_matches_brute(facts: Facts) -> Verdict:
+def _fastpath_matches_brute(facts: Facts) -> dict | None:
     """The class fast paths agree with each other and with brute force."""
-    cid = "fastpath-matches-brute"
     fast = decide_equality_fastpath(facts)
-    if fast is None:
-        return _verdict(facts, cid, None)
     brute = decide_equality_bruteforce(facts)
-    return _verdict(
-        facts, cid, fast.equality_holds == brute.equality_holds,
-        {"votes": fast.evidence, "brute": brute.equality_holds},
-    )
+    if fast.equality_holds == brute.equality_holds:
+        return None
+    return {"votes": fast.evidence, "brute": brute.equality_holds}
 
 
 # --- structure of equality graphs ---------------------------------------------
 
 
-def _check_independent_core(facts: Facts) -> Verdict:
+def _independent_core(facts: Facts) -> dict | None:
     """Every maximum minimal PDS contains an independent minimal dominating
     set of maximum size."""
-    cid = "independent-core"
-    if not facts.no_isolated or facts.equality is not True:
-        return _verdict(facts, cid, None)
     g = facts.g
     target = facts.report.upper_gamma
     for pmask in facts.upper_pds_masks:
@@ -407,39 +404,29 @@ def _check_independent_core(facts: Facts) -> Verdict:
                    for sub in combinations(_verts(pmask), target))
         if not any(all(g.adj[v] & smask == 0 for v in bits_of(smask))
                    and is_minimal_dominating(g, smask) for smask in subsets):
-            return _verdict(facts, cid, False,
-                            {"pds": _verts(pmask), "needed_size": target})
-    return _verdict(facts, cid, True)
+            return {"pds": _verts(pmask), "needed_size": target}
+    return None
 
 
-@dataclass(frozen=True)
-class StructuralLemma:
-    """A property of every maximum minimal PDS P of a graph whose
-    components are triangle-free cacti and which meets the equality; for
-    a lemma about matched pairs, of every perfect matching of G[P] too.
+def _over_upper_pds(lemma: Callable, per_matching: bool):
+    """The violation of a property of every maximum minimal PDS P; for a
+    lemma about matched pairs, of every perfect matching of G[P] too.
 
-    ``violation(g, P, V - P, matching)`` returns the first violating
-    configuration as a witness, or None. Called on a Facts, the lemma is
-    its check."""
+    ``lemma(g, P, V - P, matching)`` returns the first violating
+    configuration as a witness, or None."""
 
-    check_id: str
-    violation: Callable
-    per_matching: bool = False
-
-    def __call__(self, facts: Facts) -> Verdict:
-        if not (facts.no_isolated and facts.componentwise_c3free_cactus
-                and facts.equality is True):
-            return _verdict(facts, self.check_id, None)
+    def violation(facts: Facts) -> dict | None:
         g = facts.g
         for pmask in facts.upper_pds_masks:
             outside = g.full_mask & ~pmask
-            matchings = facts.matchings(pmask) if self.per_matching else [None]
+            matchings = facts.matchings(pmask) if per_matching else [None]
             for matching in matchings:
-                witness = self.violation(g, pmask, outside, matching)
+                witness = lemma(g, pmask, outside, matching)
                 if witness is not None:
-                    return _verdict(facts, self.check_id, False,
-                                    {"pds": _verts(pmask), **witness})
-        return _verdict(facts, self.check_id, True)
+                    return {"pds": _verts(pmask), **witness}
+        return None
+
+    return violation
 
 
 def _pair_without_leaf(g, pmask, outside, matching):
@@ -502,63 +489,65 @@ def _outside_edge(g, pmask, outside, matching):
     return None
 
 
-STRUCTURAL_LEMMAS = (
-    # every matched pair has an endpoint of degree one in G[P]
-    StructuralLemma("pair-has-leaf", _pair_without_leaf, per_matching=True),
-    # every vertex outside P has exactly two neighbors in P
-    StructuralLemma("outside-two-neighbors", _outside_without_two_neighbors),
-    # the partners of an outside vertex's two P-neighbors are adjacent
-    StructuralLemma("outside-partners-adjacent", _outside_partners_apart,
-                    per_matching=True),
-    # no two vertices outside P share a neighbor in P
-    StructuralLemma("outside-no-common-neighbor", _outside_common_neighbor),
-    # G[P] has maximum degree at most two
-    StructuralLemma("pds-max-degree-two", _pds_degree_above_two),
-    # at most one endpoint of a matched pair has a neighbor outside P
-    StructuralLemma("pair-one-outside-contact", _pair_with_two_outside_contacts,
-                    per_matching=True),
-    # the vertices outside P are pairwise non-adjacent
-    StructuralLemma("outside-set-independent", _outside_edge),
+STRUCTURAL_LEMMAS = tuple(
+    Check(check_id, _structural_scope, _over_upper_pds(lemma, per_matching))
+    for check_id, lemma, per_matching in (
+        # every matched pair has an endpoint of degree one in G[P]
+        ("pair-has-leaf", _pair_without_leaf, True),
+        # every vertex outside P has exactly two neighbors in P
+        ("outside-two-neighbors", _outside_without_two_neighbors, False),
+        # the partners of an outside vertex's two P-neighbors are adjacent
+        ("outside-partners-adjacent", _outside_partners_apart, True),
+        # no two vertices outside P share a neighbor in P
+        ("outside-no-common-neighbor", _outside_common_neighbor, False),
+        # G[P] has maximum degree at most two
+        ("pds-max-degree-two", _pds_degree_above_two, False),
+        # at most one endpoint of a matched pair has a neighbor outside P
+        ("pair-one-outside-contact", _pair_with_two_outside_contacts, True),
+        # the vertices outside P are pairwise non-adjacent
+        ("outside-set-independent", _outside_edge, False),
+    )
 )
 STRUCTURAL_CHECKS = tuple(lemma.check_id for lemma in STRUCTURAL_LEMMAS)
 
 
 # --- the registry ---------------------------------------------------------------
 
-_EQUALITY = {c.check_id: c for c in EQUALITY_CLASSES}
+_EQUALITY = {c.check_id: _equality_check(c) for c in EQUALITY_CLASSES}
 
-CHECKS: dict[str, Callable[[Facts], Verdict]] = {
-    "gpr-equals-n": _check_gpr_equals_n,
-    "gpr-upper-bound": _check_gpr_upper_bound,
-    "gpr-equals-n-minus-1": _check_gpr_equals_n_minus_1,
-    "gpr-at-most-2gamma": _check_gpr_at_most_2gamma,
-    "gamma-ge-independence": _check_gamma_ge_independence,
-    "pds-pair-removal-private": _check_pds_pair_removal_private,
-    "pds-matched-pair-private": _check_pds_matched_pair_private,
-    "pds-contains-half-mds": _check_pds_contains_half_mds,
-    "unicyclic-gamma-bound": _check_unicyclic_gamma_bound,
-    "independent-core": _check_independent_core,
-    "equality-bipartite": _EQUALITY["equality-bipartite"],
-    "equality-unicyclic": _EQUALITY["equality-unicyclic"],
-    "equality-girth6": _EQUALITY["equality-girth6"],
-    "equality-c3free-cactus": _EQUALITY["equality-c3free-cactus"],
-    "fastpath-matches-brute": _check_fastpath_matches_brute,
-    **{lemma.check_id: lemma for lemma in STRUCTURAL_LEMMAS},
-}
+CHECKS: dict[str, Callable[[Facts], Verdict]] = {c.check_id: c for c in (
+    Check("gpr-equals-n", _paired, _gpr_equals_n),
+    Check("gpr-upper-bound", _connected_order_3, _gpr_upper_bound),
+    Check("gpr-equals-n-minus-1", _connected_order_3, _gpr_equals_n_minus_1),
+    Check("gpr-at-most-2gamma", _paired, _gpr_at_most_2gamma),
+    Check("gamma-ge-independence", lambda f: True, _gamma_ge_independence),
+    Check("pds-pair-removal-private", _connected_order_3, _pds_pair_removal_private),
+    Check("pds-matched-pair-private", _connected_order_3, _pds_matched_pair_private),
+    Check("pds-contains-half-mds", _paired, _pds_contains_half_mds),
+    Check("unicyclic-gamma-bound", lambda f: f.flags.unicyclic, _unicyclic_gamma_bound),
+    Check("independent-core", _equality_met, _independent_core),
+    _EQUALITY["equality-bipartite"],
+    _EQUALITY["equality-unicyclic"],
+    _EQUALITY["equality-girth6"],
+    _EQUALITY["equality-c3free-cactus"],
+    Check("fastpath-matches-brute", _in_equality_class, _fastpath_matches_brute),
+    *STRUCTURAL_LEMMAS,
+)}
 
 ALL_CHECK_IDS = tuple(CHECKS)
 
 
 def run_checks(g: Graph, check_ids) -> list[Verdict]:
-    """Run the selected checks on one graph, sharing one Facts. A graph too
-    large for the exact scans gets na verdicts that name the skip."""
+    """Run the selected checks on one graph, sharing one Facts. A check that
+    a guard stops on a graph too large for the exact scans is skipped, with
+    the guard's message as witness."""
     facts = Facts(g)
     out = []
     for cid in check_ids:
         try:
             out.append(CHECKS[cid](facts))
         except GraphError as exc:
-            out.append(Verdict(cid, facts.graph6, "na", {"skipped": str(exc)}))
+            out.append(Verdict(cid, facts.graph6, "skipped", {"skipped": str(exc)}))
     return out
 
 

@@ -74,11 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _format_text(report: RunReport) -> str:
     lines = []
-    for cid, totals in report.totals.items():
-        t = totals.to_record()
+    for cid, t in report.totals.items():
         lines.append(
-            f"{cid}: scanned={t['scanned']} holds={t['holds']} "
-            f"fails={t['fails']} na={t['na']} skipped={t['skipped']}"
+            f"{cid}: scanned={t.scanned} holds={t.holds} "
+            f"fails={t.fails} na={t.na} skipped={t.skipped}"
         )
     for rec in report.failures:
         lines.append(f"FAIL {rec.get('check_id', '-')} {rec.get('graph6', '-')}")

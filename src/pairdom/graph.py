@@ -64,26 +64,6 @@ class VertexSet:
     def __bool__(self) -> bool:
         return self.bits != 0
 
-    def _check(self, other: "VertexSet"):
-        if self.n != other.n:
-            raise GraphError("vertex sets bound to different graph orders")
-
-    def __or__(self, other):
-        self._check(other)
-        return VertexSet(self.bits | other.bits, self.n)
-
-    def __and__(self, other):
-        self._check(other)
-        return VertexSet(self.bits & other.bits, self.n)
-
-    def __sub__(self, other):
-        self._check(other)
-        return VertexSet(self.bits & ~other.bits, self.n)
-
-    def issubset(self, other: "VertexSet") -> bool:
-        self._check(other)
-        return self.bits & ~other.bits == 0
-
     def sort_key(self) -> tuple[int, ...]:
         """Lexicographic key: the increasing member tuple."""
         return self.members()
@@ -135,9 +115,6 @@ class Graph:
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def vertex_set(self, vertices) -> VertexSet:
-        return VertexSet.of(vertices, self.n)
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edges()})"

@@ -16,7 +16,7 @@ import json
 import sys
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import chain, islice
 from multiprocessing import Pool
@@ -115,15 +115,6 @@ class CheckTotals:
     na: int = 0
     skipped: int = 0
 
-    def to_record(self) -> dict:
-        return {
-            "scanned": self.scanned,
-            "holds": self.holds,
-            "fails": self.fails,
-            "na": self.na,
-            "skipped": self.skipped,
-        }
-
 
 @dataclass
 class RunReport:
@@ -135,14 +126,10 @@ class RunReport:
     errors: list = field(default_factory=list)
     elapsed_ms: int = 0
 
-    @property
-    def any_failures(self) -> bool:
-        return bool(self.failures)
-
     def to_record(self) -> dict:
         rec = {
             "config": self.config,
-            "totals": {cid: t.to_record() for cid, t in self.totals.items()},
+            "totals": {cid: asdict(t) for cid, t in self.totals.items()},
             "failures": self.failures,
             "elapsed_ms": self.elapsed_ms,
         }
@@ -159,7 +146,11 @@ class RunReport:
 
 
 def _verify_worker(g: Graph, check_ids):
-    return [v.to_record() for v in run_checks(g, check_ids)]
+    """Each check's status, and the records of the failing checks; plain
+    strings and dicts are much cheaper to pickle than Verdicts."""
+    verdicts = run_checks(g, check_ids)
+    return ([v.status for v in verdicts],
+            [v.to_record() for v in verdicts if v.status == "fails"])
 
 
 def _witness_members(ws):
@@ -218,13 +209,11 @@ def _decide_worker(g: Graph, mode: str):
             rec["brute"] = None
         except GuardError as exc:
             rec["brute"] = {"skipped": str(exc)}
-    split = fast is not None and fast.equality_holds is None
-    if split:
-        rec["agree"] = False
-    elif mode == "both":  # null when a guard skipped the brute side
-        rec["agree"] = None if "skipped" in (rec["brute"] or {}) else (
-            fast is None or brute is None
-            or fast.equality_holds == brute.equality_holds)
+    if fast is not None and fast.equality_holds is None:
+        rec["agree"] = False  # the fast paths split
+    elif mode == "both":  # null unless both sides decided
+        rec["agree"] = None if fast is None or brute is None else (
+            fast.equality_holds == brute.equality_holds)
     return rec
 
 
@@ -293,20 +282,14 @@ def run(config: RunConfig):
         check_ids = config.checks or ALL_CHECK_IDS
         totals = {cid: CheckTotals() for cid in check_ids}
         worker = partial(_verify_worker, check_ids=tuple(check_ids))
-        for row in _map_graphs(worker, graphs(), config.jobs):
-            for rec in row:
-                t = totals[rec["check_id"]]
+        for statuses, failed in _map_graphs(worker, graphs(), config.jobs):
+            for cid, status in zip(check_ids, statuses):
+                t = totals[cid]
                 t.scanned += 1
-                if rec.get("witness", {}).get("skipped") is not None:
-                    t.skipped += 1
-                elif rec["holds"] is True:
-                    t.holds += 1
-                elif rec["holds"] is False:
-                    t.fails += 1
-                    report.failures.append(rec)
-                    print(json.dumps(rec), file=sys.stderr)
-                else:
-                    t.na += 1
+                setattr(t, status, getattr(t, status) + 1)
+            for rec in failed:
+                report.failures.append(rec)
+                print(json.dumps(rec), file=sys.stderr)
         for t in totals.values():
             t.scanned += bad
             t.skipped += bad

@@ -212,6 +212,44 @@ class TestRegistry:
             paired += not any(row == 0 for row in g.adj)
         assert calls == {"mds": len(graphs_up_to_5), "mpds": paired}
 
+    def test_verify_totals_at_order_7(self, tmp_path, graphs_up_to_7):
+        # (holds, na) of each check in registry order over the 1,044
+        # graphs of order 7, recorded before the checks became rows.
+        pinned = {
+            "gpr-equals-n": (888, 156),
+            "gpr-upper-bound": (853, 191),
+            "gpr-equals-n-minus-1": (853, 191),
+            "gpr-at-most-2gamma": (888, 156),
+            "gamma-ge-independence": (1044, 0),
+            "pds-pair-removal-private": (853, 191),
+            "pds-matched-pair-private": (853, 191),
+            "pds-contains-half-mds": (888, 156),
+            "unicyclic-gamma-bound": (33, 1011),
+            "independent-core": (72, 972),
+            "equality-bipartite": (44, 1000),
+            "equality-unicyclic": (33, 1011),
+            "equality-girth6": (19, 1025),
+            "equality-c3free-cactus": (36, 1008),
+            "fastpath-matches-brute": (76, 968),
+            "pair-has-leaf": (1, 1043),
+            "outside-two-neighbors": (1, 1043),
+            "outside-partners-adjacent": (1, 1043),
+            "outside-no-common-neighbor": (1, 1043),
+            "pds-max-degree-two": (1, 1043),
+            "pair-one-outside-contact": (1, 1043),
+            "outside-set-independent": (1, 1043),
+        }
+        assert ALL_CHECK_IDS == tuple(pinned)
+        path = tmp_path / "order7.g6"
+        path.write_text("".join(encode_graph6(g) + "\n"
+                                for g in graphs_up_to_7 if g.n == 7))
+        report, code = run(RunConfig("verify", str(path)))
+        assert code == 0
+        assert report.to_record()["totals"] == {
+            cid: {"scanned": 1044, "holds": holds, "fails": 0, "na": na,
+                  "skipped": 0}
+            for cid, (holds, na) in pinned.items()}
+
 
 class TestHunt:
     def test_record_scope(self):

@@ -8,7 +8,7 @@ from pairdom.characterizations import Verdict, hunt_c3free_counterexamples
 from pairdom.cli import main
 from pairdom.domination import GuardError, invariants
 from pairdom.generate import nonisomorphic_graphs
-from pairdom.graph import GraphError, encode_graph6, format_edge_list
+from pairdom.graph import GraphError, build_graph, encode_graph6, format_edge_list
 from pairdom.families import make_cycle, make_path
 from pairdom.harness import (
     ALL_CHECK_IDS,
@@ -17,6 +17,7 @@ from pairdom.harness import (
     _map_graphs,
     load_source,
     run,
+    run_checks,
 )
 
 
@@ -94,7 +95,7 @@ class TestCommands:
         assert rec["family"] == "star:t=2,d=1"
         assert rec["cactus"] and not rec["bipartite"]
 
-    def test_decide_modes(self, capsys):
+    def test_decide_modes(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "decide", "C5", "--both")
         rec = json.loads(out)["results"][0]
         assert code == 0
@@ -105,6 +106,21 @@ class TestCommands:
         code, out, _ = run_cli(capsys, "decide", "C5", "--fastpath")
         rec = json.loads(out)["results"][0]
         assert "brute" not in rec and rec["fastpath"]["method"] == "c3-free-cactus"
+
+        # Agreement is null unless both sides decided: no class applies to
+        # K4, and K2 + K1 has an isolated vertex, so neither side decides.
+        k4 = build_graph(4, [(i, j) for i in range(4) for j in range(i)])
+        k2_k1 = encode_graph6(build_graph(3, [(0, 1)]))
+        p = tmp_path / "graphs.g6"
+        p.write_text(encode_graph6(k4) + "\n" + k2_k1 + "\n")
+        code, out, _ = run_cli(capsys, "decide", str(p), "--both")
+        assert code == 0
+        no_class, isolated = json.loads(out)["results"]
+        assert no_class["fastpath"] is None
+        assert no_class["brute"]["method"] == "brute-force"
+        assert no_class["agree"] is None
+        assert isolated == {"graph6": k2_k1, "fastpath": None, "brute": None,
+                            "agree": None}
 
     def test_verify_all_holds(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "enum:4", "--checks", "all")
@@ -178,7 +194,7 @@ class TestCommands:
         assert h["skipped"] == 1 and h["satisfier_count"] == 1
         assert h == hunt_c3free_counterexamples(graphs).to_record()
 
-    @pytest.mark.parametrize("command", ["invariants", "decide"])
+    @pytest.mark.parametrize("command", ["invariants", "decide", "verify"])
     def test_graph_too_large_is_skipped_not_fatal(self, capsys, tmp_path, command):
         # C22 is past the paired-dominating guard; the run must go on to C5.
         big, c5 = make_cycle(22), make_cycle(5)
@@ -186,8 +202,22 @@ class TestCommands:
         p.write_text(encode_graph6(big) + "\n" + encode_graph6(c5) + "\n")
         code, out, _ = run_cli(capsys, command, str(p))
         assert code == 0
-        first, rec = json.loads(out)["results"]
         guard = "paired-dominating scan limited to n <= 20"
+        if command == "verify":
+            # C5 is neither bipartite nor of girth >= 6.
+            off_class = {"equality-bipartite", "equality-girth6"}
+            assert json.loads(out)["totals"] == {
+                cid: {"scanned": 2, "holds": int(cid not in off_class),
+                      "fails": 0, "na": int(cid in off_class), "skipped": 1}
+                for cid in ALL_CHECK_IDS}
+            verdicts = run_checks(big, ALL_CHECK_IDS)
+            assert [(v.status, v.witness) for v in verdicts] == (
+                [("skipped", {"skipped": guard})] * len(ALL_CHECK_IDS))
+            assert verdicts[0].to_record() == {
+                "check_id": ALL_CHECK_IDS[0], "graph6": encode_graph6(big),
+                "holds": None, "witness": {"skipped": guard}}
+            return
+        first, rec = json.loads(out)["results"]
         _, alone, _ = run_cli(capsys, command, "C5")
         assert rec == json.loads(alone)["results"][0]
         if command == "invariants":
