@@ -28,7 +28,6 @@ from .domination import (
     has_isolated_vertex,
     independence_number,
     invariants,
-    is_minimal_dominating,
 )
 from .families import (
     ClassFlags,
@@ -331,39 +330,36 @@ def _unicyclic_gamma_bound(facts: Facts) -> dict | None:
     return {"upper_gamma": upper_gamma, "bound": bound}
 
 
-def _pds_pair_removal_private(facts: Facts) -> dict | None:
-    """If a minimal PDS stays dominating and matchable after removing a
-    pair {u, v}, the pair keeps an external private neighbor."""
+def _private_pair_hypotheses(facts: Facts, adjacent_only: bool):
+    """Yield each (S, u, v), S a minimal PDS as a mask and u < v in S, such
+    that u and v each keep a neighbor in S - {u, v} and G[S - {u, v}] has a
+    perfect matching; with ``adjacent_only``, only the pairs with u ~ v.
+
+    With u ~ v these are exactly the pairs of the perfect matchings of
+    G[S] whose two ends both have degree >= 2 in G[S]."""
     g = facts.g
     pm = facts.pm_test
     for smask in facts.minimal_pds_masks:
-        verts = _verts(smask)
-        for u, v in combinations(verts, 2):
+        for u, v in combinations(bits_of(smask), 2):
+            if adjacent_only and not g.has_edge(u, v):
+                continue
             rest = smask & ~((1 << u) | (1 << v))
-            if not (g.adj[u] & rest and g.adj[v] & rest):
-                continue
-            if not pm(rest):
-                continue
-            if not has_epn_pair(g, u, v, smask):
-                return {"pds": verts, "pair": [u, v]}
-    return None
+            if g.adj[u] & rest and g.adj[v] & rest and pm(rest):
+                yield smask, u, v
 
 
-def _pds_matched_pair_private(facts: Facts) -> dict | None:
-    """A matched pair whose endpoints both have degree >= 2 inside the PDS
-    keeps an external private neighbor."""
-    g = facts.g
-    for smask in facts.minimal_pds_masks:
-        for matching in facts.matchings(smask):
-            for u, v in matching.pairs:
-                if (g.adj[u] & smask).bit_count() < 2:
-                    continue
-                if (g.adj[v] & smask).bit_count() < 2:
-                    continue
-                if not has_epn_pair(g, u, v, smask):
-                    return {"pds": _verts(smask),
-                            "matching": list(matching.pairs), "pair": [u, v]}
-    return None
+def _private_pair(adjacent_only: bool):
+    """Each pair of ``_private_pair_hypotheses`` keeps an external private
+    neighbor: over all pairs, the pair-removal lemma; over adjacent pairs,
+    the matched-pair lemma."""
+
+    def violation(facts: Facts) -> dict | None:
+        for smask, u, v in _private_pair_hypotheses(facts, adjacent_only):
+            if not has_epn_pair(facts.g, u, v, smask):
+                return {"pds": _verts(smask), "pair": [u, v]}
+        return None
+
+    return violation
 
 
 def _pds_contains_half_mds(facts: Facts) -> dict | None:
@@ -399,11 +395,10 @@ def _independent_core(facts: Facts) -> dict | None:
     set of maximum size."""
     g = facts.g
     target = facts.report.upper_gamma
+    cores = [d for d in facts.report.mds_masks if d.bit_count() == target
+             and all(g.adj[v] & d == 0 for v in bits_of(d))]
     for pmask in facts.upper_pds_masks:
-        subsets = (sum(1 << v for v in sub)
-                   for sub in combinations(_verts(pmask), target))
-        if not any(all(g.adj[v] & smask == 0 for v in bits_of(smask))
-                   and is_minimal_dominating(g, smask) for smask in subsets):
+        if not any(d & ~pmask == 0 for d in cores):
             return {"pds": _verts(pmask), "needed_size": target}
     return None
 
@@ -521,8 +516,8 @@ CHECKS: dict[str, Callable[[Facts], Verdict]] = {c.check_id: c for c in (
     Check("gpr-equals-n-minus-1", _connected_order_3, _gpr_equals_n_minus_1),
     Check("gpr-at-most-2gamma", _paired, _gpr_at_most_2gamma),
     Check("gamma-ge-independence", lambda f: True, _gamma_ge_independence),
-    Check("pds-pair-removal-private", _connected_order_3, _pds_pair_removal_private),
-    Check("pds-matched-pair-private", _connected_order_3, _pds_matched_pair_private),
+    Check("pds-pair-removal-private", _connected_order_3, _private_pair(False)),
+    Check("pds-matched-pair-private", _connected_order_3, _private_pair(True)),
     Check("pds-contains-half-mds", _paired, _pds_contains_half_mds),
     Check("unicyclic-gamma-bound", lambda f: f.flags.unicyclic, _unicyclic_gamma_bound),
     Check("independent-core", _equality_met, _independent_core),

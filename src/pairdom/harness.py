@@ -279,9 +279,9 @@ def run(config: RunConfig):
             report.errors.append(str(exc))
 
     if config.command == "verify":
-        check_ids = config.checks or ALL_CHECK_IDS
+        check_ids = tuple(dict.fromkeys(config.checks)) or ALL_CHECK_IDS
         totals = {cid: CheckTotals() for cid in check_ids}
-        worker = partial(_verify_worker, check_ids=tuple(check_ids))
+        worker = partial(_verify_worker, check_ids=check_ids)
         for statuses, failed in _map_graphs(worker, graphs(), config.jobs):
             for cid, status in zip(check_ids, statuses):
                 t = totals[cid]

@@ -85,7 +85,9 @@ def find_perfect_matching(g: Graph, S) -> Matching | None:
 
 
 def all_perfect_matchings(g: Graph, S) -> list[Matching]:
-    """Every perfect matching of G[S], in lexicographic order."""
+    """Every perfect matching of G[S], in lexicographic order: the search
+    pairs the least unmatched vertex with its partners in increasing
+    order, so it emits them sorted."""
     mask = as_mask(S, g.n)
     if mask.bit_count() > ENUMERATION_LIMIT:
         raise GraphError(
@@ -108,5 +110,4 @@ def all_perfect_matchings(g: Graph, S) -> list[Matching]:
             pairs.pop()
 
     rec(mask)
-    out.sort(key=lambda m: m.pairs)
     return out

@@ -25,6 +25,7 @@ from pairdom.characterizations import (
     run_checks,
 )
 from pairdom.generate import nonisomorphic_graphs, triangle_free
+from pairdom.matching import all_perfect_matchings
 from pairdom.harness import RunConfig, run
 
 
@@ -117,6 +118,42 @@ class TestDecideFastpath:
             assert rec["fastpath"]["equality_holds"] is None
 
 
+class TestPrivatePairs:
+    def test_adjacent_hypothesis_pairs_are_the_matched_pairs(self, graphs_up_to_7):
+        # The matched-pair lemma reads its pairs off the pair-removal walk
+        # instead of enumerating matchings; check that against enumeration.
+        compared = 0
+        for g in graphs_up_to_7:
+            facts = Facts(g)
+            if not facts.no_isolated:
+                continue
+            walked = set(characterizations._private_pair_hypotheses(facts, True))
+            matched = {
+                (smask, u, v)
+                for smask in facts.minimal_pds_masks
+                for m in all_perfect_matchings(g, smask)
+                for u, v in m.pairs
+                if (g.adj[u] & smask).bit_count() >= 2
+                and (g.adj[v] & smask).bit_count() >= 2
+            }
+            assert walked == matched, encode_graph6(g)
+            compared += len(matched)
+        assert compared > 0
+
+    @pytest.mark.parametrize("cid,adjacent", [
+        ("pds-pair-removal-private", False), ("pds-matched-pair-private", True)])
+    def test_witness_is_pds_and_pair(self, monkeypatch, cid, adjacent):
+        monkeypatch.setattr(characterizations, "has_epn_pair", lambda *a: False)
+        # the 4-cycle 0-4-1-5 with a pendant vertex at 4 and at 5
+        g = build_graph(6, [(0, 4), (0, 5), (1, 4), (1, 5), (2, 4), (3, 5)])
+        v = check(g, cid)
+        assert v.status == "fails"
+        assert set(v.witness) == {"pds", "pair"}
+        u, w = v.witness["pair"]
+        assert u < w and {u, w} <= set(v.witness["pds"])
+        assert g.has_edge(u, w) or not adjacent
+
+
 class TestIndependentCore:
     def test_holds_on_equality_graphs(self):
         for g in (make_k2(), make_cycle(5), disjoint_union([make_k2()] * 2),
@@ -148,6 +185,25 @@ class TestIndependentCore:
                     for sub in itertools.combinations(pds, target)
                 )
                 assert found == (v.status == "holds")
+
+    def test_core_rule_on_every_vertex_subset(self, graphs_up_to_5):
+        # The check never fails on a real maximum minimal PDS, so a
+        # weakened rule would still hold everywhere; feed it every subset.
+        import itertools
+
+        for g in graphs_up_to_5:
+            target = Facts(g).report.upper_gamma
+            for pmask in range(1 << g.n):
+                facts = Facts(g)
+                facts.upper_pds_masks = [pmask]
+                pds = [x for x in range(g.n) if (pmask >> x) & 1]
+                found = any(
+                    not any(g.has_edge(a, b) for a, b in itertools.combinations(sub, 2))
+                    and oracles.is_minimal_dominating(g, sub)
+                    for sub in itertools.combinations(pds, target)
+                )
+                got = characterizations._independent_core(facts)
+                assert (got is None) == found, (encode_graph6(g), pds)
 
 
 class TestUnicyclicBound:

@@ -138,6 +138,12 @@ class TestCommands:
         assert code == 0
         assert list(json.loads(out)["totals"]) == ["gpr-at-most-2gamma"]
 
+    def test_verify_repeated_check_runs_once(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "C5", "--checks",
+                               "gpr-equals-n,gpr-equals-n", "--format", "text")
+        assert code == 0
+        assert "gpr-equals-n: scanned=1 holds=1 " in out
+
     def test_verify_unknown_check(self, capsys):
         code, _, err = run_cli(capsys, "verify", "enum:4", "--checks", "bogus")
         assert code == 2

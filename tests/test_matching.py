@@ -5,7 +5,7 @@ import weakref
 import pytest
 
 import oracles
-from pairdom.graph import build_graph
+from pairdom.graph import GraphError, build_graph
 from pairdom.families import make_cycle, make_path
 from pairdom.matching import (
     ENUMERATION_LIMIT,
@@ -101,5 +101,6 @@ class TestAllPerfectMatchings:
 
     def test_guard(self):
         big = build_graph(30, [(i, i + 1) for i in range(29)])
-        with pytest.raises(Exception):
+        with pytest.raises(GraphError,
+                           match=r"matching enumeration limited to \|S\| <= 20"):
             all_perfect_matchings(big, list(range(ENUMERATION_LIMIT + 2)))
