@@ -14,6 +14,9 @@ order. The same backtracking routine, with a pinned prefix, finds the
 generators of Aut(P). A hereditary predicate prunes each level, so
 restricted streams such as triangle-free graphs never materialize the
 unrestricted universe.
+A predicate with an ``admits(parent_adj, mask)`` form, such as
+``triangle_free`` and ``girth_at_least(k)``, decides each candidate from its
+parent, so a ``Graph`` is built only for a graph that is kept.
 """
 
 from __future__ import annotations
@@ -24,13 +27,9 @@ from .graph import MAX_VERTICES, Graph, bits_of, components, girth
 LABELED_GUARD = 7
 
 
-def _pair_index(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 def graph_from_pair_mask(n: int, mask: int) -> Graph:
     adj = [0] * n
-    for k, (i, j) in enumerate(_pair_index(n)):
+    for k, (i, j) in enumerate((i, j) for i in range(n) for j in range(i + 1, n)):
         if (mask >> k) & 1:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
@@ -126,16 +125,6 @@ def _isomorphism(adj1, colors1, adj2, cells2, pinned=()) -> list[int] | None:
     return [bit.bit_length() - 1 for bit in image]
 
 
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism test: refinement colours plus backtracking."""
-    if g1.n != g2.n or g1.edge_count != g2.edge_count:
-        return False
-    key1, colors1 = _refine([tuple(bits_of(row)) for row in g1.adj])
-    key2, colors2 = _refine([tuple(bits_of(row)) for row in g2.adj])
-    return key1 == key2 and _isomorphism(
-        g1.adj, colors1, g2.adj, _cells(colors2)) is not None
-
-
 def _orbit(point: int, generators) -> set[int]:
     """The images of point under every product of the generators, each a
     list or table mapping a point to its image."""
@@ -217,9 +206,12 @@ def nonisomorphic_stream(n: int, predicate=None, min_n: int = 0):
     orbit of the parent's automorphism group. ``predicate`` must be
     invariant under isomorphism and hereditary under vertex deletion
     (triangle-free, girth bounds, cactus-like conditions all qualify); it
-    sees each candidate as a ``Graph`` and prunes the level, so restricted
-    families are generated directly.
+    prunes the level, so restricted families are generated directly. It
+    sees each candidate as a ``Graph``, unless ``predicate.admits(adj, mask)``
+    exists: then that decides the child of the parent ``adj`` whose new
+    vertex is joined to ``mask``, assuming the parent has the property.
     """
+    admits = getattr(predicate, "admits", None)
     if min_n <= 0 <= n:
         yield Graph(0, ())
     # (adjacency rows, neighbour tuples, colours, colour cells) per representative
@@ -232,11 +224,13 @@ def nonisomorphic_stream(n: int, predicate=None, min_n: int = 0):
         kept = []
         for adj0, nbrs0, colors0, cells0 in parents:
             for mask in _augmenting_masks(adj0, colors0, cells0):
+                if admits is not None and not admits(adj0, mask):
+                    continue
                 adj = [row | bit if (mask >> u) & 1 else row
                        for u, row in enumerate(adj0)]
                 adj.append(mask)
                 g = None
-                if predicate is not None:
+                if predicate is not None and admits is None:
                     g = Graph(k, tuple(adj))
                     if not predicate(g):
                         continue
@@ -260,6 +254,30 @@ def nonisomorphic_stream(n: int, predicate=None, min_n: int = 0):
 # --- hereditary predicates ----------------------------------------------------
 
 
+def _far_apart(radius: int):
+    """``admits`` for girth > radius + 2: every two vertices of ``mask`` lie
+    at distance > radius in the parent, since the shortest cycle through the
+    new vertex w is w-u...v-w for some u, v in ``mask``, of length
+    dist(u, v) + 2."""
+
+    def admits(adj, mask: int) -> bool:
+        rest = mask
+        while rest:
+            ball = frontier = rest & -rest
+            rest ^= ball
+            for _ in range(radius):
+                reach = 0
+                for v in bits_of(frontier):
+                    reach |= adj[v]
+                if reach & rest:
+                    return False
+                frontier = reach & ~ball
+                ball |= reach
+        return True
+
+    return admits
+
+
 def triangle_free(g: Graph) -> bool:
     return all(
         g.adj[u] & g.adj[v] == 0 for u in range(g.n) for v in bits_of(g.adj[u])
@@ -267,10 +285,14 @@ def triangle_free(g: Graph) -> bool:
     )
 
 
+triangle_free.admits = _far_apart(1)
+
+
 def girth_at_least(k: int):
     def pred(g: Graph) -> bool:
         return girth(g) >= k
 
+    pred.admits = _far_apart(k - 3)
     return pred
 
 
@@ -284,11 +306,3 @@ def at_most_one_cycle_per_component(g: Graph) -> bool:
             return False
     return True
 
-
-def relabel(g: Graph, perm) -> Graph:
-    """The isomorphic copy with vertex v renamed perm[v]."""
-    adj = [0] * g.n
-    for v in range(g.n):
-        for u in bits_of(g.adj[v]):
-            adj[perm[v]] |= 1 << perm[u]
-    return Graph(g.n, tuple(adj))

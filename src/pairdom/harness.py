@@ -32,7 +32,8 @@ from .families import (
     recognize_family,
 )
 from .graph import Graph, GraphError, encode_graph6, parse_edge_list, parse_graph6
-from .generate import enumerate_labeled_graphs, nonisomorphic_stream
+from .generate import LABELED_GUARD, enumerate_labeled_graphs
+from .generate import nonisomorphic_stream, triangle_free
 
 
 # --- input sources ----------------------------------------------------------
@@ -49,31 +50,37 @@ def _looks_like_edge_list(first_line: str) -> bool:
     return len(parts) == 2 and all(p.isdigit() for p in parts)
 
 
-INTERNAL_ISO_ENUM_GUARD = 9
+# Generated sources by their fields but the order: (largest order, stream).
+_GENERATED = {
+    ("enum",): (9, lambda n: nonisomorphic_stream(n, min_n=n)),
+    ("enum", "labeled"): (LABELED_GUARD, enumerate_labeled_graphs),
+    ("c3free",): (11, lambda n: nonisomorphic_stream(n, triangle_free, min_n=n)),
+}
 
 
 def load_source(source: str) -> Iterable[SourceItem]:
-    """Resolve a source spec: ``enum:N[:labeled]``, a family spec string,
-    or a path to a graph6 / edge-list file.
+    """Resolve a source spec: ``enum:N[:labeled]``, ``c3free:N``, a family
+    spec string, or a path to a graph6 / edge-list file.
 
-    ``enum:N`` yields one representative per isomorphism class (n <= 9,
-    produced by vertex augmentation); ``enum:N:labeled`` yields every
-    labeled graph (n <= 7, ``generate.LABELED_GUARD``). Both are checked
-    here and generated as the result is iterated; files are read whole."""
-    if source.startswith("enum:"):
-        parts = source.split(":")
-        if parts[2:] not in ([], ["labeled"]):
-            raise ValueError(
-                f"unknown enum source {source!r}: expected enum:N or enum:N:labeled"
-            )
-        n = int(parts[1])
-        if n < 0:
-            raise ValueError(f"enum order must be >= 0, got {n}")
-        if parts[2:] == ["labeled"]:
-            return map(SourceItem, enumerate_labeled_graphs(n))
-        if n > INTERNAL_ISO_ENUM_GUARD:
-            raise GuardError(f"enumerator limited to n <= {INTERNAL_ISO_ENUM_GUARD}")
-        return map(SourceItem, nonisomorphic_stream(n, min_n=n))
+    ``enum:N`` yields one representative per isomorphism class of order N,
+    ``enum:N:labeled`` every labeled graph, and ``c3free:N`` one
+    representative per class of triangle-free graphs; ``_GENERATED`` holds
+    their guards. A bad spec raises, naming it, before any graph is built,
+    and the graphs are generated as the result is iterated; files are read
+    whole."""
+    kind, sep, order = source.partition(":")
+    if sep and (kind,) in _GENERATED:
+        order, *suffix = order.split(":")
+        if (kind, *suffix) not in _GENERATED:
+            forms = " or ".join(":".join((k[0], "N") + k[1:])
+                                for k in _GENERATED if k[0] == kind)
+            raise ValueError(f"unknown {kind} source {source!r}: expected {forms}")
+        guard, stream = _GENERATED[kind, *suffix]
+        if not order.isdigit():
+            raise ValueError(f"{kind} order must be an integer >= 0, got {source!r}")
+        if int(order) > guard:
+            raise GuardError(f"{kind} order limited to N <= {guard}, got {source!r}")
+        return map(SourceItem, stream(int(order)))
     if looks_like_family_spec(source):
         return [SourceItem(parse_family_spec(source))]
     with open(source) as fh:

@@ -166,3 +166,39 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
         p for p in itertools.permutations(range(g.n))
         if {frozenset((p[u], p[v])) for u, v in edges} == edges
     ]
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """The isomorphic copy with vertex v renamed perm[v]."""
+    adj = [0] * g.n
+    for u, v in g.edges():
+        adj[perm[u]] |= 1 << perm[v]
+        adj[perm[v]] |= 1 << perm[u]
+    return Graph(g.n, tuple(adj))
+
+
+def are_isomorphic(g1: Graph, g2: Graph) -> bool:
+    """Whether some bijection maps the edges of g1 onto those of g2. The
+    vertices of g1 are mapped in order, each onto an unused vertex of g2 of
+    the same degree whose adjacency to the images so far agrees,
+    backtracking on a dead end."""
+    n = g1.n
+    if n != g2.n:
+        return False
+    image = []
+
+    def extend(v: int) -> bool:
+        if v == n:
+            return True
+        for w in range(n):
+            if w in image or g2.degree(w) != g1.degree(v):
+                continue
+            if all(g1.has_edge(u, v) == g2.has_edge(x, w)
+                   for u, x in enumerate(image)):
+                image.append(w)
+                if extend(v + 1):
+                    return True
+                image.pop()
+        return False
+
+    return extend(0)

@@ -155,11 +155,13 @@ class TestCommands:
         assert json.loads(out)["errors"]
 
     def test_negative_enum_order_is_usage_error(self, capsys):
-        for source in ("enum:-1", "enum:-3:labeled"):
+        for source in ("enum:-1", "enum:-3:labeled", "enum:abc", "c3free:-1",
+                       "c3free:x", "c3free:"):
             code, out, _ = run_cli(capsys, "verify", source)
             assert code == 2
+            kind = source.split(":")[0]
             assert json.loads(out)["errors"] == [
-                f"enum order must be >= 0, got {source.split(':')[1]}"
+                f"{kind} order must be an integer >= 0, got {source!r}"
             ]
 
     def test_unknown_enum_field_is_usage_error(self, capsys):
@@ -169,6 +171,32 @@ class TestCommands:
             assert json.loads(out)["errors"] == [
                 f"unknown enum source {source!r}: expected enum:N or enum:N:labeled"
             ]
+        code, out, _ = run_cli(capsys, "hunt", "c3free:3:labeled")
+        assert code == 2
+        assert json.loads(out)["errors"] == [
+            "unknown c3free source 'c3free:3:labeled': expected c3free:N"
+        ]
+
+    def test_order_past_guard_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(generate, "_augmenting_masks", None)  # no work
+        for source, guard in (("enum:10", 9), ("enum:8:labeled", 7),
+                              ("c3free:12", 11)):
+            code, out, err = run_cli(capsys, "hunt", source)
+            assert (code, err) == (2, "")
+            kind = source.split(":")[0]
+            assert json.loads(out)["errors"] == [
+                f"{kind} order limited to N <= {guard}, got {source!r}"
+            ]
+
+    def test_hunt_c3free_matches_hunt_enum(self, capsys):
+        reports = {}
+        for source in ("c3free:7", "enum:7"):
+            code, out, _ = run_cli(capsys, "hunt", source)
+            assert code == 0
+            reports[source] = json.loads(out)["hunt"]
+        for key in ("satisfiers", "exceptions", "non_cactus_satisfiers"):
+            assert reports["c3free:7"][key] == reports["enum:7"][key]
+        assert reports["c3free:7"]["satisfier_count"] == 1
 
     def test_malformed_graph6_line_counts_skipped(self, capsys, tmp_path):
         p = tmp_path / "graphs.g6"

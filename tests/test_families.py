@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import relabel
 from pairdom.graph import GraphError, build_graph, girth, is_connected
 from pairdom.families import (
     FamilyLabel,
@@ -21,7 +22,6 @@ from pairdom.families import (
     parse_family_spec,
     recognize_family,
 )
-from pairdom.generate import relabel
 
 
 class TestConstructions:

@@ -8,21 +8,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from pairdom.graph import bits_of, build_graph, encode_graph6, girth
+from oracles import relabel
+from pairdom import generate
+from pairdom.graph import Graph, bits_of, build_graph, encode_graph6, girth
 from pairdom.families import make_cycle, make_path, disjoint_union
 from pairdom.generate import (
     LABELED_GUARD,
     _augmenting_masks,
     _automorphisms,
     _cells,
+    _isomorphism,
     _refine,
-    are_isomorphic,
     at_most_one_cycle_per_component,
     enumerate_labeled_graphs,
     girth_at_least,
     graph_from_pair_mask,
     nonisomorphic_graphs,
-    relabel,
     triangle_free,
 )
 
@@ -44,6 +45,44 @@ PINNED_STREAMS = {
     "one_cycle_per_component_up_to_8":
         "b402d8395de891668ab2b64ec9a8e85dd146cde1244df4c85007e98bec57cbff",
 }
+
+
+# Published counts of triangle-free graphs up to isomorphism on n = 0..9
+# vertices (OEIS A006785).
+C3FREE_COUNTS = [1, 1, 2, 3, 7, 14, 38, 107, 410, 1897]
+
+
+def _graph6_stream(graphs) -> list[str]:
+    return [encode_graph6(g) for g in graphs]
+
+
+def are_isomorphic(g, h) -> bool:
+    """The generator's verdict, refinement keys and then backtracking,
+    checked against the oracle's; a mapping it finds must carry g onto h."""
+    key1, colors1 = _refine([tuple(bits_of(row)) for row in g.adj])
+    key2, colors2 = _refine([tuple(bits_of(row)) for row in h.adj])
+    found = None
+    if key1 == key2:
+        found = _isomorphism(g.adj, colors1, h.adj, _cells(colors2))
+        assert found is None or relabel(g, found).adj == h.adj
+    assert (found is not None) == oracles.are_isomorphic(g, h)
+    return found is not None
+
+
+@pytest.fixture(scope="module")
+def c3free_graph_path():
+    """The triangle-free graphs with n <= 9 under a plain wrapper, which has
+    no ``admits`` form and so sees each candidate as a Graph, and its number
+    of calls."""
+    calls = 0
+
+    def counting(g):
+        nonlocal calls
+        calls += 1
+        return triangle_free(g)
+
+    graphs = nonisomorphic_graphs(9, predicate=counting)
+    return graphs, calls
 
 
 class TestLabeledEnumeration:
@@ -162,24 +201,67 @@ class TestAugmentationGenerator:
         got = nonisomorphic_graphs(5, predicate=triangle_free, min_n=5)
         assert len(expect) == len(got)
 
-    def test_predicate_sees_one_candidate_per_orbit(self):
+    def test_predicate_sees_one_candidate_per_orbit(self, c3free_graph_path):
         # Triangle-free n <= 9: 121,683 candidates without the orbit rule.
-        calls = 0
-
-        def counting(g):
-            nonlocal calls
-            calls += 1
-            return triangle_free(g)
-
-        graphs = nonisomorphic_graphs(9, predicate=counting)
+        graphs, calls = c3free_graph_path
         assert len(graphs) == 2480
         assert calls == 57395
+
+    def test_mask_path_builds_only_kept_graphs(self, monkeypatch):
+        built = 0
+
+        class CountingGraph(Graph):
+            def __post_init__(self):
+                nonlocal built
+                built += 1
+                super().__post_init__()
+
+        monkeypatch.setattr(generate, "Graph", CountingGraph)
+        graphs = nonisomorphic_graphs(9, predicate=triangle_free)
+        assert len(graphs) == built == 2480
+
+    def test_mask_path_matches_graph_path(self, c3free_up_to_9, c3free_graph_path):
+        assert _graph6_stream(c3free_up_to_9) == _graph6_stream(c3free_graph_path[0])
+        girth5 = girth_at_least(5)
+        assert _graph6_stream(nonisomorphic_graphs(9, girth5)) == _graph6_stream(
+            nonisomorphic_graphs(9, lambda g: girth5(g)))
+
+    def test_c3free_counts_match_published(self, c3free_up_to_9):
+        counts = Counter(g.n for g in c3free_up_to_9)
+        assert [counts[n] for n in range(10)] == C3FREE_COUNTS
+
+    def test_girth_counts_match_filtered_universe(self, graphs_up_to_8,
+                                                  girth6_up_to_9):
+        girths = [oracles.girth(g) for g in graphs_up_to_8]
+        streams = {5: nonisomorphic_graphs(8, girth_at_least(5)),
+                   6: [g for g in girth6_up_to_9 if g.n <= 8]}
+        for k, stream in streams.items():
+            expect = Counter(g.n for g, gi in zip(graphs_up_to_8, girths)
+                             if gi is None or gi >= k)
+            assert Counter(g.n for g in stream) == expect
 
     @pytest.mark.parametrize("stream", sorted(PINNED_STREAMS))
     def test_pinned_graph6_stream(self, request, stream):
         graphs = request.getfixturevalue(stream)
         text = "".join(encode_graph6(g) + "\n" for g in graphs)
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_STREAMS[stream]
+
+
+class TestParentMaskRule:
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_admits_matches_oracle_girth(self, k):
+        # Every parent with n <= 7 of the girth >= k stream, every mask: the
+        # child's girth, by the oracle, decides whether it belongs.
+        predicate = triangle_free if k == 4 else girth_at_least(k)
+        for parent in nonisomorphic_graphs(7, predicate):
+            new = 1 << parent.n
+            for mask in range(new):
+                adj = [row | new if (mask >> u) & 1 else row
+                       for u, row in enumerate(parent.adj)]
+                child = Graph(parent.n + 1, (*adj, mask))
+                gi = oracles.girth(child)
+                assert predicate.admits(parent.adj, mask) == (
+                    gi is None or gi >= k), (parent.edges(), mask)
 
 
 def _parent_state(g):
