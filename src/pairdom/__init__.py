@@ -7,34 +7,26 @@ from .graph import (
     VertexSet,
     build_graph,
     components,
-    distance_layer,
     encode_graph6,
     girth,
-    neighborhood,
     parse_edge_list,
     parse_graph6,
 )
 from .matching import (
     Matching,
     all_perfect_matchings,
-    find_perfect_matching,
     has_perfect_matching,
 )
 from .domination import (
     GuardError,
     InvariantReport,
     IsolatedVertexError,
-    enumerate_minimal_dominating_sets,
-    enumerate_minimal_paired_dominating_sets,
-    epn_pair,
-    external_private_neighborhood,
     independence_number,
     invariants,
     is_dominating,
     is_minimal_dominating,
     is_minimal_paired_dominating,
     is_paired_dominating,
-    private_neighborhood,
 )
 from .families import (
     ClassFlags,

@@ -110,13 +110,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     checks: tuple[str, ...] = ()
-    if getattr(args, "checks", None):
-        if args.checks != "all":
-            checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-            unknown = [c for c in checks if c not in ALL_CHECK_IDS]
-            if unknown:
-                print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
-                return 2
+    if getattr(args, "checks", "all") != "all":
+        checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
+        if not checks:
+            print(f"--checks names no check: {args.checks!r}", file=sys.stderr)
+            return 2
+        unknown = [c for c in checks if c not in ALL_CHECK_IDS]
+        if unknown:
+            print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
+            return 2
     config = RunConfig(
         command=args.command,
         source=args.source,

@@ -53,50 +53,13 @@ def is_dominating(g: Graph, D) -> bool:
     return _cover(closed_neighborhoods(g), as_mask(D, g.n)) == g.full_mask
 
 
-def private_neighborhood(g: Graph, v: int, S) -> VertexSet:
-    """pn(v, S): the vertices u with N(u) ∩ S = {v}."""
-    mask = as_mask(S, g.n)
-    if not (mask >> v) & 1:
-        raise GraphError(f"vertex {v} is not in S")
-    target = 1 << v
-    out = 0
-    for u in range(g.n):
-        if g.adj[u] & mask == target:
-            out |= 1 << u
-    return VertexSet(out, g.n)
-
-
-def external_private_neighborhood(g: Graph, v: int, S) -> VertexSet:
-    """epn(v, S) = pn(v, S) minus S."""
-    mask = as_mask(S, g.n)
-    pn = private_neighborhood(g, v, mask)
-    return VertexSet(pn.bits & ~mask, g.n)
-
-
-def _pair_private(g: Graph, u: int, v: int, mask: int):
-    """Yield the vertices outside ``mask`` whose only neighbours in it are
-    u and/or v."""
-    others = mask & ~((1 << u) | (1 << v))
-    for w in bits_of((g.adj[u] | g.adj[v]) & ~mask):
-        if g.adj[w] & others == 0:
-            yield w
-
-
-def epn_pair(g: Graph, u: int, v: int, S) -> VertexSet:
-    """epn(u, v; S): vertices outside S seen only by u and/or v within S."""
-    mask = as_mask(S, g.n)
-    if u == v:
-        raise GraphError("epn_pair requires two distinct vertices")
-    for w in (u, v):
-        if not (mask >> w) & 1:
-            raise GraphError(f"vertex {w} is not in S")
-    return VertexSet.of(_pair_private(g, u, v, mask), g.n)
-
-
 def has_epn_pair(g: Graph, u: int, v: int, mask: int) -> bool:
     """Whether epn(u, v; S) is non-empty, for distinct u, v in the bitset
-    ``mask``; stops at the first private neighbour."""
-    return next(_pair_private(g, u, v, mask), None) is not None
+    ``mask``: some vertex outside S has u and/or v as its only neighbours in
+    S. Stops at the first such vertex."""
+    others = mask & ~((1 << u) | (1 << v))
+    return any(g.adj[w] & others == 0
+               for w in bits_of((g.adj[u] | g.adj[v]) & ~mask))
 
 
 def is_minimal_dominating(g: Graph, D) -> bool:
@@ -219,20 +182,6 @@ def minimal_paired_dominating_masks(g: Graph) -> list[int]:
     for i, has_i in enumerate(members):
         above |= (above & ~has_i) << (1 << i)
     return _masks(pds & ~_one_more(above, members))
-
-
-def _lex_sorted(masks, n: int) -> list[VertexSet]:
-    sets = [VertexSet(m, n) for m in masks]
-    sets.sort(key=VertexSet.sort_key)
-    return sets
-
-
-def enumerate_minimal_dominating_sets(g: Graph) -> list[VertexSet]:
-    return _lex_sorted(minimal_dominating_masks(g), g.n)
-
-
-def enumerate_minimal_paired_dominating_sets(g: Graph) -> list[VertexSet]:
-    return _lex_sorted(minimal_paired_dominating_masks(g), g.n)
 
 
 def _alpha(adj: list[int], cand: int) -> int:

@@ -198,10 +198,6 @@ def every_block_edge_or_cycle(g: Graph) -> bool:
     return True
 
 
-def is_cactus(g: Graph) -> bool:
-    return g.n > 0 and is_connected(g) and every_block_edge_or_cycle(g)
-
-
 def classify(g: Graph) -> ClassFlags:
     gth = girth(g)
     connected = is_connected(g)
@@ -264,21 +260,20 @@ def recognize_family(g: Graph) -> FamilyLabel | None:
     """Structural family recognition, up to isomorphism."""
     if g.n == 0:
         return None
-    comp = components(g)
-    masks = comp.component_masks()
-    if comp.count == 1:
+    masks = components(g)
+    if len(masks) == 1:
         if g.n == 3 and g.edge_count == 3:
             return FamilyLabel("C3")
         if _is_cycle_component(g, g.full_mask, 5) and g.edge_count == 5:
             return FamilyLabel("C5")
     k2s = sum(1 for m in masks if m.bit_count() == 2)
     c5s = sum(1 for m in masks if _is_cycle_component(g, m, 5))
-    if k2s == comp.count and 2 * k2s == g.n:
+    if k2s == len(masks) and 2 * k2s == g.n:
         return FamilyLabel("mK2", (k2s,))
     star = _recognize_subdivided_star(g)
     if star is not None:
         return star
-    if k2s + c5s == comp.count and 2 * k2s + 5 * c5s == g.n:
+    if k2s + c5s == len(masks) and 2 * k2s + 5 * c5s == g.n:
         return FamilyLabel("mK2+mC5", (k2s, c5s))
     return None
 

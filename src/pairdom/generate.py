@@ -299,7 +299,7 @@ def girth_at_least(k: int):
 def at_most_one_cycle_per_component(g: Graph) -> bool:
     """Each component has at most one independent cycle (supersets the
     unicyclic graphs; hereditary, unlike connectivity)."""
-    for mask in components(g).component_masks():
+    for mask in components(g):
         verts = list(bits_of(mask))
         edges = sum((g.adj[v] & mask).bit_count() for v in verts) // 2
         if edges > len(verts):

@@ -7,7 +7,6 @@ every vertex set fits in a single machine word.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 MAX_VERTICES = 62
@@ -148,41 +147,6 @@ def as_mask(S, n: int) -> int:
     return VertexSet.of(S, n).bits
 
 
-def neighborhood(g: Graph, v: int) -> VertexSet:
-    """The open neighborhood N(v)."""
-    if not 0 <= v < g.n:
-        raise GraphError(f"vertex {v} out of range")
-    return VertexSet(g.adj[v], g.n)
-
-
-def bfs_distances(g: Graph, v: int) -> list[int]:
-    """Shortest-path distances from v; -1 for unreachable vertices."""
-    if not 0 <= v < g.n:
-        raise GraphError(f"vertex {v} out of range")
-    dist = [-1] * g.n
-    dist[v] = 0
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for w in bits_of(g.adj[u]):
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
-def distance_layer(g: Graph, v: int, i: int) -> VertexSet:
-    """All vertices at shortest-path distance exactly i from v."""
-    if i < 0:
-        raise GraphError("distance must be nonnegative")
-    dist = bfs_distances(g, v)
-    mask = 0
-    for u, d in enumerate(dist):
-        if d == i:
-            mask |= 1 << u
-    return VertexSet(mask, g.n)
-
-
 def girth(g: Graph):
     """Length of a shortest cycle; INFINITE when the graph is acyclic.
 
@@ -216,51 +180,27 @@ def girth(g: Graph):
     return best
 
 
-@dataclass(frozen=True)
-class ComponentDecomposition:
-    count: int
-    assignment: tuple[int, ...]
-
-    def component_masks(self) -> list[int]:
-        masks = [0] * self.count
-        for v, c in enumerate(self.assignment):
-            masks[c] |= 1 << v
-        return masks
-
-
-def components(g: Graph) -> ComponentDecomposition:
-    """Connected-component labeling in vertex order."""
-    assignment = [-1] * g.n
-    count = 0
-    for s in range(g.n):
-        if assignment[s] >= 0:
-            continue
-        assignment[s] = count
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in bits_of(g.adj[u]):
-                if assignment[w] < 0:
-                    assignment[w] = count
-                    queue.append(w)
-        count += 1
-    return ComponentDecomposition(count, tuple(assignment))
+def components(g: Graph) -> list[int]:
+    """The vertex masks of the connected components, in increasing order of
+    least vertex: each grows from its least unseen vertex by whole
+    neighbourhood layers until no new vertex is reached."""
+    out = []
+    rest = g.full_mask
+    while rest:
+        comp = layer = rest & -rest
+        while layer:
+            reach = 0
+            for v in bits_of(layer):
+                reach |= g.adj[v]
+            layer = reach & ~comp
+            comp |= layer
+        out.append(comp)
+        rest &= ~comp
+    return out
 
 
 def is_connected(g: Graph) -> bool:
-    return components(g).count == 1
-
-
-def induced_subgraph(g: Graph, S) -> tuple[Graph, list[int]]:
-    """The subgraph induced by S, plus the map new index -> old vertex."""
-    mask = as_mask(S, g.n)
-    old = list(bits_of(mask))
-    index = {v: i for i, v in enumerate(old)}
-    adj = [0] * len(old)
-    for i, v in enumerate(old):
-        for u in bits_of(g.adj[v] & mask):
-            adj[i] |= 1 << index[u]
-    return Graph(len(old), tuple(adj)), old
+    return len(components(g)) == 1
 
 
 # --- graph6 codec (short form, n <= 62) ---------------------------------
@@ -342,10 +282,11 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise GraphError(f"bad edge line {ln!r}") from None
+        edges.append((u, v))
     return build_graph(n, edges)
 
 

@@ -76,7 +76,7 @@ def load_source(source: str) -> Iterable[SourceItem]:
                                 for k in _GENERATED if k[0] == kind)
             raise ValueError(f"unknown {kind} source {source!r}: expected {forms}")
         guard, stream = _GENERATED[kind, *suffix]
-        if not order.isdigit():
+        if not order.isdecimal():
             raise ValueError(f"{kind} order must be an integer >= 0, got {source!r}")
         if int(order) > guard:
             raise GuardError(f"{kind} order limited to N <= {guard}, got {source!r}")

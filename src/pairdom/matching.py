@@ -21,12 +21,6 @@ class Matching:
 
     pairs: tuple[tuple[int, int], ...]
 
-    def covered(self) -> int:
-        mask = 0
-        for u, v in self.pairs:
-            mask |= (1 << u) | (1 << v)
-        return mask
-
 
 def _has_perfect_matching(adj: list[int], memo: dict, mask: int) -> bool:
     cached = memo.get(mask)
@@ -58,30 +52,6 @@ def has_perfect_matching(g: Graph, S) -> bool:
     if mask.bit_count() % 2:
         return False
     return perfect_matching_tester(g)(mask)
-
-
-def find_perfect_matching(g: Graph, S) -> Matching | None:
-    """The lexicographically least perfect matching of G[S], or None.
-
-    Greedy on the least unmatched vertex with a completability check, which
-    yields the least sorted pair list.
-    """
-    mask = as_mask(S, g.n)
-    if mask.bit_count() % 2:
-        return None
-    pm = perfect_matching_tester(g)
-    if not pm(mask):
-        return None
-    pairs = []
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << v)
-        for u in bits_of(g.adj[v] & rest):
-            if pm(rest ^ (1 << u)):
-                pairs.append((v, u))
-                mask = rest ^ (1 << u)
-                break
-    return Matching(tuple(pairs))
 
 
 def all_perfect_matchings(g: Graph, S) -> list[Matching]:

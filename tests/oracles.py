@@ -30,6 +30,18 @@ def is_minimal_dominating(g: Graph, D) -> bool:
     return True
 
 
+def epn_pair(g: Graph, u: int, v: int, S) -> set[int]:
+    """epn(u, v; S): the vertices outside S that see u or v in S and no
+    other vertex of S."""
+    S = set(S)
+    out = set()
+    for w in set(range(g.n)) - S:
+        seen = {x for x in S if g.has_edge(w, x)}
+        if seen and seen <= {u, v}:
+            out.add(w)
+    return out
+
+
 def has_perfect_matching(g: Graph, S) -> bool:
     S = sorted(S)
     if len(S) % 2:

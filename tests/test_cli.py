@@ -149,6 +149,13 @@ class TestCommands:
         assert code == 2
         assert "bogus" in err
 
+    @pytest.mark.parametrize("checks", ["", ",", " , "])
+    def test_verify_empty_check_list_is_usage_error(self, capsys, checks):
+        code, out, err = run_cli(capsys, "verify", "C5", "--checks", checks)
+        assert code == 2
+        assert out == ""
+        assert f"--checks names no check: {checks!r}" in err
+
     def test_bad_source_is_usage_error(self, capsys):
         code, out, _ = run_cli(capsys, "invariants", "/no/such/file")
         assert code == 2
@@ -156,7 +163,7 @@ class TestCommands:
 
     def test_negative_enum_order_is_usage_error(self, capsys):
         for source in ("enum:-1", "enum:-3:labeled", "enum:abc", "c3free:-1",
-                       "c3free:x", "c3free:"):
+                       "c3free:x", "c3free:", "enum:²", "c3free:²"):
             code, out, _ = run_cli(capsys, "verify", source)
             assert code == 2
             kind = source.split(":")[0]

@@ -16,10 +16,6 @@ from pairdom.families import (
 from pairdom.domination import (
     GuardError,
     IsolatedVertexError,
-    enumerate_minimal_dominating_sets,
-    enumerate_minimal_paired_dominating_sets,
-    epn_pair,
-    external_private_neighborhood,
     has_epn_pair,
     has_isolated_vertex,
     independence_number,
@@ -31,44 +27,22 @@ from pairdom.domination import (
     minimal_dominating_masks,
     minimal_paired_dominating_masks,
     paired_dominating_masks,
-    private_neighborhood,
 )
 
 
 class TestPrivateNeighborhoods:
-    def test_definition_on_c5(self):
-        g = make_cycle(5)
-        # pn(v, S) = { u : N(u) cap S = {v} } with open neighborhoods,
-        # so v itself is never its own private neighbor, and vertex 1
-        # (adjacent to both 0 and 2) is private to neither.
-        assert private_neighborhood(g, 0, [0, 2]).members() == (4,)
-        assert private_neighborhood(g, 2, [0, 2]).members() == (3,)
-        assert external_private_neighborhood(g, 0, [0, 1]).members() == (4,)
-
-    def test_matches_first_principles(self, graphs_up_to_5):
-        for g in graphs_up_to_5:
-            for mask in range(1 << g.n):
-                S = [v for v in range(g.n) if (mask >> v) & 1]
-                for v in S:
-                    expect = tuple(
-                        u
-                        for u in range(g.n)
-                        if {w for w in S if g.has_edge(u, w)} == {v}
-                    )
-                    assert private_neighborhood(g, v, S).members() == expect
-                    assert external_private_neighborhood(g, v, S).members() == tuple(
-                        u for u in expect if u not in S
-                    )
-
     def test_epn_pair(self):
-        g = make_path(4)
-        # epn({1,2}, S): outside vertices dominated only via the pair.
-        got = epn_pair(g, 1, 2, [1, 2])
-        assert got.members() == (0, 3)
-        g2 = make_cycle(5)
-        assert epn_pair(g2, 0, 1, [0, 1]).members() == (2, 4)
-        # vertex 4 also sees 3 in S, so it is not private to the pair
-        assert epn_pair(g2, 0, 1, [0, 1, 3]).members() == ()
+        # epn(u, v; S): outside vertices dominated only via the pair.
+        cases = [
+            (make_path(4), 1, 2, [1, 2], {0, 3}),
+            (make_cycle(5), 0, 1, [0, 1], {2, 4}),
+            # vertex 4 also sees 3 in S, and 2 sees 3, so neither is private
+            (make_cycle(5), 0, 1, [0, 1, 3], set()),
+        ]
+        for g, u, v, S, expect in cases:
+            assert oracles.epn_pair(g, u, v, S) == expect
+            mask = sum(1 << w for w in S)
+            assert has_epn_pair(g, u, v, mask) == bool(expect)
 
     def test_has_epn_pair_agrees_with_epn_pair(self, graphs_up_to_5):
         for g in graphs_up_to_5:
@@ -76,7 +50,7 @@ class TestPrivateNeighborhoods:
                 members = [v for v in range(g.n) if (mask >> v) & 1]
                 for u, v in itertools.combinations(members, 2):
                     assert has_epn_pair(g, u, v, mask) == bool(
-                        epn_pair(g, u, v, mask))
+                        oracles.epn_pair(g, u, v, members))
 
 
 class TestMinimalDominating:
@@ -97,21 +71,14 @@ class TestMinimalDominating:
                 ), (g.edges(), S)
 
     def test_c5_has_exactly_five_minimal_dominating_sets(self):
-        got = enumerate_minimal_dominating_sets(make_cycle(5))
-        assert [s.members() for s in got] == [
+        got = minimal_dominating_masks(make_cycle(5))
+        assert [VertexSet(m, 5).members() for m in got] == [
             (0, 2),
             (0, 3),
             (1, 3),
             (1, 4),
             (2, 4),
         ]
-
-    def test_enumeration_is_lex_sorted(self, graphs_up_to_5):
-        for g in graphs_up_to_5:
-            sets = enumerate_minimal_dominating_sets(g)
-            keys = [s.sort_key() for s in sets]
-            assert keys == sorted(keys)
-            assert len(set(keys)) == len(keys)
 
 
 class TestPairedDominating:
@@ -135,7 +102,7 @@ class TestPairedDominating:
 
     def test_enumeration_matches_oracle_on_c5(self):
         g = make_cycle(5)
-        got = {s.members() for s in enumerate_minimal_paired_dominating_sets(g)}
+        got = {VertexSet(m, 5).members() for m in minimal_paired_dominating_masks(g)}
         expect = {
             tuple(S)
             for r in range(0, 6, 2)
@@ -237,11 +204,11 @@ class TestInvariants:
             assert len(w) == r.upper_gamma
             assert is_minimal_dominating(g, w)
             candidates = [
-                s
-                for s in enumerate_minimal_dominating_sets(g)
-                if len(s) == r.upper_gamma
+                VertexSet(m, g.n)
+                for m in minimal_dominating_masks(g)
+                if m.bit_count() == r.upper_gamma
             ]
-            assert w == candidates[0]
+            assert w == min(candidates, key=VertexSet.sort_key)
             if r.paired_defined:
                 wp = r.witnesses["upper_gamma_pr"]
                 assert len(wp) == r.upper_gamma_pr
@@ -298,19 +265,19 @@ class TestGuards:
     def test_domination_guard(self):
         big = build_graph(25, [(i, (i + 1) % 25) for i in range(25)])
         with pytest.raises(GuardError):
-            enumerate_minimal_dominating_sets(big)
+            minimal_dominating_masks(big)
 
     def test_paired_guard(self):
         big = build_graph(21, [(i, (i + 1) % 21) for i in range(21)])
         with pytest.raises(GuardError):
-            enumerate_minimal_paired_dominating_sets(big)
+            minimal_paired_dominating_masks(big)
 
     @pytest.mark.parametrize(
         "scan, n",
-        [(enumerate_minimal_dominating_sets, 25),
-         (enumerate_minimal_dominating_sets, 40),
-         (enumerate_minimal_paired_dominating_sets, 21),
-         (enumerate_minimal_paired_dominating_sets, 40)],
+        [(minimal_dominating_masks, 25),
+         (minimal_dominating_masks, 40),
+         (minimal_paired_dominating_masks, 21),
+         (minimal_paired_dominating_masks, 40)],
         ids=["mds-25", "mds-40", "mpds-21", "mpds-40"],
     )
     def test_guard_fires_before_any_bitmap(self, scan, n, monkeypatch):

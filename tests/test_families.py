@@ -12,7 +12,6 @@ from pairdom.families import (
     disjoint_union,
     every_block_edge_or_cycle,
     is_bipartite,
-    is_cactus,
     make_cycle,
     make_k2,
     make_path,
@@ -74,16 +73,16 @@ class TestPredicates:
         assert every_block_edge_or_cycle(g)
 
     def test_cactus(self):
-        assert is_cactus(make_cycle(5))
-        assert is_cactus(make_subdivided_star(2, 3))
+        assert classify(make_cycle(5)).cactus
+        assert classify(make_subdivided_star(2, 3)).cactus
         k4 = build_graph(4, [(i, j) for i in range(4) for j in range(i)])
-        assert not is_cactus(k4)
+        assert not classify(k4).cactus
         # diamond: two triangles sharing an edge
         diamond = build_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
-        assert not is_cactus(diamond)
+        assert not classify(diamond).cactus
         # cactus must be connected; componentwise version need not be
         two = disjoint_union([make_cycle(3), make_cycle(4)])
-        assert not is_cactus(two)
+        assert not classify(two).cactus
         assert every_block_edge_or_cycle(two)
 
     def test_classify_flags(self):

@@ -8,16 +8,12 @@ from pairdom.graph import (
     Graph,
     GraphError,
     VertexSet,
-    bfs_distances,
     build_graph,
     components,
-    distance_layer,
     encode_graph6,
     format_edge_list,
     girth,
-    induced_subgraph,
     is_connected,
-    neighborhood,
     parse_edge_list,
     parse_graph6,
 )
@@ -96,27 +92,6 @@ class TestVertexSet:
         )
 
 
-class TestDistances:
-    def test_path_distances(self):
-        g = make_path(5)
-        assert bfs_distances(g, 0) == [0, 1, 2, 3, 4]
-
-    def test_unreachable_is_minus_one(self):
-        g = build_graph(3, [(0, 1)])
-        assert bfs_distances(g, 0)[2] == -1
-
-    def test_distance_layer(self):
-        g = make_cycle(6)
-        assert distance_layer(g, 0, 0).members() == (0,)
-        assert distance_layer(g, 0, 1).members() == (1, 5)
-        assert distance_layer(g, 0, 3).members() == (3,)
-        assert distance_layer(g, 0, 4).members() == ()
-
-    def test_neighborhood(self):
-        g = make_cycle(4)
-        assert neighborhood(g, 0).members() == (1, 3)
-
-
 class TestGirth:
     def test_known(self):
         assert girth(make_path(4)) == math.inf
@@ -135,19 +110,35 @@ class TestGirth:
 class TestComponents:
     def test_counts(self):
         g = build_graph(5, [(0, 1), (2, 3)])
-        comp = components(g)
-        assert comp.count == 3
-        masks = comp.component_masks()
-        assert sorted(m.bit_count() for m in masks) == [1, 2, 2]
+        assert components(g) == [0b00011, 0b01100, 0b10000]
         assert not is_connected(g)
         assert is_connected(make_cycle(5))
+        assert components(build_graph(0, [])) == []
+        assert not is_connected(build_graph(0, []))
 
-    def test_induced_subgraph(self):
-        g = make_cycle(5)
-        sub, verts = induced_subgraph(g, [1, 2, 4])
-        assert verts == [1, 2, 4]
-        assert sub.n == 3
-        assert sub.edges() == [(0, 1)]
+    def test_masks_are_the_components(self, graphs_up_to_7):
+        # The masks partition V in increasing order of least vertex; each is
+        # connected (growing from its least vertex by neighbours inside it
+        # reaches all of it), and no edge leaves it.
+        for g in graphs_up_to_7:
+            masks = components(g)
+            assert all(masks) and sum(masks) == g.full_mask
+            union = 0
+            for mask in masks:
+                assert union & mask == 0
+                union |= mask
+            lows = [m & -m for m in masks]
+            assert lows == sorted(lows)
+            for mask in masks:
+                reached, grown = 0, mask & -mask
+                while grown != reached:
+                    reached = grown
+                    for v in range(g.n):
+                        if (reached >> v) & 1:
+                            grown |= g.adj[v] & mask
+                assert reached == mask, (g.edges(), mask)
+                assert all(g.adj[v] & ~mask == 0 for v in range(g.n)
+                           if (mask >> v) & 1), (g.edges(), mask)
 
 
 class TestGraph6:
@@ -197,3 +188,5 @@ class TestEdgeList:
             parse_edge_list("2 1\n0 0\n")
         with pytest.raises(GraphError):
             parse_edge_list("2 2\n0 1\n")  # wrong edge count
+        with pytest.raises(GraphError, match="bad edge line '1 x'"):
+            parse_edge_list("2 1\n1 x\n")

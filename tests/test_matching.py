@@ -9,9 +9,7 @@ from pairdom.graph import GraphError, build_graph
 from pairdom.families import make_cycle, make_path
 from pairdom.matching import (
     ENUMERATION_LIMIT,
-    Matching,
     all_perfect_matchings,
-    find_perfect_matching,
     has_perfect_matching,
     perfect_matching_tester,
 )
@@ -57,31 +55,6 @@ class TestHasPerfectMatching:
             gc.enable()
 
 
-class TestFindPerfectMatching:
-    def test_lexicographically_least_on_c4(self):
-        m = find_perfect_matching(make_cycle(4), [0, 1, 2, 3])
-        assert m.pairs == ((0, 1), (2, 3))
-
-    def test_none_when_impossible(self):
-        assert find_perfect_matching(make_path(4), [0, 2]) is None
-
-    def test_returns_least_of_enumeration(self, graphs_up_to_5):
-        for g in graphs_up_to_5:
-            for r in range(0, g.n + 1, 2):
-                for S in itertools.combinations(range(g.n), r):
-                    found = find_perfect_matching(g, S)
-                    every = all_perfect_matchings(g, S)
-                    if not every:
-                        assert found is None
-                    else:
-                        assert found == every[0]
-                        assert every == sorted(every, key=lambda m: m.pairs)
-
-    def test_covered(self):
-        m = Matching(((0, 1), (2, 3)))
-        assert m.covered() == 0b1111
-
-
 class TestAllPerfectMatchings:
     def test_k4_has_three(self):
         k4 = build_graph(4, [(i, j) for i in range(4) for j in range(i)])
@@ -98,6 +71,16 @@ class TestAllPerfectMatchings:
             for m in all_perfect_matchings(g, full):
                 assert all(u < v for u, v in m.pairs)
                 assert list(m.pairs) == sorted(m.pairs)
+
+    def test_enumeration_is_sorted(self, graphs_up_to_5):
+        # The search emits the matchings in lexicographic order, with no
+        # sort: every S of every graph with n <= 5 pins that, and a set is
+        # enumerated to nothing exactly when it has no perfect matching.
+        for g in graphs_up_to_5:
+            for mask in range(1 << g.n):
+                every = all_perfect_matchings(g, mask)
+                assert every == sorted(every, key=lambda m: m.pairs)
+                assert bool(every) == has_perfect_matching(g, mask)
 
     def test_guard(self):
         big = build_graph(30, [(i, i + 1) for i in range(29)])
