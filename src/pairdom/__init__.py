@@ -4,7 +4,6 @@ upper paired domination on small simple graphs."""
 from .graph import (
     Graph,
     GraphError,
-    VertexSet,
     build_graph,
     components,
     encode_graph6,
@@ -12,11 +11,7 @@ from .graph import (
     parse_edge_list,
     parse_graph6,
 )
-from .matching import (
-    Matching,
-    all_perfect_matchings,
-    has_perfect_matching,
-)
+from .matching import all_perfect_matchings
 from .domination import (
     GuardError,
     InvariantReport,

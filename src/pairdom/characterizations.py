@@ -94,7 +94,11 @@ class Facts:
 
     @cached_property
     def componentwise_c3free_cactus(self) -> bool:
-        return self.flags.c3_free and every_block_edge_or_cycle(self.g)
+        """Triangle-free with every block an edge or a cycle; for a
+        connected graph that is ``flags.cactus``, already scanned."""
+        flags = self.flags
+        return flags.c3_free and (
+            flags.cactus if flags.connected else every_block_edge_or_cycle(self.g))
 
     @cached_property
     def report(self) -> InvariantReport:
@@ -425,9 +429,9 @@ def _over_upper_pds(lemma: Callable, per_matching: bool):
 
 
 def _pair_without_leaf(g, pmask, outside, matching):
-    for a, b in matching.pairs:
+    for a, b in matching:
         if (g.adj[a] & pmask).bit_count() > 1 and (g.adj[b] & pmask).bit_count() > 1:
-            return {"matching": list(matching.pairs), "pair": [a, b]}
+            return {"matching": list(matching), "pair": [a, b]}
     return None
 
 
@@ -440,7 +444,7 @@ def _outside_without_two_neighbors(g, pmask, outside, matching):
 
 def _outside_partners_apart(g, pmask, outside, matching):
     partner = {}
-    for a, b in matching.pairs:
+    for a, b in matching:
         partner[a], partner[b] = b, a
     for x in bits_of(outside):
         nbrs = _verts(g.adj[x] & pmask)
@@ -448,7 +452,7 @@ def _outside_partners_apart(g, pmask, outside, matching):
             return {"vertex": x, "neighbors_in_pds": nbrs}
         p1, p2 = partner[nbrs[0]], partner[nbrs[1]]
         if not g.has_edge(p1, p2):
-            return {"matching": list(matching.pairs), "vertex": x,
+            return {"matching": list(matching), "vertex": x,
                     "partners": [p1, p2]}
     return None
 
@@ -470,9 +474,9 @@ def _pds_degree_above_two(g, pmask, outside, matching):
 
 
 def _pair_with_two_outside_contacts(g, pmask, outside, matching):
-    for a, b in matching.pairs:
+    for a, b in matching:
         if g.adj[a] & outside and g.adj[b] & outside:
-            return {"matching": list(matching.pairs), "pair": [a, b]}
+            return {"matching": list(matching), "pair": [a, b]}
     return None
 
 
@@ -549,6 +553,11 @@ def run_checks(g: Graph, check_ids) -> list[Verdict]:
 # --- open-question hunt ---------------------------------------------------
 
 
+# Why the hunt skips a graph: a triangle or an isolated vertex, a guard on
+# the exact scans, an unreadable input line.
+HUNT_SKIP_REASONS = ("out_of_scope", "too_large", "unreadable")
+
+
 @dataclass
 class HuntReport:
     """Outcome of a counterexample hunt over a stream of graphs.
@@ -560,20 +569,25 @@ class HuntReport:
     """
 
     scanned: int = 0
-    skipped: int = 0
+    skipped_by_reason: dict = field(
+        default_factory=lambda: dict.fromkeys(HUNT_SKIP_REASONS, 0))
     satisfiers: list = field(default_factory=list)
     exceptions: list = field(default_factory=list)
+
+    @property
+    def skipped(self) -> int:
+        return sum(self.skipped_by_reason.values())
 
     @property
     def non_cactus_satisfiers(self) -> list:
         return [s for s in self.satisfiers if not s["cactus"]]
 
-    def add(self, rec: dict | None) -> bool:
-        """Count one scanned graph from its ``hunt_scan`` record; True when
-        it is an exception."""
+    def add(self, rec: dict) -> bool:
+        """Count one scanned graph from its ``hunt_scan`` record, or from
+        ``{"skipped": "unreadable"}``; True when it is an exception."""
         self.scanned += 1
-        if rec is None:
-            self.skipped += 1
+        if "skipped" in rec:
+            self.skipped_by_reason[rec["skipped"]] += 1
             return False
         if not rec.pop("satisfier"):
             return False
@@ -587,6 +601,7 @@ class HuntReport:
         return {
             "scanned": self.scanned,
             "skipped": self.skipped,
+            "skipped_by_reason": dict(self.skipped_by_reason),
             "satisfier_count": len(self.satisfiers),
             "exception_count": len(self.exceptions),
             "satisfiers": self.satisfiers,
@@ -612,13 +627,14 @@ def hunt_record(g: Graph) -> dict | None:
     }
 
 
-def hunt_scan(g: Graph) -> dict | None:
-    """``hunt_record``, or None (skipped) for a graph too large or
-    malformed for the exact scans."""
+def hunt_scan(g: Graph) -> dict:
+    """``hunt_record``, or a ``{"skipped": reason}`` record: out_of_scope
+    where that is None, too_large where a guard stops the exact scans."""
     try:
-        return hunt_record(g)
+        rec = hunt_record(g)
     except GraphError:
-        return None
+        return {"skipped": "too_large"}
+    return {"skipped": "out_of_scope"} if rec is None else rec
 
 
 def hunt_c3free_counterexamples(stream) -> HuntReport:

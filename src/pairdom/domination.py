@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .graph import Graph, GraphError, VertexSet, as_mask, bits_of
+from .graph import Graph, GraphError, as_mask, bits_of
 from .matching import perfect_matching_tester
 
 DOMINATION_GUARD = 24
@@ -208,9 +208,9 @@ def independence_number(g: Graph) -> int:
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """γ, Γ, γ_pr, Γ_pr with lexicographically least witness sets, and the
-    minimal (paired) dominating sets they were taken from, as bitsets in
-    increasing order.
+    """γ, Γ, γ_pr, Γ_pr with lexicographically least witness sets, as
+    increasing vertex tuples, and the minimal (paired) dominating sets they
+    were taken from, as bitsets in increasing order.
 
     The paired fields are None, and there are no minimal PDS masks, when
     the graph has an isolated vertex, where paired domination is undefined.
@@ -224,20 +224,16 @@ class InvariantReport:
     mds_masks: list[int] = field(repr=False, compare=False)
     mpds_masks: list[int] = field(repr=False, compare=False)
 
-    @property
-    def paired_defined(self) -> bool:
-        return self.gamma_pr is not None
 
-
-def _lex_least(masks, n: int) -> VertexSet:
-    """The lexicographically least of bitsets of one size: A precedes B iff
-    the lowest vertex in exactly one of them is in A."""
+def _lex_least(masks) -> tuple[int, ...]:
+    """The lexicographically least of bitsets of one size, as its vertex
+    tuple: A precedes B iff the lowest vertex in exactly one of them is in A."""
     best, *rest = masks
     for mask in rest:
         diff = mask ^ best
         if diff & -diff & mask:
             best = mask
-    return VertexSet(best, n)
+    return tuple(bits_of(best))
 
 
 def invariants(g: Graph) -> InvariantReport:
@@ -247,10 +243,8 @@ def invariants(g: Graph) -> InvariantReport:
     gamma = min(sizes)
     upper_gamma = max(sizes)
     witnesses = {
-        "gamma": _lex_least([m for m in mds if m.bit_count() == gamma], g.n),
-        "upper_gamma": _lex_least(
-            [m for m in mds if m.bit_count() == upper_gamma], g.n
-        ),
+        "gamma": _lex_least([m for m in mds if m.bit_count() == gamma]),
+        "upper_gamma": _lex_least([m for m in mds if m.bit_count() == upper_gamma]),
         "gamma_pr": None,
         "upper_gamma_pr": None,
     }
@@ -262,10 +256,8 @@ def invariants(g: Graph) -> InvariantReport:
         gamma_pr = min(psizes)
         upper_gamma_pr = max(psizes)
         witnesses["gamma_pr"] = _lex_least(
-            [m for m in mpds if m.bit_count() == gamma_pr], g.n
-        )
+            [m for m in mpds if m.bit_count() == gamma_pr])
         witnesses["upper_gamma_pr"] = _lex_least(
-            [m for m in mpds if m.bit_count() == upper_gamma_pr], g.n
-        )
+            [m for m in mpds if m.bit_count() == upper_gamma_pr])
     return InvariantReport(gamma, upper_gamma, gamma_pr, upper_gamma_pr, witnesses,
                            mds, mpds)

@@ -309,10 +309,12 @@ def parse_family_spec(spec: str) -> Graph:
     if s.startswith("union:"):
         parts = []
         for term in s[6:].split("+"):
-            name, _, mult = term.partition("*")
+            name, star, mult = term.partition("*")
             if name not in base:
                 raise GraphError(f"unknown union component {name!r}")
-            parts.append((base[name](), int(mult) if mult else 1))
+            if star and not mult.isdecimal():
+                raise GraphError(f"bad multiplicity in {spec!r}")
+            parts.append((base[name](), int(mult) if star else 1))
         return make_union(parts)
     raise GraphError(f"unrecognized family spec {spec!r}")
 

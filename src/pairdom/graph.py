@@ -27,51 +27,6 @@ def bits_of(mask: int):
 
 
 @dataclass(frozen=True)
-class VertexSet:
-    """A set of vertices of a graph of order ``n``, stored as a bitset."""
-
-    bits: int
-    n: int
-
-    def __post_init__(self):
-        if self.bits >> self.n:
-            raise GraphError("vertex set contains a vertex >= n")
-        if self.bits < 0:
-            raise GraphError("negative bitset")
-
-    @classmethod
-    def of(cls, vertices, n: int) -> "VertexSet":
-        mask = 0
-        for v in vertices:
-            if not 0 <= v < n:
-                raise GraphError(f"vertex {v} out of range for order {n}")
-            mask |= 1 << v
-        return cls(mask, n)
-
-    def members(self) -> tuple[int, ...]:
-        return tuple(bits_of(self.bits))
-
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.n and (self.bits >> v) & 1 == 1
-
-    def __iter__(self):
-        return bits_of(self.bits)
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def sort_key(self) -> tuple[int, ...]:
-        """Lexicographic key: the increasing member tuple."""
-        return self.members()
-
-    def __repr__(self):
-        return f"VertexSet({set(self.members()) or '{}'}, n={self.n})"
-
-
-@dataclass(frozen=True)
 class Graph:
     """Simple undirected graph; ``adj[v]`` is the neighbor bitset of v."""
 
@@ -135,16 +90,18 @@ def build_graph(n: int, edges) -> Graph:
 
 
 def as_mask(S, n: int) -> int:
-    """Coerce a VertexSet, int bitset, or iterable of vertices to a bitset."""
-    if isinstance(S, VertexSet):
-        if S.n != n:
-            raise GraphError("vertex set bound to a different graph order")
-        return S.bits
+    """Coerce an int bitset or an iterable of vertices of a graph of order n
+    to a bitset."""
     if isinstance(S, int):
         if S < 0 or S >> n:
             raise GraphError("bitset out of range")
         return S
-    return VertexSet.of(S, n).bits
+    mask = 0
+    for v in S:
+        if not 0 <= v < n:
+            raise GraphError(f"vertex {v} out of range for order {n}")
+        mask |= 1 << v
+    return mask
 
 
 def girth(g: Graph):

@@ -160,10 +160,6 @@ def _verify_worker(g: Graph, check_ids):
             [v.to_record() for v in verdicts if v.status == "fails"])
 
 
-def _witness_members(ws):
-    return None if ws is None else list(ws.members())
-
-
 def _invariants_worker(g: Graph):
     r = invariants(g)
     return {
@@ -173,7 +169,8 @@ def _invariants_worker(g: Graph):
         "upper_gamma": r.upper_gamma,
         "gamma_pr": r.gamma_pr,
         "upper_gamma_pr": r.upper_gamma_pr,
-        "witnesses": {k: _witness_members(v) for k, v in r.witnesses.items()},
+        "witnesses": {k: None if w is None else list(w)
+                      for k, w in r.witnesses.items()},
     }
 
 
@@ -307,7 +304,7 @@ def run(config: RunConfig):
             if hunt.add(rec):
                 print(json.dumps(rec), file=sys.stderr)
         for _ in range(bad):
-            hunt.add(None)
+            hunt.add({"skipped": "unreadable"})
         report.hunt = hunt.to_record()
         report.failures = list(hunt.exceptions)
     elif config.command in ("invariants", "classify", "decide"):

@@ -7,19 +7,11 @@ unmatched vertex with each of its unmatched neighbors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from .graph import Graph, GraphError, as_mask, bits_of
 
 ENUMERATION_LIMIT = 20
-
-
-@dataclass(frozen=True)
-class Matching:
-    """Vertex-disjoint edge pairs (u, v) with u < v, sorted ascending."""
-
-    pairs: tuple[tuple[int, int], ...]
 
 
 def _has_perfect_matching(adj: list[int], memo: dict, mask: int) -> bool:
@@ -46,18 +38,10 @@ def perfect_matching_tester(g: Graph):
     return partial(_has_perfect_matching, g.adj, {0: True})
 
 
-def has_perfect_matching(g: Graph, S) -> bool:
-    """True iff the subgraph induced by S has a perfect matching."""
-    mask = as_mask(S, g.n)
-    if mask.bit_count() % 2:
-        return False
-    return perfect_matching_tester(g)(mask)
-
-
-def all_perfect_matchings(g: Graph, S) -> list[Matching]:
-    """Every perfect matching of G[S], in lexicographic order: the search
-    pairs the least unmatched vertex with its partners in increasing
-    order, so it emits them sorted."""
+def all_perfect_matchings(g: Graph, S) -> list[tuple[tuple[int, int], ...]]:
+    """Every perfect matching of G[S] as a tuple of its pairs (u, v), u < v,
+    in lexicographic order: the search pairs the least unmatched vertex
+    with its partners in increasing order, so it emits them sorted."""
     mask = as_mask(S, g.n)
     if mask.bit_count() > ENUMERATION_LIMIT:
         raise GraphError(
@@ -65,12 +49,12 @@ def all_perfect_matchings(g: Graph, S) -> list[Matching]:
         )
     if mask.bit_count() % 2:
         return []
-    out: list[Matching] = []
+    out = []
     pairs: list[tuple[int, int]] = []
 
     def rec(rest: int):
         if not rest:
-            out.append(Matching(tuple(pairs)))
+            out.append(tuple(pairs))
             return
         v = (rest & -rest).bit_length() - 1
         body = rest ^ (1 << v)

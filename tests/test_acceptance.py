@@ -27,7 +27,7 @@ from pairdom.domination import (
     invariants,
     is_minimal_dominating,
 )
-from pairdom.matching import all_perfect_matchings, has_perfect_matching
+from pairdom.matching import all_perfect_matchings, perfect_matching_tester
 from pairdom.characterizations import (
     STRUCTURAL_CHECKS,
     hunt_c3free_counterexamples,
@@ -190,9 +190,11 @@ def test_criterion_6_oracle_equivalences(sweep_8):
                 mismatches.append(("minimal-dominating", encode_graph6(g), sorted(S)))
     # perfect-matching decision vs exhaustive matching enumeration
     for g in small:
+        pm = perfect_matching_tester(g)
         for r in range(0, g.n + 1, 2):
             for S in itertools.combinations(range(g.n), r):
-                if has_perfect_matching(g, S) != bool(all_perfect_matchings(g, S)):
+                mask = sum(1 << v for v in S)
+                if pm(mask) != bool(all_perfect_matchings(g, S)):
                     mismatches.append(("matching", encode_graph6(g), list(S)))
     # fast-path equality decision vs brute force, whole n <= 8 universe
     scanned, by_check = sweep_8

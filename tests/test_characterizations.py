@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 import oracles
-from pairdom import characterizations, domination
+from pairdom import characterizations, domination, families
 from pairdom.graph import build_graph, encode_graph6
 from pairdom.domination import IsolatedVertexError
 from pairdom.families import (
@@ -132,7 +132,7 @@ class TestPrivatePairs:
                 (smask, u, v)
                 for smask in facts.minimal_pds_masks
                 for m in all_perfect_matchings(g, smask)
-                for u, v in m.pairs
+                for u, v in m
                 if (g.adj[u] & smask).bit_count() >= 2
                 and (g.adj[v] & smask).bit_count() >= 2
             }
@@ -267,6 +267,24 @@ class TestRegistry:
             run_checks(g, ALL_CHECK_IDS)
             paired += not any(row == 0 for row in g.adj)
         assert calls == {"mds": len(graphs_up_to_5), "mpds": paired}
+
+    def test_block_scan_runs_once_per_graph(self, monkeypatch):
+        # A connected graph's block scan is the one classify makes for
+        # flags.cactus; a disconnected graph's is the one Facts makes.
+        calls = 0
+        scan = families.every_block_edge_or_cycle
+
+        def counted(g):
+            nonlocal calls
+            calls += 1
+            return scan(g)
+
+        monkeypatch.setattr(families, "every_block_edge_or_cycle", counted)
+        monkeypatch.setattr(characterizations, "every_block_edge_or_cycle", counted)
+        for g in (make_cycle(5), disjoint_union([make_cycle(5), make_k2()])):
+            calls = 0
+            run_checks(g, ALL_CHECK_IDS)
+            assert calls == 1, g
 
     def test_verify_totals_at_order_7(self, tmp_path, graphs_up_to_7):
         # (holds, na) of each check in registry order over the 1,044

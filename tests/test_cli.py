@@ -204,6 +204,9 @@ class TestCommands:
         for key in ("satisfiers", "exceptions", "non_cactus_satisfiers"):
             assert reports["c3free:7"][key] == reports["enum:7"][key]
         assert reports["c3free:7"]["satisfier_count"] == 1
+        # the 38 triangle-free graphs of order 6, each plus an isolated vertex
+        assert reports["c3free:7"]["skipped_by_reason"] == {
+            "out_of_scope": 38, "too_large": 0, "unreadable": 0}
 
     def test_malformed_graph6_line_counts_skipped(self, capsys, tmp_path):
         p = tmp_path / "graphs.g6"
@@ -234,6 +237,21 @@ class TestCommands:
         h = json.loads(out)["hunt"]
         assert h["skipped"] == 1 and h["satisfier_count"] == 1
         assert h == hunt_c3free_counterexamples(graphs).to_record()
+
+    def test_hunt_skip_reasons(self, capsys, tmp_path):
+        # K3 has a triangle and K2 + K1 an isolated vertex: out of scope.
+        # C21 is past the paired-dominating guard: too large.
+        graphs = [make_cycle(5), make_cycle(3), build_graph(3, [(0, 1)]),
+                  make_cycle(21)]
+        p = tmp_path / "graphs.g6"
+        p.write_text("".join(encode_graph6(g) + "\n" for g in graphs)
+                     + "???garbage\n")
+        code, out, _ = run_cli(capsys, "hunt", str(p))
+        assert code == 0
+        h = json.loads(out)["hunt"]
+        assert h["skipped_by_reason"] == {
+            "out_of_scope": 2, "too_large": 1, "unreadable": 1}
+        assert (h["scanned"], h["skipped"], h["satisfier_count"]) == (5, 4, 1)
 
     @pytest.mark.parametrize("command", ["invariants", "decide", "verify"])
     def test_graph_too_large_is_skipped_not_fatal(self, capsys, tmp_path, command):
@@ -318,6 +336,12 @@ class TestCommands:
     def test_gen_bad_spec(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "parrot")
         assert code == 2
+        # a multiplicity that is not decimal digits names the spec
+        for command in ("gen", "invariants"):
+            for spec in ("union:K2*x", "union:K2*"):
+                code, out, _ = run_cli(capsys, command, spec)
+                assert code == 2
+                assert json.loads(out)["errors"] == [f"bad multiplicity in {spec!r}"]
 
     def test_text_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "C5", "--format", "text")

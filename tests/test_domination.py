@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 from pairdom import domination
-from pairdom.graph import VertexSet, build_graph
+from pairdom.graph import GraphError, build_graph
 from pairdom.families import (
     disjoint_union,
     make_cycle,
@@ -28,6 +28,24 @@ from pairdom.domination import (
     minimal_paired_dominating_masks,
     paired_dominating_masks,
 )
+from pairdom.matching import all_perfect_matchings
+
+
+def members(mask: int, n: int) -> tuple[int, ...]:
+    """The increasing vertex tuple of a bitset, read bit by bit."""
+    return tuple(v for v in range(n) if (mask >> v) & 1)
+
+
+class TestVertexArguments:
+    @pytest.mark.parametrize(
+        "fn", [is_dominating, is_minimal_paired_dominating, all_perfect_matchings])
+    @pytest.mark.parametrize(
+        "arg", [[0, 5], [-1, 0], 1 << 5, -1, -(1 << 5)],
+        ids=["vertex-n", "vertex-minus-1", "mask-bit-n", "mask-minus-1",
+             "mask-negative"])
+    def test_out_of_range_raises(self, fn, arg):
+        with pytest.raises(GraphError):
+            fn(make_cycle(5), arg)
 
 
 class TestPrivateNeighborhoods:
@@ -72,7 +90,7 @@ class TestMinimalDominating:
 
     def test_c5_has_exactly_five_minimal_dominating_sets(self):
         got = minimal_dominating_masks(make_cycle(5))
-        assert [VertexSet(m, 5).members() for m in got] == [
+        assert [members(m, 5) for m in got] == [
             (0, 2),
             (0, 3),
             (1, 3),
@@ -102,7 +120,7 @@ class TestPairedDominating:
 
     def test_enumeration_matches_oracle_on_c5(self):
         g = make_cycle(5)
-        got = {VertexSet(m, 5).members() for m in minimal_paired_dominating_masks(g)}
+        got = {members(m, 5) for m in minimal_paired_dominating_masks(g)}
         expect = {
             tuple(S)
             for r in range(0, 6, 2)
@@ -192,7 +210,6 @@ class TestInvariants:
         g = build_graph(3, [(0, 1)])
         assert has_isolated_vertex(g)
         r = invariants(g)
-        assert not r.paired_defined
         assert r.gamma_pr is None and r.upper_gamma_pr is None
         assert r.witnesses["gamma_pr"] is None
 
@@ -200,23 +217,24 @@ class TestInvariants:
         for g in graphs_up_to_5:
             r = invariants(g)
             w = r.witnesses["upper_gamma"]
-            assert isinstance(w, VertexSet)
+            assert isinstance(w, tuple) and list(w) == sorted(set(w))
             assert len(w) == r.upper_gamma
             assert is_minimal_dominating(g, w)
             candidates = [
-                VertexSet(m, g.n)
+                members(m, g.n)
                 for m in minimal_dominating_masks(g)
                 if m.bit_count() == r.upper_gamma
             ]
-            assert w == min(candidates, key=VertexSet.sort_key)
-            if r.paired_defined:
+            assert w == min(candidates)
+            if r.gamma_pr is not None:
                 wp = r.witnesses["upper_gamma_pr"]
                 assert len(wp) == r.upper_gamma_pr
                 assert is_minimal_paired_dominating(g, wp)
 
     def test_lex_least_matches_sort_key_order(self, graphs_up_to_7):
-        # The integer rule must pick what the member-tuple order picks, for
-        # every size class of every scan and so for every witness.
+        # The integer rule must pick what the member-tuple order (plain min
+        # over the member tuples) picks, for every size class of every scan
+        # and so for every witness.
         for g in graphs_up_to_7:
             r = invariants(g)
             for masks in (r.mds_masks, r.mpds_masks):
@@ -224,16 +242,15 @@ class TestInvariants:
                 for m in masks:
                     by_size.setdefault(m.bit_count(), []).append(m)
                 for group in by_size.values():
-                    old = min((VertexSet(m, g.n) for m in group),
-                              key=VertexSet.sort_key)
-                    assert domination._lex_least(group, g.n) == old
+                    expect = min(members(m, g.n) for m in group)
+                    assert domination._lex_least(group) == expect
             for kind, masks in (("gamma", r.mds_masks),
                                 ("upper_gamma", r.mds_masks),
                                 ("gamma_pr", r.mpds_masks),
                                 ("upper_gamma_pr", r.mpds_masks)):
                 size = getattr(r, kind)
-                group = [VertexSet(m, g.n) for m in masks if m.bit_count() == size]
-                expect = min(group, key=VertexSet.sort_key) if group else None
+                group = [members(m, g.n) for m in masks if m.bit_count() == size]
+                expect = min(group) if group else None
                 assert r.witnesses[kind] == expect
 
     def test_component_additivity(self):

@@ -180,6 +180,9 @@ class TestSpecParsing:
             parse_family_spec("star:t=1,x=2")
         with pytest.raises(GraphError):
             parse_family_spec("mK2:x")
+        for spec in ("union:K2*x", "union:K2*", "union:K2*2+C5*-1"):
+            with pytest.raises(GraphError, match="bad multiplicity"):
+                parse_family_spec(spec)
         with pytest.raises(GraphError):
             parse_family_spec("union:P4*2")
         with pytest.raises(GraphError):

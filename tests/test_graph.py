@@ -7,7 +7,6 @@ import oracles
 from pairdom.graph import (
     Graph,
     GraphError,
-    VertexSet,
     build_graph,
     components,
     encode_graph6,
@@ -75,21 +74,6 @@ class TestBuild:
         with pytest.raises(GraphError) as excinfo:
             Graph(n, adj)
         assert str(excinfo.value) == message
-
-
-class TestVertexSet:
-    def test_members_and_ops(self):
-        a = VertexSet(0b1011, 4)
-        assert a.members() == (0, 1, 3)
-        assert 3 in a and 2 not in a
-        assert len(a) == 3
-
-    def test_sort_key_is_lexicographic(self):
-        sets = [VertexSet(m, 3) for m in range(8)]
-        ordered = sorted(sets, key=VertexSet.sort_key)
-        assert [s.members() for s in ordered] == sorted(
-            [s.members() for s in sets]
-        )
 
 
 class TestGirth:
