@@ -156,12 +156,16 @@ def minimal_dominating_masks(g: Graph) -> list[int]:
     return _masks(dominating & ~_one_more(dominating, members))
 
 
+def _paired_guard(g: Graph) -> None:
+    if g.n > PAIRED_GUARD:
+        raise GuardError(f"paired-dominating scan limited to n <= {PAIRED_GUARD}")
+
+
 def paired_dominating_masks(g: Graph) -> list[int]:
     """All paired dominating sets (not only minimal ones) as bitsets, in
     increasing mask order. A set with least vertex v has a perfect matching
     iff it is {v, u} plus a matchable set above v without u, u ~ v, u > v."""
-    if g.n > PAIRED_GUARD:
-        raise GuardError(f"paired-dominating scan limited to n <= {PAIRED_GUARD}")
+    _paired_guard(g)
     if has_isolated_vertex(g):
         raise IsolatedVertexError("graph has an isolated vertex")
     members = _members(g.n)
@@ -237,7 +241,12 @@ def _lex_least(masks) -> tuple[int, ...]:
 
 
 def invariants(g: Graph) -> InvariantReport:
-    """Exact γ, Γ, γ_pr, Γ_pr by exhaustive enumeration."""
+    """Exact γ, Γ, γ_pr, Γ_pr by exhaustive enumeration. A graph the paired
+    scan would refuse is refused before the dominating scan, whose result
+    would be thrown away; past both guards, the dominating guard speaks."""
+    paired = not has_isolated_vertex(g)
+    if paired and g.n <= DOMINATION_GUARD:
+        _paired_guard(g)
     mds = minimal_dominating_masks(g)
     sizes = [m.bit_count() for m in mds]
     gamma = min(sizes)
@@ -250,7 +259,7 @@ def invariants(g: Graph) -> InvariantReport:
     }
     gamma_pr = upper_gamma_pr = None
     mpds = []
-    if not has_isolated_vertex(g):
+    if paired:
         mpds = minimal_paired_dominating_masks(g)
         psizes = [m.bit_count() for m in mpds]
         gamma_pr = min(psizes)

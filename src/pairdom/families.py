@@ -289,23 +289,23 @@ def parse_family_spec(spec: str) -> Graph:
     if s in base:
         return base[s]()
     if s.startswith("mK2:"):
-        try:
-            m = int(s[4:])
-        except ValueError:
-            raise GraphError(f"bad multiplicity in {spec!r}") from None
+        if not s[4:].isdecimal():
+            raise GraphError(f"bad multiplicity in {spec!r}")
+        m = int(s[4:])
         if m < 1:
             raise GraphError("mK2 requires m >= 1")
         return make_union([(make_k2(), m)])
     if s.startswith("star:"):
         try:
             params = dict(part.split("=") for part in s[5:].split(","))
-            t = int(params.pop("t"))
-            d = int(params.pop("d", 0))
+            t, d = params.pop("t"), params.pop("d", "0")
         except (KeyError, ValueError):
             raise GraphError(f"bad star parameters in {spec!r}") from None
+        if not (t.isdecimal() and d.isdecimal()):
+            raise GraphError(f"bad star parameters in {spec!r}")
         if params:
             raise GraphError(f"unknown star parameters {sorted(params)}")
-        return make_subdivided_star(t, d)
+        return make_subdivided_star(int(t), int(d))
     if s.startswith("union:"):
         parts = []
         for term in s[6:].split("+"):

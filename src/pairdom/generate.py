@@ -1,22 +1,32 @@
 """Exhaustive small-graph sources.
 
 ``enumerate_labeled_graphs`` walks every labeled graph on up to 7 vertices.
-``nonisomorphic_stream`` yields one representative per isomorphism class,
-one vertex-addition level at a time, each as soon as it is kept;
-``nonisomorphic_graphs`` is its list. A kept representative P that becomes
-a parent gets a new vertex joined to one subset of each orbit of Aut(P),
-the least (McKay's first rule: subsets in one orbit give isomorphic
-children). Each such child is refined once (colour refinement on neighbour
-tuples), bucketed on the multiset of its final refinement signatures, and
-kept unless exact backtracking maps it onto an earlier representative in
-its bucket, so the first candidate of each class wins in (parent, mask)
-order. The same backtracking routine, with a pinned prefix, finds the
-generators of Aut(P). A hereditary predicate prunes each level, so
-restricted streams such as triangle-free graphs never materialize the
-unrestricted universe.
+``positioned_stream``, the one generator loop, yields one representative
+per isomorphism class, one vertex-addition level at a time, each as soon as
+it is kept and with its position (level, parent index, mask), its place in
+the stream; ``nonisomorphic_graphs`` is the list of its graphs. A kept
+representative P that becomes a parent gets a new vertex joined to one
+subset of each orbit of Aut(P), the least (McKay's first rule: subsets in
+one orbit give isomorphic children). Each such child is refined once
+(colour refinement on neighbour tuples), bucketed on the multiset of its
+final refinement signatures, and kept unless exact backtracking maps it
+onto an earlier representative in its bucket, so the first candidate of
+each class wins in (parent, mask) order. The same backtracking routine,
+with a pinned prefix, finds the generators of Aut(P). A hereditary
+predicate prunes each level, so restricted streams such as triangle-free
+graphs never materialize the unrestricted universe.
 A predicate with an ``admits(parent_adj, mask)`` form, such as
 ``triangle_free`` and ``girth_at_least(k)``, decides each candidate from its
 parent, so a ``Graph`` is built only for a graph that is kept.
+
+With ``shard=(i, J)``, ``positioned_stream`` yields only the graphs whose
+edge count is i mod J, so that J workers can split a stream. Every shard
+builds all the levels below the last, since it needs every parent, but at
+the last level it looks only at the candidates of its own edge counts.
+That is exact and keeps every label: isomorphic graphs have equal edge
+counts, so no class spans two shards, and a shard meets its classes'
+candidates in the serial (parent, mask) order, so the first candidate of
+each class still wins. ``enumerate_labeled_graphs`` shards by pair mask.
 """
 
 from __future__ import annotations
@@ -36,13 +46,15 @@ def graph_from_pair_mask(n: int, mask: int) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def enumerate_labeled_graphs(n: int):
-    """All labeled graphs on n vertices, lazily, in pair-bitmask order. The
-    guard is checked on the call, before the first graph is taken."""
+def enumerate_labeled_graphs(n: int, shard=(0, 1)):
+    """All labeled graphs on n vertices, lazily, in pair-bitmask order; with
+    ``shard=(i, J)`` those whose pair mask is i mod J. The guard is checked
+    on the call, before the first graph is taken."""
     if n > LABELED_GUARD:
         raise GuardError(f"labeled enumeration limited to n <= {LABELED_GUARD}")
+    index, count = shard
     return (graph_from_pair_mask(n, mask)
-            for mask in range(1 << (n * (n - 1) // 2)))
+            for mask in range(index, 1 << (n * (n - 1) // 2), count))
 
 
 # --- isomorphism machinery ---------------------------------------------------
@@ -192,14 +204,17 @@ def _augmenting_masks(adj, colors, cells) -> list[int]:
 
 
 def nonisomorphic_graphs(n: int, predicate=None, min_n: int = 0) -> list[Graph]:
-    """The list of ``nonisomorphic_stream(n, predicate, min_n)``."""
-    return list(nonisomorphic_stream(n, predicate, min_n))
+    """The graphs of ``positioned_stream(n, predicate, min_n)``, in order."""
+    return [g for _, g in positioned_stream(n, predicate, min_n)]
 
 
-def nonisomorphic_stream(n: int, predicate=None, min_n: int = 0):
+def positioned_stream(n: int, predicate=None, min_n: int = 0, shard=(0, 1)):
     """Yield one representative per isomorphism class with min_n..n
-    vertices, each as soon as it is kept; no work is done before the first
-    graph is taken.
+    vertices, each as soon as it is kept, as ``((level, parent index, mask),
+    graph)``; positions increase along the stream. No work is done before
+    the first graph is taken. With ``shard=(i, J)``, only the graphs whose
+    edge count is i mod J are yielded, and at level n only their candidates
+    are looked at.
 
     Level k extends each representative of level k - 1 by a new vertex
     k - 1 joined to a subset of the old vertices, the least subset of each
@@ -212,18 +227,24 @@ def nonisomorphic_stream(n: int, predicate=None, min_n: int = 0):
     vertex is joined to ``mask``, assuming the parent has the property.
     """
     admits = getattr(predicate, "admits", None)
-    if min_n <= 0 <= n:
-        yield Graph(0, ())
-    # (adjacency rows, neighbour tuples, colours, colour cells) per representative
-    parents = [((), (), [], [])]
+    index, count = shard
+    if min_n <= 0 <= n and index == 0:
+        yield (0, 0, 0), Graph(0, ())
+    # (adjacency rows, neighbour tuples, colours, colour cells, edge count)
+    # per representative
+    parents = [((), (), [], [], 0)]
     for k in range(1, n + 1):
         new = k - 1
         bit = 1 << new
         joined = [tuple(bits_of(mask)) for mask in range(bit)]
         buckets: dict[tuple, list] = {}
         kept = []
-        for adj0, nbrs0, colors0, cells0 in parents:
-            for mask in _augmenting_masks(adj0, colors0, cells0):
+        for p, (adj0, nbrs0, colors0, cells0, edges0) in enumerate(parents):
+            masks = _augmenting_masks(adj0, colors0, cells0)
+            if count > 1 and k == n:
+                masks = [m for m in masks
+                         if (edges0 + m.bit_count()) % count == index]
+            for mask in masks:
                 if admits is not None and not admits(adj0, mask):
                     continue
                 adj = [row | bit if (mask >> u) & 1 else row
@@ -244,10 +265,11 @@ def nonisomorphic_stream(n: int, predicate=None, min_n: int = 0):
                     continue
                 cells = _cells(colors)
                 bucket.append((adj, cells))
+                edges = edges0 + mask.bit_count()
                 if k < n:
-                    kept.append((adj, nbrs, colors, cells))
-                if k >= min_n:
-                    yield g or Graph(k, tuple(adj))
+                    kept.append((adj, nbrs, colors, cells, edges))
+                if k >= min_n and edges % count == index:
+                    yield (k, p, mask), g or Graph(k, tuple(adj))
         parents = kept
 
 

@@ -2,24 +2,31 @@
 run configuration and report, and `run`, which executes one command.
 
 The checks themselves live in ``characterizations.CHECKS``; this module
-maps them, or one of the other per-graph workers, over a source. An
-``enum:`` source is generated as the run takes it and the worker pool
-takes its input as it goes, so with ``jobs`` > 1 checking overlaps
-generation. Runs are deterministic: results come back in input order
-regardless of the worker count, and failing verdicts and hunt exceptions
-are streamed to stderr as JSON lines as they are found.
+maps them, or one of the other per-graph workers, over a source. Every
+source can be split into shards: shard i of J holds the graphs at every
+J-th line of a file, the labeled graphs whose pair mask is i mod J, and
+the generated classes whose edge count is i mod J (``generate`` says why
+that split is exact and keeps every label). With ``jobs`` = J > 1, J
+worker processes each generate and check their own shard and send back
+(position, result) pairs, and the main process only merges the J ordered
+streams by position. Runs are deterministic: results come back in input
+order regardless of the worker count, and failing verdicts and hunt
+exceptions are streamed to stderr as JSON lines as they are found.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
+import multiprocessing
 import sys
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import chain, islice
-from multiprocessing import Pool
+from itertools import islice
+from multiprocessing.connection import wait
+from operator import itemgetter
 
 from . import characterizations as ch
 # CHECKS and run_checks are re-exported as part of this module's API.
@@ -33,7 +40,7 @@ from .families import (
 )
 from .graph import Graph, GraphError, encode_graph6, parse_edge_list, parse_graph6
 from .generate import LABELED_GUARD, enumerate_labeled_graphs
-from .generate import nonisomorphic_stream, triangle_free
+from .generate import positioned_stream, triangle_free
 
 
 # --- input sources ----------------------------------------------------------
@@ -50,12 +57,37 @@ def _looks_like_edge_list(first_line: str) -> bool:
     return len(parts) == 2 and all(p.isdigit() for p in parts)
 
 
+def _numbered(items, shard):
+    """(position, item) for shard (i, J) of a sequence, given as the
+    sequence's items at i, i + J, ...: the j-th sits at i + J*j."""
+    index, count = shard
+    return (((index + count * j,), it) for j, it in enumerate(items))
+
+
 # Generated sources by their fields but the order: (largest order, stream).
+# A stream maps (order, shard) to the (position, graph) pairs of the shard.
 _GENERATED = {
-    ("enum",): (9, lambda n: nonisomorphic_stream(n, min_n=n)),
-    ("enum", "labeled"): (LABELED_GUARD, enumerate_labeled_graphs),
-    ("c3free",): (11, lambda n: nonisomorphic_stream(n, triangle_free, min_n=n)),
+    ("enum",): (9, lambda n, shard: positioned_stream(n, min_n=n, shard=shard)),
+    ("enum", "labeled"): (LABELED_GUARD, lambda n, shard: _numbered(
+        enumerate_labeled_graphs(n, shard), shard)),
+    ("c3free",): (11, lambda n, shard: positioned_stream(
+        n, triangle_free, min_n=n, shard=shard)),
 }
+
+
+@dataclass(frozen=True)
+class GeneratedSource:
+    """A generated source of order n, resolved and validated; nothing is
+    generated until it is iterated, in SourceItems, or sharded."""
+
+    stream: Callable
+    n: int
+
+    def __iter__(self):
+        return (it for _, it in self.shard((0, 1)))
+
+    def shard(self, shard):
+        return ((pos, SourceItem(g)) for pos, g in self.stream(self.n, shard))
 
 
 def load_source(source: str) -> Iterable[SourceItem]:
@@ -66,8 +98,8 @@ def load_source(source: str) -> Iterable[SourceItem]:
     ``enum:N:labeled`` every labeled graph, and ``c3free:N`` one
     representative per class of triangle-free graphs; ``_GENERATED`` holds
     their guards. A bad spec raises, naming it, before any graph is built,
-    and the graphs are generated as the result is iterated; files are read
-    whole."""
+    and a ``GeneratedSource`` generates its graphs as it is iterated; files
+    are read whole, into a list."""
     kind, sep, order = source.partition(":")
     if sep and (kind,) in _GENERATED:
         order, *suffix = order.split(":")
@@ -80,7 +112,7 @@ def load_source(source: str) -> Iterable[SourceItem]:
             raise ValueError(f"{kind} order must be an integer >= 0, got {source!r}")
         if int(order) > guard:
             raise GuardError(f"{kind} order limited to N <= {guard}, got {source!r}")
-        return map(SourceItem, stream(int(order)))
+        return GeneratedSource(stream, int(order))
     if looks_like_family_spec(source):
         return [SourceItem(parse_family_spec(source))]
     with open(source) as fh:
@@ -229,22 +261,131 @@ def _or_skipped(worker, g: Graph):
         return {"graph6": encode_graph6(g), "n": g.n, "skipped": str(exc)}
 
 
-def _map_graphs(fn, graphs, jobs: int):
-    """fn over graphs, a stream the pool takes as it goes, lazily and in
-    input order, in ``jobs`` processes; serially for fewer than 4 graphs."""
-    graphs = iter(graphs)
-    head = list(islice(graphs, 4))
-    graphs = chain(head, graphs)
-    if jobs <= 1 or len(head) < 4:
-        yield from map(fn, graphs)
-        return
-    with Pool(processes=jobs) as pool:
-        yield from pool.imap(fn, graphs, chunksize=32)
+def _shard(items, shard):
+    """(position, SourceItem) for each item of shard (i, J) of a source, in
+    order; the positions of all the shards interleave into source order."""
+    if isinstance(items, GeneratedSource):
+        return items.shard(shard)
+    return _numbered(items[shard[0]::shard[1]], shard)
+
+
+def _has_four_graphs(items) -> bool:
+    """Whether a source holds at least 4 graphs. A generated source has at
+    least as many graphs of order n as of order n - 1 (add an isolated
+    vertex), so order min(n, 4) tells, at no cost. A source that raises on
+    the way is left to the serial run, which reports it."""
+    if isinstance(items, GeneratedSource):
+        items = GeneratedSource(items.stream, min(items.n, 4))
+    graphs = (it for it in items if it.graph is not None)
+    try:
+        return len(list(islice(graphs, 4))) == 4
+    except ValueError:
+        return False
+
+
+def _apply(fn, positioned):
+    """(position, fn(graph)) for each (position, SourceItem) of a stream, or
+    (position, item) for an unreadable item. A ValueError the stream raises
+    ends it: it is yielded last, at the position of the last item."""
+    pos = ()
+    positioned = iter(positioned)
+    while True:
+        try:
+            pos, item = next(positioned)
+        except StopIteration:
+            return
+        except ValueError as exc:  # GraphError and GuardError too
+            yield pos, exc
+            return
+        yield pos, item if item.graph is None else fn(item.graph)
+
+
+_CHUNK = 32  # results per message from a worker
+
+
+def _shard_worker(fn, items, shard, conn):
+    """In a worker process: ``_apply(fn, shard)`` sent in chunks, then None;
+    an exception fn raises is sent in place of the rest."""
+    try:
+        chunk = []
+        for entry in _apply(fn, _shard(items, shard)):
+            chunk.append(entry)
+            if len(chunk) == _CHUNK:
+                conn.send(chunk)
+                chunk = []
+        if chunk:
+            conn.send(chunk)
+        conn.send(None)
+    except Exception as exc:  # the main process raises it
+        conn.send(exc)
+
+
+def _received(conn, proc, name: str):
+    """The entries a worker sends through ``conn``, as they arrive. Waits on
+    the worker's sentinel too: if the worker exits before it finishes, the
+    stream ends with a RuntimeError naming it, at the position of its last
+    entry. An exception the worker sends is raised here."""
+    last = ()
+    while True:
+        wait([conn, proc.sentinel])
+        try:
+            if not conn.poll():  # exited, and something else holds the pipe
+                raise EOFError
+            msg = conn.recv()
+        except EOFError:
+            proc.join()
+            yield last, RuntimeError(
+                f"worker for {name} exited with code {proc.exitcode} before finishing")
+            return
+        if msg is None:
+            return
+        if isinstance(msg, BaseException):
+            raise msg
+        yield from msg
+        last = msg[-1][0]
+
+
+def _sharded(fn, items, jobs: int):
+    """``_apply(fn, source)`` from ``jobs`` forked worker processes, one per
+    shard, merged back into source order. ``fork`` lets a worker inherit the
+    resolved source, whose streams are closures."""
+    ctx = multiprocessing.get_context("fork")
+    procs, conns = [], []
+    try:
+        for i in range(jobs):
+            recv, send = ctx.Pipe(duplex=False)
+            conns.append(recv)
+            procs.append(ctx.Process(target=_shard_worker, daemon=True,
+                                     args=(fn, items, (i, jobs), send)))
+            procs[i].start()
+            send.close()  # so that only the worker holds it
+        yield from heapq.merge(
+            *(_received(conns[i], procs[i], f"shard {i} of {jobs}")
+              for i in range(jobs)),
+            key=itemgetter(0))
+    finally:
+        for proc in procs:
+            proc.terminate()
+            proc.join()
+        for conn in conns:
+            conn.close()
+
+
+def _map_source(fn, items, jobs: int):
+    """fn over the graphs of a source, in source order, as ``_apply`` gives
+    them without positions: in ``jobs`` worker processes when there are
+    more than one and the source holds at least 4 graphs, else here."""
+    if jobs > 1 and _has_four_graphs(items):
+        entries = _sharded(fn, items, jobs)
+    else:
+        entries = _apply(fn, _shard(items, (0, 1)))
+    return map(itemgetter(1), entries)
 
 
 def run(config: RunConfig):
     """Execute one harness run. Returns (RunReport, exit_code); a source
-    that raises ValueError partway gives an error and exit 2."""
+    that raises ValueError partway, or a worker process that exits before
+    it finishes its shard, gives an error and exit 2."""
     start = time.monotonic()
     report = RunReport(config=vars(config).copy())
     report.config["checks"] = list(config.checks)
@@ -265,28 +406,30 @@ def run(config: RunConfig):
         return done(2)
 
     bad = 0  # unreadable items, each counted as skipped
-    broken = False  # the source raised partway through
+    broken = False  # the source raised partway through, or a worker died
 
-    def graphs():
-        # Under a pool this runs in its task-feeding thread; the pool's
-        # results end after it returns, so then bad and broken are final.
+    def results(fn):
+        """fn of each graph of the source; an unreadable item is counted
+        and its error recorded. A stream that ended early marks the run
+        broken, and its error is recorded once: every shard builds the
+        levels below the last, so a failure there ends every shard."""
         nonlocal bad, broken
-        try:
-            for it in items:
-                if it.graph is None:
-                    bad += 1
-                    report.errors.append(it.error)
-                else:
-                    yield it.graph
-        except ValueError as exc:  # GraphError and GuardError too
-            broken = True
-            report.errors.append(str(exc))
+        for out in _map_source(fn, items, config.jobs):
+            if isinstance(out, SourceItem):
+                bad += 1
+                report.errors.append(out.error)
+            elif isinstance(out, Exception):
+                broken = True
+                if str(out) not in report.errors:
+                    report.errors.append(str(out))
+            else:
+                yield out
 
     if config.command == "verify":
         check_ids = tuple(dict.fromkeys(config.checks)) or ALL_CHECK_IDS
         totals = {cid: CheckTotals() for cid in check_ids}
         worker = partial(_verify_worker, check_ids=check_ids)
-        for statuses, failed in _map_graphs(worker, graphs(), config.jobs):
+        for statuses, failed in results(worker):
             for cid, status in zip(check_ids, statuses):
                 t = totals[cid]
                 t.scanned += 1
@@ -300,7 +443,7 @@ def run(config: RunConfig):
         report.totals = totals
     elif config.command == "hunt":
         hunt = ch.HuntReport()
-        for rec in _map_graphs(ch.hunt_scan, graphs(), config.jobs):
+        for rec in results(ch.hunt_scan):
             if hunt.add(rec):
                 print(json.dumps(rec), file=sys.stderr)
         for _ in range(bad):
@@ -313,7 +456,7 @@ def run(config: RunConfig):
             "classify": _classify_worker,
             "decide": partial(_decide_worker, mode=config.mode),
         }[config.command])
-        report.results = list(_map_graphs(worker, graphs(), config.jobs))
+        report.results = list(results(worker))
         report.failures = [r for r in report.results if r.get("agree") is False]
     else:
         report.errors.append(f"unknown command {config.command!r}")

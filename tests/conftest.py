@@ -1,4 +1,5 @@
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,29 @@ from pairdom.generate import (
     nonisomorphic_graphs,
     triangle_free,
 )
+
+
+def call_bounded(fn, *args, timeout: float = 120):
+    """fn(*args) in a daemon thread, so that a hung worker process fails
+    the test after ``timeout`` seconds instead of stalling the suite; an
+    exception fn raises is raised here."""
+    out = []
+
+    def target():
+        try:
+            out.append((True, fn(*args)))
+        except BaseException as exc:  # handed to the test, which raises it
+            out.append((False, exc))
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), f"{fn.__name__} still running after {timeout} s"
+    ok, value = out[0]
+    if not ok:
+        raise value
+    return value
+
 
 # One [PASS]/[FAIL] line per acceptance criterion, echoed after the run.
 acceptance_lines: list[str] = []

@@ -236,9 +236,8 @@ def test_criterion_7_triangle_free_hunt(c3free_up_to_9):
 def test_criterion_8_determinism_across_workers():
     reports = []
     for jobs in (1, 4):
-        report, code = run(
-            RunConfig(command="verify", source="enum:6", jobs=jobs)
-        )
+        report, code = conftest.call_bounded(
+            run, RunConfig(command="verify", source="enum:6", jobs=jobs))
         assert code == 0
         rec = report.to_record()
         rec["config"].pop("jobs")
@@ -246,7 +245,8 @@ def test_criterion_8_determinism_across_workers():
         reports.append(rec)
     hunts = []
     for jobs in (1, 3):
-        report, code = run(RunConfig(command="hunt", source="enum:6", jobs=jobs))
+        report, code = conftest.call_bounded(
+            run, RunConfig(command="hunt", source="enum:6", jobs=jobs))
         assert code == 0
         rec = report.to_record()
         rec["config"].pop("jobs")

@@ -1,20 +1,26 @@
+import heapq
 import json
-import threading
+import multiprocessing
+import os
+from operator import itemgetter
 
 import pytest
 
+from conftest import call_bounded
 from pairdom import generate, harness
 from pairdom.characterizations import Verdict, hunt_c3free_counterexamples
 from pairdom.cli import main
 from pairdom.domination import GuardError, invariants
-from pairdom.generate import nonisomorphic_graphs
+from pairdom.generate import girth_at_least, nonisomorphic_graphs, positioned_stream
 from pairdom.graph import GraphError, build_graph, encode_graph6, format_edge_list
 from pairdom.families import make_cycle, make_path
 from pairdom.harness import (
     ALL_CHECK_IDS,
     CHECKS,
     RunConfig,
-    _map_graphs,
+    SourceItem,
+    _map_source,
+    _shard,
     load_source,
     run,
     run_checks,
@@ -336,12 +342,17 @@ class TestCommands:
     def test_gen_bad_spec(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "parrot")
         assert code == 2
-        # a multiplicity that is not decimal digits names the spec
+        # a number that is not decimal digits names the spec
         for command in ("gen", "invariants"):
-            for spec in ("union:K2*x", "union:K2*"):
+            for spec, what in (("union:K2*x", "multiplicity"),
+                               ("union:K2*", "multiplicity"),
+                               ("mK2:1_0", "multiplicity"),
+                               ("mK2:+2", "multiplicity"),
+                               ("mK2: 2", "multiplicity"),
+                               ("star:t=1_0", "star parameters")):
                 code, out, _ = run_cli(capsys, command, spec)
                 assert code == 2
-                assert json.loads(out)["errors"] == [f"bad multiplicity in {spec!r}"]
+                assert json.loads(out)["errors"] == [f"bad {what} in {spec!r}"]
 
     def test_text_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "C5", "--format", "text")
@@ -362,15 +373,16 @@ class TestCommands:
 
 class TestDeterminismAcrossJobs:
     def test_verify_results_independent_of_jobs(self, capsys, tmp_path):
-        # enum:7 streams into the pool while it is generated; the same
-        # graphs read from a graph6 file must give the same report.
+        # Each worker generates its own shard of enum:7; the same graphs
+        # read from a graph6 file, sharded by line, must give the same report.
         p = tmp_path / "enum7.g6"
         p.write_text("".join(encode_graph6(g) + "\n"
                              for g in nonisomorphic_graphs(7, min_n=7)))
         reports = []
         for source, jobs in (("enum:7", "1"), ("enum:7", "2"), ("enum:7", "3"),
                              (str(p), "2")):
-            code, out, _ = run_cli(capsys, "verify", source, "--jobs", jobs)
+            code, out, _ = call_bounded(run_cli, capsys, "verify", source,
+                                        "--jobs", jobs)
             assert code == 0
             rec = json.loads(out)
             rec["config"].pop("jobs")
@@ -382,9 +394,12 @@ class TestDeterminismAcrossJobs:
 
     def test_invariants_order_matches_input(self, capsys, tmp_path):
         p = tmp_path / "graphs.g6"
-        lines = [encode_graph6(g) for g in (make_cycle(5), make_path(4), make_cycle(6))]
+        # five graphs, so that two worker processes share them
+        lines = [encode_graph6(g) for g in (make_cycle(5), make_path(4), make_cycle(6),
+                                            make_path(6), make_cycle(7))]
         p.write_text("\n".join(lines) + "\n")
-        code, out, _ = run_cli(capsys, "invariants", str(p), "--jobs", "2")
+        code, out, _ = call_bounded(run_cli, capsys, "invariants", str(p),
+                                    "--jobs", "2")
         assert code == 0
         got = [r["graph6"] for r in json.loads(out)["results"]]
         assert got == lines
@@ -399,41 +414,120 @@ class TestRunApi:
 
 class TestStreaming:
     def test_no_pool_below_four_graphs(self, monkeypatch):
-        class PoolStarted(Exception):
+        class ProcessStarted(Exception):
             pass
 
-        def pool(processes):
-            raise PoolStarted(processes)
+        def get_context(method):
+            raise ProcessStarted(method)
 
-        monkeypatch.setattr(harness, "Pool", pool)
-        three = [make_cycle(3), make_cycle(4), make_cycle(5)]
-        expect = [encode_graph6(g) for g in three]
-        for graphs in (three, iter(three)):
-            assert list(_map_graphs(encode_graph6, graphs, 2)) == expect
-        with pytest.raises(PoolStarted):
-            list(_map_graphs(encode_graph6, iter(three + three[:1]), 2))
+        monkeypatch.setattr(multiprocessing, "get_context", get_context)
+        three = [SourceItem(g) for g in (make_cycle(3), make_cycle(4), make_cycle(5))]
+        unreadable = SourceItem(None, "line 4: bad")
+        expect = [encode_graph6(it.graph) for it in three]
+        assert list(_map_source(encode_graph6, three, 2)) == expect
+        assert list(_map_source(encode_graph6, three + [unreadable], 2)) == (
+            expect + [unreadable])
+        # 1, 2, 3 and 2 graphs
+        for source in ("enum:1", "enum:2", "c3free:3", "enum:2:labeled"):
+            assert len(list(_map_source(encode_graph6, load_source(source), 2))) < 4
+        # 4 graphs and more
+        for source in ("enum:3", "c3free:4", "enum:3:labeled", "enum:8"):
+            with pytest.raises(ProcessStarted, match="fork"):
+                list(_map_source(encode_graph6, load_source(source), 2))
+        with pytest.raises(ProcessStarted):
+            list(_map_source(encode_graph6, three + three[:1], 2))
 
     @pytest.mark.parametrize("exc", [GraphError("bad graph"),
                                      ValueError("bad value"),
                                      GuardError("over budget")],
                              ids=["graph", "value", "guard"])
-    @pytest.mark.parametrize("jobs,k", [(1, 10), (2, 2), (2, 40)])
+    @pytest.mark.parametrize("jobs,k", [(1, 2), (1, 10), (1, 40), (2, 2), (2, 40)])
     def test_source_raising_partway_is_an_error(self, monkeypatch, exc, jobs, k):
+        # The failure sits at global position k: every shard yields its
+        # graphs before it, then raises, as a failure below the last level
+        # would make it do.
         graphs = nonisomorphic_graphs(6, min_n=6)[:k]
 
-        def failing_stream(n, min_n):
-            yield from graphs
+        def failing_stream(n, predicate=None, min_n=0, shard=(0, 1)):
+            index, count = shard
+            for p in range(index, k, count):
+                yield (6, 0, p), graphs[p]
             raise exc
 
-        monkeypatch.setattr(harness, "nonisomorphic_stream", failing_stream)
-        done = []
-        runner = threading.Thread(
-            target=lambda: done.append(run(RunConfig("verify", "enum:6", jobs=jobs))),
-            daemon=True)
-        runner.start()
-        runner.join(60)
-        assert not runner.is_alive(), "run hung on a failing source"
-        report, code = done[0]
+        monkeypatch.setattr(harness, "positioned_stream", failing_stream)
+        report, code = call_bounded(run, RunConfig("verify", "enum:6", jobs=jobs),
+                                    timeout=60)
         assert code == 2
         assert report.errors == [str(exc)]
         assert {t.scanned for t in report.totals.values()} == {k}
+
+    def test_worker_exit_ends_run_with_error(self, monkeypatch):
+        order7 = nonisomorphic_graphs(7, min_n=7)
+        victim = encode_graph6(order7[500])
+        shard = order7[500].edge_count % 2
+        original = harness._verify_worker
+
+        def exits_on_victim(g, check_ids):
+            if encode_graph6(g) == victim:
+                os._exit(3)
+            return original(g, check_ids)
+
+        monkeypatch.setattr(harness, "_verify_worker", exits_on_victim)
+        report, code = call_bounded(run, RunConfig("verify", "enum:7", jobs=2),
+                                    timeout=60)
+        assert code == 2
+        assert report.errors == [
+            f"worker for shard {shard} of 2 exited with code 3 before finishing"]
+        # The other shard finished; the victim and what follows it are lost.
+        other = sum(g.edge_count % 2 != shard for g in order7)
+        scanned = {t.scanned for t in report.totals.values()}
+        assert len(scanned) == 1 and other <= scanned.pop() < 500 + other
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exception_is_raised_here(self, monkeypatch):
+        victim = encode_graph6(nonisomorphic_graphs(7, min_n=7)[500])
+        original = harness._verify_worker
+
+        def raises_on_victim(g, check_ids):
+            if encode_graph6(g) == victim:
+                raise ArithmeticError(f"no checks for {victim}")
+            return original(g, check_ids)
+
+        monkeypatch.setattr(harness, "_verify_worker", raises_on_victim)
+        with pytest.raises(ArithmeticError, match=f"no checks for {victim}"):
+            call_bounded(run, RunConfig("verify", "enum:7", jobs=2), timeout=60)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_shards_merge_into_the_serial_stream(self, tmp_path, jobs,
+                                                 c3free_up_to_9):
+        p = tmp_path / "graphs.g6"
+        p.write_text("".join(encode_graph6(g) + "\n" for g in nonisomorphic_graphs(4))
+                     + "Dq\n" + encode_graph6(make_cycle(5)) + "\n")
+
+        def label(item):
+            return item.error if item.graph is None else encode_graph6(item.graph)
+
+        sources = [f"enum:{n}" for n in range(8)] + ["c3free:9", "enum:5:labeled",
+                                                     str(p)]
+        for source in sources:
+            items = load_source(source)
+            if source == "c3free:9":  # the serial stream, already generated
+                items = [SourceItem(g) for g in c3free_up_to_9 if g.n == 9]
+            shards = [list(_shard(load_source(source), (i, jobs)))
+                      for i in range(jobs)]
+            merged = heapq.merge(*shards, key=itemgetter(0))
+            assert [label(it) for _, it in merged] == [label(it) for it in items]
+            for i, shard in enumerate(shards):
+                if source in sources[:9]:  # by edge count
+                    assert all(it.graph.edge_count % jobs == i for _, it in shard)
+                else:  # by line or pair mask
+                    assert all(pos[0] % jobs == i for pos, _ in shard)
+        girth5 = girth_at_least(5)
+        shards = [list(positioned_stream(8, girth5, shard=(i, jobs)))
+                  for i in range(jobs)]
+        merged = heapq.merge(*shards, key=itemgetter(0))
+        assert [encode_graph6(g) for _, g in merged] == [
+            encode_graph6(g) for g in nonisomorphic_graphs(8, girth5)]
+        for i, shard in enumerate(shards):
+            assert all(g.edge_count % jobs == i for _, g in shard)

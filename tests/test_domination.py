@@ -4,6 +4,7 @@ import pytest
 
 import oracles
 from pairdom import domination
+from pairdom.characterizations import hunt_scan
 from pairdom.graph import GraphError, build_graph
 from pairdom.families import (
     disjoint_union,
@@ -306,3 +307,30 @@ class TestGuards:
         monkeypatch.setattr(domination, "_members", no_bitmaps)
         with pytest.raises(GuardError):
             scan(make_cycle(n))
+
+    def test_paired_guard_comes_before_dominating_scan(self, monkeypatch):
+        # Past the paired guard but within the dominating one, the 2^n
+        # minimal-dominating scan would be thrown away. Past both, the
+        # dominating guard still speaks first; with an isolated vertex the
+        # paired guard does not apply.
+        calls = []
+        original = domination.minimal_dominating_masks
+
+        def counting(g):
+            calls.append(g.n)
+            return original(g)
+
+        monkeypatch.setattr(domination, "minimal_dominating_masks", counting)
+        c22 = make_cycle(22)
+        with pytest.raises(GuardError,
+                           match=r"paired-dominating scan limited to n <= 20"):
+            invariants(c22)
+        assert hunt_scan(c22) == {"skipped": "too_large"}
+        assert calls == []
+        with pytest.raises(GuardError,
+                           match=r"dominating-set scan limited to n <= 24"):
+            invariants(make_cycle(25))
+        c20_k1 = disjoint_union([make_cycle(20), build_graph(1, [])])
+        report = invariants(c20_k1)
+        assert report.gamma_pr is None and report.gamma == 8
+        assert calls == [25, 21]

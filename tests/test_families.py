@@ -178,8 +178,12 @@ class TestSpecParsing:
             parse_family_spec("star:d=1")  # t is required
         with pytest.raises(GraphError):
             parse_family_spec("star:t=1,x=2")
-        with pytest.raises(GraphError):
-            parse_family_spec("mK2:x")
+        for spec in ("mK2:x", "mK2:1_0", "mK2:+2", "mK2: 2"):
+            with pytest.raises(GraphError, match="bad multiplicity"):
+                parse_family_spec(spec)
+        for spec in ("star:t=1_0", "star:t=+2", "star:t=2,d= 1"):
+            with pytest.raises(GraphError, match="bad star parameters"):
+                parse_family_spec(spec)
         for spec in ("union:K2*x", "union:K2*", "union:K2*2+C5*-1"):
             with pytest.raises(GraphError, match="bad multiplicity"):
                 parse_family_spec(spec)
