@@ -125,10 +125,10 @@ class Facts:
     @cached_property
     def equality(self) -> bool | None:
         """Whether the upper paired bound is met with equality; None when
-        paired domination is undefined."""
-        r = self.report
-        if r.upper_gamma_pr is None:
+        paired domination is undefined (``_paired`` fails)."""
+        if not _paired(self):
             return None
+        r = self.report
         return r.upper_gamma_pr == 2 * r.upper_gamma
 
     def matchings(self, mask: int):
@@ -173,13 +173,12 @@ def _connected_order_3(facts: Facts) -> bool:
 
 
 def _equality_met(facts: Facts) -> bool:
-    return facts.no_isolated and facts.equality is True
+    return facts.equality is True
 
 
 def _structural_scope(facts: Facts) -> bool:
     """Components are triangle-free cacti and the equality is met."""
-    return (facts.no_isolated and facts.componentwise_c3free_cactus
-            and facts.equality is True)
+    return facts.componentwise_c3free_cactus and facts.equality is True
 
 
 def _spec(fam: FamilyLabel | None) -> str | None:
@@ -253,9 +252,9 @@ def _in_equality_class(facts: Facts) -> bool:
 
 def decide_equality_bruteforce(facts: Facts) -> Decision:
     """Decide the equality by computing both invariants exactly."""
-    if not facts.no_isolated:
-        raise IsolatedVertexError("equality undefined: graph has an isolated vertex")
-    return Decision(bool(facts.equality), "brute-force", facts.report)
+    if facts.equality is None:
+        raise IsolatedVertexError("equality undefined: empty graph or isolated vertex")
+    return Decision(facts.equality, "brute-force", facts.report)
 
 
 def decide_equality_fastpath(facts: Facts) -> Decision | None:

@@ -15,6 +15,7 @@ from .graph import (
     Graph,
     GraphError,
     MAX_VERTICES,
+    bfs_layers,
     bits_of,
     build_graph,
     components,
@@ -129,72 +130,44 @@ def make_union(spec) -> Graph:
 
 
 def is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in bits_of(g.adj[u]):
-                if color[w] < 0:
-                    color[w] = color[u] ^ 1
-                    stack.append(w)
-                elif color[w] == color[u]:
-                    return False
-    return True
-
-
-def biconnected_blocks(g: Graph) -> list[list[tuple[int, int]]]:
-    """Edge lists of the biconnected blocks (Hopcroft-Tarjan)."""
-    disc = [-1] * g.n
-    low = [0] * g.n
-    blocks: list[list[tuple[int, int]]] = []
-    stack: list[tuple[int, int]] = []
-    counter = 0
-
-    def dfs(u: int, parent: int):
-        nonlocal counter
-        disc[u] = low[u] = counter
-        counter += 1
-        parent_skipped = False
-        for w in bits_of(g.adj[u]):
-            if w == parent and not parent_skipped:
-                parent_skipped = True
-                continue
-            if disc[w] < 0:
-                stack.append((u, w))
-                dfs(w, u)
-                low[u] = min(low[u], low[w])
-                if low[w] >= disc[u]:
-                    block = []
-                    while True:
-                        e = stack.pop()
-                        block.append(e)
-                        if e == (u, w):
-                            break
-                    blocks.append(block)
-            elif disc[w] < disc[u]:
-                stack.append((u, w))
-                low[u] = min(low[u], disc[w])
-
-    for s in range(g.n):
-        if disc[s] < 0:
-            dfs(s, -1)
-    return blocks
+    """The BFS layer parity 2-colours g unless an edge lies in a layer,
+    which closes an odd cycle."""
+    return not any(g.adj[v] & layer
+                   for layer, _ in bfs_layers(g) for v in bits_of(layer))
 
 
 def every_block_edge_or_cycle(g: Graph) -> bool:
     """True iff each biconnected block is a single edge or a cycle, i.e.
     every edge lies on at most one cycle (the cactus condition, minus the
-    connectivity requirement)."""
-    for block in biconnected_blocks(g):
-        if len(block) == 1:
-            continue
-        verts = {v for e in block for v in e}
-        if len(block) != len(verts):
-            return False
+    connectivity requirement).
+
+    Grows a BFS spanning forest by mask layers, with path[v] the mask of v
+    and its tree ancestors. Naming each tree edge by its lower endpoint,
+    the fundamental cycle of a non-tree edge uw holds the tree edges
+    path[u] ^ path[w], up to where the two tree paths meet. The answer is
+    False as soon as two fundamental cycles share a tree edge. Exact:
+
+    - In a cactus, each cycle block holds exactly one non-tree edge, and
+      that edge's fundamental cycle stays inside the block.
+    - Otherwise some block, neither an edge nor a cycle, contains a theta:
+      three paths between two vertices. If no two fundamental cycles
+      shared an edge, each cycle, the sum of those of its non-tree edges,
+      would hold exactly one; but with k_i non-tree edges on path i of the
+      theta, k_i + k_j = 1 for its three cycles gives 2(k_1 + k_2 + k_3) = 3.
+    """
+    path = [0] * (g.n + 1)  # path[-1] = 0: above a root
+    used = 0  # the tree edges on some fundamental cycle, by lower endpoint
+    for layer, above in bfs_layers(g):
+        for w in bits_of(layer):
+            up = g.adj[w] & above
+            parent = up & -up
+            path[w] = path[parent.bit_length() - 1] | 1 << w
+            # the non-tree edges up, and to earlier vertices of the layer
+            for u in bits_of((up ^ parent) | (g.adj[w] & layer & ((1 << w) - 1))):
+                cycle = path[u] ^ path[w]
+                if used & cycle:
+                    return False
+                used |= cycle
     return True
 
 
@@ -215,14 +188,13 @@ def classify(g: Graph) -> ClassFlags:
 
 
 def _is_cycle_component(g: Graph, mask: int, length: int) -> bool:
-    verts = list(bits_of(mask))
-    if len(verts) != length:
-        return False
-    return all(g.adj[v].bit_count() == 2 for v in verts)
+    return mask.bit_count() == length and all(
+        g.adj[v].bit_count() == 2 for v in bits_of(mask))
 
 
 def _recognize_subdivided_star(g: Graph) -> FamilyLabel | None:
-    if g.n < 3 or g.n % 2 == 0 or not is_connected(g):
+    """The subdivided star that g, connected of order at least 3, is."""
+    if g.n % 2 == 0:
         return None
     for c in range(g.n):
         t = 0
@@ -236,8 +208,7 @@ def _recognize_subdivided_star(g: Graph) -> FamilyLabel | None:
             if nbrs.bit_count() != 2 or not (nbrs >> c) & 1:
                 ok = False
                 break
-            other = nbrs & ~(1 << c)
-            y = other.bit_length() - 1
+            y = (nbrs & ~(1 << c)).bit_length() - 1
             if (g.adj[y] >> c) & 1:
                 # x, y, c form a triangle hanging off the center
                 if g.adj[y].bit_count() != 2:
@@ -266,13 +237,12 @@ def recognize_family(g: Graph) -> FamilyLabel | None:
             return FamilyLabel("C3")
         if _is_cycle_component(g, g.full_mask, 5) and g.edge_count == 5:
             return FamilyLabel("C5")
+        if g.n > 2:  # K2 is mK2:1, and no subdivided star is disconnected
+            return _recognize_subdivided_star(g)
     k2s = sum(1 for m in masks if m.bit_count() == 2)
     c5s = sum(1 for m in masks if _is_cycle_component(g, m, 5))
     if k2s == len(masks) and 2 * k2s == g.n:
         return FamilyLabel("mK2", (k2s,))
-    star = _recognize_subdivided_star(g)
-    if star is not None:
-        return star
     if k2s + c5s == len(masks) and 2 * k2s + 5 * c5s == g.n:
         return FamilyLabel("mK2+mC5", (k2s, c5s))
     return None

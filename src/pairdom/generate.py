@@ -321,10 +321,6 @@ def girth_at_least(k: int):
 def at_most_one_cycle_per_component(g: Graph) -> bool:
     """Each component has at most one independent cycle (supersets the
     unicyclic graphs; hereditary, unlike connectivity)."""
-    for mask in components(g):
-        verts = list(bits_of(mask))
-        edges = sum((g.adj[v] & mask).bit_count() for v in verts) // 2
-        if edges > len(verts):
-            return False
-    return True
+    return all(sum(g.adj[v].bit_count() for v in bits_of(mask)) <= 2 * mask.bit_count()
+               for mask in components(g))
 

@@ -137,22 +137,34 @@ def girth(g: Graph):
     return best
 
 
-def components(g: Graph) -> list[int]:
-    """The vertex masks of the connected components, in increasing order of
-    least vertex: each grows from its least unseen vertex by whole
-    neighbourhood layers until no new vertex is reached."""
-    out = []
+def bfs_layers(g: Graph):
+    """Yield (layer, above) for the BFS layers of g, as vertex masks: each
+    component in turn grows from its least vertex, a layer with above = 0,
+    and each later layer holds the vertices first reached from the layer
+    above it. Every edge joins two consecutive layers or lies in one."""
     rest = g.full_mask
     while rest:
-        comp = layer = rest & -rest
+        layer = seen = rest & -rest
+        above = 0
         while layer:
+            yield layer, above
             reach = 0
             for v in bits_of(layer):
                 reach |= g.adj[v]
-            layer = reach & ~comp
-            comp |= layer
-        out.append(comp)
-        rest &= ~comp
+            above, layer = layer, reach & ~seen
+            seen |= layer
+        rest &= ~seen
+
+
+def components(g: Graph) -> list[int]:
+    """The vertex masks of the connected components, in increasing order of
+    least vertex: the union of each component's BFS layers."""
+    out = []
+    for layer, above in bfs_layers(g):
+        if above:
+            out[-1] |= layer
+        else:
+            out.append(layer)
     return out
 
 

@@ -181,7 +181,7 @@ class RunReport:
         return rec
 
 
-# --- per-graph workers (top level so they pickle for multiprocessing) --------
+# --- per-graph workers (forked; only their results are pickled) -------------
 
 
 def _verify_worker(g: Graph, check_ids):
@@ -374,7 +374,10 @@ def _sharded(fn, items, jobs: int):
 def _map_source(fn, items, jobs: int):
     """fn over the graphs of a source, in source order, as ``_apply`` gives
     them without positions: in ``jobs`` worker processes when there are
-    more than one and the source holds at least 4 graphs, else here."""
+    more than one and the source holds at least 4 graphs, else here. A list
+    source gets at most one worker per item."""
+    if not isinstance(items, GeneratedSource):
+        jobs = min(jobs, len(items))
     if jobs > 1 and _has_four_graphs(items):
         entries = _sharded(fn, items, jobs)
     else:

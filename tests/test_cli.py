@@ -333,6 +333,19 @@ class TestCommands:
             "check_id": "gpr-at-most-2gamma", "graph6": first,
             "holds": False, "witness": {}}
 
+    def test_empty_graph_has_no_paired_domination(self, capsys):
+        # K0, like a graph with an isolated vertex, is outside every check
+        # that needs Γ_pr; only gamma-ge-independence applies to it.
+        code, out, _ = run_cli(capsys, "verify", "enum:0")
+        assert code == 0
+        totals = json.loads(out)["totals"]
+        assert {cid for cid, t in totals.items() if t["na"] == 0} == {
+            "gamma-ge-independence"}
+        for mode in ("--brute", "--both"):
+            code, out, _ = run_cli(capsys, "decide", "enum:0", mode)
+            assert code == 0
+            assert json.loads(out)["results"][0]["brute"] is None
+
     def test_gen(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "union:K2*2+C5*1", "--format", "json")
         assert code == 0
@@ -436,6 +449,39 @@ class TestStreaming:
                 list(_map_source(encode_graph6, load_source(source), 2))
         with pytest.raises(ProcessStarted):
             list(_map_source(encode_graph6, three + three[:1], 2))
+
+    def test_list_source_gets_one_worker_per_item(self, monkeypatch, capsys, tmp_path):
+        p = tmp_path / "graphs.g6"
+        p.write_text("".join(encode_graph6(g) + "\n" for g in (
+            make_cycle(5), make_path(4), make_cycle(6), make_path(6), make_cycle(7))))
+        serial = run_cli(capsys, "verify", str(p), "--jobs", "1")
+        started = []
+        get_context = multiprocessing.get_context
+
+        class CountingContext:
+            def __init__(self, method):
+                self.ctx = get_context(method)
+
+            def __getattr__(self, name):
+                return getattr(self.ctx, name)
+
+            def Process(self, *args, **kwargs):
+                started.append(self.ctx.Process(*args, **kwargs))
+                return started[-1]
+
+        monkeypatch.setattr(multiprocessing, "get_context", CountingContext)
+        sharded = call_bounded(run_cli, capsys, "verify", str(p), "--jobs", "16")
+        assert len(started) == 5
+
+        def without_elapsed(out):
+            rec = json.loads(out)
+            rec.pop("elapsed_ms")
+            rec["config"].pop("jobs")
+            return rec
+
+        assert sharded[0] == serial[0] == 0
+        assert without_elapsed(sharded[1]) == without_elapsed(serial[1])
+        assert sharded[2] == serial[2]
 
     @pytest.mark.parametrize("exc", [GraphError("bad graph"),
                                      ValueError("bad value"),

@@ -4,10 +4,11 @@ import random
 import pytest
 
 from oracles import relabel
-from pairdom.graph import GraphError, build_graph, girth, is_connected
+from pairdom.generate import enumerate_labeled_graphs
+from pairdom.graph import GraphError, build_graph, encode_graph6, girth, is_connected
 from pairdom.families import (
+    ClassFlags,
     FamilyLabel,
-    biconnected_blocks,
     classify,
     disjoint_union,
     every_block_edge_or_cycle,
@@ -58,6 +59,20 @@ class TestConstructions:
         assert not is_connected(g)
 
 
+def networkx_graph(nx, g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def networkx_blocks_edge_or_cycle(nx, h) -> bool:
+    """Every biconnected block is one edge, or a cycle: as many edges as
+    vertices."""
+    return all(len(block) == 1 or len(block) == len({v for e in block for v in e})
+               for block in nx.biconnected_component_edges(h))
+
+
 class TestPredicates:
     def test_bipartite(self):
         assert is_bipartite(make_path(5))
@@ -66,11 +81,22 @@ class TestPredicates:
         assert is_bipartite(build_graph(3, []))
 
     def test_blocks(self):
+        nx = pytest.importorskip("networkx")
         # two triangles sharing a cut vertex: two blocks of three edges
         g = build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
-        blocks = biconnected_blocks(g)
-        assert sorted(len(b) for b in blocks) == [3, 3]
+        h = networkx_graph(nx, g)
+        assert sorted(len(b) for b in nx.biconnected_component_edges(h)) == [3, 3]
         assert every_block_edge_or_cycle(g)
+        # a theta (three paths between 0 and 1), two 4-cycles at a cut
+        # vertex, a 6-cycle with a chord, and a triangle beside a 4-cycle
+        for n, edges in ((5, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)]),
+                         (7, [(0, 1), (1, 2), (2, 3), (3, 0),
+                              (0, 4), (4, 5), (5, 6), (6, 0)]),
+                         (6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)]),
+                         (7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)])):
+            g = build_graph(n, edges)
+            assert every_block_edge_or_cycle(g) == networkx_blocks_edge_or_cycle(
+                nx, networkx_graph(nx, g)), edges
 
     def test_cactus(self):
         assert classify(make_cycle(5)).cactus
@@ -93,6 +119,32 @@ class TestPredicates:
         f = classify(make_path(4))
         assert f.bipartite and f.c3_free and not f.unicyclic
         assert f.girth == math.inf
+
+
+class TestAgainstNetworkx:
+    def test_flags_match_networkx(self, graphs_up_to_7):
+        # every graph of order at most 7 up to isomorphism, and every
+        # labeled graph of order at most 5
+        nx = pytest.importorskip("networkx")
+        labeled = [g for n in range(6) for g in enumerate_labeled_graphs(n)]
+        disconnected = 0
+        for g in graphs_up_to_7 + labeled:
+            h = networkx_graph(nx, g)
+            connected = g.n > 0 and nx.is_connected(h)
+            blocks = networkx_blocks_edge_or_cycle(nx, h)
+            assert classify(g) == ClassFlags(
+                connected=connected,
+                bipartite=nx.is_bipartite(h),
+                unicyclic=connected and h.number_of_edges() == g.n,
+                cactus=connected and blocks,
+                c3_free=nx.girth(h) != 3,
+                girth=nx.girth(h),
+            ), encode_graph6(g)
+            assert every_block_edge_or_cycle(g) == blocks, encode_graph6(g)
+            disconnected += not connected
+        # connected: 1, 1, 2, 6, 21, 112, 853 for n = 1..7 (OEIS A001349),
+        # and 1, 1, 4, 38, 728 labeled for n = 1..5 (A001187); K0 is not
+        assert disconnected == (1253 - 996) + (1100 - 772)
 
 
 class TestRecognition:
