@@ -36,13 +36,11 @@ from .characterizations import (
     ALL_CHECK_IDS,
     CHECKS,
     EQUALITY_CLASSES,
-    Decision,
     Facts,
     HuntReport,
     STRUCTURAL_CHECKS,
     Verdict,
-    decide_equality_bruteforce,
-    decide_equality_fastpath,
+    equality_votes,
     hunt_c3free_counterexamples,
     run_checks,
 )

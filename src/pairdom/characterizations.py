@@ -1,5 +1,5 @@
-"""Every check on one graph, and the deciders and hunt built on the same
-facts.
+"""Every check on one graph, and the equality votes and hunt built on the
+same facts.
 
 ``CHECKS`` is the one check registry. Each entry is a ``Check`` row: a
 hypothesis ``applies(facts)`` and a ``violation(facts)`` that returns a
@@ -11,7 +11,8 @@ a check on a graph too large for the exact scans. A check never raises for
 an unmet hypothesis, and an na verdict is never silently treated as holds.
 ``EQUALITY_CLASSES`` is the one table of the four equality
 characterizations; it gives both the ``equality-*`` checks and the fast
-path of ``decide_equality_fastpath``.
+path, ``equality_votes``. ``Facts.equality`` is the one brute-force answer,
+from both exact scans.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from itertools import combinations
 
 from .domination import (
     InvariantReport,
-    IsolatedVertexError,
     has_epn_pair,
     has_isolated_vertex,
     independence_number,
@@ -38,13 +38,6 @@ from .families import (
 )
 from .graph import Graph, GraphError, bits_of, encode_graph6
 from .matching import all_perfect_matchings, perfect_matching_tester
-
-
-@dataclass(frozen=True)
-class Decision:
-    equality_holds: bool | None  # None when the fast paths disagree
-    method: str  # "brute-force", a fast-path class name, or "disagreement"
-    evidence: object = None  # InvariantReport (brute) or {class: vote} (fast)
 
 
 @dataclass(frozen=True)
@@ -109,23 +102,16 @@ class Facts:
         return perfect_matching_tester(self.g)
 
     @cached_property
-    def minimal_dominating_set_masks(self) -> frozenset:
-        return frozenset(self.report.mds_masks)
-
-    @cached_property
-    def minimal_pds_masks(self) -> list[int]:
-        return self.report.mpds_masks
-
-    @cached_property
     def upper_pds_masks(self) -> list[int]:
         """All maximum-size minimal paired dominating sets, as masks."""
         target = self.report.upper_gamma_pr
-        return [m for m in self.minimal_pds_masks if m.bit_count() == target]
+        return [m for m in self.report.mpds_masks if m.bit_count() == target]
 
     @cached_property
     def equality(self) -> bool | None:
-        """Whether the upper paired bound is met with equality; None when
-        paired domination is undefined (``_paired`` fails)."""
+        """Whether the upper paired bound is met with equality, by brute
+        force; None when paired domination is undefined (``_paired``
+        fails)."""
         if not _paired(self):
             return None
         r = self.report
@@ -250,30 +236,14 @@ def _in_equality_class(facts: Facts) -> bool:
     return _paired(facts) and any(c.applies(facts) for c in EQUALITY_CLASSES)
 
 
-def decide_equality_bruteforce(facts: Facts) -> Decision:
-    """Decide the equality by computing both invariants exactly."""
-    if facts.equality is None:
-        raise IsolatedVertexError("equality undefined: empty graph or isolated vertex")
-    return Decision(facts.equality, "brute-force", facts.report)
-
-
-def decide_equality_fastpath(facts: Facts) -> Decision | None:
-    """Decide by family recognition alone when the graph lies in a
-    characterized class; None when no characterization applies.
-
-    The evidence holds each applicable class's vote. When the votes
-    disagree, the decision's ``equality_holds`` is None and its method is
-    "disagreement"."""
+def equality_votes(facts: Facts) -> dict[str, bool]:
+    """The fast path: each applicable class's vote on the equality, from
+    family recognition alone, keyed by its method in precedence order.
+    Empty when ``_paired`` fails or no characterization applies."""
     if not _paired(facts):
-        return None
-    votes = {c.method: c.expected(facts.family)
-             for c in EQUALITY_CLASSES if c.applies(facts)}
-    if not votes:
-        return None
-    if len(set(votes.values())) > 1:
-        return Decision(None, "disagreement", votes)
-    method, verdict = next(iter(votes.items()))
-    return Decision(verdict, method, votes)
+        return {}
+    return {c.method: c.expected(facts.family)
+            for c in EQUALITY_CLASSES if c.applies(facts)}
 
 
 # --- violations: each returns a counterexample witness, or None ---------------
@@ -342,7 +312,7 @@ def _private_pair_hypotheses(facts: Facts, adjacent_only: bool):
     G[S] whose two ends both have degree >= 2 in G[S]."""
     g = facts.g
     pm = facts.pm_test
-    for smask in facts.minimal_pds_masks:
+    for smask in facts.report.mpds_masks:
         for u, v in combinations(bits_of(smask), 2):
             if adjacent_only and not g.has_edge(u, v):
                 continue
@@ -368,8 +338,8 @@ def _private_pair(adjacent_only: bool):
 def _pds_contains_half_mds(facts: Facts) -> dict | None:
     """Every minimal PDS contains a minimal dominating set of at least
     half its size."""
-    mds = facts.minimal_dominating_set_masks
-    for pmask in facts.minimal_pds_masks:
+    mds = frozenset(facts.report.mds_masks)
+    for pmask in facts.report.mpds_masks:
         half = pmask.bit_count() / 2
         sub = pmask
         while sub:
@@ -383,11 +353,10 @@ def _pds_contains_half_mds(facts: Facts) -> dict | None:
 
 def _fastpath_matches_brute(facts: Facts) -> dict | None:
     """The class fast paths agree with each other and with brute force."""
-    fast = decide_equality_fastpath(facts)
-    brute = decide_equality_bruteforce(facts)
-    if fast.equality_holds == brute.equality_holds:
+    votes = equality_votes(facts)
+    if set(votes.values()) == {facts.equality}:
         return None
-    return {"votes": fast.evidence, "brute": brute.equality_holds}
+    return {"votes": votes, "brute": facts.equality}
 
 
 # --- structure of equality graphs ---------------------------------------------

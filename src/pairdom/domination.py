@@ -5,8 +5,11 @@ all 2^n subsets in a *subset bitmap*, an int whose bit S is set iff S has
 the property. ``_members(n)[i]`` is the bitmap of the subsets containing
 i; ORs and ANDs of these combine conditions, and ``(x & ~members[i]) <<
 2^i`` maps each subset in x without i to itself plus i, so a scan is
-O(n + m) big-int operations. The per-set predicates (``is_dominating`` and
-the like) share nothing with the bitmaps: they are the cross-check.
+O(n + m) big-int operations. Every exact scan, the paired ones and the
+independence branching included, refuses a graph past the one guard
+``DOMINATION_GUARD`` before it starts. The per-set predicates
+(``is_dominating`` and the like) share nothing with the bitmaps: they are
+the cross-check.
 """
 
 from __future__ import annotations
@@ -18,8 +21,15 @@ from functools import lru_cache
 from .graph import Graph, GraphError, as_mask, bits_of
 from .matching import perfect_matching_tester
 
+# One guard for every exact scan, so that Γ and Γ_pr are always computed on
+# the same graphs. Its budget at n = 24, on a 2-vCPU Xeon with Python 3.11,
+# one process per graph: the time of invariants, then of a following
+# run_checks(g, ALL_CHECK_IDS), which scans again, and the peak RSS
+# (ru_maxrss) of both.
+#   K24          4.7 s  4.0 s  437 MB      C24   0.9 s  3.4 s  111 MB
+#   K12,12       2.2 s  2.4 s  218 MB      P24   0.8 s  3.0 s  111 MB
+#   ten connected G(24, p), p = 0.15-0.7:  at most 3.7 s  4.5 s  441 MB
 DOMINATION_GUARD = 24
-PAIRED_GUARD = 20
 
 
 class GuardError(GraphError):
@@ -146,26 +156,26 @@ def _bitmap(masks, n: int) -> int:
     return int(digits, 2)
 
 
+def _guard(g: Graph) -> None:
+    """Refuse a graph past the exact scans' guard, before any 2^n work."""
+    if g.n > DOMINATION_GUARD:
+        raise GuardError(f"exact scans limited to n <= {DOMINATION_GUARD}")
+
+
 def minimal_dominating_masks(g: Graph) -> list[int]:
     """All minimal dominating sets as bitsets, in increasing mask order: the
     dominating sets S with no dominating S - v (not in ``_one_more``)."""
-    if g.n > DOMINATION_GUARD:
-        raise GuardError(f"dominating-set scan limited to n <= {DOMINATION_GUARD}")
+    _guard(g)
     members = _members(g.n)
     dominating = _dominating(g, members)
     return _masks(dominating & ~_one_more(dominating, members))
-
-
-def _paired_guard(g: Graph) -> None:
-    if g.n > PAIRED_GUARD:
-        raise GuardError(f"paired-dominating scan limited to n <= {PAIRED_GUARD}")
 
 
 def paired_dominating_masks(g: Graph) -> list[int]:
     """All paired dominating sets (not only minimal ones) as bitsets, in
     increasing mask order. A set with least vertex v has a perfect matching
     iff it is {v, u} plus a matchable set above v without u, u ~ v, u > v."""
-    _paired_guard(g)
+    _guard(g)
     if has_isolated_vertex(g):
         raise IsolatedVertexError("graph has an isolated vertex")
     members = _members(g.n)
@@ -205,8 +215,7 @@ def _alpha(adj: list[int], cand: int) -> int:
 def independence_number(g: Graph) -> int:
     """Maximum independent set size, by branching on vertices. Shares no
     code with the subset bitmaps, so alpha <= Gamma stays a cross-check."""
-    if g.n > DOMINATION_GUARD:
-        raise GuardError(f"independence scan limited to n <= {DOMINATION_GUARD}")
+    _guard(g)
     return _alpha(g.adj, g.full_mask)
 
 
@@ -241,12 +250,7 @@ def _lex_least(masks) -> tuple[int, ...]:
 
 
 def invariants(g: Graph) -> InvariantReport:
-    """Exact γ, Γ, γ_pr, Γ_pr by exhaustive enumeration. A graph the paired
-    scan would refuse is refused before the dominating scan, whose result
-    would be thrown away; past both guards, the dominating guard speaks."""
-    paired = not has_isolated_vertex(g)
-    if paired and g.n <= DOMINATION_GUARD:
-        _paired_guard(g)
+    """Exact γ, Γ, γ_pr, Γ_pr by exhaustive enumeration."""
     mds = minimal_dominating_masks(g)
     sizes = [m.bit_count() for m in mds]
     gamma = min(sizes)
@@ -259,7 +263,7 @@ def invariants(g: Graph) -> InvariantReport:
     }
     gamma_pr = upper_gamma_pr = None
     mpds = []
-    if paired:
+    if not has_isolated_vertex(g):
         mpds = minimal_paired_dominating_masks(g)
         psizes = [m.bit_count() for m in mpds]
         gamma_pr = min(psizes)

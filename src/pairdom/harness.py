@@ -31,7 +31,7 @@ from operator import itemgetter
 from . import characterizations as ch
 # CHECKS and run_checks are re-exported as part of this module's API.
 from .characterizations import ALL_CHECK_IDS, CHECKS, Facts, run_checks  # noqa: F401
-from .domination import GuardError, IsolatedVertexError, invariants
+from .domination import GuardError, invariants
 from .families import (
     classify,
     looks_like_family_spec,
@@ -221,35 +221,37 @@ def _classify_worker(g: Graph):
     }
 
 
-def _decision_record(d: ch.Decision | None):
-    if d is None:
-        return None
-    rec = {"equality_holds": d.equality_holds, "method": d.method}
-    if d.equality_holds is None:
-        rec["votes"] = d.evidence
-    return rec
-
-
 def _decide_worker(g: Graph, mode: str):
+    """The fast path's decision, named by the first class that votes, and
+    the brute-force one, each None where it does not decide. Split votes
+    are a "disagreement" that keeps them, and never agree."""
     facts = Facts(g)
     rec = {"graph6": facts.graph6}
     fast = brute = None
+    split = False
     if mode in ("fastpath", "both"):
-        fast = ch.decide_equality_fastpath(facts)
-        rec["fastpath"] = _decision_record(fast)
+        votes = ch.equality_votes(facts)
+        split = len(set(votes.values())) > 1
+        if split:
+            rec["fastpath"] = {"equality_holds": None, "method": "disagreement",
+                               "votes": votes}
+        elif votes:
+            method, fast = next(iter(votes.items()))
+            rec["fastpath"] = {"equality_holds": fast, "method": method}
+        else:
+            rec["fastpath"] = None
     if mode in ("brute", "both"):
         try:
-            brute = ch.decide_equality_bruteforce(facts)
-            rec["brute"] = _decision_record(brute)
-        except IsolatedVertexError:
-            rec["brute"] = None
+            brute = facts.equality
         except GuardError as exc:
             rec["brute"] = {"skipped": str(exc)}
-    if fast is not None and fast.equality_holds is None:
-        rec["agree"] = False  # the fast paths split
+        else:
+            rec["brute"] = None if brute is None else {
+                "equality_holds": brute, "method": "brute-force"}
+    if split:
+        rec["agree"] = False
     elif mode == "both":  # null unless both sides decided
-        rec["agree"] = None if fast is None or brute is None else (
-            fast.equality_holds == brute.equality_holds)
+        rec["agree"] = None if fast is None or brute is None else fast == brute
     return rec
 
 

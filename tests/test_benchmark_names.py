@@ -1,10 +1,13 @@
-"""The names the benchmark's tracer wraps must exist in pairdom.
+"""The pairdom names the benchmark uses must exist in pairdom.
 
-``perfbench/tracing.py`` replaces pairdom functions by name. A change that
-drops or renames one fails here, in the fast suite, and not only in the
-slow ``pytest perfbench`` run.
+``perfbench/tracing.py`` replaces pairdom functions by name, and the other
+benchmark scripts import pairdom names or read them off pairdom modules. A
+change that drops or renames one fails here, in the fast suite, and not
+only in the slow ``pytest perfbench`` run.
 """
 
+import ast
+import importlib
 import importlib.util
 import inspect
 from pathlib import Path
@@ -12,7 +15,8 @@ from pathlib import Path
 from pairdom import harness
 from pairdom.characterizations import ALL_CHECK_IDS, Facts
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def load_tracing():
@@ -37,3 +41,68 @@ def test_traced_layers_are_pairdom_functions():
 def test_traced_facts_and_checks_exist():
     assert inspect.isfunction(Facts.matchings)
     assert list(harness.CHECKS) == list(ALL_CHECK_IDS)
+
+
+def _submodule(name: str):
+    """The pairdom module called name, or None when there is none."""
+    try:
+        return importlib.import_module(name)
+    except ImportError:
+        return None
+
+
+def _module_of(node, modules: dict):
+    """The pairdom module an expression names, given the local names bound
+    to pairdom modules, or None."""
+    if isinstance(node, ast.Name):
+        return modules.get(node.id)
+    if isinstance(node, ast.Attribute):
+        parent = _module_of(node.value, modules)
+        if parent is not None and hasattr(parent, "__path__"):
+            return _submodule(f"{parent.__name__}.{node.attr}")
+    return None
+
+
+def benchmark_names(path: Path):
+    """(module, name) for every name a benchmark script imports from
+    pairdom, and every attribute it reads off an imported pairdom module."""
+    tree = ast.parse(path.read_text(), str(path))
+    modules, used = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "pairdom":
+                    # "import pairdom.x" binds pairdom, "... as y" binds x
+                    modules[alias.asname or "pairdom"] = importlib.import_module(
+                        alias.name if alias.asname else "pairdom")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                node.module.split(".")[0] == "pairdom"):
+            for alias in node.names:
+                sub = _submodule(f"{node.module}.{alias.name}")
+                if sub is not None:
+                    modules[alias.asname or alias.name] = sub
+                else:
+                    used.append((node.module, alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            module = _module_of(node.value, modules)
+            if module is not None:
+                used.append((module.__name__, node.attr))
+    return used
+
+
+def test_benchmark_scripts_use_existing_pairdom_names():
+    used = {(path.name, module, name)
+            for path in sorted(PERFBENCH.glob("*.py"))
+            for module, name in benchmark_names(path)}
+    missing = [entry for entry in sorted(used)
+               if not hasattr(importlib.import_module(entry[1]), entry[2])]
+    assert missing == []
+    # the collector sees both forms, so an empty "missing" means something
+    assert {("worker.py", "pairdom.domination", "invariants"),
+            ("worker.py", "pairdom.harness", "RunConfig"),
+            ("worker.py", "pairdom.generate", "triangle_free"),
+            ("worker.py", "pairdom.graph", "parse_graph6"),
+            ("make_refs.py", "pairdom.domination", "paired_dominating_masks"),
+            ("tracing.py", "pairdom.harness", "CHECKS"),
+            ("cli_probed.py", "pairdom.cli", "main")} <= used

@@ -5,7 +5,6 @@ import pytest
 import oracles
 from pairdom import characterizations, domination, families
 from pairdom.graph import build_graph, encode_graph6
-from pairdom.domination import IsolatedVertexError
 from pairdom.families import (
     disjoint_union,
     make_cycle,
@@ -18,8 +17,7 @@ from pairdom.characterizations import (
     ALL_CHECK_IDS,
     Facts,
     STRUCTURAL_CHECKS,
-    decide_equality_bruteforce,
-    decide_equality_fastpath,
+    equality_votes,
     hunt_c3free_counterexamples,
     hunt_record,
     run_checks,
@@ -37,14 +35,14 @@ def check(g, check_id):
 
 class TestDecideBruteforce:
     def test_examples(self):
-        assert decide_equality_bruteforce(Facts(make_k2())).equality_holds
-        assert decide_equality_bruteforce(Facts(make_cycle(5))).equality_holds
-        assert not decide_equality_bruteforce(Facts(make_path(4))).equality_holds
-        assert not decide_equality_bruteforce(Facts(make_cycle(4))).equality_holds
+        assert Facts(make_k2()).equality is True
+        assert Facts(make_cycle(5)).equality is True
+        assert Facts(make_path(4)).equality is False
+        assert Facts(make_cycle(4)).equality is False
 
-    def test_isolated_vertex_raises(self):
-        with pytest.raises(IsolatedVertexError):
-            decide_equality_bruteforce(Facts(build_graph(3, [(0, 1)])))
+    def test_undefined_is_none(self):
+        assert Facts(build_graph(3, [(0, 1)])).equality is None
+        assert Facts(build_graph(0, [])).equality is None
 
     def test_matches_oracle(self, graphs_up_to_5):
         for g in graphs_up_to_5:
@@ -54,27 +52,29 @@ class TestDecideBruteforce:
             ):
                 continue
             expect = ug_pr == 2 * oracles.upper_gamma(g)
-            assert decide_equality_bruteforce(Facts(g)).equality_holds == expect
+            assert Facts(g).equality is expect
 
 
 class TestDecideFastpath:
     def test_applicable_classes(self):
-        d = decide_equality_fastpath(Facts(make_cycle(5)))
-        # C5 is both a triangle-free cactus and unicyclic; the first
-        # applicable class in precedence order reports
-        assert d is not None and d.equality_holds and d.method == "c3-free-cactus"
-        d = decide_equality_fastpath(Facts(make_k2()))
-        assert d is not None and d.equality_holds
-        d = decide_equality_fastpath(Facts(make_path(4)))
-        assert d is not None and not d.equality_holds
-        d = decide_equality_fastpath(Facts(make_cycle(7)))
-        assert d is not None and not d.equality_holds and d.method == "girth-at-least-6"
+        # C5 is both a triangle-free cactus and unicyclic; the votes come
+        # in precedence order, so the first names the fast-path method
+        assert equality_votes(Facts(make_cycle(5))) == {
+            "c3-free-cactus": True, "unicyclic": True}
+        assert set(equality_votes(Facts(make_k2())).values()) == {True}
+        assert set(equality_votes(Facts(make_path(4))).values()) == {False}
+        votes = equality_votes(Facts(make_cycle(7)))
+        assert next(iter(votes)) == "girth-at-least-6"
+        assert set(votes.values()) == {False}
 
     def test_inapplicable_returns_none(self):
+        # no class applies, so no class votes
         k4 = build_graph(4, [(i, j) for i in range(4) for j in range(i)])
-        assert decide_equality_fastpath(Facts(k4)) is None
+        assert equality_votes(Facts(k4)) == {}
         # butterfly: has triangles, two cycles, not bipartite, not girth >= 6
-        assert decide_equality_fastpath(Facts(make_subdivided_star(0, 2))) is None
+        assert equality_votes(Facts(make_subdivided_star(0, 2))) == {}
+        # paired domination is undefined: no class votes
+        assert equality_votes(Facts(build_graph(3, [(0, 1)]))) == {}
 
     def test_agrees_with_bruteforce(self, graphs_up_to_6):
         checked = 0
@@ -82,13 +82,11 @@ class TestDecideFastpath:
             if g.n == 0 or any(g.degree(v) == 0 for v in range(g.n)):
                 continue
             facts = Facts(g)
-            fast = decide_equality_fastpath(facts)
-            if fast is None:
+            votes = equality_votes(facts)
+            if not votes:
                 continue
             checked += 1
-            assert fast.equality_holds == decide_equality_bruteforce(
-                facts
-            ).equality_holds, facts.graph6
+            assert set(votes.values()) == {facts.equality}, facts.graph6
         assert checked >= 40
 
     def test_disagreement_is_a_failure(self, monkeypatch, tmp_path):
@@ -99,8 +97,7 @@ class TestDecideFastpath:
         wrong = dataclasses.replace(table[0], expected=lambda fam: True)
         monkeypatch.setattr(characterizations, "EQUALITY_CLASSES",
                             (wrong,) + table[1:])
-        d = decide_equality_fastpath(facts)
-        assert d.equality_holds is None and d.method == "disagreement"
+        assert len(set(equality_votes(facts).values())) == 2
         v = check(c6, "fastpath-matches-brute")
         assert v.status == "fails"
         assert v.witness == {
@@ -116,6 +113,7 @@ class TestDecideFastpath:
             (rec,) = report.results
             assert rec["agree"] is False
             assert rec["fastpath"]["equality_holds"] is None
+            assert rec["fastpath"]["method"] == "disagreement"
 
 
 class TestPrivatePairs:
@@ -130,7 +128,7 @@ class TestPrivatePairs:
             walked = set(characterizations._private_pair_hypotheses(facts, True))
             matched = {
                 (smask, u, v)
-                for smask in facts.minimal_pds_masks
+                for smask in facts.report.mpds_masks
                 for m in all_perfect_matchings(g, smask)
                 for u, v in m
                 if (g.adj[u] & smask).bit_count() >= 2

@@ -246,9 +246,9 @@ class TestCommands:
 
     def test_hunt_skip_reasons(self, capsys, tmp_path):
         # K3 has a triangle and K2 + K1 an isolated vertex: out of scope.
-        # C21 is past the paired-dominating guard: too large.
+        # C25 is past the exact scans' guard: too large.
         graphs = [make_cycle(5), make_cycle(3), build_graph(3, [(0, 1)]),
-                  make_cycle(21)]
+                  make_cycle(25)]
         p = tmp_path / "graphs.g6"
         p.write_text("".join(encode_graph6(g) + "\n" for g in graphs)
                      + "???garbage\n")
@@ -259,25 +259,48 @@ class TestCommands:
             "out_of_scope": 2, "too_large": 1, "unreadable": 1}
         assert (h["scanned"], h["skipped"], h["satisfier_count"]) == (5, 4, 1)
 
+    def test_orders_up_to_the_guard_are_scanned(self, capsys, tmp_path):
+        # C22 and C24 lie within the one guard of the exact scans, so no
+        # check skips them, the Γ-only ones included, and nor does the hunt.
+        p = tmp_path / "graphs.g6"
+        p.write_text("".join(encode_graph6(make_cycle(n)) + "\n" for n in (22, 24)))
+        code, out, _ = run_cli(capsys, "verify", str(p))
+        assert code == 0
+        totals = json.loads(out)["totals"]
+        assert {cid: t["skipped"] for cid, t in totals.items()} == dict.fromkeys(
+            ALL_CHECK_IDS, 0)
+        for cid in ("gamma-ge-independence", "unicyclic-gamma-bound",
+                    "gpr-at-most-2gamma"):
+            assert totals[cid]["holds"] == 2, cid
+        code, out, _ = run_cli(capsys, "hunt", str(p))
+        assert code == 0
+        h = json.loads(out)["hunt"]
+        assert (h["scanned"], h["skipped"], h["satisfier_count"]) == (2, 0, 0)
+
     @pytest.mark.parametrize("command", ["invariants", "decide", "verify"])
     def test_graph_too_large_is_skipped_not_fatal(self, capsys, tmp_path, command):
-        # C22 is past the paired-dominating guard; the run must go on to C5.
-        big, c5 = make_cycle(22), make_cycle(5)
+        # C25 is past the exact scans' guard; the run must go on to C5.
+        big, c5 = make_cycle(25), make_cycle(5)
         p = tmp_path / "graphs.g6"
         p.write_text(encode_graph6(big) + "\n" + encode_graph6(c5) + "\n")
         code, out, _ = run_cli(capsys, command, str(p))
         assert code == 0
-        guard = "paired-dominating scan limited to n <= 20"
+        guard = "exact scans limited to n <= 24"
         if command == "verify":
-            # C5 is neither bipartite nor of girth >= 6.
+            # C5 is neither bipartite nor of girth >= 6. C25 is odd, so
+            # equality-bipartite is na on it with no scan; every other
+            # check is skipped with the one guard message.
             off_class = {"equality-bipartite", "equality-girth6"}
             assert json.loads(out)["totals"] == {
                 cid: {"scanned": 2, "holds": int(cid not in off_class),
-                      "fails": 0, "na": int(cid in off_class), "skipped": 1}
+                      "fails": 0,
+                      "na": int(cid in off_class) + (cid == "equality-bipartite"),
+                      "skipped": int(cid != "equality-bipartite")}
                 for cid in ALL_CHECK_IDS}
             verdicts = run_checks(big, ALL_CHECK_IDS)
-            assert [(v.status, v.witness) for v in verdicts] == (
-                [("skipped", {"skipped": guard})] * len(ALL_CHECK_IDS))
+            assert [(v.check_id, v.status, v.witness) for v in verdicts] == [
+                (cid, "na", None) if cid == "equality-bipartite"
+                else (cid, "skipped", {"skipped": guard}) for cid in ALL_CHECK_IDS]
             assert verdicts[0].to_record() == {
                 "check_id": ALL_CHECK_IDS[0], "graph6": encode_graph6(big),
                 "holds": None, "witness": {"skipped": guard}}
@@ -286,13 +309,13 @@ class TestCommands:
         _, alone, _ = run_cli(capsys, command, "C5")
         assert rec == json.loads(alone)["results"][0]
         if command == "invariants":
-            assert first == {"graph6": encode_graph6(big), "n": 22, "skipped": guard}
+            assert first == {"graph6": encode_graph6(big), "n": 25, "skipped": guard}
             r = invariants(c5)
             assert [rec["gamma"], rec["upper_gamma"], rec["gamma_pr"],
                     rec["upper_gamma_pr"]] == [r.gamma, r.upper_gamma,
                                                r.gamma_pr, r.upper_gamma_pr]
         else:
-            # The fast path needs no 2^n scan, so it still decides C22;
+            # The fast path needs no 2^n scan, so it still decides C25;
             # only the brute side is skipped.
             fast = {"equality_holds": False, "method": "girth-at-least-6"}
             # Nothing was compared, so agreement is unknown, not a failure.

@@ -286,7 +286,7 @@ class TestGuards:
             minimal_dominating_masks(big)
 
     def test_paired_guard(self):
-        big = build_graph(21, [(i, (i + 1) % 21) for i in range(21)])
+        big = build_graph(25, [(i, (i + 1) % 25) for i in range(25)])
         with pytest.raises(GuardError):
             minimal_paired_dominating_masks(big)
 
@@ -294,9 +294,10 @@ class TestGuards:
         "scan, n",
         [(minimal_dominating_masks, 25),
          (minimal_dominating_masks, 40),
-         (minimal_paired_dominating_masks, 21),
+         (paired_dominating_masks, 25),
+         (minimal_paired_dominating_masks, 25),
          (minimal_paired_dominating_masks, 40)],
-        ids=["mds-25", "mds-40", "mpds-21", "mpds-40"],
+        ids=["mds-25", "mds-40", "pds-25", "mpds-25", "mpds-40"],
     )
     def test_guard_fires_before_any_bitmap(self, scan, n, monkeypatch):
         # A subset bitmap has 2^n bits, so an oversized graph must be
@@ -308,29 +309,15 @@ class TestGuards:
         with pytest.raises(GuardError):
             scan(make_cycle(n))
 
-    def test_paired_guard_comes_before_dominating_scan(self, monkeypatch):
-        # Past the paired guard but within the dominating one, the 2^n
-        # minimal-dominating scan would be thrown away. Past both, the
-        # dominating guard still speaks first; with an isolated vertex the
-        # paired guard does not apply.
-        calls = []
-        original = domination.minimal_dominating_masks
-
-        def counting(g):
-            calls.append(g.n)
-            return original(g)
-
-        monkeypatch.setattr(domination, "minimal_dominating_masks", counting)
-        c22 = make_cycle(22)
-        with pytest.raises(GuardError,
-                           match=r"paired-dominating scan limited to n <= 20"):
-            invariants(c22)
-        assert hunt_scan(c22) == {"skipped": "too_large"}
-        assert calls == []
-        with pytest.raises(GuardError,
-                           match=r"dominating-set scan limited to n <= 24"):
-            invariants(make_cycle(25))
+    def test_one_guard_for_every_scan(self):
+        # Every exact scan stops at n = 24 with the same message; with an
+        # isolated vertex the paired scans are not run at all.
+        c25 = make_cycle(25)
+        guard = r"exact scans limited to n <= 24"
+        for scan in (invariants, independence_number):
+            with pytest.raises(GuardError, match=guard):
+                scan(c25)
+        assert hunt_scan(c25) == {"skipped": "too_large"}
         c20_k1 = disjoint_union([make_cycle(20), build_graph(1, [])])
         report = invariants(c20_k1)
         assert report.gamma_pr is None and report.gamma == 8
-        assert calls == [25, 21]
