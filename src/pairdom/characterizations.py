@@ -25,9 +25,9 @@ from itertools import combinations
 from .domination import (
     InvariantReport,
     has_epn_pair,
-    has_isolated_vertex,
     independence_number,
     invariants,
+    paired_domination_defined,
 )
 from .families import (
     ClassFlags,
@@ -78,10 +78,6 @@ class Facts:
         return classify(self.g)
 
     @cached_property
-    def no_isolated(self) -> bool:
-        return not has_isolated_vertex(self.g)
-
-    @cached_property
     def family(self) -> FamilyLabel | None:
         return recognize_family(self.g)
 
@@ -100,6 +96,24 @@ class Facts:
     @cached_property
     def pm_test(self):
         return perfect_matching_tester(self.g)
+
+    @cached_property
+    def private_pairs(self) -> list[tuple[int, int, int]]:
+        """Each (S, u, v), S a minimal PDS as a mask and u < v in S, such
+        that u and v each keep a neighbor in S - {u, v} and G[S - {u, v}]
+        has a perfect matching: the hypothesis of both private-pair lemmas.
+
+        With u ~ v these are exactly the pairs of the perfect matchings of
+        G[S] whose two ends both have degree >= 2 in G[S]."""
+        g = self.g
+        pm = self.pm_test
+        out = []
+        for smask in self.report.mpds_masks:
+            for u, v in combinations(bits_of(smask), 2):
+                rest = smask & ~((1 << u) | (1 << v))
+                if g.adj[u] & rest and g.adj[v] & rest and pm(rest):
+                    out.append((smask, u, v))
+        return out
 
     @cached_property
     def upper_pds_masks(self) -> list[int]:
@@ -151,7 +165,7 @@ class Check:
 
 def _paired(facts: Facts) -> bool:
     """A non-empty graph without isolated vertices, so Γ_pr is defined."""
-    return facts.g.n > 0 and facts.no_isolated
+    return paired_domination_defined(facts.g)
 
 
 def _connected_order_3(facts: Facts) -> bool:
@@ -231,11 +245,6 @@ def _equality_check(c: EqualityClass) -> Check:
     return Check(c.check_id, lambda f: _paired(f) and c.applies(f), mismatch)
 
 
-def _in_equality_class(facts: Facts) -> bool:
-    """Some characterization applies, so the fast path decides."""
-    return _paired(facts) and any(c.applies(facts) for c in EQUALITY_CLASSES)
-
-
 def equality_votes(facts: Facts) -> dict[str, bool]:
     """The fast path: each applicable class's vote on the equality, from
     family recognition alone, keyed by its method in precedence order.
@@ -303,32 +312,17 @@ def _unicyclic_gamma_bound(facts: Facts) -> dict | None:
     return {"upper_gamma": upper_gamma, "bound": bound}
 
 
-def _private_pair_hypotheses(facts: Facts, adjacent_only: bool):
-    """Yield each (S, u, v), S a minimal PDS as a mask and u < v in S, such
-    that u and v each keep a neighbor in S - {u, v} and G[S - {u, v}] has a
-    perfect matching; with ``adjacent_only``, only the pairs with u ~ v.
-
-    With u ~ v these are exactly the pairs of the perfect matchings of
-    G[S] whose two ends both have degree >= 2 in G[S]."""
-    g = facts.g
-    pm = facts.pm_test
-    for smask in facts.report.mpds_masks:
-        for u, v in combinations(bits_of(smask), 2):
-            if adjacent_only and not g.has_edge(u, v):
-                continue
-            rest = smask & ~((1 << u) | (1 << v))
-            if g.adj[u] & rest and g.adj[v] & rest and pm(rest):
-                yield smask, u, v
-
-
 def _private_pair(adjacent_only: bool):
-    """Each pair of ``_private_pair_hypotheses`` keeps an external private
+    """Each pair of ``Facts.private_pairs`` keeps an external private
     neighbor: over all pairs, the pair-removal lemma; over adjacent pairs,
     the matched-pair lemma."""
 
     def violation(facts: Facts) -> dict | None:
-        for smask, u, v in _private_pair_hypotheses(facts, adjacent_only):
-            if not has_epn_pair(facts.g, u, v, smask):
+        g = facts.g
+        for smask, u, v in facts.private_pairs:
+            if adjacent_only and not g.has_edge(u, v):
+                continue
+            if not has_epn_pair(g, u, v, smask):
                 return {"pds": _verts(smask), "pair": [u, v]}
         return None
 
@@ -337,16 +331,26 @@ def _private_pair(adjacent_only: bool):
 
 def _pds_contains_half_mds(facts: Facts) -> dict | None:
     """Every minimal PDS contains a minimal dominating set of at least
-    half its size."""
-    mds = frozenset(facts.report.mds_masks)
+    half its size.
+
+    One pass over each list: the minimal dominating sets are indexed as
+    bits, holding[w] those that contain w and at_least[k] those of size at
+    least k, so the ones inside P are at_least[k] less holding[w] for every
+    w outside P."""
+    g = facts.g
+    holding = [0] * g.n
+    at_least = [0] * (g.n + 2)
+    for i, d in enumerate(facts.report.mds_masks):
+        at_least[d.bit_count()] |= 1 << i
+        for w in bits_of(d):
+            holding[w] |= 1 << i
+    for k in reversed(range(g.n + 1)):
+        at_least[k] |= at_least[k + 1]
     for pmask in facts.report.mpds_masks:
-        half = pmask.bit_count() / 2
-        sub = pmask
-        while sub:
-            if sub.bit_count() >= half and sub in mds:
-                break
-            sub = (sub - 1) & pmask
-        else:
+        inside = at_least[(pmask.bit_count() + 1) // 2]
+        for w in bits_of(g.full_mask & ~pmask):
+            inside &= ~holding[w]
+        if not inside:
             return {"pds": _verts(pmask)}
     return None
 
@@ -497,7 +501,8 @@ CHECKS: dict[str, Callable[[Facts], Verdict]] = {c.check_id: c for c in (
     _EQUALITY["equality-unicyclic"],
     _EQUALITY["equality-girth6"],
     _EQUALITY["equality-c3free-cactus"],
-    Check("fastpath-matches-brute", _in_equality_class, _fastpath_matches_brute),
+    Check("fastpath-matches-brute", lambda f: bool(equality_votes(f)),
+          _fastpath_matches_brute),
     *STRUCTURAL_LEMMAS,
 )}
 

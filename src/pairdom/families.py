@@ -2,9 +2,11 @@
 
 The recognizable families are disjoint unions of edges (mK2), the triangle
 and the 5-cycle, the once-subdivided star with triangles attached at the
-center, and disjoint unions of edges and 5-cycles. Recognition is
-structural (component census, degree/block analysis), not a general
-isomorphism test.
+center, and disjoint unions of edges and 5-cycles. Recognition follows
+each family's definition, not a general isomorphism test: a census of the
+components (2-vertex ones, 5-cycles) for the unions, and for the star a
+centre whose removal leaves a perfect matching with an end of each edge on
+the centre.
 """
 
 from __future__ import annotations
@@ -193,37 +195,18 @@ def _is_cycle_component(g: Graph, mask: int, length: int) -> bool:
 
 
 def _recognize_subdivided_star(g: Graph) -> FamilyLabel | None:
-    """The subdivided star that g, connected of order at least 3, is."""
+    """The subdivided star that g, connected of order at least 3, is: by
+    definition, one with a centre c such that G - c is a perfect matching,
+    each of whose edges has an end adjacent to c (as g is connected). A leg
+    is such an edge with one end on c and a triangle one with both, so
+    t + δ = ⌊n/2⌋ and deg(c) = t + 2δ."""
     if g.n % 2 == 0:
         return None
     for c in range(g.n):
-        t = 0
-        delta = 0
-        seen = 1 << c
-        ok = True
-        for x in bits_of(g.adj[c]):
-            if (seen >> x) & 1:
-                continue
-            nbrs = g.adj[x]
-            if nbrs.bit_count() != 2 or not (nbrs >> c) & 1:
-                ok = False
-                break
-            y = (nbrs & ~(1 << c)).bit_length() - 1
-            if (g.adj[y] >> c) & 1:
-                # x, y, c form a triangle hanging off the center
-                if g.adj[y].bit_count() != 2:
-                    ok = False
-                    break
-                delta += 1
-            else:
-                # leg c - x - y: y must be a leaf of x
-                if g.adj[y] != 1 << x:
-                    ok = False
-                    break
-                t += 1
-            seen |= (1 << x) | (1 << y)
-        if ok and t + delta >= 1 and seen == g.full_mask and g.n == 1 + 2 * t + 2 * delta:
-            return FamilyLabel("star", (t, delta))
+        rest = g.full_mask ^ (1 << c)
+        if all((g.adj[v] & rest).bit_count() == 1 for v in bits_of(rest)):
+            delta = g.adj[c].bit_count() - g.n // 2
+            return FamilyLabel("star", (g.n // 2 - delta, delta))
     return None
 
 
@@ -235,15 +218,15 @@ def recognize_family(g: Graph) -> FamilyLabel | None:
     if len(masks) == 1:
         if g.n == 3 and g.edge_count == 3:
             return FamilyLabel("C3")
-        if _is_cycle_component(g, g.full_mask, 5) and g.edge_count == 5:
+        if _is_cycle_component(g, g.full_mask, 5):
             return FamilyLabel("C5")
         if g.n > 2:  # K2 is mK2:1, and no subdivided star is disconnected
             return _recognize_subdivided_star(g)
     k2s = sum(1 for m in masks if m.bit_count() == 2)
     c5s = sum(1 for m in masks if _is_cycle_component(g, m, 5))
-    if k2s == len(masks) and 2 * k2s == g.n:
+    if k2s == len(masks):
         return FamilyLabel("mK2", (k2s,))
-    if k2s + c5s == len(masks) and 2 * k2s + 5 * c5s == g.n:
+    if k2s + c5s == len(masks):
         return FamilyLabel("mK2+mC5", (k2s, c5s))
     return None
 

@@ -193,7 +193,12 @@ def _verify_worker(g: Graph, check_ids):
 
 
 def _invariants_worker(g: Graph):
-    r = invariants(g)
+    """The four invariants with their witnesses, or a ``skipped`` record
+    when the guard stops the exact scans on g."""
+    try:
+        r = invariants(g)
+    except GuardError as exc:
+        return {"graph6": encode_graph6(g), "n": g.n, "skipped": str(exc)}
     return {
         "graph6": encode_graph6(g),
         "n": g.n,
@@ -253,14 +258,6 @@ def _decide_worker(g: Graph, mode: str):
     elif mode == "both":  # null unless both sides decided
         rec["agree"] = None if fast is None or brute is None else fast == brute
     return rec
-
-
-def _or_skipped(worker, g: Graph):
-    """worker(g), or a ``skipped`` record when a guard stops it on g."""
-    try:
-        return worker(g)
-    except GraphError as exc:
-        return {"graph6": encode_graph6(g), "n": g.n, "skipped": str(exc)}
 
 
 def _shard(items, shard):
@@ -456,11 +453,11 @@ def run(config: RunConfig):
         report.hunt = hunt.to_record()
         report.failures = list(hunt.exceptions)
     elif config.command in ("invariants", "classify", "decide"):
-        worker = partial(_or_skipped, {
+        worker = {
             "invariants": _invariants_worker,
             "classify": _classify_worker,
             "decide": partial(_decide_worker, mode=config.mode),
-        }[config.command])
+        }[config.command]
         report.results = list(results(worker))
         report.failures = [r for r in report.results if r.get("agree") is False]
     else:

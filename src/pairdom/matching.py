@@ -9,9 +9,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .graph import Graph, GraphError, as_mask, bits_of
-
-ENUMERATION_LIMIT = 20
+from .graph import Graph, as_mask, bits_of
 
 
 def _has_perfect_matching(adj: list[int], memo: dict, mask: int) -> bool:
@@ -41,12 +39,18 @@ def perfect_matching_tester(g: Graph):
 def all_perfect_matchings(g: Graph, S) -> list[tuple[tuple[int, int], ...]]:
     """Every perfect matching of G[S] as a tuple of its pairs (u, v), u < v,
     in lexicographic order: the search pairs the least unmatched vertex
-    with its partners in increasing order, so it emits them sorted."""
+    with its partners in increasing order, so it emits them sorted.
+
+    The checks call it only on a maximum minimal PDS S of an equality graph
+    whose components are triangle-free cacti, so G[S] is an induced
+    subgraph of one, with no limit needed on |S|. For two perfect matchings
+    M and M0 of G[S], M ^ M0 is a disjoint union of even cycles of G[S], and
+    each cycle of a cactus is a block. So M is M0 flipped on a set of cycle
+    blocks, and there are at most 2^c of them, c the number of cycle blocks
+    of G[S]. Each block is a cycle of length >= 4 that adds at least 3
+    vertices to its component, so c <= (|S| - 1) / 3: at most 2^7 = 128
+    matchings for |S| <= 24, the scans' guard."""
     mask = as_mask(S, g.n)
-    if mask.bit_count() > ENUMERATION_LIMIT:
-        raise GraphError(
-            f"matching enumeration limited to |S| <= {ENUMERATION_LIMIT}"
-        )
     if mask.bit_count() % 2:
         return []
     out = []

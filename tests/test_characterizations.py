@@ -1,10 +1,11 @@
 import dataclasses
+from itertools import combinations
 
 import pytest
 
 import oracles
 from pairdom import characterizations, domination, families
-from pairdom.graph import build_graph, encode_graph6
+from pairdom.graph import build_graph, components, encode_graph6
 from pairdom.families import (
     disjoint_union,
     make_cycle,
@@ -118,14 +119,16 @@ class TestDecideFastpath:
 
 class TestPrivatePairs:
     def test_adjacent_hypothesis_pairs_are_the_matched_pairs(self, graphs_up_to_7):
-        # The matched-pair lemma reads its pairs off the pair-removal walk
-        # instead of enumerating matchings; check that against enumeration.
+        # The matched-pair lemma reads its pairs off the adjacent pairs of
+        # Facts.private_pairs instead of enumerating matchings; check that
+        # against enumeration.
         compared = 0
         for g in graphs_up_to_7:
             facts = Facts(g)
-            if not facts.no_isolated:
+            if not domination.paired_domination_defined(g):
                 continue
-            walked = set(characterizations._private_pair_hypotheses(facts, True))
+            walked = {(smask, u, v) for smask, u, v in facts.private_pairs
+                      if g.has_edge(u, v)}
             matched = {
                 (smask, u, v)
                 for smask in facts.report.mpds_masks
@@ -204,6 +207,23 @@ class TestIndependentCore:
                 assert (got is None) == found, (encode_graph6(g), pds)
 
 
+class TestHalfMds:
+    def test_rule_on_every_vertex_subset(self, graphs_up_to_6):
+        # The check never fails on a real minimal PDS, so feed it every
+        # vertex subset and compare with a search over the subset's subsets.
+        for g in graphs_up_to_6:
+            facts = Facts(g)
+            report = facts.report
+            for pmask in range(1 << g.n):
+                facts.report = dataclasses.replace(report, mpds_masks=[pmask])
+                pds = [v for v in range(g.n) if pmask >> v & 1]
+                found = any(oracles.is_minimal_dominating(g, sub)
+                            for size in range((len(pds) + 1) // 2, len(pds) + 1)
+                            for sub in combinations(pds, size))
+                witness = characterizations._pds_contains_half_mds(facts)
+                assert witness == (None if found else {"pds": pds}), (g.edges(), pds)
+
+
 class TestUnicyclicBound:
     def test_bound_values(self):
         assert check(make_cycle(6), "unicyclic-gamma-bound").status == "holds"
@@ -246,6 +266,34 @@ class TestStructuralChecks:
                 assert Facts(g).equality is True
 
 
+# Equality graphs with 22 <= n <= 24 whose components are triangle-free
+# cacti, so every structural lemma applies, on a maximum minimal PDS of
+# 20-24 vertices.
+UNIONS_AT_THE_GUARD = ("mK2:11", "mK2:12", "union:K2*7+C5*2", "union:K2*2+C5*4")
+
+
+@pytest.mark.parametrize("spec", UNIONS_AT_THE_GUARD)
+class TestUnionsAtTheGuard:
+    def test_every_check_decides(self, spec):
+        g = families.parse_family_spec(spec)
+        verdicts = run_checks(g, ALL_CHECK_IDS)
+        assert {v.status for v in verdicts} <= {"holds", "na"}, verdicts
+        assert all(v.status == "holds" for v in verdicts
+                   if v.check_id in STRUCTURAL_CHECKS)
+
+    def test_matchings_within_the_cycle_bound(self, spec):
+        # G[P] is a cactus forest, so its perfect matchings differ by sets
+        # of cycle blocks: at most 2^c, c = m - n + components of G[P].
+        g = families.parse_family_spec(spec)
+        facts = Facts(g)
+        for pmask in facts.upper_pds_masks:
+            vs = [v for v in range(g.n) if pmask >> v & 1]
+            sub = build_graph(len(vs), [(i, j) for i, j in combinations(range(len(vs)), 2)
+                                        if g.has_edge(vs[i], vs[j])])
+            cycles = sub.edge_count - sub.n + len(components(sub))
+            assert 1 <= len(facts.matchings(pmask)) <= 2 ** cycles
+
+
 class TestRegistry:
     def test_each_scan_runs_once_per_graph(self, monkeypatch, graphs_up_to_5):
         calls = {"mds": 0, "mpds": 0}
@@ -263,7 +311,7 @@ class TestRegistry:
         paired = 0
         for g in graphs_up_to_5:
             run_checks(g, ALL_CHECK_IDS)
-            paired += not any(row == 0 for row in g.adj)
+            paired += g.n > 0 and not any(row == 0 for row in g.adj)
         assert calls == {"mds": len(graphs_up_to_5), "mpds": paired}
 
     def test_block_scan_runs_once_per_graph(self, monkeypatch):

@@ -358,7 +358,8 @@ class TestCommands:
 
     def test_empty_graph_has_no_paired_domination(self, capsys):
         # K0, like a graph with an isolated vertex, is outside every check
-        # that needs Γ_pr; only gamma-ge-independence applies to it.
+        # that needs Γ_pr; only gamma-ge-independence applies to it, and
+        # invariants gives its paired fields as null.
         code, out, _ = run_cli(capsys, "verify", "enum:0")
         assert code == 0
         totals = json.loads(out)["totals"]
@@ -368,6 +369,13 @@ class TestCommands:
             code, out, _ = run_cli(capsys, "decide", "enum:0", mode)
             assert code == 0
             assert json.loads(out)["results"][0]["brute"] is None
+        code, out, _ = run_cli(capsys, "invariants", "enum:0")
+        assert code == 0
+        assert json.loads(out)["results"] == [{
+            "graph6": "?", "n": 0, "gamma": 0, "upper_gamma": 0,
+            "gamma_pr": None, "upper_gamma_pr": None,
+            "witnesses": {"gamma": [], "upper_gamma": [],
+                          "gamma_pr": None, "upper_gamma_pr": None}}]
 
     def test_gen(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "union:K2*2+C5*1", "--format", "json")

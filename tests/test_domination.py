@@ -27,6 +27,7 @@ from pairdom.domination import (
     is_paired_dominating,
     minimal_dominating_masks,
     minimal_paired_dominating_masks,
+    paired_domination_defined,
     paired_dominating_masks,
 )
 from pairdom.matching import all_perfect_matchings
@@ -204,6 +205,11 @@ class TestInvariants:
             r = invariants(g)
             assert r.gamma == oracles.gamma(g)
             assert r.upper_gamma == oracles.upper_gamma(g)
+            # The literal oracle lets the empty set pair K0; Γ_pr is
+            # undefined there, as on a graph with an isolated vertex.
+            if g.n == 0:
+                assert (r.gamma_pr, r.upper_gamma_pr) == (None, None)
+                continue
             assert r.gamma_pr == oracles.gamma_pr(g)
             assert r.upper_gamma_pr == oracles.upper_gamma_pr(g)
 
@@ -213,6 +219,15 @@ class TestInvariants:
         r = invariants(g)
         assert r.gamma_pr is None and r.upper_gamma_pr is None
         assert r.witnesses["gamma_pr"] is None
+
+    def test_empty_graph_leaves_paired_undefined(self):
+        k0 = build_graph(0, [])
+        assert not paired_domination_defined(k0)
+        r = invariants(k0)
+        assert (r.gamma, r.upper_gamma, r.gamma_pr, r.upper_gamma_pr) == (0, 0, None, None)
+        assert r.witnesses == {"gamma": (), "upper_gamma": (),
+                               "gamma_pr": None, "upper_gamma_pr": None}
+        assert r.mpds_masks == []
 
     def test_witnesses_are_lex_least_and_valid(self, graphs_up_to_5):
         for g in graphs_up_to_5:

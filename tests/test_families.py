@@ -7,6 +7,7 @@ from oracles import relabel
 from pairdom.generate import enumerate_labeled_graphs
 from pairdom.graph import GraphError, build_graph, encode_graph6, girth, is_connected
 from pairdom.families import (
+    _PRECEDENCE,
     ClassFlags,
     FamilyLabel,
     classify,
@@ -184,6 +185,33 @@ class TestRecognition:
                 perm = list(range(g.n))
                 rng.shuffle(perm)
                 assert recognize_family(relabel(g, perm)) == expect
+
+    def test_matches_networkx_isomorphism(self, graphs_up_to_8):
+        # Every graph with n <= 8 gets the label of the first family member
+        # of its order and size, in precedence order, that networkx finds
+        # isomorphic to it, and None when there is none.
+        nx = pytest.importorskip("networkx")
+        members = [(FamilyLabel("C3"), make_cycle(3)), (FamilyLabel("C5"), make_cycle(5))]
+        members += [(FamilyLabel("mK2", (m,)), make_union([(make_k2(), m)]))
+                    for m in range(1, 5)]
+        members += [(FamilyLabel("star", (t, d)), make_subdivided_star(t, d))
+                    for t in range(4) for d in range(4) if 1 <= t + d <= 3]
+        members += [(FamilyLabel("mK2+mC5", (m, 1)),
+                     make_union([(make_k2(), m), (make_cycle(5), 1)])) for m in (0, 1)]
+        members.sort(key=lambda lm: _PRECEDENCE.index(lm[0].kind))
+        by_shape = {}
+        for label, h in members:
+            by_shape.setdefault((h.n, h.edge_count), []).append(
+                (label, networkx_graph(nx, h)))
+        labeled = 0
+        for g in graphs_up_to_8:
+            h = networkx_graph(nx, g)
+            expect = next((label for label, f in by_shape.get((g.n, g.edge_count), ())
+                           if nx.is_isomorphic(h, f)), None)
+            assert recognize_family(g) == expect, encode_graph6(g)
+            labeled += expect is not None
+        # each member is met once; star (0, 1) is C3 and the union (0, 1) is C5
+        assert labeled == len(members) - 2 == 15
 
     def test_near_misses(self):
         # star with an extra pendant on a leg midpoint is not in the family

@@ -2,16 +2,10 @@ import gc
 import itertools
 import weakref
 
-import pytest
-
 import oracles
-from pairdom.graph import GraphError, build_graph
+from pairdom.graph import build_graph
 from pairdom.families import make_cycle, make_path
-from pairdom.matching import (
-    ENUMERATION_LIMIT,
-    all_perfect_matchings,
-    perfect_matching_tester,
-)
+from pairdom.matching import all_perfect_matchings, perfect_matching_tester
 
 
 def mask_of(S) -> int:
@@ -88,9 +82,3 @@ class TestAllPerfectMatchings:
                 every = all_perfect_matchings(g, mask)
                 assert every == sorted(every)
                 assert bool(every) == pm(mask)
-
-    def test_guard(self):
-        big = build_graph(30, [(i, i + 1) for i in range(29)])
-        with pytest.raises(GraphError,
-                           match=r"matching enumeration limited to \|S\| <= 20"):
-            all_perfect_matchings(big, list(range(ENUMERATION_LIMIT + 2)))
