@@ -23,6 +23,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .domination import (
+    GuardError,
     InvariantReport,
     has_epn_pair,
     independence_number,
@@ -545,30 +546,31 @@ class HuntReport:
     skipped_by_reason: dict = field(
         default_factory=lambda: dict.fromkeys(HUNT_SKIP_REASONS, 0))
     satisfiers: list = field(default_factory=list)
-    exceptions: list = field(default_factory=list)
 
     @property
     def skipped(self) -> int:
         return sum(self.skipped_by_reason.values())
 
     @property
+    def exceptions(self) -> list:
+        return [s for s in self.satisfiers if not s["expected_form"]]
+
+    @property
     def non_cactus_satisfiers(self) -> list:
         return [s for s in self.satisfiers if not s["cactus"]]
 
-    def add(self, rec: dict) -> bool:
-        """Count one scanned graph from its ``hunt_scan`` record, or from
-        ``{"skipped": "unreadable"}``; True when it is an exception."""
+    def add(self, rec: dict | None) -> bool:
+        """Count one scanned graph from its ``hunt_record``, or from
+        ``{"skipped": "unreadable"}``; True when it is an exception. The
+        record is kept as given."""
         self.scanned += 1
+        if rec is None:
+            return False
         if "skipped" in rec:
             self.skipped_by_reason[rec["skipped"]] += 1
             return False
-        if not rec.pop("satisfier"):
-            return False
         self.satisfiers.append(rec)
-        if rec["expected_form"]:
-            return False
-        self.exceptions.append(rec)
-        return True
+        return not rec["expected_form"]
 
     def to_record(self) -> dict:
         return {
@@ -584,15 +586,21 @@ class HuntReport:
 
 
 def hunt_record(g: Graph) -> dict | None:
-    """Classify one graph for the hunt; None when it is out of scope."""
+    """The hunt's outcome on one graph: ``{"skipped": "out_of_scope"}`` when
+    it has a triangle or Γ_pr is undefined on it, ``{"skipped":
+    "too_large"}`` when the guard stops the exact scans, None when it misses
+    the equality, else its satisfier record."""
     facts = Facts(g)
     if not _paired(facts) or not facts.flags.c3_free:
+        return {"skipped": "out_of_scope"}
+    try:
+        equality = facts.equality
+    except GuardError:
+        return {"skipped": "too_large"}
+    if equality is not True:
         return None
-    if facts.equality is not True:
-        return {"satisfier": False}
     fam = facts.family
     return {
-        "satisfier": True,
         "graph6": facts.graph6,
         "family": _spec(fam),
         "expected_form": _edges_and_5_cycles(fam),
@@ -600,20 +608,10 @@ def hunt_record(g: Graph) -> dict | None:
     }
 
 
-def hunt_scan(g: Graph) -> dict:
-    """``hunt_record``, or a ``{"skipped": reason}`` record: out_of_scope
-    where that is None, too_large where a guard stops the exact scans."""
-    try:
-        rec = hunt_record(g)
-    except GraphError:
-        return {"skipped": "too_large"}
-    return {"skipped": "out_of_scope"} if rec is None else rec
-
-
 def hunt_c3free_counterexamples(stream) -> HuntReport:
     """Scan a stream of graphs for triangle-free equality satisfiers that
     are not disjoint unions of edges and 5-cycles."""
     report = HuntReport()
     for g in stream:
-        report.add(hunt_scan(g))
+        report.add(hunt_record(g))
     return report

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from .harness import ALL_CHECK_IDS, RunConfig, RunReport, run
 
@@ -128,17 +129,18 @@ def main(argv=None) -> int:
         output=args.output,
         fmt=args.fmt,
     )
-    report, code = run(config)
-    text = (
-        json.dumps(report.to_record(), indent=2) + "\n"
-        if config.fmt == "json"
-        else _format_text(report)
-    )
-    if config.output:
-        with open(config.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        sink = open(config.output, "w") if config.output else nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"cannot open --output: {exc}", file=sys.stderr)
+        return 2
+    with sink as fh:
+        report, code = run(config)
+        fh.write(
+            json.dumps(report.to_record(), indent=2) + "\n"
+            if config.fmt == "json"
+            else _format_text(report)
+        )
     return code
 
 

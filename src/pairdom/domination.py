@@ -39,7 +39,8 @@ class GuardError(GraphError):
 
 
 class IsolatedVertexError(GraphError):
-    """Paired domination is undefined for graphs with isolated vertices."""
+    """Paired domination is undefined on K0 and on a graph with an isolated
+    vertex (``paired_domination_defined`` is false)."""
 
 
 def closed_neighborhoods(g: Graph) -> list[int]:
@@ -181,10 +182,12 @@ def minimal_dominating_masks(g: Graph) -> list[int]:
 def paired_dominating_masks(g: Graph) -> list[int]:
     """All paired dominating sets (not only minimal ones) as bitsets, in
     increasing mask order. A set with least vertex v has a perfect matching
-    iff it is {v, u} plus a matchable set above v without u, u ~ v, u > v."""
+    iff it is {v, u} plus a matchable set above v without u, u ~ v, u > v.
+    Raises IsolatedVertexError where paired domination is undefined."""
     _guard(g)
-    if has_isolated_vertex(g):
-        raise IsolatedVertexError("graph has an isolated vertex")
+    if not paired_domination_defined(g):
+        raise IsolatedVertexError("paired domination is undefined on K0 and "
+                                  "on a graph with an isolated vertex")
     members = _members(g.n)
     matchable = 1
     for v in reversed(range(g.n)):
@@ -257,28 +260,27 @@ def _lex_least(masks) -> tuple[int, ...]:
     return tuple(bits_of(best))
 
 
+def _extremes(masks) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    """The least and the largest size in a non-empty list of bitsets, and
+    the lexicographically least set of each of the two sizes."""
+    sizes = [m.bit_count() for m in masks]
+    low, high = min(sizes), max(sizes)
+    return (low, high,
+            _lex_least([m for m, k in zip(masks, sizes) if k == low]),
+            _lex_least([m for m, k in zip(masks, sizes) if k == high]))
+
+
 def invariants(g: Graph) -> InvariantReport:
     """Exact γ, Γ, γ_pr, Γ_pr by exhaustive enumeration."""
     mds = minimal_dominating_masks(g)
-    sizes = [m.bit_count() for m in mds]
-    gamma = min(sizes)
-    upper_gamma = max(sizes)
-    witnesses = {
-        "gamma": _lex_least([m for m in mds if m.bit_count() == gamma]),
-        "upper_gamma": _lex_least([m for m in mds if m.bit_count() == upper_gamma]),
-        "gamma_pr": None,
-        "upper_gamma_pr": None,
-    }
+    gamma, upper_gamma, low, high = _extremes(mds)
+    witnesses = {"gamma": low, "upper_gamma": high,
+                 "gamma_pr": None, "upper_gamma_pr": None}
     gamma_pr = upper_gamma_pr = None
     mpds = []
     if paired_domination_defined(g):
         mpds = minimal_paired_dominating_masks(g)
-        psizes = [m.bit_count() for m in mpds]
-        gamma_pr = min(psizes)
-        upper_gamma_pr = max(psizes)
-        witnesses["gamma_pr"] = _lex_least(
-            [m for m in mpds if m.bit_count() == gamma_pr])
-        witnesses["upper_gamma_pr"] = _lex_least(
-            [m for m in mpds if m.bit_count() == upper_gamma_pr])
+        (gamma_pr, upper_gamma_pr,
+         witnesses["gamma_pr"], witnesses["upper_gamma_pr"]) = _extremes(mpds)
     return InvariantReport(gamma, upper_gamma, gamma_pr, upper_gamma_pr, witnesses,
                            mds, mpds)

@@ -249,11 +249,11 @@ def parse_family_spec(spec: str) -> Graph:
             raise GraphError("mK2 requires m >= 1")
         return make_union([(make_k2(), m)])
     if s.startswith("star:"):
-        try:
-            params = dict(part.split("=") for part in s[5:].split(","))
-            t, d = params.pop("t"), params.pop("d", "0")
-        except (KeyError, ValueError):
-            raise GraphError(f"bad star parameters in {spec!r}") from None
+        pairs = [part.split("=") for part in s[5:].split(",")]
+        params = dict(p for p in pairs if len(p) == 2)
+        if len(params) < len(pairs):  # a part that is not key=value, or a key twice
+            raise GraphError(f"bad star parameters in {spec!r}")
+        t, d = params.pop("t", ""), params.pop("d", "0")
         if not (t.isdecimal() and d.isdecimal()):
             raise GraphError(f"bad star parameters in {spec!r}")
         if params:

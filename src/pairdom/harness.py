@@ -24,7 +24,6 @@ import time
 from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import islice
 from multiprocessing.connection import wait
 from operator import itemgetter
 
@@ -268,20 +267,6 @@ def _shard(items, shard):
     return _numbered(items[shard[0]::shard[1]], shard)
 
 
-def _has_four_graphs(items) -> bool:
-    """Whether a source holds at least 4 graphs. A generated source has at
-    least as many graphs of order n as of order n - 1 (add an isolated
-    vertex), so order min(n, 4) tells, at no cost. A source that raises on
-    the way is left to the serial run, which reports it."""
-    if isinstance(items, GeneratedSource):
-        items = GeneratedSource(items.stream, min(items.n, 4))
-    graphs = (it for it in items if it.graph is not None)
-    try:
-        return len(list(islice(graphs, 4))) == 4
-    except ValueError:
-        return False
-
-
 def _apply(fn, positioned):
     """(position, fn(graph)) for each (position, SourceItem) of a stream, or
     (position, item) for an unreadable item. A ValueError the stream raises
@@ -373,11 +358,11 @@ def _sharded(fn, items, jobs: int):
 def _map_source(fn, items, jobs: int):
     """fn over the graphs of a source, in source order, as ``_apply`` gives
     them without positions: in ``jobs`` worker processes when there are
-    more than one and the source holds at least 4 graphs, else here. A list
-    source gets at most one worker per item."""
+    more than one, else here. A list source gets at most one worker per
+    item."""
     if not isinstance(items, GeneratedSource):
         jobs = min(jobs, len(items))
-    if jobs > 1 and _has_four_graphs(items):
+    if jobs > 1:
         entries = _sharded(fn, items, jobs)
     else:
         entries = _apply(fn, _shard(items, (0, 1)))
@@ -445,13 +430,13 @@ def run(config: RunConfig):
         report.totals = totals
     elif config.command == "hunt":
         hunt = ch.HuntReport()
-        for rec in results(ch.hunt_scan):
+        for rec in results(ch.hunt_record):
             if hunt.add(rec):
                 print(json.dumps(rec), file=sys.stderr)
         for _ in range(bad):
             hunt.add({"skipped": "unreadable"})
         report.hunt = hunt.to_record()
-        report.failures = list(hunt.exceptions)
+        report.failures = hunt.exceptions
     elif config.command in ("invariants", "classify", "decide"):
         worker = {
             "invariants": _invariants_worker,

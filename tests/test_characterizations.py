@@ -17,6 +17,8 @@ from pairdom.families import (
 from pairdom.characterizations import (
     ALL_CHECK_IDS,
     Facts,
+    HUNT_SKIP_REASONS,
+    HuntReport,
     STRUCTURAL_CHECKS,
     equality_votes,
     hunt_c3free_counterexamples,
@@ -373,12 +375,28 @@ class TestRegistry:
 
 class TestHunt:
     def test_record_scope(self):
-        assert hunt_record(make_cycle(3)) is None  # not triangle-free
-        assert hunt_record(build_graph(2, [])) is None  # isolated vertices
-        rec = hunt_record(make_path(4))
-        assert rec == {"satisfier": False}
-        rec = hunt_record(make_cycle(5))
-        assert rec["satisfier"] and rec["expected_form"] and rec["cactus"]
+        out_of_scope = {"skipped": "out_of_scope"}
+        assert hunt_record(make_cycle(3)) == out_of_scope  # not triangle-free
+        assert hunt_record(build_graph(2, [])) == out_of_scope  # isolated vertices
+        assert hunt_record(build_graph(0, [])) == out_of_scope  # K0
+        assert hunt_record(make_cycle(25)) == {"skipped": "too_large"}
+        assert hunt_record(make_path(4)) is None  # misses the equality
+        assert hunt_record(make_cycle(5)) == {
+            "graph6": encode_graph6(make_cycle(5)), "family": "C5",
+            "expected_form": True, "cactus": True}
+
+    def test_report_counts_each_record_shape(self):
+        c5 = {"graph6": "Dhc", "family": "C5", "expected_form": True, "cactus": True}
+        odd = {"graph6": "?", "family": None, "expected_form": False, "cactus": False}
+        records = [{"skipped": "out_of_scope"}, {"skipped": "too_large"},
+                   {"skipped": "unreadable"}, None, dict(c5), dict(odd)]
+        report = HuntReport()
+        assert [report.add(rec) for rec in records] == [False] * 5 + [True]
+        assert records[-2:] == [c5, odd]  # kept as given
+        assert report.satisfiers == [c5, odd] and report.exceptions == [odd]
+        rec = report.to_record()
+        assert (rec["scanned"], rec["skipped"], rec["exception_count"]) == (6, 3, 1)
+        assert rec["skipped_by_reason"] == dict.fromkeys(HUNT_SKIP_REASONS, 1)
 
     def test_empty_stream(self):
         report = hunt_c3free_counterexamples([])

@@ -411,6 +411,16 @@ class TestCommands:
         assert out == ""
         assert json.loads(target.read_text())["results"][0]["gamma"] == 2
 
+    def test_unopenable_output_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        def no_run(config):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("pairdom.cli.run", no_run)
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, "verify", "C5", "--output", str(target))
+        assert (code, out) == (2, "")
+        assert "cannot open --output" in err and str(target) in err
+
     def test_usage_error(self, capsys):
         assert main(["frobnicate", "C5"]) == 2
 
@@ -457,7 +467,7 @@ class TestRunApi:
 
 
 class TestStreaming:
-    def test_no_pool_below_four_graphs(self, monkeypatch):
+    def test_one_item_list_runs_in_process(self, monkeypatch):
         class ProcessStarted(Exception):
             pass
 
@@ -465,26 +475,18 @@ class TestStreaming:
             raise ProcessStarted(method)
 
         monkeypatch.setattr(multiprocessing, "get_context", get_context)
-        three = [SourceItem(g) for g in (make_cycle(3), make_cycle(4), make_cycle(5))]
-        unreadable = SourceItem(None, "line 4: bad")
-        expect = [encode_graph6(it.graph) for it in three]
-        assert list(_map_source(encode_graph6, three, 2)) == expect
-        assert list(_map_source(encode_graph6, three + [unreadable], 2)) == (
-            expect + [unreadable])
-        # 1, 2, 3 and 2 graphs
-        for source in ("enum:1", "enum:2", "c3free:3", "enum:2:labeled"):
-            assert len(list(_map_source(encode_graph6, load_source(source), 2))) < 4
-        # 4 graphs and more
-        for source in ("enum:3", "c3free:4", "enum:3:labeled", "enum:8"):
-            with pytest.raises(ProcessStarted, match="fork"):
-                list(_map_source(encode_graph6, load_source(source), 2))
-        with pytest.raises(ProcessStarted):
-            list(_map_source(encode_graph6, three + three[:1], 2))
+        c5 = SourceItem(make_cycle(5))
+        unreadable = SourceItem(None, "line 1: bad")
+        assert list(_map_source(encode_graph6, [c5], 2)) == [encode_graph6(c5.graph)]
+        assert list(_map_source(encode_graph6, [unreadable], 2)) == [unreadable]
+        assert list(_map_source(encode_graph6, [], 2)) == []
 
-    def test_list_source_gets_one_worker_per_item(self, monkeypatch, capsys, tmp_path):
+    @staticmethod
+    def workers_started(monkeypatch, capsys, tmp_path, graphs, jobs):
+        """How many worker processes ``verify`` of a graph6 file of the
+        graphs starts at ``--jobs jobs``; its output must be that of one job."""
         p = tmp_path / "graphs.g6"
-        p.write_text("".join(encode_graph6(g) + "\n" for g in (
-            make_cycle(5), make_path(4), make_cycle(6), make_path(6), make_cycle(7))))
+        p.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
         serial = run_cli(capsys, "verify", str(p), "--jobs", "1")
         started = []
         get_context = multiprocessing.get_context
@@ -501,8 +503,7 @@ class TestStreaming:
                 return started[-1]
 
         monkeypatch.setattr(multiprocessing, "get_context", CountingContext)
-        sharded = call_bounded(run_cli, capsys, "verify", str(p), "--jobs", "16")
-        assert len(started) == 5
+        sharded = call_bounded(run_cli, capsys, "verify", str(p), "--jobs", str(jobs))
 
         def without_elapsed(out):
             rec = json.loads(out)
@@ -513,6 +514,15 @@ class TestStreaming:
         assert sharded[0] == serial[0] == 0
         assert without_elapsed(sharded[1]) == without_elapsed(serial[1])
         assert sharded[2] == serial[2]
+        return len(started)
+
+    def test_list_source_gets_one_worker_per_item(self, monkeypatch, capsys, tmp_path):
+        graphs = (make_cycle(5), make_path(4), make_cycle(6), make_path(6), make_cycle(7))
+        assert self.workers_started(monkeypatch, capsys, tmp_path, graphs, 16) == 5
+
+    def test_two_line_file_gets_two_workers(self, monkeypatch, capsys, tmp_path):
+        graphs = (make_cycle(5), make_path(4))
+        assert self.workers_started(monkeypatch, capsys, tmp_path, graphs, 2) == 2
 
     @pytest.mark.parametrize("exc", [GraphError("bad graph"),
                                      ValueError("bad value"),

@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 from pairdom import domination
-from pairdom.characterizations import hunt_scan
+from pairdom.characterizations import hunt_record
 from pairdom.graph import GraphError, build_graph
 from pairdom.families import (
     disjoint_union,
@@ -150,10 +150,18 @@ SCANS = [
 
 
 class TestScans:
+    def test_paired_scans_refuse_empty_graph(self):
+        # Γ_pr is undefined on K0, as on a graph with an isolated vertex.
+        k0 = build_graph(0, [])
+        for scan in (paired_dominating_masks, minimal_paired_dominating_masks):
+            with pytest.raises(IsolatedVertexError, match="K0"):
+                scan(k0)
+        assert minimal_dominating_masks(k0) == [0]
+
     def test_scans_match_literal_oracle(self, graphs_up_to_6):
         for g in graphs_up_to_6:
             for scan, predicate in SCANS:
-                if scan is not minimal_dominating_masks and has_isolated_vertex(g):
+                if scan is not minimal_dominating_masks and not paired_domination_defined(g):
                     with pytest.raises(IsolatedVertexError):
                         scan(g)
                 else:
@@ -332,7 +340,7 @@ class TestGuards:
         for scan in (invariants, independence_number):
             with pytest.raises(GuardError, match=guard):
                 scan(c25)
-        assert hunt_scan(c25) == {"skipped": "too_large"}
+        assert hunt_record(c25) == {"skipped": "too_large"}
         c20_k1 = disjoint_union([make_cycle(20), build_graph(1, [])])
         report = invariants(c20_k1)
         assert report.gamma_pr is None and report.gamma == 8

@@ -251,7 +251,8 @@ class TestSpecParsing:
         for spec in ("mK2:x", "mK2:1_0", "mK2:+2", "mK2: 2"):
             with pytest.raises(GraphError, match="bad multiplicity"):
                 parse_family_spec(spec)
-        for spec in ("star:t=1_0", "star:t=+2", "star:t=2,d= 1"):
+        for spec in ("star:t=1_0", "star:t=+2", "star:t=2,d= 1",
+                     "star:t=1,t=2", "star:d=1,t=1,d=2"):  # a key given twice
             with pytest.raises(GraphError, match="bad star parameters"):
                 parse_family_spec(spec)
         for spec in ("union:K2*x", "union:K2*", "union:K2*2+C5*-1"):
