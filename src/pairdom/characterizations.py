@@ -37,6 +37,7 @@ from .families import (
     every_block_edge_or_cycle,
     recognize_family,
 )
+from .generate import triangle_free
 from .graph import Graph, GraphError, bits_of, encode_graph6
 from .matching import all_perfect_matchings, perfect_matching_tester
 
@@ -73,6 +74,14 @@ class Facts:
     @cached_property
     def graph6(self) -> str:
         return encode_graph6(self.g)
+
+    @cached_property
+    def paired(self) -> bool:
+        return paired_domination_defined(self.g)
+
+    @cached_property
+    def alpha(self) -> int:
+        return independence_number(self.g)
 
     @cached_property
     def flags(self) -> ClassFlags:
@@ -166,7 +175,7 @@ class Check:
 
 def _paired(facts: Facts) -> bool:
     """A non-empty graph without isolated vertices, so Γ_pr is defined."""
-    return paired_domination_defined(facts.g)
+    return facts.paired
 
 
 def _connected_order_3(facts: Facts) -> bool:
@@ -297,10 +306,9 @@ def _gpr_at_most_2gamma(facts: Facts) -> dict | None:
 
 
 def _gamma_ge_independence(facts: Facts) -> dict | None:
-    alpha = independence_number(facts.g)
-    if facts.report.upper_gamma >= alpha:
+    if facts.report.upper_gamma >= facts.alpha:
         return None
-    return {"upper_gamma": facts.report.upper_gamma, "independence": alpha}
+    return {"upper_gamma": facts.report.upper_gamma, "independence": facts.alpha}
 
 
 def _unicyclic_gamma_bound(facts: Facts) -> dict | None:
@@ -589,11 +597,21 @@ def hunt_record(g: Graph) -> dict | None:
     """The hunt's outcome on one graph: ``{"skipped": "out_of_scope"}`` when
     it has a triangle or Γ_pr is undefined on it, ``{"skipped":
     "too_large"}`` when the guard stops the exact scans, None when it misses
-    the equality, else its satisfier record."""
+    the equality, else its satisfier record.
+
+    Most misses are found from α, before either 2^n scan. An in-scope G
+    other than mK2 has Γ_pr <= n - 1 (``gpr-equals-n``: Γ_pr = n only for
+    mK2) and Γ >= α (``gamma-ge-independence``), so 2α > n - 1 gives
+    2Γ > Γ_pr. mK2, which has 2α = n, and every graph with 2α <= n - 1
+    are decided by ``Facts.equality``."""
     facts = Facts(g)
-    if not _paired(facts) or not facts.flags.c3_free:
+    if not facts.paired or not triangle_free(g):
         return {"skipped": "out_of_scope"}
+    # with no isolated vertex, G is mK2 iff no vertex has two neighbours
+    not_mk2 = any(row & (row - 1) for row in g.adj)
     try:
+        if not_mk2 and 2 * facts.alpha > g.n - 1:
+            return None
         equality = facts.equality
     except GuardError:
         return {"skipped": "too_large"}

@@ -374,16 +374,57 @@ class TestRegistry:
 
 
 class TestHunt:
-    def test_record_scope(self):
+    def test_record_scope(self, monkeypatch):
         out_of_scope = {"skipped": "out_of_scope"}
         assert hunt_record(make_cycle(3)) == out_of_scope  # not triangle-free
         assert hunt_record(build_graph(2, [])) == out_of_scope  # isolated vertices
         assert hunt_record(build_graph(0, [])) == out_of_scope  # K0
-        assert hunt_record(make_cycle(25)) == {"skipped": "too_large"}
         assert hunt_record(make_path(4)) is None  # misses the equality
         assert hunt_record(make_cycle(5)) == {
             "graph6": encode_graph6(make_cycle(5)), "family": "C5",
             "expected_form": True, "cactus": True}
+        # 2α = n, but mK2 goes on to the scans and meets the equality
+        twelve_k2 = disjoint_union([make_k2()] * 12)
+        assert hunt_record(twelve_k2) == {
+            "graph6": encode_graph6(twelve_k2), "family": "mK2:12",
+            "expected_form": True, "cactus": True}
+
+        def no_scan(g):
+            raise AssertionError("a 2^n scan ran")
+
+        monkeypatch.setattr(characterizations, "invariants", no_scan)
+        k12_12 = build_graph(24, [(u, v) for u in range(12) for v in range(12, 24)])
+        assert hunt_record(k12_12) is None  # 2α = 24 > 23
+        assert hunt_record(make_path(24)) is None  # 2α = 24 > 23
+        assert hunt_record(make_cycle(25)) == {"skipped": "too_large"}  # guard
+
+    def test_record_matches_brute_force(self, c3free_up_to_9, graphs_up_to_7):
+        # graphs_up_to_7 brings triangles and isolated vertices
+        for g in c3free_up_to_9 + graphs_up_to_7:
+            facts = Facts(g)
+            if facts.equality is None or not facts.flags.c3_free:
+                expected = {"skipped": "out_of_scope"}
+            elif facts.equality:
+                fam = facts.family
+                expected = {
+                    "graph6": facts.graph6,
+                    "family": fam.spec_string() if fam else None,
+                    "expected_form": fam is not None
+                    and fam.kind in ("mK2", "C5", "mK2+mC5"),
+                    "cactus": facts.componentwise_c3free_cactus}
+            else:
+                expected = None
+            assert hunt_record(g) == expected, facts.graph6
+
+    def test_alpha_exit_skips_most_scans(self, c3free_up_to_9, monkeypatch):
+        calls = []
+        scan = characterizations.invariants
+        monkeypatch.setattr(characterizations, "invariants",
+                            lambda g: calls.append(g) or scan(g))
+        records = [hunt_record(g) for g in c3free_up_to_9]
+        # 1,896 of the 2,480 graphs are in scope; α decides all but 304
+        assert sum(rec != {"skipped": "out_of_scope"} for rec in records) == 1896
+        assert len(calls) <= 304
 
     def test_report_counts_each_record_shape(self):
         c5 = {"graph6": "Dhc", "family": "C5", "expected_form": True, "cactus": True}

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from oracles import relabel
-from pairdom.generate import enumerate_labeled_graphs
+from pairdom.generate import enumerate_labeled_graphs, triangle_free
 from pairdom.graph import GraphError, build_graph, encode_graph6, girth, is_connected
 from pairdom.families import (
     _PRECEDENCE,
@@ -102,6 +102,12 @@ class TestPredicates:
         assert not classify(two).cactus
         assert every_block_edge_or_cycle(two)
 
+    def test_triangle_free_matches_classify(self, graphs_up_to_8):
+        # the hunt's scope test and the c3free: generator read the
+        # predicate; the checks read the flag
+        for g in graphs_up_to_8:
+            assert triangle_free(g) == classify(g).c3_free, encode_graph6(g)
+
     def test_classify_flags(self):
         f = classify(make_cycle(5))
         assert f.connected and f.unicyclic and f.cactus and f.c3_free
@@ -132,6 +138,7 @@ class TestAgainstNetworkx:
                 girth=nx.girth(h),
             ), encode_graph6(g)
             assert every_block_edge_or_cycle(g) == blocks, encode_graph6(g)
+            assert triangle_free(g) == (nx.girth(h) != 3), encode_graph6(g)
             disconnected += not connected
         # connected: 1, 1, 2, 6, 21, 112, 853 for n = 1..7 (OEIS A001349),
         # and 1, 1, 4, 38, 728 labeled for n = 1..5 (A001187); K0 is not
