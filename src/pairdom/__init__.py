@@ -44,7 +44,7 @@ from .characterizations import (
     hunt_c3free_counterexamples,
     run_checks,
 )
-from .generate import enumerate_labeled_graphs, nonisomorphic_graphs
+from .generate import nonisomorphic_graphs
 
 __version__ = "0.1.0"
 

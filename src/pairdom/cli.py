@@ -5,8 +5,7 @@ Sources accepted by every graph-consuming command:
 * a path to a graph6 file (one graph per line),
 * a path to an edge-list file ("n m" header, then "u v" lines),
 * a family spec string: K2, C3, C5, mK2:3, star:t=3,d=1, union:K2*2+C5*1,
-* enum:N for all non-isomorphic graphs on 0 <= N <= 9 vertices
-  (enum:N:labeled for the labeled universe, N <= 7),
+* enum:N for all non-isomorphic graphs on 0 <= N <= 9 vertices,
 * c3free:N for the triangle-free ones, 0 <= N <= 11.
 
 Exit status: 0 when everything holds or is not applicable, 1 when a check

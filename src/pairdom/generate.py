@@ -1,6 +1,5 @@
-"""Exhaustive small-graph sources.
+"""Exhaustive small-graph generation.
 
-``enumerate_labeled_graphs`` walks every labeled graph on up to 7 vertices.
 ``positioned_stream``, the one generator loop, yields one representative
 per isomorphism class, one vertex-addition level at a time, each as soon as
 it is kept and with its position (level, parent index, mask), its place in
@@ -26,35 +25,12 @@ the last level it looks only at the candidates of its own edge counts.
 That is exact and keeps every label: isomorphic graphs have equal edge
 counts, so no class spans two shards, and a shard meets its classes'
 candidates in the serial (parent, mask) order, so the first candidate of
-each class still wins. ``enumerate_labeled_graphs`` shards by pair mask.
+each class still wins.
 """
 
 from __future__ import annotations
 
-from .domination import GuardError
 from .graph import MAX_VERTICES, Graph, bits_of, components, girth
-
-LABELED_GUARD = 7
-
-
-def graph_from_pair_mask(n: int, mask: int) -> Graph:
-    adj = [0] * n
-    for k, (i, j) in enumerate((i, j) for i in range(n) for j in range(i + 1, n)):
-        if (mask >> k) & 1:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return Graph(n, tuple(adj))
-
-
-def enumerate_labeled_graphs(n: int, shard=(0, 1)):
-    """All labeled graphs on n vertices, lazily, in pair-bitmask order; with
-    ``shard=(i, J)`` those whose pair mask is i mod J. The guard is checked
-    on the call, before the first graph is taken."""
-    if n > LABELED_GUARD:
-        raise GuardError(f"labeled enumeration limited to n <= {LABELED_GUARD}")
-    index, count = shard
-    return (graph_from_pair_mask(n, mask)
-            for mask in range(index, 1 << (n * (n - 1) // 2), count))
 
 
 # --- isomorphism machinery ---------------------------------------------------

@@ -4,14 +4,14 @@ run configuration and report, and `run`, which executes one command.
 The checks themselves live in ``characterizations.CHECKS``; this module
 maps them, or one of the other per-graph workers, over a source. Every
 source can be split into shards: shard i of J holds the graphs at every
-J-th line of a file, the labeled graphs whose pair mask is i mod J, and
-the generated classes whose edge count is i mod J (``generate`` says why
-that split is exact and keeps every label). With ``jobs`` = J > 1, J
-worker processes each generate and check their own shard and send back
-(position, result) pairs, and the main process only merges the J ordered
-streams by position. Runs are deterministic: results come back in input
-order regardless of the worker count, and failing verdicts and hunt
-exceptions are streamed to stderr as JSON lines as they are found.
+J-th line of a file, and the generated classes whose edge count is i mod J
+(``generate`` says why that split is exact and keeps every label). With
+``jobs`` = J > 1, J worker processes each generate and check their own
+shard and send back (position, result) pairs, and the main process only
+merges the J ordered streams by position. Runs are deterministic: results
+come back in input order regardless of the worker count, and failing
+verdicts and hunt exceptions are streamed to stderr as JSON lines as they
+are found.
 """
 
 from __future__ import annotations
@@ -30,15 +30,9 @@ from operator import itemgetter
 from . import characterizations as ch
 # CHECKS and run_checks are re-exported as part of this module's API.
 from .characterizations import ALL_CHECK_IDS, CHECKS, Facts, run_checks  # noqa: F401
-from .domination import GuardError, invariants
-from .families import (
-    classify,
-    looks_like_family_spec,
-    parse_family_spec,
-    recognize_family,
-)
+from .domination import GuardError
+from .families import looks_like_family_spec, parse_family_spec
 from .graph import Graph, GraphError, encode_graph6, parse_edge_list, parse_graph6
-from .generate import LABELED_GUARD, enumerate_labeled_graphs
 from .generate import positioned_stream, triangle_free
 
 
@@ -56,62 +50,47 @@ def _looks_like_edge_list(first_line: str) -> bool:
     return len(parts) == 2 and all(p.isdigit() for p in parts)
 
 
-def _numbered(items, shard):
-    """(position, item) for shard (i, J) of a sequence, given as the
-    sequence's items at i, i + J, ...: the j-th sits at i + J*j."""
-    index, count = shard
-    return (((index + count * j,), it) for j, it in enumerate(items))
-
-
-# Generated sources by their fields but the order: (largest order, stream).
-# A stream maps (order, shard) to the (position, graph) pairs of the shard.
+# Generated sources by kind: (largest order, hereditary predicate or None).
 _GENERATED = {
-    ("enum",): (9, lambda n, shard: positioned_stream(n, min_n=n, shard=shard)),
-    ("enum", "labeled"): (LABELED_GUARD, lambda n, shard: _numbered(
-        enumerate_labeled_graphs(n, shard), shard)),
-    ("c3free",): (11, lambda n, shard: positioned_stream(
-        n, triangle_free, min_n=n, shard=shard)),
+    "enum": (9, None),
+    "c3free": (11, triangle_free),
 }
 
 
 @dataclass(frozen=True)
 class GeneratedSource:
-    """A generated source of order n, resolved and validated; nothing is
-    generated until it is iterated, in SourceItems, or sharded."""
+    """The classes of order n that ``predicate`` keeps, resolved and
+    validated; nothing is generated until it is iterated, in SourceItems,
+    or sharded."""
 
-    stream: Callable
+    predicate: Callable | None
     n: int
 
     def __iter__(self):
         return (it for _, it in self.shard((0, 1)))
 
     def shard(self, shard):
-        return ((pos, SourceItem(g)) for pos, g in self.stream(self.n, shard))
+        stream = positioned_stream(self.n, self.predicate, min_n=self.n, shard=shard)
+        return ((pos, SourceItem(g)) for pos, g in stream)
 
 
 def load_source(source: str) -> Iterable[SourceItem]:
-    """Resolve a source spec: ``enum:N[:labeled]``, ``c3free:N``, a family
-    spec string, or a path to a graph6 / edge-list file.
+    """Resolve a source spec: ``enum:N``, ``c3free:N``, a family spec
+    string, or a path to a graph6 / edge-list file.
 
     ``enum:N`` yields one representative per isomorphism class of order N,
-    ``enum:N:labeled`` every labeled graph, and ``c3free:N`` one
-    representative per class of triangle-free graphs; ``_GENERATED`` holds
-    their guards. A bad spec raises, naming it, before any graph is built,
-    and a ``GeneratedSource`` generates its graphs as it is iterated; files
-    are read whole, into a list."""
+    and ``c3free:N`` one per class of triangle-free graphs; ``_GENERATED``
+    holds their guards. A bad spec raises, naming it, before any graph is
+    built, and a ``GeneratedSource`` generates its graphs as it is
+    iterated; files are read whole, into a list."""
     kind, sep, order = source.partition(":")
-    if sep and (kind,) in _GENERATED:
-        order, *suffix = order.split(":")
-        if (kind, *suffix) not in _GENERATED:
-            forms = " or ".join(":".join((k[0], "N") + k[1:])
-                                for k in _GENERATED if k[0] == kind)
-            raise ValueError(f"unknown {kind} source {source!r}: expected {forms}")
-        guard, stream = _GENERATED[kind, *suffix]
+    if sep and kind in _GENERATED:
+        guard, predicate = _GENERATED[kind]
         if not order.isdecimal():
             raise ValueError(f"{kind} order must be an integer >= 0, got {source!r}")
         if int(order) > guard:
             raise GuardError(f"{kind} order limited to N <= {guard}, got {source!r}")
-        return GeneratedSource(stream, int(order))
+        return GeneratedSource(predicate, int(order))
     if looks_like_family_spec(source):
         return [SourceItem(parse_family_spec(source))]
     with open(source) as fh:
@@ -194,12 +173,13 @@ def _verify_worker(g: Graph, check_ids):
 def _invariants_worker(g: Graph):
     """The four invariants with their witnesses, or a ``skipped`` record
     when the guard stops the exact scans on g."""
+    facts = Facts(g)
     try:
-        r = invariants(g)
+        r = facts.report
     except GuardError as exc:
-        return {"graph6": encode_graph6(g), "n": g.n, "skipped": str(exc)}
+        return {"graph6": facts.graph6, "n": g.n, "skipped": str(exc)}
     return {
-        "graph6": encode_graph6(g),
+        "graph6": facts.graph6,
         "n": g.n,
         "gamma": r.gamma,
         "upper_gamma": r.upper_gamma,
@@ -211,10 +191,11 @@ def _invariants_worker(g: Graph):
 
 
 def _classify_worker(g: Graph):
-    flags = classify(g)
-    fam = recognize_family(g)
+    facts = Facts(g)
+    flags = facts.flags
+    fam = facts.family
     return {
-        "graph6": encode_graph6(g),
+        "graph6": facts.graph6,
         "connected": flags.connected,
         "bipartite": flags.bipartite,
         "unicyclic": flags.unicyclic,
@@ -264,7 +245,9 @@ def _shard(items, shard):
     order; the positions of all the shards interleave into source order."""
     if isinstance(items, GeneratedSource):
         return items.shard(shard)
-    return _numbered(items[shard[0]::shard[1]], shard)
+    index, count = shard  # the j-th item of the shard sits at i + J*j
+    return (((index + count * j,), it)
+            for j, it in enumerate(items[index::count]))
 
 
 def _apply(fn, positioned):

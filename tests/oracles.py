@@ -145,11 +145,25 @@ def encode_graph6(g: Graph) -> str:
     return "".join(out)
 
 
+def labeled_graphs(n: int):
+    """Every labeled graph on n vertices, lazily, in pair-bitmask order:
+    bit k of the mask is the k-th pair (i, j), i < j, in lexicographic
+    order."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        adj = [0] * n
+        for k, (i, j) in enumerate(pairs):
+            if (mask >> k) & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        yield Graph(n, tuple(adj))
+
+
 def nonisomorphic_by_permutation(n: int) -> list[Graph]:
     """One labeled graph per isomorphism class on n vertices: the one whose
-    pair bitmask (pairs (i, j), i < j, in lexicographic order) is minimal
-    over all n! relabelings. It tries n! relabelings of each of the
-    2^(n(n-1)/2) labeled graphs, so it is meant for n <= 5."""
+    pair bitmask (as in ``labeled_graphs``) is minimal over all n!
+    relabelings. It tries n! relabelings of each of the 2^(n(n-1)/2)
+    labeled graphs, so it is meant for n <= 5."""
     pairs = list(itertools.combinations(range(n), 2))
     index = {pair: k for k, pair in enumerate(pairs)}
     images = [
@@ -157,16 +171,10 @@ def nonisomorphic_by_permutation(n: int) -> list[Graph]:
         for p in itertools.permutations(range(n))
     ]
     out = []
-    for mask in range(1 << len(pairs)):
+    for mask, g in enumerate(labeled_graphs(n)):
         present = [k for k in range(len(pairs)) if (mask >> k) & 1]
-        if any(sum(1 << image[k] for k in present) < mask for image in images):
-            continue
-        adj = [0] * n
-        for k in present:
-            i, j = pairs[k]
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        out.append(Graph(n, tuple(adj)))
+        if all(sum(1 << image[k] for k in present) >= mask for image in images):
+            out.append(g)
     return out
 
 

@@ -36,7 +36,6 @@ def run_cli(capsys, *argv):
 class TestSources:
     def test_enum(self):
         assert len(list(load_source("enum:4"))) == 11
-        assert len(list(load_source("enum:3:labeled"))) == 8
 
     def test_enum_is_generated_as_taken(self, monkeypatch):
         calls = []
@@ -55,8 +54,6 @@ class TestSources:
     def test_enum_guards(self):
         with pytest.raises(Exception):
             load_source("enum:10")
-        with pytest.raises(Exception):
-            load_source("enum:8:labeled")
 
     def test_family_spec(self):
         items = load_source("mK2:2")
@@ -167,9 +164,12 @@ class TestCommands:
         assert code == 2
         assert json.loads(out)["errors"]
 
-    def test_negative_enum_order_is_usage_error(self, capsys):
+    def test_negative_enum_order_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(generate, "_augmenting_masks", None)  # no work
         for source in ("enum:-1", "enum:-3:labeled", "enum:abc", "c3free:-1",
-                       "c3free:x", "c3free:", "enum:²", "c3free:²"):
+                       "c3free:x", "c3free:", "enum:²", "c3free:²",
+                       "enum:3:labeled", "enum:3:labeled:x", "enum:3:bogus",
+                       "enum:3:", "c3free:3:labeled"):
             code, out, _ = run_cli(capsys, "verify", source)
             assert code == 2
             kind = source.split(":")[0]
@@ -177,23 +177,9 @@ class TestCommands:
                 f"{kind} order must be an integer >= 0, got {source!r}"
             ]
 
-    def test_unknown_enum_field_is_usage_error(self, capsys):
-        for source in ("enum:3:bogus", "enum:3:labeled:x", "enum:3:"):
-            code, out, _ = run_cli(capsys, "verify", source)
-            assert code == 2
-            assert json.loads(out)["errors"] == [
-                f"unknown enum source {source!r}: expected enum:N or enum:N:labeled"
-            ]
-        code, out, _ = run_cli(capsys, "hunt", "c3free:3:labeled")
-        assert code == 2
-        assert json.loads(out)["errors"] == [
-            "unknown c3free source 'c3free:3:labeled': expected c3free:N"
-        ]
-
     def test_order_past_guard_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setattr(generate, "_augmenting_masks", None)  # no work
-        for source, guard in (("enum:10", 9), ("enum:8:labeled", 7),
-                              ("c3free:12", 11)):
+        for source, guard in (("enum:10", 9), ("c3free:12", 11)):
             code, out, err = run_cli(capsys, "hunt", source)
             assert (code, err) == (2, "")
             kind = source.split(":")[0]
@@ -595,8 +581,7 @@ class TestStreaming:
         def label(item):
             return item.error if item.graph is None else encode_graph6(item.graph)
 
-        sources = [f"enum:{n}" for n in range(8)] + ["c3free:9", "enum:5:labeled",
-                                                     str(p)]
+        sources = [f"enum:{n}" for n in range(8)] + ["c3free:9", str(p)]
         for source in sources:
             items = load_source(source)
             if source == "c3free:9":  # the serial stream, already generated
@@ -608,7 +593,7 @@ class TestStreaming:
             for i, shard in enumerate(shards):
                 if source in sources[:9]:  # by edge count
                     assert all(it.graph.edge_count % jobs == i for _, it in shard)
-                else:  # by line or pair mask
+                else:  # by line
                     assert all(pos[0] % jobs == i for pos, _ in shard)
         girth5 = girth_at_least(5)
         shards = [list(positioned_stream(8, girth5, shard=(i, jobs)))

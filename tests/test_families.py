@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from oracles import relabel
-from pairdom.generate import enumerate_labeled_graphs, triangle_free
+from oracles import labeled_graphs, relabel
+from pairdom.generate import triangle_free
 from pairdom.graph import GraphError, build_graph, encode_graph6, girth, is_connected
 from pairdom.families import (
     _PRECEDENCE,
@@ -123,7 +123,7 @@ class TestAgainstNetworkx:
         # every graph of order at most 7 up to isomorphism, and every
         # labeled graph of order at most 5
         nx = pytest.importorskip("networkx")
-        labeled = [g for n in range(6) for g in enumerate_labeled_graphs(n)]
+        labeled = [g for n in range(6) for g in labeled_graphs(n)]
         disconnected = 0
         for g in graphs_up_to_7 + labeled:
             h = networkx_graph(nx, g)

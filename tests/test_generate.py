@@ -13,16 +13,13 @@ from pairdom import generate
 from pairdom.graph import Graph, bits_of, build_graph, encode_graph6, girth
 from pairdom.families import make_cycle, make_path, disjoint_union
 from pairdom.generate import (
-    LABELED_GUARD,
     _augmenting_masks,
     _automorphisms,
     _cells,
     _isomorphism,
     _refine,
     at_most_one_cycle_per_component,
-    enumerate_labeled_graphs,
     girth_at_least,
-    graph_from_pair_mask,
     nonisomorphic_graphs,
     triangle_free,
 )
@@ -88,19 +85,11 @@ def c3free_graph_path():
 class TestLabeledEnumeration:
     def test_labeled_counts(self):
         for n in range(5):
-            assert len(list(enumerate_labeled_graphs(n))) == 2 ** (n * (n - 1) // 2)
+            assert len(list(oracles.labeled_graphs(n))) == 2 ** (n * (n - 1) // 2)
 
     def test_dedup_counts(self):
         for n in range(6):
             assert len(oracles.nonisomorphic_by_permutation(n)) == CLASS_COUNTS[n]
-
-    def test_guard(self):
-        with pytest.raises(Exception):
-            list(enumerate_labeled_graphs(LABELED_GUARD + 1))
-
-    def test_pair_mask_round_trip(self):
-        g = graph_from_pair_mask(4, 0b000011)
-        assert g.edges() == [(0, 1), (0, 2)]
 
 
 class TestIsomorphism:
