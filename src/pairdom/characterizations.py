@@ -38,7 +38,7 @@ from .families import (
     recognize_family,
 )
 from .generate import triangle_free
-from .graph import Graph, GraphError, bits_of, encode_graph6
+from .graph import Graph, GraphError, bits_of, encode_graph6, is_connected
 from .matching import all_perfect_matchings, perfect_matching_tester
 
 
@@ -599,18 +599,24 @@ def hunt_record(g: Graph) -> dict | None:
     "too_large"}`` when the guard stops the exact scans, None when it misses
     the equality, else its satisfier record.
 
-    Most misses are found from α, before either 2^n scan. An in-scope G
-    other than mK2 has Γ_pr <= n - 1 (``gpr-equals-n``: Γ_pr = n only for
-    mK2) and Γ >= α (``gamma-ge-independence``), so 2α > n - 1 gives
-    2Γ > Γ_pr. mK2, which has 2α = n, and every graph with 2α <= n - 1
-    are decided by ``Facts.equality``."""
+    Most misses are found from α, before either 2^n scan: Γ >= α
+    (``gamma-ge-independence``), so 2α > Γ_pr is a miss. Off mK2,
+    Γ_pr <= n - 1 (``gpr-equals-n``). A connected G with n >= 3 other than
+    C5 has Γ_pr <= n - 2, or Γ_pr = n - 1 (``gpr-upper-bound``) and G is a
+    subdivided star S(K1,t) (``gpr-equals-n-minus-1``; where that is proven
+    is unconfirmed, and the check tests it on every graph it meets), whose
+    2α = n + 1 > Γ_pr. So there 2α > n - 2 is a miss. mK2 (2α = n), C5 and
+    every graph under its bound go on to ``Facts.equality``."""
     facts = Facts(g)
     if not facts.paired or not triangle_free(g):
         return {"skipped": "out_of_scope"}
-    # with no isolated vertex, G is mK2 iff no vertex has two neighbours
-    not_mk2 = any(row & (row - 1) for row in g.adj)
+    degrees = {row.bit_count() for row in g.adj}
+    if g.n >= 3 and is_connected(g):  # C5: connected, 2-regular, n = 5
+        bound = g.n - 1 if g.n == 5 and degrees == {2} else g.n - 2
+    else:  # with no isolated vertex, G is mK2 iff every degree is 1
+        bound = g.n if degrees == {1} else g.n - 1
     try:
-        if not_mk2 and 2 * facts.alpha > g.n - 1:
+        if 2 * facts.alpha > bound:
             return None
         equality = facts.equality
     except GuardError:

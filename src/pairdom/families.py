@@ -234,6 +234,11 @@ def recognize_family(g: Graph) -> FamilyLabel | None:
 # --- family spec mini-syntax -------------------------------------------------
 
 
+def is_decimal(text: str) -> bool:
+    """Whether text is a non-empty run of the ASCII digits 0-9."""
+    return text.isascii() and text.isdecimal()
+
+
 def parse_family_spec(spec: str) -> Graph:
     """Build a graph from a spec string such as "C5", "mK2:3",
     "star:t=3,d=1", or "union:K2*2+C5*1"."""
@@ -242,7 +247,7 @@ def parse_family_spec(spec: str) -> Graph:
     if s in base:
         return base[s]()
     if s.startswith("mK2:"):
-        if not s[4:].isdecimal():
+        if not is_decimal(s[4:]):
             raise GraphError(f"bad multiplicity in {spec!r}")
         m = int(s[4:])
         if m < 1:
@@ -254,7 +259,7 @@ def parse_family_spec(spec: str) -> Graph:
         if len(params) < len(pairs):  # a part that is not key=value, or a key twice
             raise GraphError(f"bad star parameters in {spec!r}")
         t, d = params.pop("t", ""), params.pop("d", "0")
-        if not (t.isdecimal() and d.isdecimal()):
+        if not (is_decimal(t) and is_decimal(d)):
             raise GraphError(f"bad star parameters in {spec!r}")
         if params:
             raise GraphError(f"unknown star parameters {sorted(params)}")
@@ -265,7 +270,7 @@ def parse_family_spec(spec: str) -> Graph:
             name, star, mult = term.partition("*")
             if name not in base:
                 raise GraphError(f"unknown union component {name!r}")
-            if star and not mult.isdecimal():
+            if star and not is_decimal(mult):
                 raise GraphError(f"bad multiplicity in {spec!r}")
             parts.append((base[name](), int(mult) if star else 1))
         return make_union(parts)

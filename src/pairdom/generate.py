@@ -14,9 +14,9 @@ each class wins in (parent, mask) order. The same backtracking routine,
 with a pinned prefix, finds the generators of Aut(P). A hereditary
 predicate prunes each level, so restricted streams such as triangle-free
 graphs never materialize the unrestricted universe.
-A predicate with an ``admits(parent_adj, mask)`` form, such as
-``triangle_free`` and ``girth_at_least(k)``, decides each candidate from its
-parent, so a ``Graph`` is built only for a graph that is kept.
+A predicate with a ``masks(parent_adj)`` form, such as ``triangle_free``
+and ``girth_at_least(k)``, proposes the neighbourhoods its children may
+have, so only those are walked and a ``Graph`` is built only when kept.
 
 With ``shard=(i, J)``, ``positioned_stream`` yields only the graphs whose
 edge count is i mod J, so that J workers can split a stream. Every shard
@@ -151,11 +151,12 @@ def _automorphisms(adj, colors, cells) -> tuple[list[list[int]], list[int]]:
     return generators, lengths[::-1]
 
 
-def _orbit_minima(m: int, generators) -> list[int]:
-    """The subsets of {0..m-1}, as increasing bitsets, that are least in
-    their orbit under the group the permutations generate."""
+def _orbit_minima(m: int, generators, family) -> list[int]:
+    """The members of ``family``, an increasing list of subsets of {0..m-1}
+    that the permutations map onto itself, least in their orbit: walked in
+    increasing order, the first member of an orbit met is its least."""
     if not generators:
-        return list(range(1 << m))
+        return list(family)
     tables = []  # tables[j][mask]: the image of mask under generators[j]
     for perm in generators:
         table = [0]
@@ -165,18 +166,18 @@ def _orbit_minima(m: int, generators) -> list[int]:
         tables.append(table)
     minima = []
     seen = set()
-    for mask in range(1 << m):
+    for mask in family:
         if mask not in seen:
             minima.append(mask)
             seen |= _orbit(mask, tables)
     return minima
 
 
-def _augmenting_masks(adj, colors, cells) -> list[int]:
-    """The neighbourhoods a new vertex may get in G: one per orbit of
-    Aut(G) on vertex subsets, the least. A subset S and its image under an
-    automorphism give isomorphic children, and the image comes first."""
-    return _orbit_minima(len(adj), _automorphisms(adj, colors, cells)[0])
+def _augmenting_masks(adj, colors, cells, family) -> list[int]:
+    """The neighbourhoods a new vertex may get in G: the least of each orbit
+    of Aut(G) on ``family``, an Aut-invariant list of vertex subsets. A
+    subset and its image under an automorphism give isomorphic children."""
+    return _orbit_minima(len(adj), _automorphisms(adj, colors, cells)[0], family)
 
 
 def nonisomorphic_graphs(n: int, predicate=None, min_n: int = 0) -> list[Graph]:
@@ -198,11 +199,11 @@ def positioned_stream(n: int, predicate=None, min_n: int = 0, shard=(0, 1)):
     invariant under isomorphism and hereditary under vertex deletion
     (triangle-free, girth bounds, cactus-like conditions all qualify); it
     prunes the level, so restricted families are generated directly. It
-    sees each candidate as a ``Graph``, unless ``predicate.admits(adj, mask)``
-    exists: then that decides the child of the parent ``adj`` whose new
-    vertex is joined to ``mask``, assuming the parent has the property.
+    sees each candidate as a ``Graph``, unless ``predicate.masks(adj)``
+    exists: then the candidates are only its increasing list of the masks
+    whose child of a parent ``adj`` with the property keeps it.
     """
-    admits = getattr(predicate, "admits", None)
+    propose = getattr(predicate, "masks", None)
     index, count = shard
     if min_n <= 0 <= n and index == 0:
         yield (0, 0, 0), Graph(0, ())
@@ -216,18 +217,17 @@ def positioned_stream(n: int, predicate=None, min_n: int = 0, shard=(0, 1)):
         buckets: dict[tuple, list] = {}
         kept = []
         for p, (adj0, nbrs0, colors0, cells0, edges0) in enumerate(parents):
-            masks = _augmenting_masks(adj0, colors0, cells0)
+            family = propose(adj0) if propose else range(bit)
+            masks = _augmenting_masks(adj0, colors0, cells0, family)
             if count > 1 and k == n:
                 masks = [m for m in masks
                          if (edges0 + m.bit_count()) % count == index]
             for mask in masks:
-                if admits is not None and not admits(adj0, mask):
-                    continue
                 adj = [row | bit if (mask >> u) & 1 else row
                        for u, row in enumerate(adj0)]
                 adj.append(mask)
                 g = None
-                if predicate is not None and admits is None:
+                if predicate is not None and propose is None:
                     g = Graph(k, tuple(adj))
                     if not predicate(g):
                         continue
@@ -253,27 +253,23 @@ def positioned_stream(n: int, predicate=None, min_n: int = 0, shard=(0, 1)):
 
 
 def _far_apart(radius: int):
-    """``admits`` for girth > radius + 2: every two vertices of ``mask`` lie
-    at distance > radius in the parent, since the shortest cycle through the
-    new vertex w is w-u...v-w for some u, v in ``mask``, of length
-    dist(u, v) + 2."""
+    """``masks`` for girth > radius + 2: the sets whose every two vertices
+    lie at distance > radius in the parent, since the shortest cycle through
+    the new vertex w is w-u...v-w for some u, v in the set, of length
+    dist(u, v) + 2. The sets grow one vertex v at a time: v joins each set,
+    of vertices below v, that misses v's ball of that radius."""
 
-    def admits(adj, mask: int) -> bool:
-        rest = mask
-        while rest:
-            ball = frontier = rest & -rest
-            rest ^= ball
+    def masks(adj) -> list[int]:
+        out = [0]
+        for v in range(len(adj)):
+            bit = ball = 1 << v
             for _ in range(radius):
-                reach = 0
-                for v in bits_of(frontier):
-                    reach |= adj[v]
-                if reach & rest:
-                    return False
-                frontier = reach & ~ball
-                ball |= reach
-        return True
+                for u in bits_of(ball):
+                    ball |= adj[u]
+            out += [s | bit for s in out if not s & ball]
+        return out
 
-    return admits
+    return masks
 
 
 def triangle_free(g: Graph) -> bool:
@@ -283,14 +279,14 @@ def triangle_free(g: Graph) -> bool:
     )
 
 
-triangle_free.admits = _far_apart(1)
+triangle_free.masks = _far_apart(1)
 
 
 def girth_at_least(k: int):
     def pred(g: Graph) -> bool:
         return girth(g) >= k
 
-    pred.admits = _far_apart(k - 3)
+    pred.masks = _far_apart(k - 3)
     return pred
 
 

@@ -31,7 +31,7 @@ from . import characterizations as ch
 # CHECKS and run_checks are re-exported as part of this module's API.
 from .characterizations import ALL_CHECK_IDS, CHECKS, Facts, run_checks  # noqa: F401
 from .domination import GuardError
-from .families import looks_like_family_spec, parse_family_spec
+from .families import is_decimal, looks_like_family_spec, parse_family_spec
 from .graph import Graph, GraphError, encode_graph6, parse_edge_list, parse_graph6
 from .generate import positioned_stream, triangle_free
 
@@ -86,7 +86,7 @@ def load_source(source: str) -> Iterable[SourceItem]:
     kind, sep, order = source.partition(":")
     if sep and kind in _GENERATED:
         guard, predicate = _GENERATED[kind]
-        if not order.isdecimal():
+        if not is_decimal(order):
             raise ValueError(f"{kind} order must be an integer >= 0, got {source!r}")
         if int(order) > guard:
             raise GuardError(f"{kind} order limited to N <= {guard}, got {source!r}")

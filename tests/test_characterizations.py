@@ -426,6 +426,26 @@ class TestHunt:
         assert sum(rec != {"skipped": "out_of_scope"} for rec in records) == 1896
         assert len(calls) <= 304
 
+    def test_alpha_exit_never_drops_a_satisfier(self, c3free_up_to_9,
+                                                monkeypatch):
+        # the exit fires where hunt_record decides an in-scope graph with
+        # no scan; on each such graph Facts.equality must be False
+        calls = []
+        scan = characterizations.invariants
+        monkeypatch.setattr(characterizations, "invariants",
+                            lambda g: calls.append(g) or scan(g))
+        scanned = 0
+        for g in c3free_up_to_9:
+            before = len(calls)
+            if hunt_record(g) == {"skipped": "out_of_scope"}:
+                continue
+            if len(calls) > before:
+                scanned += 1
+            else:
+                assert Facts(g).equality is False, encode_graph6(g)
+        # 1,876 of the 1,896 in-scope graphs are decided from α alone
+        assert scanned == 20
+
     def test_report_counts_each_record_shape(self):
         c5 = {"graph6": "Dhc", "family": "C5", "expected_form": True, "cactus": True}
         odd = {"graph6": "?", "family": None, "expected_form": False, "cactus": False}

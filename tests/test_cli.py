@@ -168,6 +168,7 @@ class TestCommands:
         monkeypatch.setattr(generate, "_augmenting_masks", None)  # no work
         for source in ("enum:-1", "enum:-3:labeled", "enum:abc", "c3free:-1",
                        "c3free:x", "c3free:", "enum:²", "c3free:²",
+                       "enum:\u0663", "c3free:\u0663",  # Arabic-Indic three
                        "enum:3:labeled", "enum:3:labeled:x", "enum:3:bogus",
                        "enum:3:", "c3free:3:labeled"):
             code, out, _ = run_cli(capsys, "verify", source)
@@ -372,14 +373,17 @@ class TestCommands:
     def test_gen_bad_spec(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "parrot")
         assert code == 2
-        # a number that is not decimal digits names the spec
+        # a number that is not ASCII decimal digits names the spec
         for command in ("gen", "invariants"):
             for spec, what in (("union:K2*x", "multiplicity"),
                                ("union:K2*", "multiplicity"),
+                               ("union:K2*\u0663", "multiplicity"),
                                ("mK2:1_0", "multiplicity"),
                                ("mK2:+2", "multiplicity"),
                                ("mK2: 2", "multiplicity"),
-                               ("star:t=1_0", "star parameters")):
+                               ("mK2:\u0663", "multiplicity"),
+                               ("star:t=1_0", "star parameters"),
+                               ("star:t=\u0663", "star parameters")):
                 code, out, _ = run_cli(capsys, command, spec)
                 assert code == 2
                 assert json.loads(out)["errors"] == [f"bad {what} in {spec!r}"]

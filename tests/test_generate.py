@@ -69,7 +69,7 @@ def are_isomorphic(g, h) -> bool:
 @pytest.fixture(scope="module")
 def c3free_graph_path():
     """The triangle-free graphs with n <= 9 under a plain wrapper, which has
-    no ``admits`` form and so sees each candidate as a Graph, and its number
+    no ``masks`` form and so sees each candidate as a Graph, and its number
     of calls."""
     calls = 0
 
@@ -236,21 +236,31 @@ class TestAugmentationGenerator:
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_STREAMS[stream]
 
 
+def _image(mask: int, perm) -> int:
+    """The vertex set mask under the permutation perm."""
+    return sum(1 << perm[v] for v in bits_of(mask))
+
+
 class TestParentMaskRule:
     @pytest.mark.parametrize("k", [4, 5, 6])
-    def test_admits_matches_oracle_girth(self, k):
-        # Every parent with n <= 7 of the girth >= k stream, every mask: the
-        # child's girth, by the oracle, decides whether it belongs.
+    def test_masks_match_oracle_girth(self, k):
+        # Every parent with n <= 7 of the girth >= k stream: the masks it is
+        # offered are those whose child, by the oracle, has girth >= k, and
+        # every automorphism of the parent maps that list onto itself.
         predicate = triangle_free if k == 4 else girth_at_least(k)
         for parent in nonisomorphic_graphs(7, predicate):
             new = 1 << parent.n
+            expect = []
             for mask in range(new):
                 adj = [row | new if (mask >> u) & 1 else row
                        for u, row in enumerate(parent.adj)]
-                child = Graph(parent.n + 1, (*adj, mask))
-                gi = oracles.girth(child)
-                assert predicate.admits(parent.adj, mask) == (
-                    gi is None or gi >= k), (parent.edges(), mask)
+                gi = oracles.girth(Graph(parent.n + 1, (*adj, mask)))
+                if gi is None or gi >= k:
+                    expect.append(mask)
+            masks = predicate.masks(parent.adj)
+            assert masks == expect, parent.edges()
+            for perm in oracles.automorphisms(parent):
+                assert sorted(_image(mask, perm) for mask in masks) == masks
 
 
 def _parent_state(g):
@@ -269,15 +279,16 @@ class TestOrbitPruning:
             assert math.prod(lengths) == len(group)
 
     def test_kept_masks_are_oracle_orbit_minima(self, graphs_up_to_6):
+        # over every subset, and over the independent sets alone
         for g in graphs_up_to_6:
             group = oracles.automorphisms(g)
-
-            def image(mask, p):
-                return sum(1 << p[v] for v in range(g.n) if (mask >> v) & 1)
-
-            minima = [mask for mask in range(1 << g.n)
-                      if all(image(mask, p) >= mask for p in group)]
-            assert _augmenting_masks(*_parent_state(g)) == minima
+            subsets = range(1 << g.n)
+            independent = [mask for mask in subsets
+                           if not any(g.adj[v] & mask for v in bits_of(mask))]
+            for family in (subsets, independent):
+                minima = [mask for mask in family
+                          if all(_image(mask, p) >= mask for p in group)]
+                assert _augmenting_masks(*_parent_state(g), family) == minima
 
 
 class TestRelabel:
