@@ -25,7 +25,6 @@ from itertools import combinations
 from .domination import (
     GuardError,
     InvariantReport,
-    has_epn_pair,
     independence_number,
     invariants,
     paired_domination_defined,
@@ -108,20 +107,37 @@ class Facts:
         return perfect_matching_tester(self.g)
 
     @cached_property
-    def private_pairs(self) -> list[tuple[int, int, int]]:
-        """Each (S, u, v), S a minimal PDS as a mask and u < v in S, such
-        that u and v each keep a neighbor in S - {u, v} and G[S - {u, v}]
-        has a perfect matching: the hypothesis of both private-pair lemmas.
+    def pairs_without_epn(self) -> list[tuple[int, int, int]]:
+        """Each (S, u, v), S a minimal PDS as a mask and u < v in S, that
+        meets the private-pair lemmas' hypothesis (u and v each keep a
+        neighbor in S - {u, v}, and G[S - {u, v}] has a perfect matching;
+        with u ~ v, the pairs of the perfect matchings of G[S] whose ends
+        both have degree >= 2 in G[S]) and has epn(u, v; S) empty, in mask
+        then pair order: empty when both lemmas hold.
 
-        With u ~ v these are exactly the pairs of the perfect matchings of
-        G[S] whose two ends both have degree >= 2 in G[S]."""
-        g = self.g
-        pm = self.pm_test
+        w outside S is in epn(u, v; S) iff seen = N(w) & S is non-empty and
+        inside {u, v}: one S-neighbor x covers every pair through x (x joins
+        ``singles``), two cover just that pair, and only the other pairs get
+        the hypothesis tests. Adjacency and the matching tester alone are
+        read, never the subset bitmaps: a cross-check of the minimality
+        filter."""
+        adj = self.g.adj
+        full = self.g.full_mask
         out = []
         for smask in self.report.mpds_masks:
-            for u, v in combinations(bits_of(smask), 2):
-                rest = smask & ~((1 << u) | (1 << v))
-                if g.adj[u] & rest and g.adj[v] & rest and pm(rest):
+            singles = 0
+            seen_sets = []
+            for w in bits_of(full & ~smask):
+                seen = adj[w] & smask
+                if seen & (seen - 1):
+                    seen_sets.append(seen)
+                else:
+                    singles |= seen
+            for u, v in combinations(bits_of(smask & ~singles), 2):
+                pair = (1 << u) | (1 << v)
+                rest = smask ^ pair
+                if (adj[u] & rest and adj[v] & rest and pair not in seen_sets
+                        and self.pm_test(rest)):
                     out.append((smask, u, v))
         return out
 
@@ -322,16 +338,13 @@ def _unicyclic_gamma_bound(facts: Facts) -> dict | None:
 
 
 def _private_pair(adjacent_only: bool):
-    """Each pair of ``Facts.private_pairs`` keeps an external private
-    neighbor: over all pairs, the pair-removal lemma; over adjacent pairs,
-    the matched-pair lemma."""
+    """Every pair that meets the hypothesis keeps an external private
+    neighbor (``Facts.pairs_without_epn`` is empty): over all pairs, the
+    pair-removal lemma; over adjacent pairs, the matched-pair lemma."""
 
     def violation(facts: Facts) -> dict | None:
-        g = facts.g
-        for smask, u, v in facts.private_pairs:
-            if adjacent_only and not g.has_edge(u, v):
-                continue
-            if not has_epn_pair(g, u, v, smask):
+        for smask, u, v in facts.pairs_without_epn:
+            if not adjacent_only or facts.g.has_edge(u, v):
                 return {"pds": _verts(smask), "pair": [u, v]}
         return None
 

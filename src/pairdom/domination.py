@@ -1,4 +1,4 @@
-"""Dominating sets, private neighborhoods, and the four exact invariants.
+"""Dominating sets, paired dominating sets, and the four exact invariants.
 
 A vertex subset is a bitset S. The whole-graph scans hold one property of
 all 2^n subsets in a *subset bitmap*, an int whose bit S is set iff S has
@@ -23,14 +23,14 @@ from .matching import perfect_matching_tester
 
 # One guard for every exact scan, so that Γ and Γ_pr are always computed on
 # the same graphs. Its budget at n = 24, on a 2-vCPU Xeon with Python 3.11,
-# one process per graph: the time of invariants, then of a following
-# run_checks(g, ALL_CHECK_IDS), which scans again, and the peak RSS
-# (ru_maxrss) of both. No check is skipped on any of them.
-#   K24          3.8 s  3.9 s  438 MB      C24       0.8 s  1.1 s  111 MB
-#   K12,12       2.0 s  1.5 s  217 MB      P24       0.7 s  0.8 s  111 MB
-#   11K2         0.2 s  0.2 s   38 MB      12K2      0.7 s  0.7 s  111 MB
-#   7K2 + 2C5    0.8 s  0.6 s  113 MB      2K2 + 4C5 0.8 s  0.8 s  113 MB
-#   ten connected G(24, p), p = 0.15-0.7:  at most 3.5 s  3.5 s  440 MB
+# one process per graph, one run each: the time of invariants, then of a
+# following run_checks(g, ALL_CHECK_IDS), which scans again, and the peak
+# RSS (ru_maxrss) of both. No check is skipped on any of them.
+#   K24          3.6 s  3.1 s  439 MB      C24       0.8 s  0.8 s  112 MB
+#   K12,12       1.9 s  1.7 s  217 MB      P24       0.7 s  0.8 s  112 MB
+#   11K2         0.2 s  0.2 s   38 MB      12K2      0.5 s  0.6 s  112 MB
+#   7K2 + 2C5    0.8 s  0.6 s  113 MB      2K2 + 4C5 0.8 s  0.6 s  113 MB
+#   ten connected G(24, p), p = 0.15-0.7:  at most 3.9 s  3.5 s  438 MB
 DOMINATION_GUARD = 24
 
 
@@ -59,25 +59,14 @@ def paired_domination_defined(g: Graph) -> bool:
 def _cover(closed: list[int], mask: int) -> int:
     """The union of the closed neighborhoods ``closed[v]`` over v in mask."""
     cover = 0
-    while mask:
-        low = mask & -mask
-        cover |= closed[low.bit_length() - 1]
-        mask ^= low
+    for v in bits_of(mask):
+        cover |= closed[v]
     return cover
 
 
 def is_dominating(g: Graph, D) -> bool:
     """True iff every vertex is in D or adjacent to a vertex of D."""
     return _cover(closed_neighborhoods(g), as_mask(D, g.n)) == g.full_mask
-
-
-def has_epn_pair(g: Graph, u: int, v: int, mask: int) -> bool:
-    """Whether epn(u, v; S) is non-empty, for distinct u, v in the bitset
-    ``mask``: some vertex outside S has u and/or v as its only neighbours in
-    S. Stops at the first such vertex."""
-    others = mask & ~((1 << u) | (1 << v))
-    return any(g.adj[w] & others == 0
-               for w in bits_of((g.adj[u] | g.adj[v]) & ~mask))
 
 
 def is_minimal_dominating(g: Graph, D) -> bool:
@@ -257,7 +246,7 @@ def _lex_least(masks) -> tuple[int, ...]:
         diff = mask ^ best
         if diff & -diff & mask:
             best = mask
-    return tuple(bits_of(best))
+    return bits_of(best)
 
 
 def _extremes(masks) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:

@@ -23,6 +23,7 @@ from .graph import (
     components,
     girth,
     is_connected,
+    is_decimal,
 )
 
 # Precedence when several family shapes describe the same graph: a triangle
@@ -232,11 +233,6 @@ def recognize_family(g: Graph) -> FamilyLabel | None:
 
 
 # --- family spec mini-syntax -------------------------------------------------
-
-
-def is_decimal(text: str) -> bool:
-    """Whether text is a non-empty run of the ASCII digits 0-9."""
-    return text.isascii() and text.isdecimal()
 
 
 def parse_family_spec(spec: str) -> Graph:

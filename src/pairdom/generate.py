@@ -213,7 +213,6 @@ def positioned_stream(n: int, predicate=None, min_n: int = 0, shard=(0, 1)):
     for k in range(1, n + 1):
         new = k - 1
         bit = 1 << new
-        joined = [tuple(bits_of(mask)) for mask in range(bit)]
         buckets: dict[tuple, list] = {}
         kept = []
         for p, (adj0, nbrs0, colors0, cells0, edges0) in enumerate(parents):
@@ -233,7 +232,7 @@ def positioned_stream(n: int, predicate=None, min_n: int = 0, shard=(0, 1)):
                         continue
                 nbrs = [t + (new,) if (mask >> u) & 1 else t
                         for u, t in enumerate(nbrs0)]
-                nbrs.append(joined[mask])
+                nbrs.append(bits_of(mask))
                 key, colors = _refine(nbrs)
                 bucket = buckets.setdefault(key, [])
                 if any(_isomorphism(adj, colors, adj2, cells2) is not None

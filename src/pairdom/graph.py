@@ -18,12 +18,30 @@ class GraphError(ValueError):
     """Malformed graph input (bad edge, bad encoding, size overflow)."""
 
 
-def bits_of(mask: int):
-    """Iterate the set bit positions of ``mask`` in increasing order."""
+# _BITS[mask]: the vertex tuple of each mask below 2^12, built by doubling.
+_BITS = [()]
+for _v in range(12):
+    _BITS += [t + (_v,) for t in _BITS]
+
+
+def bits_of(mask: int) -> tuple[int, ...]:
+    """The set bit positions of a non-negative ``mask``, in increasing
+    order: one lookup in ``_BITS`` below 2^12, else 12 bits at a time."""
+    if mask < 4096:
+        return _BITS[mask]
+    out = list(_BITS[mask & 4095])
+    mask >>= 12
+    base = 12
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        out += map(base.__add__, _BITS[mask & 4095])
+        mask >>= 12
+        base += 12
+    return tuple(out)
+
+
+def is_decimal(text: str) -> bool:
+    """Whether text is a non-empty run of the ASCII digits 0-9."""
+    return text.isascii() and text.isdecimal()
 
 
 @dataclass(frozen=True)
@@ -43,15 +61,10 @@ class Graph:
                 raise GraphError("adjacency row mentions a vertex >= n")
             if (row >> v) & 1:
                 raise GraphError(f"loop at vertex {v}")
-        adj = self.adj
-        for v, row in enumerate(adj):
-            bit = 1 << v
-            while row:
-                low = row & -row
-                u = low.bit_length() - 1
-                if not adj[u] & bit:
+        for v, row in enumerate(self.adj):
+            for u in bits_of(row):
+                if not self.adj[u] >> v & 1:
                     raise GraphError(f"asymmetric adjacency at ({v},{u})")
-                row ^= low
 
     @property
     def edge_count(self) -> int:
@@ -236,26 +249,23 @@ def parse_graph6(line: str) -> Graph:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the plain edge-list format: a "n m" header then m "u v" lines."""
+    """Parse the plain edge-list format: a "n m" header then m "u v" lines,
+    every number a run of ASCII decimal digits."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise GraphError("empty edge-list input")
     header = lines[0].split()
-    if len(header) != 2:
+    if len(header) != 2 or not all(map(is_decimal, header)):
         raise GraphError(f"bad edge-list header {lines[0]!r}")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:
-        raise GraphError(f"bad edge-list header {lines[0]!r}") from None
+    n, m = int(header[0]), int(header[1])
     if len(lines) - 1 != m:
         raise GraphError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
     for ln in lines[1:]:
-        try:
-            u, v = map(int, ln.split())
-        except ValueError:
-            raise GraphError(f"bad edge line {ln!r}") from None
-        edges.append((u, v))
+        ends = ln.split()
+        if len(ends) != 2 or not all(map(is_decimal, ends)):
+            raise GraphError(f"bad edge line {ln!r}")
+        edges.append((int(ends[0]), int(ends[1])))
     return build_graph(n, edges)
 
 

@@ -31,8 +31,9 @@ from . import characterizations as ch
 # CHECKS and run_checks are re-exported as part of this module's API.
 from .characterizations import ALL_CHECK_IDS, CHECKS, Facts, run_checks  # noqa: F401
 from .domination import GuardError
-from .families import is_decimal, looks_like_family_spec, parse_family_spec
-from .graph import Graph, GraphError, encode_graph6, parse_edge_list, parse_graph6
+from .families import looks_like_family_spec, parse_family_spec
+from .graph import (Graph, GraphError, encode_graph6, is_decimal, parse_edge_list,
+                    parse_graph6)
 from .generate import positioned_stream, triangle_free
 
 
@@ -47,7 +48,7 @@ class SourceItem:
 
 def _looks_like_edge_list(first_line: str) -> bool:
     parts = first_line.split()
-    return len(parts) == 2 and all(p.isdigit() for p in parts)
+    return len(parts) == 2 and all(map(is_decimal, parts))
 
 
 # Generated sources by kind: (largest order, hereditary predicate or None).

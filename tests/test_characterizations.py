@@ -119,21 +119,38 @@ class TestDecideFastpath:
             assert rec["fastpath"]["method"] == "disagreement"
 
 
+def hypothesis_triples(g, masks):
+    """The literal hypothesis of the private-pair lemmas: each (S, u, v),
+    S from masks and u < v in S, such that u and v each have a neighbor in
+    S - {u, v} and G[S - {u, v}] has a perfect matching, in mask then pair
+    order."""
+    out = []
+    for smask in masks:
+        members = [x for x in range(g.n) if smask >> x & 1]
+        for u, v in combinations(members, 2):
+            rest = [x for x in members if x not in (u, v)]
+            if (any(g.has_edge(u, x) for x in rest)
+                    and any(g.has_edge(v, x) for x in rest)
+                    and oracles.has_perfect_matching(g, rest)):
+                out.append((smask, u, v))
+    return out
+
+
 class TestPrivatePairs:
     def test_adjacent_hypothesis_pairs_are_the_matched_pairs(self, graphs_up_to_7):
-        # The matched-pair lemma reads its pairs off the adjacent pairs of
-        # Facts.private_pairs instead of enumerating matchings; check that
+        # The matched-pair lemma reads its pairs off the adjacent pairs that
+        # meet the hypothesis instead of enumerating matchings; check that
         # against enumeration.
         compared = 0
         for g in graphs_up_to_7:
-            facts = Facts(g)
             if not domination.paired_domination_defined(g):
                 continue
-            walked = {(smask, u, v) for smask, u, v in facts.private_pairs
+            masks = Facts(g).report.mpds_masks
+            walked = {(smask, u, v) for smask, u, v in hypothesis_triples(g, masks)
                       if g.has_edge(u, v)}
             matched = {
                 (smask, u, v)
-                for smask in facts.report.mpds_masks
+                for smask in masks
                 for m in all_perfect_matchings(g, smask)
                 for u, v in m
                 if (g.adj[u] & smask).bit_count() >= 2
@@ -143,18 +160,38 @@ class TestPrivatePairs:
             compared += len(matched)
         assert compared > 0
 
+    def test_pairs_without_epn_match_literal_oracle(self, graphs_up_to_7):
+        # On a real minimal PDS the list is empty, so feed it every PDS:
+        # the non-minimal ones give real violations.
+        violating = 0
+        for g in graphs_up_to_7:
+            if not domination.paired_domination_defined(g):
+                continue
+            facts = Facts(g)
+            masks = domination.paired_dominating_masks(g)
+            facts.report = dataclasses.replace(facts.report, mpds_masks=masks)
+            expected = [
+                (smask, u, v) for smask, u, v in hypothesis_triples(g, masks)
+                if not oracles.epn_pair(
+                    g, u, v, [x for x in range(g.n) if smask >> x & 1])]
+            assert facts.pairs_without_epn == expected, encode_graph6(g)
+            violating += bool(expected)
+        assert violating > 0
+
     @pytest.mark.parametrize("cid,adjacent", [
         ("pds-pair-removal-private", False), ("pds-matched-pair-private", True)])
-    def test_witness_is_pds_and_pair(self, monkeypatch, cid, adjacent):
-        monkeypatch.setattr(characterizations, "has_epn_pair", lambda *a: False)
-        # the 4-cycle 0-4-1-5 with a pendant vertex at 4 and at 5
-        g = build_graph(6, [(0, 4), (0, 5), (1, 4), (1, 5), (2, 4), (3, 5)])
-        v = check(g, cid)
+    def test_witness_is_pds_and_pair(self, cid, adjacent):
+        # The triangle 0-2-3 with a pendant vertex 1 at 3. Its vertex set is
+        # a PDS but not a minimal one ({1, 3} is a PDS), and no vertex lies
+        # outside it, so no pair has an external private neighbor. The
+        # first pair that meets the hypothesis is 0, 1; the first adjacent
+        # one is 0, 2.
+        g = build_graph(4, [(0, 2), (0, 3), (1, 3), (2, 3)])
+        facts = Facts(g)
+        facts.report = dataclasses.replace(facts.report, mpds_masks=[g.full_mask])
+        v = characterizations.CHECKS[cid](facts)
         assert v.status == "fails"
-        assert set(v.witness) == {"pds", "pair"}
-        u, w = v.witness["pair"]
-        assert u < w and {u, w} <= set(v.witness["pds"])
-        assert g.has_edge(u, w) or not adjacent
+        assert v.witness == {"pds": [0, 1, 2, 3], "pair": [0, 2] if adjacent else [0, 1]}
 
 
 class TestIndependentCore:

@@ -81,6 +81,23 @@ class TestSources:
         items = load_source(str(p))
         assert len(items) == 1 and items[0].graph.edge_count == 5
 
+    # a non-ASCII digit (Arabic-Indic three), a sign, an underscore
+    @pytest.mark.parametrize("number", ["\u0663", "+3", "1_0"])
+    def test_edge_list_numbers_are_ascii_digits(self, capsys, tmp_path, number):
+        # A bad number in the header or in an edge line loads no graph, and
+        # fails as the same file with "x" in its place does.
+        def outcome(text):
+            p = tmp_path / "g.edges"
+            p.write_text(text, encoding="utf-8")
+            code, out, _ = run_cli(capsys, "invariants", str(p))
+            rec = json.loads(out)
+            return code, "results" in rec, len(rec.get("errors", []))
+
+        for template in ("{} 1\n0 1\n", "3 {}\n0 1\n", "3 1\n0 {}\n"):
+            got = outcome(template.format(number))
+            assert got == outcome(template.format("x")), template
+            assert got[1] is False
+
 
 class TestCommands:
     def test_invariants_json(self, capsys):

@@ -17,7 +17,6 @@ from pairdom.families import (
 from pairdom.domination import (
     GuardError,
     IsolatedVertexError,
-    has_epn_pair,
     has_isolated_vertex,
     independence_number,
     invariants,
@@ -61,16 +60,6 @@ class TestPrivateNeighborhoods:
         ]
         for g, u, v, S, expect in cases:
             assert oracles.epn_pair(g, u, v, S) == expect
-            mask = sum(1 << w for w in S)
-            assert has_epn_pair(g, u, v, mask) == bool(expect)
-
-    def test_has_epn_pair_agrees_with_epn_pair(self, graphs_up_to_5):
-        for g in graphs_up_to_5:
-            for mask in range(1 << g.n):
-                members = [v for v in range(g.n) if (mask >> v) & 1]
-                for u, v in itertools.combinations(members, 2):
-                    assert has_epn_pair(g, u, v, mask) == bool(
-                        oracles.epn_pair(g, u, v, members))
 
 
 class TestMinimalDominating:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ import oracles
 from pairdom.graph import (
     Graph,
     GraphError,
+    bits_of,
     build_graph,
     components,
     encode_graph6,
@@ -33,6 +35,20 @@ def edge_sets(max_n=7):
             else st.just([]),
         )
     )
+
+
+class TestBitsOf:
+    @staticmethod
+    def by_definition(mask):
+        return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+    def test_matches_definition(self):
+        rng = random.Random(7)
+        masks = [*range(1 << 12), 1 << 61, (1 << 62) - 1,
+                 *(rng.getrandbits(rng.randint(1, 62)) for _ in range(10_000))]
+        for mask in masks:
+            got = bits_of(mask)
+            assert type(got) is tuple and got == self.by_definition(mask), mask
 
 
 class TestBuild:
@@ -173,3 +189,13 @@ class TestEdgeList:
             parse_edge_list("2 2\n0 1\n")  # wrong edge count
         with pytest.raises(GraphError, match="bad edge line '1 x'"):
             parse_edge_list("2 1\n1 x\n")
+
+    # a non-ASCII digit (Arabic-Indic three), a sign, an underscore
+    @pytest.mark.parametrize("number", ["\u0663", "+3", "1_0"])
+    def test_numbers_are_ascii_digits(self, number):
+        with pytest.raises(GraphError, match="bad edge-list header"):
+            parse_edge_list(f"{number} 1\n0 1\n")
+        with pytest.raises(GraphError, match="bad edge-list header"):
+            parse_edge_list(f"4 {number}\n0 1\n")
+        with pytest.raises(GraphError, match="bad edge line"):
+            parse_edge_list(f"4 1\n0 {number}\n")
