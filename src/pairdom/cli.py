@@ -1,4 +1,10 @@
-"""Command-line front end.
+"""Command-line front end with four commands:
+
+* invariants: one record per graph, with its class flags, family, the
+  fast path's votes, α, the four invariants, the equality and the deficit,
+* verify: the lemma and theorem checks over a stream,
+* hunt: the triangle-free counterexample hunt,
+* gen: one named family graph.
 
 Sources accepted by every graph-consuming command:
 
@@ -9,7 +15,8 @@ Sources accepted by every graph-consuming command:
 * c3free:N for the triangle-free ones, 0 <= N <= 11.
 
 Exit status: 0 when everything holds or is not applicable, 1 when a check
-fails, 2 on usage or input errors.
+fails, a record has agree false or the hunt finds an exception, 2 on usage
+or input errors.
 """
 
 from __future__ import annotations
@@ -36,24 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("invariants", help="compute the four invariants")
+    p = sub.add_parser("invariants", help="one record per graph")
     p.add_argument("source")
-    _add_common(p)
-
-    p = sub.add_parser("classify", help="class flags and family recognition")
-    p.add_argument("source")
-    _add_common(p)
-
-    p = sub.add_parser("decide", help="decide the 2x-equality per graph")
-    p.add_argument("source")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--fastpath", action="store_const", dest="mode",
-                       const="fastpath")
-    group.add_argument("--brute", action="store_const", dest="mode",
-                       const="brute")
-    group.add_argument("--both", action="store_const", dest="mode",
-                       const="both")
-    p.set_defaults(mode="both")
     _add_common(p)
 
     p = sub.add_parser("verify", help="run lemma/theorem checks over a stream")
@@ -123,7 +114,6 @@ def main(argv=None) -> int:
         command=args.command,
         source=args.source,
         checks=checks,
-        mode=getattr(args, "mode", "both"),
         jobs=args.jobs,
         output=args.output,
         fmt=args.fmt,

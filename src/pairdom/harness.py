@@ -47,8 +47,9 @@ class SourceItem:
 
 
 def _looks_like_edge_list(first_line: str) -> bool:
-    parts = first_line.split()
-    return len(parts) == 2 and all(map(is_decimal, parts))
+    """A graph6 line holds no whitespace, so a first line of two or more
+    fields is an edge-list header, well formed or not."""
+    return len(first_line.split()) >= 2
 
 
 # Generated sources by kind: (largest order, hereditary predicate or None).
@@ -119,7 +120,6 @@ class RunConfig:
     command: str
     source: str
     checks: tuple[str, ...] = ()
-    mode: str = "both"  # decide: "fastpath" | "brute" | "both"
     jobs: int = 1
     output: str | None = None
     fmt: str = "json"
@@ -172,72 +172,42 @@ def _verify_worker(g: Graph, check_ids):
 
 
 def _invariants_worker(g: Graph):
-    """The four invariants with their witnesses, or a ``skipped`` record
-    when the guard stops the exact scans on g."""
+    """One record per graph: the class flags, the family and the fast
+    path's votes, then α, the four invariants with their witnesses, the
+    brute-force equality and the deficit 2Γ - Γ_pr, or ``skipped`` when the
+    guard stops the exact scans on g. ``agree`` is false when the votes
+    split, else null unless there are votes and an equality, and then
+    whether the vote is the equality."""
     facts = Facts(g)
+    votes = ch.equality_votes(facts)
+    rec = {"graph6": facts.graph6, "n": g.n, **asdict(facts.flags),
+           "family": facts.family.spec_string() if facts.family else None,
+           "votes": votes}
+    if rec["girth"] == float("inf"):  # acyclic
+        rec["girth"] = None
+    equality = None
     try:
         r = facts.report
+        rec["alpha"] = facts.alpha
     except GuardError as exc:
-        return {"graph6": facts.graph6, "n": g.n, "skipped": str(exc)}
-    return {
-        "graph6": facts.graph6,
-        "n": g.n,
-        "gamma": r.gamma,
-        "upper_gamma": r.upper_gamma,
-        "gamma_pr": r.gamma_pr,
-        "upper_gamma_pr": r.upper_gamma_pr,
-        "witnesses": {k: None if w is None else list(w)
-                      for k, w in r.witnesses.items()},
-    }
-
-
-def _classify_worker(g: Graph):
-    facts = Facts(g)
-    flags = facts.flags
-    fam = facts.family
-    return {
-        "graph6": facts.graph6,
-        "connected": flags.connected,
-        "bipartite": flags.bipartite,
-        "unicyclic": flags.unicyclic,
-        "cactus": flags.cactus,
-        "c3_free": flags.c3_free,
-        "girth": None if flags.girth == float("inf") else int(flags.girth),
-        "family": fam.spec_string() if fam else None,
-    }
-
-
-def _decide_worker(g: Graph, mode: str):
-    """The fast path's decision, named by the first class that votes, and
-    the brute-force one, each None where it does not decide. Split votes
-    are a "disagreement" that keeps them, and never agree."""
-    facts = Facts(g)
-    rec = {"graph6": facts.graph6}
-    fast = brute = None
-    split = False
-    if mode in ("fastpath", "both"):
-        votes = ch.equality_votes(facts)
-        split = len(set(votes.values())) > 1
-        if split:
-            rec["fastpath"] = {"equality_holds": None, "method": "disagreement",
-                               "votes": votes}
-        elif votes:
-            method, fast = next(iter(votes.items()))
-            rec["fastpath"] = {"equality_holds": fast, "method": method}
-        else:
-            rec["fastpath"] = None
-    if mode in ("brute", "both"):
-        try:
-            brute = facts.equality
-        except GuardError as exc:
-            rec["brute"] = {"skipped": str(exc)}
-        else:
-            rec["brute"] = None if brute is None else {
-                "equality_holds": brute, "method": "brute-force"}
-    if split:
-        rec["agree"] = False
-    elif mode == "both":  # null unless both sides decided
-        rec["agree"] = None if fast is None or brute is None else fast == brute
+        rec["skipped"] = str(exc)
+    else:
+        equality = facts.equality
+        rec.update(
+            gamma=r.gamma,
+            upper_gamma=r.upper_gamma,
+            gamma_pr=r.gamma_pr,
+            upper_gamma_pr=r.upper_gamma_pr,
+            witnesses={k: None if w is None else list(w)
+                       for k, w in r.witnesses.items()},
+            equality=equality,
+            deficit=None if r.upper_gamma_pr is None
+            else 2 * r.upper_gamma - r.upper_gamma_pr,
+        )
+    fast = set(votes.values())
+    rec["agree"] = (False if len(fast) > 1
+                    else None if not fast or equality is None
+                    else fast == {equality})
     return rec
 
 
@@ -421,13 +391,8 @@ def run(config: RunConfig):
             hunt.add({"skipped": "unreadable"})
         report.hunt = hunt.to_record()
         report.failures = hunt.exceptions
-    elif config.command in ("invariants", "classify", "decide"):
-        worker = {
-            "invariants": _invariants_worker,
-            "classify": _classify_worker,
-            "decide": partial(_decide_worker, mode=config.mode),
-        }[config.command]
-        report.results = list(results(worker))
+    elif config.command == "invariants":
+        report.results = list(results(_invariants_worker))
         report.failures = [r for r in report.results if r.get("agree") is False]
     else:
         report.errors.append(f"unknown command {config.command!r}")

@@ -110,13 +110,34 @@ class TestDecideFastpath:
         }
         path = tmp_path / "c6.g6"
         path.write_text(encode_graph6(c6) + "\n")
-        for mode in ("both", "fastpath"):
-            report, code = run(RunConfig("decide", str(path), mode=mode))
-            assert code == 1
+        report, code = run(RunConfig("invariants", str(path)))
+        assert code == 1
+        (rec,) = report.results
+        assert rec["agree"] is False and report.failures == [rec]
+        assert rec["votes"] == v.witness["votes"]
+        # Past the guard the votes still split, with no scan to compare.
+        path.write_text(encode_graph6(make_cycle(25)) + "\n")
+        report, code = run(RunConfig("invariants", str(path)))
+        assert code == 1
+        (rec,) = report.results
+        assert rec["agree"] is False and "skipped" in rec
+        assert rec["votes"] == {"girth-at-least-6": True, "c3-free-cactus": False,
+                                "unicyclic": False}
+
+    def test_wrong_unanimous_vote_is_a_failure(self, monkeypatch, tmp_path):
+        # Every class votes the equality on C6, which misses it. Past the
+        # guard the same votes compare with nothing, so agree is null.
+        table = tuple(dataclasses.replace(c, expected=lambda fam: True)
+                      for c in characterizations.EQUALITY_CLASSES)
+        monkeypatch.setattr(characterizations, "EQUALITY_CLASSES", table)
+        path = tmp_path / "graphs.g6"
+        for k, exit_code, agree in ((6, 1, False), (25, 0, None)):
+            path.write_text(encode_graph6(make_cycle(k)) + "\n")
+            report, code = run(RunConfig("invariants", str(path)))
             (rec,) = report.results
-            assert rec["agree"] is False
-            assert rec["fastpath"]["equality_holds"] is None
-            assert rec["fastpath"]["method"] == "disagreement"
+            assert (code, rec["agree"]) == (exit_code, agree)
+            assert set(rec["votes"].values()) == {True}
+            assert rec.get("equality") is (False if k == 6 else None)
 
 
 def hypothesis_triples(g, masks):

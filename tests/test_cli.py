@@ -2,18 +2,23 @@ import heapq
 import json
 import multiprocessing
 import os
+from collections import Counter
 from operator import itemgetter
+from pathlib import Path
 
 import pytest
 
+import oracles
 from conftest import call_bounded
 from pairdom import generate, harness
 from pairdom.characterizations import Verdict, hunt_c3free_counterexamples
-from pairdom.cli import main
+from pairdom.cli import build_parser, main
 from pairdom.domination import GuardError, invariants
 from pairdom.generate import girth_at_least, nonisomorphic_graphs, positioned_stream
-from pairdom.graph import GraphError, build_graph, encode_graph6, format_edge_list
-from pairdom.families import make_cycle, make_path
+from pairdom.graph import (GraphError, build_graph, encode_graph6, format_edge_list,
+                           parse_graph6)
+from pairdom.families import (classify, every_block_edge_or_cycle, make_cycle,
+                              make_path, recognize_family)
 from pairdom.harness import (
     ALL_CHECK_IDS,
     CHECKS,
@@ -99,6 +104,19 @@ class TestSources:
             assert got[1] is False
 
 
+    @pytest.mark.parametrize("command", ["invariants", "verify", "hunt"])
+    def test_edge_list_header_typo_is_input_error(self, capsys, tmp_path, command):
+        # A graph6 line holds no whitespace, so a first line of two fields
+        # makes the file an edge list, whose bad header ends the run.
+        p = tmp_path / "g.edges"
+        p.write_text("x 1\n0 1\n")
+        code, out, _ = run_cli(capsys, command, str(p))
+        rec = json.loads(out)
+        assert code == 2
+        assert rec["errors"] == ["bad edge-list header 'x 1'"]
+        assert "results" not in rec and "hunt" not in rec
+
+
 class TestCommands:
     def test_invariants_json(self, capsys):
         code, out, _ = run_cli(capsys, "invariants", "C5")
@@ -108,39 +126,42 @@ class TestCommands:
         assert rec["gamma_pr"] == 4 and rec["upper_gamma_pr"] == 4
         assert rec["witnesses"]["upper_gamma_pr"] == [0, 1, 2, 3]
 
-    def test_classify(self, capsys):
-        code, out, _ = run_cli(capsys, "classify", "star:t=2,d=1")
+    def test_invariants_record(self, capsys):
+        code, out, _ = run_cli(capsys, "invariants", "star:t=2,d=1")
         rec = json.loads(out)["results"][0]
         assert code == 0
         assert rec["family"] == "star:t=2,d=1"
         assert rec["cactus"] and not rec["bipartite"]
+        assert rec["votes"] == {"unicyclic": True}
+        assert (rec["equality"], rec["deficit"], rec["agree"]) == (True, 0, True)
 
-    def test_decide_modes(self, capsys, tmp_path):
-        code, out, _ = run_cli(capsys, "decide", "C5", "--both")
+        code, out, _ = run_cli(capsys, "invariants", "C5")
         rec = json.loads(out)["results"][0]
         assert code == 0
-        assert rec["fastpath"]["equality_holds"] is True
-        assert rec["brute"]["equality_holds"] is True
-        assert rec["agree"] is True
+        assert rec["votes"] == {"c3-free-cactus": True, "unicyclic": True}
+        assert (rec["alpha"], rec["equality"], rec["agree"]) == (2, True, True)
 
-        code, out, _ = run_cli(capsys, "decide", "C5", "--fastpath")
-        rec = json.loads(out)["results"][0]
-        assert "brute" not in rec and rec["fastpath"]["method"] == "c3-free-cactus"
+    @pytest.mark.parametrize("argv", [["classify", "C5"], ["decide", "C5"],
+                                      ["decide", "C5", "--both"],
+                                      ["invariants", "C5", "--fastpath"]])
+    def test_folded_commands_are_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "usage:" in err
 
-        # Agreement is null unless both sides decided: no class applies to
-        # K4, and K2 + K1 has an isolated vertex, so neither side decides.
-        k4 = build_graph(4, [(i, j) for i in range(4) for j in range(i)])
-        k2_k1 = encode_graph6(build_graph(3, [(0, 1)]))
-        p = tmp_path / "graphs.g6"
-        p.write_text(encode_graph6(k4) + "\n" + k2_k1 + "\n")
-        code, out, _ = run_cli(capsys, "decide", str(p), "--both")
-        assert code == 0
-        no_class, isolated = json.loads(out)["results"]
-        assert no_class["fastpath"] is None
-        assert no_class["brute"]["method"] == "brute-force"
-        assert no_class["agree"] is None
-        assert isolated == {"graph6": k2_k1, "fastpath": None, "brute": None,
-                            "agree": None}
+    def test_readme_command_lines_parse(self):
+        # Every example of README's "Command line" block names a command
+        # and options that the parser still takes.
+        readme = Path(__file__).parent.parent / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+        lines = [ln.split("#", 1)[0].split()
+                 for ln in block.split("```", 1)[0].splitlines()]
+        assert len(lines) >= 5
+        parser = build_parser()
+        for argv in lines:
+            assert argv[0] == "pairdom"
+            parser.parse_args(argv[1:])
 
     def test_verify_all_holds(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "enum:4", "--checks", "all")
@@ -281,7 +302,7 @@ class TestCommands:
         h = json.loads(out)["hunt"]
         assert (h["scanned"], h["skipped"], h["satisfier_count"]) == (2, 0, 0)
 
-    @pytest.mark.parametrize("command", ["invariants", "decide", "verify"])
+    @pytest.mark.parametrize("command", ["invariants", "verify"])
     def test_graph_too_large_is_skipped_not_fatal(self, capsys, tmp_path, command):
         # C25 is past the exact scans' guard; the run must go on to C5.
         big, c5 = make_cycle(25), make_cycle(5)
@@ -312,25 +333,20 @@ class TestCommands:
         first, rec = json.loads(out)["results"]
         _, alone, _ = run_cli(capsys, command, "C5")
         assert rec == json.loads(alone)["results"][0]
-        if command == "invariants":
-            assert first == {"graph6": encode_graph6(big), "n": 25, "skipped": guard}
-            r = invariants(c5)
-            assert [rec["gamma"], rec["upper_gamma"], rec["gamma_pr"],
-                    rec["upper_gamma_pr"]] == [r.gamma, r.upper_gamma,
-                                               r.gamma_pr, r.upper_gamma_pr]
-        else:
-            # The fast path needs no 2^n scan, so it still decides C25;
-            # only the brute side is skipped.
-            fast = {"equality_holds": False, "method": "girth-at-least-6"}
-            # Nothing was compared, so agreement is unknown, not a failure.
-            assert first == {"graph6": encode_graph6(big), "fastpath": fast,
-                             "brute": {"skipped": guard}, "agree": None}
-            assert rec["brute"]["equality_holds"] is True
-            _, out, _ = run_cli(capsys, command, str(p), "--fastpath")
-            assert json.loads(out)["results"][0]["fastpath"] == fast
-            _, out, _ = run_cli(capsys, command, str(p), "--brute")
-            assert json.loads(out)["results"][0] == {
-                "graph6": encode_graph6(big), "brute": {"skipped": guard}}
+        # The fast path needs no 2^n scan, so C25 keeps its flags and votes;
+        # nothing was compared, so agreement is unknown, not a failure.
+        assert first == {
+            "graph6": encode_graph6(big), "n": 25, "connected": True,
+            "bipartite": False, "unicyclic": True, "cactus": True,
+            "c3_free": True, "girth": 25, "family": None,
+            "votes": {"girth-at-least-6": False, "c3-free-cactus": False,
+                      "unicyclic": False},
+            "skipped": guard, "agree": None}
+        r = invariants(c5)
+        assert [rec["gamma"], rec["upper_gamma"], rec["gamma_pr"],
+                rec["upper_gamma_pr"]] == [r.gamma, r.upper_gamma,
+                                           r.gamma_pr, r.upper_gamma_pr]
+        assert rec["equality"] is True
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, capsys, jobs):
@@ -363,23 +379,23 @@ class TestCommands:
     def test_empty_graph_has_no_paired_domination(self, capsys):
         # K0, like a graph with an isolated vertex, is outside every check
         # that needs Γ_pr; only gamma-ge-independence applies to it, and
-        # invariants gives its paired fields as null.
+        # invariants gives its paired fields, equality and deficit as null.
         code, out, _ = run_cli(capsys, "verify", "enum:0")
         assert code == 0
         totals = json.loads(out)["totals"]
         assert {cid for cid, t in totals.items() if t["na"] == 0} == {
             "gamma-ge-independence"}
-        for mode in ("--brute", "--both"):
-            code, out, _ = run_cli(capsys, "decide", "enum:0", mode)
-            assert code == 0
-            assert json.loads(out)["results"][0]["brute"] is None
         code, out, _ = run_cli(capsys, "invariants", "enum:0")
         assert code == 0
         assert json.loads(out)["results"] == [{
-            "graph6": "?", "n": 0, "gamma": 0, "upper_gamma": 0,
-            "gamma_pr": None, "upper_gamma_pr": None,
+            "graph6": "?", "n": 0, "connected": False, "bipartite": True,
+            "unicyclic": False, "cactus": False, "c3_free": True,
+            "girth": None, "family": None, "votes": {}, "alpha": 0,
+            "gamma": 0, "upper_gamma": 0, "gamma_pr": None,
+            "upper_gamma_pr": None,
             "witnesses": {"gamma": [], "upper_gamma": [],
-                          "gamma_pr": None, "upper_gamma_pr": None}}]
+                          "gamma_pr": None, "upper_gamma_pr": None},
+            "equality": None, "deficit": None, "agree": None}]
 
     def test_gen(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "union:K2*2+C5*1", "--format", "json")
@@ -464,6 +480,103 @@ class TestDeterminismAcrossJobs:
         assert code == 0
         got = [r["graph6"] for r in json.loads(out)["results"]]
         assert got == lines
+
+
+    def test_invariants_results_independent_of_jobs(self, capsys):
+        results = []
+        for jobs in ("1", "2"):
+            code, out, _ = call_bounded(run_cli, capsys, "invariants", "enum:6",
+                                        "--jobs", jobs)
+            assert code == 0
+            results.append(json.loads(out)["results"])
+        assert len(results[0]) == 156
+        assert all(set(RECORD_FIELDS) <= rec.keys() for rec in results[0])
+        assert results[1] == results[0]
+
+
+# Every field of a record within the guard, in order.
+RECORD_FIELDS = ("graph6", "n", "connected", "bipartite", "unicyclic", "cactus",
+                 "c3_free", "girth", "family", "votes", "alpha", "gamma",
+                 "upper_gamma", "gamma_pr", "upper_gamma_pr", "witnesses",
+                 "equality", "deficit", "agree")
+
+
+class TestRecord:
+    def test_fields_match_their_sources(self, capsys, tmp_path):
+        # Flags and family come from the families module, α, the equality
+        # and the deficit from the literal oracles. Each applicable class
+        # votes the oracle's equality (the four characterizations are
+        # theorems), so no vote splits and agree is true wherever both
+        # sides decide; it is null on K4, where no class applies, and on
+        # K2 + K1, where Γ_pr is undefined.
+        k4 = build_graph(4, [(i, j) for i in range(4) for j in range(i)])
+        extra = [make_cycle(25), k4, build_graph(3, [(0, 1)]), make_cycle(5)]
+        p = tmp_path / "graphs.g6"
+        p.write_text("".join(encode_graph6(g) + "\n" for g in extra))
+        graphs = list(nonisomorphic_graphs(6, min_n=6)) + extra
+        records = []
+        for source in ("enum:6", str(p)):
+            code, out, _ = run_cli(capsys, "invariants", source)
+            assert code == 0
+            records += json.loads(out)["results"]
+        assert len(records) == len(graphs) == 160
+        for g, rec in zip(graphs, records):
+            flags = classify(g)
+            fam = recognize_family(g)
+            cactus = flags.c3_free and every_block_edge_or_cycle(g)
+            applies = {"girth-at-least-6": flags.girth >= 6,
+                       "c3-free-cactus": cactus,
+                       "unicyclic": flags.unicyclic,
+                       "bipartite": flags.connected and flags.bipartite}
+            paired = g.n > 0 and all(g.degree(v) for v in range(g.n))
+            assert rec["graph6"] == encode_graph6(g)
+            assert [rec[k] for k in ("connected", "bipartite", "unicyclic",
+                                     "cactus", "c3_free")] == [
+                flags.connected, flags.bipartite, flags.unicyclic,
+                flags.cactus, flags.c3_free]
+            assert rec["girth"] == (None if flags.girth == float("inf")
+                                    else flags.girth)
+            assert rec["family"] == (fam.spec_string() if fam else None)
+            if g.n > 24:
+                assert list(rec) == list(RECORD_FIELDS[:10]) + ["skipped", "agree"]
+                assert rec["skipped"] == "exact scans limited to n <= 24"
+                # no family, so every applicable class votes a miss
+                assert rec["votes"] == {m: False for m, a in applies.items() if a}
+                assert rec["agree"] is None
+                continue
+            assert list(rec) == list(RECORD_FIELDS)
+            assert rec["alpha"] == oracles.independence_number(g)
+            upper_pr = oracles.upper_gamma_pr(g)
+            equality = None if upper_pr is None else (
+                upper_pr == 2 * oracles.upper_gamma(g))
+            assert rec["equality"] == equality
+            assert rec["deficit"] == (None if upper_pr is None
+                                      else 2 * oracles.upper_gamma(g) - upper_pr)
+            votes = {m: equality for m, a in applies.items() if a and paired}
+            assert rec["votes"] == votes
+            assert rec["agree"] == (None if not votes or equality is None else True)
+
+    def test_deficit_of_connected_triangle_free_graphs(self, capsys):
+        # The deficit 2Γ - Γ_pr over the connected triangle-free graphs of
+        # order 3..7: deficit 2 on 1, 2, 1, 7 and 9 graphs, 0 only on C5.
+        by_order = {}
+        zero = []
+        for n in range(3, 8):
+            code, out, _ = run_cli(capsys, "invariants", f"c3free:{n}")
+            assert code == 0
+            records = json.loads(out)["results"]
+            for rec in records:
+                g = parse_graph6(rec["graph6"])
+                upper_pr = oracles.upper_gamma_pr(g)
+                assert rec["deficit"] == (None if upper_pr is None
+                                          else 2 * oracles.upper_gamma(g) - upper_pr)
+            connected = [r for r in records if r["connected"]]
+            by_order[n] = Counter(r["deficit"] for r in connected)
+            zero += [r["family"] for r in connected if r["deficit"] == 0]
+        assert [by_order[n][2] for n in range(3, 8)] == [1, 2, 1, 7, 9]
+        assert zero == ["C5"]
+        assert by_order[5] == {0: 1, 2: 1, 4: 3, 6: 1}
+        assert by_order[7] == {2: 9, 4: 30, 6: 13, 8: 6, 10: 1}
 
 
 class TestRunApi:
