@@ -126,12 +126,21 @@ class TestCommands:
         assert rec["gamma_pr"] == 4 and rec["upper_gamma_pr"] == 4
         assert rec["witnesses"]["upper_gamma_pr"] == [0, 1, 2, 3]
 
-    def test_invariants_record(self, capsys):
+    def test_classify(self, capsys):
+        # The class flags and family of the deleted classify command are
+        # the first fields of the invariants record.
         code, out, _ = run_cli(capsys, "invariants", "star:t=2,d=1")
         rec = json.loads(out)["results"][0]
         assert code == 0
         assert rec["family"] == "star:t=2,d=1"
         assert rec["cactus"] and not rec["bipartite"]
+
+    def test_decide_modes(self, capsys, tmp_path):
+        # The fast-path and brute-force sides of the deleted decide command
+        # are the record's votes and equality; agree compares them.
+        code, out, _ = run_cli(capsys, "invariants", "star:t=2,d=1")
+        rec = json.loads(out)["results"][0]
+        assert code == 0
         assert rec["votes"] == {"unicyclic": True}
         assert (rec["equality"], rec["deficit"], rec["agree"]) == (True, 0, True)
 
@@ -140,6 +149,20 @@ class TestCommands:
         assert code == 0
         assert rec["votes"] == {"c3-free-cactus": True, "unicyclic": True}
         assert (rec["alpha"], rec["equality"], rec["agree"]) == (2, True, True)
+
+        # Agreement is null unless both sides decided: no class applies to
+        # K4, and K2 + K1 has an isolated vertex, so neither side decides.
+        k4 = build_graph(4, [(i, j) for i in range(4) for j in range(i)])
+        k2_k1 = build_graph(3, [(0, 1)])
+        p = tmp_path / "graphs.g6"
+        p.write_text(encode_graph6(k4) + "\n" + encode_graph6(k2_k1) + "\n")
+        code, out, _ = run_cli(capsys, "invariants", str(p))
+        assert code == 0
+        no_class, isolated = json.loads(out)["results"]
+        assert (no_class["votes"], no_class["equality"], no_class["agree"]) == (
+            {}, True, None)
+        assert (isolated["votes"], isolated["equality"], isolated["agree"]) == (
+            {}, None, None)
 
     @pytest.mark.parametrize("argv", [["classify", "C5"], ["decide", "C5"],
                                       ["decide", "C5", "--both"],
@@ -302,12 +325,15 @@ class TestCommands:
         h = json.loads(out)["hunt"]
         assert (h["scanned"], h["skipped"], h["satisfier_count"]) == (2, 0, 0)
 
-    @pytest.mark.parametrize("command", ["invariants", "verify"])
-    def test_graph_too_large_is_skipped_not_fatal(self, capsys, tmp_path, command):
+    @pytest.mark.parametrize("part", ["invariants", "decide", "verify"])
+    def test_graph_too_large_is_skipped_not_fatal(self, capsys, tmp_path, part):
         # C25 is past the exact scans' guard; the run must go on to C5.
+        # "decide" checks the record's fast-path votes and brute-force
+        # equality, "invariants" its flags and the four invariants.
         big, c5 = make_cycle(25), make_cycle(5)
         p = tmp_path / "graphs.g6"
         p.write_text(encode_graph6(big) + "\n" + encode_graph6(c5) + "\n")
+        command = "verify" if part == "verify" else "invariants"
         code, out, _ = run_cli(capsys, command, str(p))
         assert code == 0
         guard = "exact scans limited to n <= 24"
@@ -333,20 +359,26 @@ class TestCommands:
         first, rec = json.loads(out)["results"]
         _, alone, _ = run_cli(capsys, command, "C5")
         assert rec == json.loads(alone)["results"][0]
-        # The fast path needs no 2^n scan, so C25 keeps its flags and votes;
-        # nothing was compared, so agreement is unknown, not a failure.
-        assert first == {
-            "graph6": encode_graph6(big), "n": 25, "connected": True,
-            "bipartite": False, "unicyclic": True, "cactus": True,
-            "c3_free": True, "girth": 25, "family": None,
-            "votes": {"girth-at-least-6": False, "c3-free-cactus": False,
-                      "unicyclic": False},
-            "skipped": guard, "agree": None}
-        r = invariants(c5)
-        assert [rec["gamma"], rec["upper_gamma"], rec["gamma_pr"],
-                rec["upper_gamma_pr"]] == [r.gamma, r.upper_gamma,
-                                           r.gamma_pr, r.upper_gamma_pr]
-        assert rec["equality"] is True
+        if part == "invariants":
+            assert first == {
+                "graph6": encode_graph6(big), "n": 25, "connected": True,
+                "bipartite": False, "unicyclic": True, "cactus": True,
+                "c3_free": True, "girth": 25, "family": None,
+                "votes": first["votes"], "skipped": guard, "agree": None}
+            r = invariants(c5)
+            assert [rec["gamma"], rec["upper_gamma"], rec["gamma_pr"],
+                    rec["upper_gamma_pr"]] == [r.gamma, r.upper_gamma,
+                                               r.gamma_pr, r.upper_gamma_pr]
+        else:
+            # The fast path needs no 2^n scan, so it still votes on C25;
+            # only the brute side is skipped. Nothing was compared, so
+            # agreement is unknown, not a failure.
+            assert first["votes"] == {"girth-at-least-6": False,
+                                      "c3-free-cactus": False,
+                                      "unicyclic": False}
+            assert "equality" not in first
+            assert (first["skipped"], first["agree"]) == (guard, None)
+            assert rec["equality"] is True and rec["agree"] is True
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, capsys, jobs):
