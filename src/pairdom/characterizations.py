@@ -90,6 +90,11 @@ class Facts:
     def family(self) -> FamilyLabel | None:
         return recognize_family(self.g)
 
+    @property
+    def family_spec(self) -> str | None:
+        """The family as a spec string, or None outside every family."""
+        return self.family and self.family.spec_string()
+
     @cached_property
     def componentwise_c3free_cactus(self) -> bool:
         """Triangle-free with every block an edge or a cycle; for a
@@ -207,10 +212,6 @@ def _structural_scope(facts: Facts) -> bool:
     return facts.componentwise_c3free_cactus and facts.equality is True
 
 
-def _spec(fam: FamilyLabel | None) -> str | None:
-    return fam.spec_string() if fam else None
-
-
 # --- the equality characterizations ---------------------------------------
 
 
@@ -263,10 +264,9 @@ def _equality_check(c: EqualityClass) -> Check:
     the equality must match family membership."""
 
     def mismatch(facts: Facts) -> dict | None:
-        fam = facts.family
-        if facts.equality == c.expected(fam):
+        if facts.equality == c.expected(facts.family):
             return None
-        return {"equality": facts.equality, "family": _spec(fam)}
+        return {"equality": facts.equality, "family": facts.family_spec}
 
     return Check(c.check_id, lambda f: _paired(f) and c.applies(f), mismatch)
 
@@ -311,7 +311,7 @@ def _gpr_equals_n_minus_1(facts: Facts) -> dict | None:
     in_family = fam is not None and fam.kind in ("C3", "C5", "star")
     if (upper_gamma_pr == facts.g.n - 1) == in_family:
         return None
-    return {"upper_gamma_pr": upper_gamma_pr, "family": _spec(fam)}
+    return {"upper_gamma_pr": upper_gamma_pr, "family": facts.family_spec}
 
 
 def _gpr_at_most_2gamma(facts: Facts) -> dict | None:
@@ -636,11 +636,10 @@ def hunt_record(g: Graph) -> dict | None:
         return {"skipped": "too_large"}
     if equality is not True:
         return None
-    fam = facts.family
     return {
         "graph6": facts.graph6,
-        "family": _spec(fam),
-        "expected_form": _edges_and_5_cycles(fam),
+        "family": facts.family_spec,
+        "expected_form": _edges_and_5_cycles(facts.family),
         "cactus": facts.componentwise_c3free_cactus,
     }
 

@@ -269,6 +269,8 @@ def parse_family_spec(spec: str) -> Graph:
             if star and not is_decimal(mult):
                 raise GraphError(f"bad multiplicity in {spec!r}")
             parts.append((base[name](), int(mult) if star else 1))
+        if not sum(m for _, m in parts):
+            raise GraphError(f"no component in {spec!r}")
         return make_union(parts)
     raise GraphError(f"unrecognized family spec {spec!r}")
 

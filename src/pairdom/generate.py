@@ -7,7 +7,7 @@ the stream; ``nonisomorphic_graphs`` is the list of its graphs. A kept
 representative P that becomes a parent gets a new vertex joined to one
 subset of each orbit of Aut(P), the least (McKay's first rule: subsets in
 one orbit give isomorphic children). Each such child is refined once
-(colour refinement on neighbour tuples), bucketed on the multiset of its
+(colour refinement on its adjacency rows), bucketed on the multiset of its
 final refinement signatures, and kept unless exact backtracking maps it
 onto an earlier representative in its bucket, so the first candidate of
 each class wins in (parent, mask) order. The same backtracking routine,
@@ -42,21 +42,24 @@ from .graph import MAX_VERTICES, Graph, bits_of, components, girth
 _COUNT_BIT = [1 << (6 * c) for c in range(MAX_VERTICES)]
 
 
-def _refine(nbrs) -> tuple[tuple, list[int]]:
+def _refine(adj) -> tuple[tuple, list[int]]:
     """Colour refinement from the degrees until the partition is stable or
     discrete.
 
-    ``nbrs[v]`` lists the neighbours of v. Returns ``(key, colors)``: the
-    key is the sorted tuple of the last round's signatures, an isomorphism
-    invariant; ``colors[v]`` is the rank of v's signature among the
-    distinct ones, so two graphs with equal keys have comparable colours."""
-    n = len(nbrs)
+    ``adj[v]`` is the neighbour mask of v, read through ``bits_of``: one
+    table lookup per row while n <= 12, so on every order generated.
+    Returns ``(key, colors)``: the key is the sorted tuple of the last
+    round's signatures, an isomorphism invariant; ``colors[v]`` is the rank
+    of v's signature among the distinct ones, so two graphs with equal keys
+    have comparable colours."""
+    n = len(adj)
     top = 6 * n
-    colors = [len(t) for t in nbrs]
+    colors = [row.bit_count() for row in adj]
     count = len(set(colors))
     while True:
         count_bit = [_COUNT_BIT[c] for c in colors].__getitem__
-        sig = [c << top | sum(map(count_bit, t)) for c, t in zip(colors, nbrs)]
+        sig = [c << top | sum(map(count_bit, bits_of(row)))
+               for c, row in zip(colors, adj)]
         key = tuple(sorted(sig))
         palette = {s: i for i, s in enumerate(dict.fromkeys(key))}
         colors = [palette[s] for s in sig]
@@ -207,15 +210,13 @@ def positioned_stream(n: int, predicate=None, min_n: int = 0, shard=(0, 1)):
     index, count = shard
     if min_n <= 0 <= n and index == 0:
         yield (0, 0, 0), Graph(0, ())
-    # (adjacency rows, neighbour tuples, colours, colour cells, edge count)
-    # per representative
-    parents = [((), (), [], [], 0)]
+    # (adjacency rows, colours, colour cells, edge count) per representative
+    parents = [((), [], [], 0)]
     for k in range(1, n + 1):
-        new = k - 1
-        bit = 1 << new
+        bit = 1 << (k - 1)
         buckets: dict[tuple, list] = {}
         kept = []
-        for p, (adj0, nbrs0, colors0, cells0, edges0) in enumerate(parents):
+        for p, (adj0, colors0, cells0, edges0) in enumerate(parents):
             family = propose(adj0) if propose else range(bit)
             masks = _augmenting_masks(adj0, colors0, cells0, family)
             if count > 1 and k == n:
@@ -230,10 +231,7 @@ def positioned_stream(n: int, predicate=None, min_n: int = 0, shard=(0, 1)):
                     g = Graph(k, tuple(adj))
                     if not predicate(g):
                         continue
-                nbrs = [t + (new,) if (mask >> u) & 1 else t
-                        for u, t in enumerate(nbrs0)]
-                nbrs.append(bits_of(mask))
-                key, colors = _refine(nbrs)
+                key, colors = _refine(adj)
                 bucket = buckets.setdefault(key, [])
                 if any(_isomorphism(adj, colors, adj2, cells2) is not None
                        for adj2, cells2 in bucket):
@@ -242,7 +240,7 @@ def positioned_stream(n: int, predicate=None, min_n: int = 0, shard=(0, 1)):
                 bucket.append((adj, cells))
                 edges = edges0 + mask.bit_count()
                 if k < n:
-                    kept.append((adj, nbrs, colors, cells, edges))
+                    kept.append((adj, colors, cells, edges))
                 if k >= min_n and edges % count == index:
                     yield (k, p, mask), g or Graph(k, tuple(adj))
         parents = kept

@@ -181,7 +181,7 @@ def _invariants_worker(g: Graph):
     facts = Facts(g)
     votes = ch.equality_votes(facts)
     rec = {"graph6": facts.graph6, "n": g.n, **asdict(facts.flags),
-           "family": facts.family.spec_string() if facts.family else None,
+           "family": facts.family_spec,
            "votes": votes}
     if rec["girth"] == float("inf"):  # acyclic
         rec["girth"] = None
@@ -313,8 +313,11 @@ def _map_source(fn, items, jobs: int):
     """fn over the graphs of a source, in source order, as ``_apply`` gives
     them without positions: in ``jobs`` worker processes when there are
     more than one, else here. A list source gets at most one worker per
-    item."""
-    if not isinstance(items, GeneratedSource):
+    item, and a generated source of order n at most one per edge count
+    0..n(n-1)/2, since the shards past that hold no graph."""
+    if isinstance(items, GeneratedSource):
+        jobs = min(jobs, items.n * (items.n - 1) // 2 + 1)
+    else:
         jobs = min(jobs, len(items))
     if jobs > 1:
         entries = _sharded(fn, items, jobs)

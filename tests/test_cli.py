@@ -1,3 +1,4 @@
+import doctest
 import heapq
 import json
 import multiprocessing
@@ -185,6 +186,18 @@ class TestCommands:
         for argv in lines:
             assert argv[0] == "pairdom"
             parser.parse_args(argv[1:])
+
+    def test_readme_library_example_runs(self):
+        # README's ">>>" example runs as a doctest, so the import path it
+        # documents still holds.
+        readme = Path(__file__).parent.parent / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        head, _, rest = text.partition("```python\n")
+        test = doctest.DocTestParser().get_doctest(
+            rest.split("```", 1)[0], {}, "README.md", str(readme), head.count("\n") + 1)
+        report = []
+        failed, attempted = doctest.DocTestRunner().run(test, out=report.append)
+        assert attempted >= 4 and failed == 0, "".join(report)
 
     def test_verify_all_holds(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "enum:4", "--checks", "all")
@@ -452,6 +465,11 @@ class TestCommands:
                 code, out, _ = run_cli(capsys, command, spec)
                 assert code == 2
                 assert json.loads(out)["errors"] == [f"bad {what} in {spec!r}"]
+            # so does a union of no component, as mK2:0 is an error
+            for spec in ("union:K2*0", "union:K2*0+C5*0"):
+                code, out, _ = run_cli(capsys, command, spec)
+                assert code == 2
+                assert json.loads(out)["errors"] == [f"no component in {spec!r}"]
 
     def test_text_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "C5", "--format", "text")
@@ -634,12 +652,16 @@ class TestStreaming:
         assert list(_map_source(encode_graph6, [], 2)) == []
 
     @staticmethod
-    def workers_started(monkeypatch, capsys, tmp_path, graphs, jobs):
-        """How many worker processes ``verify`` of a graph6 file of the
-        graphs starts at ``--jobs jobs``; its output must be that of one job."""
+    def graph6_file(tmp_path, graphs) -> str:
         p = tmp_path / "graphs.g6"
         p.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
-        serial = run_cli(capsys, "verify", str(p), "--jobs", "1")
+        return str(p)
+
+    @staticmethod
+    def workers_started(monkeypatch, capsys, source, jobs):
+        """How many worker processes ``verify`` of the source starts at
+        ``--jobs jobs``; its output must be that of one job."""
+        serial = run_cli(capsys, "verify", source, "--jobs", "1")
         started = []
         get_context = multiprocessing.get_context
 
@@ -655,7 +677,7 @@ class TestStreaming:
                 return started[-1]
 
         monkeypatch.setattr(multiprocessing, "get_context", CountingContext)
-        sharded = call_bounded(run_cli, capsys, "verify", str(p), "--jobs", str(jobs))
+        sharded = call_bounded(run_cli, capsys, "verify", source, "--jobs", str(jobs))
 
         def without_elapsed(out):
             rec = json.loads(out)
@@ -670,11 +692,18 @@ class TestStreaming:
 
     def test_list_source_gets_one_worker_per_item(self, monkeypatch, capsys, tmp_path):
         graphs = (make_cycle(5), make_path(4), make_cycle(6), make_path(6), make_cycle(7))
-        assert self.workers_started(monkeypatch, capsys, tmp_path, graphs, 16) == 5
+        source = self.graph6_file(tmp_path, graphs)
+        assert self.workers_started(monkeypatch, capsys, source, 16) == 5
 
     def test_two_line_file_gets_two_workers(self, monkeypatch, capsys, tmp_path):
-        graphs = (make_cycle(5), make_path(4))
-        assert self.workers_started(monkeypatch, capsys, tmp_path, graphs, 2) == 2
+        source = self.graph6_file(tmp_path, (make_cycle(5), make_path(4)))
+        assert self.workers_started(monkeypatch, capsys, source, 2) == 2
+
+    @pytest.mark.parametrize("source, workers", [("enum:1", 0), ("enum:2", 2)])
+    def test_generated_source_gets_one_worker_per_edge_count(
+            self, monkeypatch, capsys, source, workers):
+        # order n has edge counts 0..n(n-1)/2, and a shard past them is empty
+        assert self.workers_started(monkeypatch, capsys, source, 4) == workers
 
     @pytest.mark.parametrize("exc", [GraphError("bad graph"),
                                      ValueError("bad value"),

@@ -56,8 +56,8 @@ def _graph6_stream(graphs) -> list[str]:
 def are_isomorphic(g, h) -> bool:
     """The generator's verdict, refinement keys and then backtracking,
     checked against the oracle's; a mapping it finds must carry g onto h."""
-    key1, colors1 = _refine([tuple(bits_of(row)) for row in g.adj])
-    key2, colors2 = _refine([tuple(bits_of(row)) for row in h.adj])
+    key1, colors1 = _refine(g.adj)
+    key2, colors2 = _refine(h.adj)
     found = None
     if key1 == key2:
         found = _isomorphism(g.adj, colors1, h.adj, _cells(colors2))
@@ -266,7 +266,7 @@ class TestParentMaskRule:
 def _parent_state(g):
     """The adjacency rows, colours and colour cells the generator keeps for
     a representative that becomes a parent."""
-    _, colors = _refine([tuple(bits_of(row)) for row in g.adj])
+    _, colors = _refine(g.adj)
     return list(g.adj), colors, _cells(colors)
 
 
