@@ -5,11 +5,12 @@ all 2^n subsets in a *subset bitmap*, an int whose bit S is set iff S has
 the property. ``_members(n)[i]`` is the bitmap of the subsets containing
 i; ORs and ANDs of these combine conditions, and ``(x & ~members[i]) <<
 2^i`` maps each subset in x without i to itself plus i, so a scan is
-O(n + m) big-int operations. Every exact scan, the paired ones and the
-independence branching included, refuses a graph past the one guard
-``DOMINATION_GUARD`` before it starts. The per-set predicates
-(``is_dominating`` and the like) share nothing with the bitmaps: they are
-the cross-check.
+O(n + m) big-int operations. The PDS scan returns its bitmap as a
+``Subsets``, and only the minimal sets are ever listed. Every exact scan,
+the paired ones and the independence branching included, refuses a graph
+past the one guard ``DOMINATION_GUARD`` before it starts. The per-set
+predicates (``is_dominating`` and the like) share nothing with the
+bitmaps: they are the cross-check.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from .matching import perfect_matching_tester
 # one process per graph, one run each: the time of invariants, then of a
 # following run_checks(g, ALL_CHECK_IDS), which scans again, and the peak
 # RSS (ru_maxrss) of both. No check is skipped on any of them.
-#   K24          3.6 s  3.1 s  439 MB      C24       0.8 s  0.8 s  112 MB
-#   K12,12       1.9 s  1.7 s  217 MB      P24       0.7 s  0.8 s  112 MB
-#   11K2         0.2 s  0.2 s   38 MB      12K2      0.5 s  0.6 s  112 MB
-#   7K2 + 2C5    0.8 s  0.6 s  113 MB      2K2 + 4C5 0.8 s  0.6 s  113 MB
-#   ten connected G(24, p), p = 0.15-0.7:  at most 3.9 s  3.5 s  438 MB
+#   K24          1.9 s  1.8 s  106 MB      C24       0.7 s  0.7 s  113 MB
+#   K12,12       1.2 s  1.1 s  109 MB      P24       0.6 s  0.6 s  113 MB
+#   11K2         0.1 s  0.1 s   39 MB      12K2      0.6 s  0.4 s  112 MB
+#   7K2 + 2C5    0.5 s  0.4 s  112 MB      2K2 + 4C5 0.6 s  0.5 s  114 MB
+#   ten connected G(24, p), p = 0.15-0.7:  at most 1.5 s  1.5 s  116 MB
 DOMINATION_GUARD = 24
 
 
@@ -145,12 +146,15 @@ def _masks(bitmap: int) -> list[int]:
     return [m.start() for m in re.finditer("1", format(bitmap, "b")[::-1])]
 
 
-def _bitmap(masks, n: int) -> int:
-    """The bitmap with exactly the given bits set, inverse of ``_masks``."""
-    digits = bytearray(b"0" * (1 << n))
-    for mask in masks:
-        digits[~mask] = ord("1")
-    return int(digits, 2)
+class Subsets(int):
+    """A subset bitmap read as the increasing list of its set bits: ``len``
+    is the popcount, iterating lists them. Arithmetic gives a plain int."""
+
+    def __len__(self) -> int:
+        return self.bit_count()
+
+    def __iter__(self):
+        return iter(_masks(self))
 
 
 def _guard(g: Graph) -> None:
@@ -168,11 +172,12 @@ def minimal_dominating_masks(g: Graph) -> list[int]:
     return _masks(dominating & ~_one_more(dominating, members))
 
 
-def paired_dominating_masks(g: Graph) -> list[int]:
-    """All paired dominating sets (not only minimal ones) as bitsets, in
-    increasing mask order. A set with least vertex v has a perfect matching
-    iff it is {v, u} plus a matchable set above v without u, u ~ v, u > v.
-    Raises IsolatedVertexError where paired domination is undefined."""
+def paired_dominating_masks(g: Graph) -> Subsets:
+    """The bitmap of all paired dominating sets (not only minimal ones),
+    read as their bitsets in increasing mask order. A set with least vertex
+    v has a perfect matching iff it is {v, u} plus a matchable set above v
+    without u, u ~ v, u > v. Raises IsolatedVertexError where paired
+    domination is undefined."""
     _guard(g)
     if not paired_domination_defined(g):
         raise IsolatedVertexError("paired domination is undefined on K0 and "
@@ -183,13 +188,13 @@ def paired_dominating_masks(g: Graph) -> list[int]:
         above_v = matchable
         for u in bits_of(g.adj[v] >> (v + 1) << (v + 1)):
             matchable |= (above_v & ~members[u]) << ((1 << v) | (1 << u))
-    return _masks(_dominating(g, members) & matchable)
+    return Subsets(_dominating(g, members) & matchable)
 
 
 def minimal_paired_dominating_masks(g: Graph) -> list[int]:
     """The paired dominating sets with no paired dominating proper subset:
     those outside ``_one_more`` of the up-closure of all of them."""
-    pds = _bitmap(paired_dominating_masks(g), g.n)
+    pds = paired_dominating_masks(g)
     members = _members(g.n)
     above = pds
     for i, has_i in enumerate(members):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from pairdom import harness
 from pairdom.characterizations import ALL_CHECK_IDS, Facts
+from pairdom.families import make_cycle
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -36,6 +37,23 @@ def test_traced_layers_are_pairdom_functions():
     ]
     assert missing == []
     assert set(tracing.COUNTED) <= set(tracing.LAYER_FUNCTIONS)
+
+
+def test_counted_layers_return_sized_results():
+    # The tracer adds len(result) of these layers to its counts, so each
+    # must return something whose length is the number of items it holds.
+    tracing = load_tracing()
+    c4, c5 = make_cycle(4), make_cycle(5)
+    inputs = {"generate": (3,),
+              "domination.mds": (c5,),
+              "domination.pds": (c5,),
+              "domination.pds_filter": (c5,),
+              "matching.enum": (c4, c4.full_mask)}
+    assert set(inputs) == set(tracing.COUNTED)
+    for name, args in inputs.items():
+        module, attr = tracing.LAYER_FUNCTIONS[name]
+        result = getattr(importlib.import_module(module), attr)(*args)
+        assert len(result) == len(list(result)) > 0, name
 
 
 def test_traced_facts_and_checks_exist():

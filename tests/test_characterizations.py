@@ -189,7 +189,7 @@ class TestPrivatePairs:
             if not domination.paired_domination_defined(g):
                 continue
             facts = Facts(g)
-            masks = domination.paired_dominating_masks(g)
+            masks = list(domination.paired_dominating_masks(g))
             facts.report = dataclasses.replace(facts.report, mpds_masks=masks)
             expected = [
                 (smask, u, v) for smask, u, v in hypothesis_triples(g, masks)

@@ -154,8 +154,13 @@ class TestScans:
                     with pytest.raises(IsolatedVertexError):
                         scan(g)
                 else:
-                    assert scan(g) == _accepted(g, predicate), (scan.__name__,
-                                                                 g.edges())
+                    expected = _accepted(g, predicate)
+                    got = scan(g)
+                    assert list(got) == expected, (scan.__name__, g.edges())
+                    if scan is paired_dominating_masks:
+                        # the PDS scan's bitmap: bit S is set iff S is a PDS
+                        assert len(got) == len(expected)
+                        assert got == sum(1 << mask for mask in expected)
 
     @pytest.mark.parametrize(
         "scan, predicate, cycle, copies",
@@ -177,7 +182,21 @@ class TestScans:
         for k in range(copies):
             expect = [m | (part << (k * cycle)) for m in expect for part in parts]
         union = disjoint_union([make_cycle(cycle)] * copies)
-        assert scan(union) == sorted(expect)
+        assert list(scan(union)) == sorted(expect)
+
+    def test_minimality_filter_lists_only_minimal_sets(self, monkeypatch):
+        # The filter reads the PDS bitmap, so the one list it builds is the
+        # minimal PDSs, never the whole PDS family.
+        listed = []
+        original = domination._masks
+
+        def recording(bitmap):
+            listed.append(bitmap.bit_count())
+            return original(bitmap)
+
+        monkeypatch.setattr(domination, "_masks", recording)
+        minimal = minimal_paired_dominating_masks(disjoint_union([make_cycle(5)] * 4))
+        assert listed == [len(minimal)]
 
 
 class TestInvariants:
