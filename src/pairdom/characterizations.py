@@ -226,13 +226,12 @@ class EqualityClass:
     """A graph class on which Γ_pr = 2Γ holds exactly for one family."""
 
     check_id: str
-    method: str  # the name the fast path reports
+    method: str  # the key of this class's vote in ``equality_votes``
     applies: Callable[[Facts], bool]
     expected: Callable[[FamilyLabel | None], bool]
 
 
-# In fast-path precedence order: the first class that applies names the
-# method of a fast-path decision.
+# In precedence order, which orders the keys of ``equality_votes``.
 EQUALITY_CLASSES = (
     EqualityClass(
         "equality-girth6", "girth-at-least-6",
@@ -501,7 +500,6 @@ STRUCTURAL_LEMMAS = tuple(
         ("outside-set-independent", _outside_edge, False),
     )
 )
-STRUCTURAL_CHECKS = tuple(lemma.check_id for lemma in STRUCTURAL_LEMMAS)
 
 
 # --- the registry ---------------------------------------------------------------

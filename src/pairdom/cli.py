@@ -8,7 +8,8 @@
 
 Sources accepted by every graph-consuming command:
 
-* a path to a graph6 file (one graph per line),
+* a path to a graph6 file (one graph per line, optionally after a
+  ">>graph6<<" header),
 * a path to an edge-list file ("n m" header, then "u v" lines),
 * a family spec string: K2, C3, C5, mK2:3, star:t=3,d=1, union:K2*2+C5*1,
 * enum:N for all non-isomorphic graphs on 0 <= N <= 9 vertices,
@@ -16,7 +17,7 @@ Sources accepted by every graph-consuming command:
 
 Exit status: 0 when everything holds or is not applicable, 1 when a check
 fails, a record has agree false or the hunt finds an exception, 2 on usage
-or input errors.
+or input errors, among them an --output that names the source file.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import json
 import sys
 from contextlib import nullcontext
 
-from .harness import ALL_CHECK_IDS, RunConfig, RunReport, run
+from .harness import ALL_CHECK_IDS, RunConfig, RunReport, overwrites_source, run
 
 
 def _add_common(sub):
@@ -118,6 +119,9 @@ def main(argv=None) -> int:
         output=args.output,
         fmt=args.fmt,
     )
+    if overwrites_source(config):  # opening the sink would empty the source
+        print(f"--output names the source file {config.source!r}", file=sys.stderr)
+        return 2
     try:
         sink = open(config.output, "w") if config.output else nullcontext(sys.stdout)
     except OSError as exc:

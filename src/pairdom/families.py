@@ -72,16 +72,8 @@ def make_cycle(k: int) -> Graph:
     return build_graph(k, [(i, (i + 1) % k) for i in range(k)])
 
 
-def make_path(k: int) -> Graph:
-    return build_graph(k, [(i, i + 1) for i in range(k - 1)])
-
-
 def make_k2() -> Graph:
     return build_graph(2, [(0, 1)])
-
-
-def make_star(t: int) -> Graph:
-    return build_graph(t + 1, [(0, i) for i in range(1, t + 1)])
 
 
 def make_subdivided_star(t: int, delta: int) -> Graph:
@@ -97,6 +89,8 @@ def make_subdivided_star(t: int, delta: int) -> Graph:
     if t == 0 and delta == 0:
         raise GraphError("subdivided star requires t + delta >= 1")
     n = 1 + 2 * t + 2 * delta
+    if n > MAX_VERTICES:
+        raise GraphError(f"order {n} outside 0..{MAX_VERTICES}")
     edges = []
     for i in range(t):
         x, y = 1 + 2 * i, 2 + 2 * i
@@ -117,16 +111,6 @@ def disjoint_union(graphs) -> Graph:
         if n > MAX_VERTICES:
             raise GraphError(f"union exceeds {MAX_VERTICES} vertices")
     return build_graph(n, edges)
-
-
-def make_union(spec) -> Graph:
-    """Disjoint union from (graph, multiplicity) pairs."""
-    parts = []
-    for g, mult in spec:
-        if mult < 0:
-            raise GraphError("multiplicity must be nonnegative")
-        parts.extend([g] * mult)
-    return disjoint_union(parts)
 
 
 # --- class predicates -------------------------------------------------------
@@ -237,7 +221,8 @@ def recognize_family(g: Graph) -> FamilyLabel | None:
 
 def parse_family_spec(spec: str) -> Graph:
     """Build a graph from a spec string such as "C5", "mK2:3",
-    "star:t=3,d=1", or "union:K2*2+C5*1"."""
+    "star:t=3,d=1", or "union:K2*2+C5*1". The order a spec asks for is
+    checked before any graph of that order is built."""
     s = spec.strip()
     base = {"K2": make_k2, "C3": lambda: make_cycle(3), "C5": lambda: make_cycle(5)}
     if s in base:
@@ -248,8 +233,8 @@ def parse_family_spec(spec: str) -> Graph:
         m = int(s[4:])
         if m < 1:
             raise GraphError("mK2 requires m >= 1")
-        return make_union([(make_k2(), m)])
-    if s.startswith("star:"):
+        parts = [(make_k2(), m)]
+    elif s.startswith("star:"):
         pairs = [part.split("=") for part in s[5:].split(",")]
         params = dict(p for p in pairs if len(p) == 2)
         if len(params) < len(pairs):  # a part that is not key=value, or a key twice
@@ -260,7 +245,7 @@ def parse_family_spec(spec: str) -> Graph:
         if params:
             raise GraphError(f"unknown star parameters {sorted(params)}")
         return make_subdivided_star(int(t), int(d))
-    if s.startswith("union:"):
+    elif s.startswith("union:"):
         parts = []
         for term in s[6:].split("+"):
             name, star, mult = term.partition("*")
@@ -271,8 +256,11 @@ def parse_family_spec(spec: str) -> Graph:
             parts.append((base[name](), int(mult) if star else 1))
         if not sum(m for _, m in parts):
             raise GraphError(f"no component in {spec!r}")
-        return make_union(parts)
-    raise GraphError(f"unrecognized family spec {spec!r}")
+    else:
+        raise GraphError(f"unrecognized family spec {spec!r}")
+    if sum(g.n * m for g, m in parts) > MAX_VERTICES:
+        raise GraphError(f"union exceeds {MAX_VERTICES} vertices")
+    return disjoint_union(g for g, m in parts for _ in range(m))
 
 
 def looks_like_family_spec(text: str) -> bool:

@@ -130,9 +130,8 @@ def _orbit(point: int, generators) -> set[int]:
     return orbit
 
 
-def _automorphisms(adj, colors, cells) -> tuple[list[list[int]], list[int]]:
-    """A strong generating set of Aut(G) for the base ``_search_order``, and
-    the basic orbit lengths, whose product is |Aut(G)|.
+def _automorphisms(adj, colors, cells) -> list[list[int]]:
+    """A strong generating set of Aut(G) for the base ``_search_order``.
 
     Base points b_0, b_1, ... are taken deepest first. The generators found
     so far fix b_0..b_{i-1}; each vertex of b_i's colour outside the orbit
@@ -140,7 +139,6 @@ def _automorphisms(adj, colors, cells) -> tuple[list[list[int]], list[int]]:
     pinned, and an automorphism found joins the generators."""
     order = _search_order(colors, cells)
     generators = []
-    lengths = []
     for i in reversed(range(len(order))):
         base = order[i]
         orbit = _orbit(base, generators)
@@ -150,8 +148,7 @@ def _automorphisms(adj, colors, cells) -> tuple[list[list[int]], list[int]]:
                 if perm is not None:
                     generators.append(perm)
                     orbit = _orbit(base, generators)
-        lengths.append(len(orbit))
-    return generators, lengths[::-1]
+    return generators
 
 
 def _orbit_minima(m: int, generators, family) -> list[int]:
@@ -180,7 +177,7 @@ def _augmenting_masks(adj, colors, cells, family) -> list[int]:
     """The neighbourhoods a new vertex may get in G: the least of each orbit
     of Aut(G) on ``family``, an Aut-invariant list of vertex subsets. A
     subset and its image under an automorphism give isomorphic children."""
-    return _orbit_minima(len(adj), _automorphisms(adj, colors, cells)[0], family)
+    return _orbit_minima(len(adj), _automorphisms(adj, colors, cells), family)
 
 
 def nonisomorphic_graphs(n: int, predicate=None, min_n: int = 0) -> list[Graph]:

@@ -209,8 +209,9 @@ def encode_graph6(g: Graph) -> str:
 
 
 def parse_graph6(line: str) -> Graph:
-    """Decode one graph6 short-form line."""
-    s = line.strip()
+    """Decode one graph6 short-form line, after the optional ">>graph6<<"
+    header that some writers put before each graph."""
+    s = line.strip().removeprefix(">>graph6<<")
     if not s:
         raise GraphError("empty graph6 line")
     head = ord(s[0])
@@ -267,9 +268,3 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphError(f"bad edge line {ln!r}")
         edges.append((int(ends[0]), int(ends[1])))
     return build_graph(n, edges)
-
-
-def format_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"

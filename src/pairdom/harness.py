@@ -19,9 +19,10 @@ from __future__ import annotations
 import heapq
 import json
 import multiprocessing
+import os
 import sys
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from multiprocessing.connection import wait
@@ -62,29 +63,25 @@ _GENERATED = {
 @dataclass(frozen=True)
 class GeneratedSource:
     """The classes of order n that ``predicate`` keeps, resolved and
-    validated; nothing is generated until it is iterated, in SourceItems,
-    or sharded."""
+    validated; nothing is generated until a shard of it is iterated."""
 
     predicate: Callable | None
     n: int
-
-    def __iter__(self):
-        return (it for _, it in self.shard((0, 1)))
 
     def shard(self, shard):
         stream = positioned_stream(self.n, self.predicate, min_n=self.n, shard=shard)
         return ((pos, SourceItem(g)) for pos, g in stream)
 
 
-def load_source(source: str) -> Iterable[SourceItem]:
+def load_source(source: str) -> GeneratedSource | list[SourceItem]:
     """Resolve a source spec: ``enum:N``, ``c3free:N``, a family spec
     string, or a path to a graph6 / edge-list file.
 
     ``enum:N`` yields one representative per isomorphism class of order N,
     and ``c3free:N`` one per class of triangle-free graphs; ``_GENERATED``
     holds their guards. A bad spec raises, naming it, before any graph is
-    built, and a ``GeneratedSource`` generates its graphs as it is
-    iterated; files are read whole, into a list."""
+    built, and a ``GeneratedSource`` generates its graphs as its shards
+    are iterated; files are read whole, into a list."""
     kind, sep, order = source.partition(":")
     if sep and kind in _GENERATED:
         guard, predicate = _GENERATED[kind]
@@ -123,6 +120,19 @@ class RunConfig:
     jobs: int = 1
     output: str | None = None
     fmt: str = "json"
+
+
+def overwrites_source(config: RunConfig) -> bool:
+    """Whether ``config.output`` is the file that ``run`` reads the graphs
+    from; gen, a generated source and a family spec read no file."""
+    kind, sep, _ = config.source.partition(":")
+    if not config.output or config.command == "gen" or (
+            sep and kind in _GENERATED) or looks_like_family_spec(config.source):
+        return False
+    try:
+        return os.path.samefile(config.source, config.output)
+    except OSError:  # a file that is missing is not overwritten; run reports it
+        return False
 
 
 @dataclass

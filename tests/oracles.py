@@ -188,13 +188,35 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     ]
 
 
+def graph_of(n: int, edges) -> Graph:
+    """The graph of order n with the given edges."""
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(n, tuple(adj))
+
+
+def path_graph(k: int) -> Graph:
+    """The path 0 - 1 - ... - (k - 1)."""
+    return graph_of(k, [(i, i + 1) for i in range(k - 1)])
+
+
+def star_graph(t: int) -> Graph:
+    """The star with centre 0 and leaves 1..t."""
+    return graph_of(t + 1, [(0, i) for i in range(1, t + 1)])
+
+
+def edge_list_text(g: Graph) -> str:
+    """g in the edge-list format: an "n m" header, then one "u v" line per
+    edge."""
+    lines = [f"{g.n} {len(g.edges())}"] + [f"{u} {v}" for u, v in g.edges()]
+    return "\n".join(lines) + "\n"
+
+
 def relabel(g: Graph, perm) -> Graph:
     """The isomorphic copy with vertex v renamed perm[v]."""
-    adj = [0] * g.n
-    for u, v in g.edges():
-        adj[perm[u]] |= 1 << perm[v]
-        adj[perm[v]] |= 1 << perm[u]
-    return Graph(g.n, tuple(adj))
+    return graph_of(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -29,7 +29,7 @@ from pairdom.domination import (
 )
 from pairdom.matching import all_perfect_matchings, perfect_matching_tester
 from pairdom.characterizations import (
-    STRUCTURAL_CHECKS,
+    STRUCTURAL_LEMMAS,
     hunt_c3free_counterexamples,
 )
 from pairdom.generate import (
@@ -38,6 +38,8 @@ from pairdom.generate import (
     triangle_free,
 )
 from pairdom.harness import ALL_CHECK_IDS, RunConfig, run, run_checks
+
+STRUCTURAL_IDS = tuple(lemma.check_id for lemma in STRUCTURAL_LEMMAS)
 
 
 def _record(name: str, ok: bool, detail: str):
@@ -162,14 +164,14 @@ def test_criterion_4_equality_theorems(sweep_8, sweep_c3free_cactus_9,
 
 
 def test_criterion_5_structural_lemmas(sweep_8, sweep_c3free_cactus_9):
-    checks = ("independent-core",) + STRUCTURAL_CHECKS
+    checks = ("independent-core",) + STRUCTURAL_IDS
     scanned, f1 = sweep_8
     s2, f2 = sweep_c3free_cactus_9
     failures = _failures_of(f1, checks) + _failures_of(f2, checks)
     _record(
         "criterion-5 structural properties of equality graphs",
         not failures,
-        f"independent core + {len(STRUCTURAL_CHECKS)} structural checks over "
+        f"independent core + {len(STRUCTURAL_IDS)} structural checks over "
         f"{scanned} graphs n ≤ 8 and {s2} triangle-free cacti n = 9; zero failures"
         + (f"; failures: {failures[:5]}" if failures else ""),
     )

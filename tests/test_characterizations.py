@@ -4,14 +4,13 @@ from itertools import combinations
 import pytest
 
 import oracles
+from oracles import path_graph
 from pairdom import characterizations, domination, families
 from pairdom.graph import build_graph, components, encode_graph6
 from pairdom.families import (
     disjoint_union,
     make_cycle,
     make_k2,
-    make_path,
-    make_star,
     make_subdivided_star,
 )
 from pairdom.characterizations import (
@@ -19,7 +18,7 @@ from pairdom.characterizations import (
     Facts,
     HUNT_SKIP_REASONS,
     HuntReport,
-    STRUCTURAL_CHECKS,
+    STRUCTURAL_LEMMAS,
     equality_votes,
     hunt_c3free_counterexamples,
     hunt_record,
@@ -28,6 +27,8 @@ from pairdom.characterizations import (
 from pairdom.generate import nonisomorphic_graphs, triangle_free
 from pairdom.matching import all_perfect_matchings
 from pairdom.harness import RunConfig, run
+
+STRUCTURAL_IDS = tuple(lemma.check_id for lemma in STRUCTURAL_LEMMAS)
 
 
 def check(g, check_id):
@@ -40,7 +41,7 @@ class TestDecideBruteforce:
     def test_examples(self):
         assert Facts(make_k2()).equality is True
         assert Facts(make_cycle(5)).equality is True
-        assert Facts(make_path(4)).equality is False
+        assert Facts(path_graph(4)).equality is False
         assert Facts(make_cycle(4)).equality is False
 
     def test_undefined_is_none(self):
@@ -65,7 +66,7 @@ class TestDecideFastpath:
         assert equality_votes(Facts(make_cycle(5))) == {
             "c3-free-cactus": True, "unicyclic": True}
         assert set(equality_votes(Facts(make_k2())).values()) == {True}
-        assert set(equality_votes(Facts(make_path(4))).values()) == {False}
+        assert set(equality_votes(Facts(path_graph(4))).values()) == {False}
         votes = equality_votes(Facts(make_cycle(7)))
         assert next(iter(votes)) == "girth-at-least-6"
         assert set(votes.values()) == {False}
@@ -223,7 +224,7 @@ class TestIndependentCore:
             assert v.status == "holds", v
 
     def test_na_when_equality_fails_or_undefined(self):
-        assert check(make_path(4), "independent-core").status == "na"
+        assert check(path_graph(4), "independent-core").status == "na"
         assert check(build_graph(2, []), "independent-core").status == "na"
 
     def test_definition_against_first_principles(self, graphs_up_to_5):
@@ -290,7 +291,7 @@ class TestUnicyclicBound:
         assert check(make_cycle(5), "unicyclic-gamma-bound").status == "holds"
 
     def test_requires_unicyclic(self):
-        assert check(make_path(4), "unicyclic-gamma-bound").status == "na"
+        assert check(path_graph(4), "unicyclic-gamma-bound").status == "na"
 
     def test_all_small_unicyclic(self):
         for g in nonisomorphic_graphs(7):
@@ -303,15 +304,15 @@ class TestStructuralChecks:
     def test_holds_on_c5_and_unions(self):
         for g in (make_cycle(5), disjoint_union([make_cycle(5)] * 2),
                   disjoint_union([make_k2(), make_cycle(5)])):
-            for v in run_checks(g, STRUCTURAL_CHECKS):
+            for v in run_checks(g, STRUCTURAL_IDS):
                 assert v.status == "holds", v
 
     def test_na_outside_scope(self):
         # C3 meets the equality but is not triangle-free
-        for v in run_checks(make_cycle(3), STRUCTURAL_CHECKS):
+        for v in run_checks(make_cycle(3), STRUCTURAL_IDS):
             assert v.status == "na", v
         # P4 is a triangle-free cactus but fails the equality
-        for v in run_checks(make_path(4), STRUCTURAL_CHECKS):
+        for v in run_checks(path_graph(4), STRUCTURAL_IDS):
             assert v.status == "na", v
 
     def test_unknown_check_rejected(self):
@@ -320,7 +321,7 @@ class TestStructuralChecks:
 
     def test_never_fails_on_small_graphs(self, graphs_up_to_6):
         for g in graphs_up_to_6:
-            verdicts = run_checks(g, STRUCTURAL_CHECKS)
+            verdicts = run_checks(g, STRUCTURAL_IDS)
             assert {v.status for v in verdicts} <= {"holds", "na"}
             if any(v.status == "holds" for v in verdicts):
                 assert Facts(g).equality is True
@@ -339,7 +340,7 @@ class TestUnionsAtTheGuard:
         verdicts = run_checks(g, ALL_CHECK_IDS)
         assert {v.status for v in verdicts} <= {"holds", "na"}, verdicts
         assert all(v.status == "holds" for v in verdicts
-                   if v.check_id in STRUCTURAL_CHECKS)
+                   if v.check_id in STRUCTURAL_IDS)
 
     def test_matchings_within_the_cycle_bound(self, spec):
         # G[P] is a cactus forest, so its perfect matchings differ by sets
@@ -437,7 +438,7 @@ class TestHunt:
         assert hunt_record(make_cycle(3)) == out_of_scope  # not triangle-free
         assert hunt_record(build_graph(2, [])) == out_of_scope  # isolated vertices
         assert hunt_record(build_graph(0, [])) == out_of_scope  # K0
-        assert hunt_record(make_path(4)) is None  # misses the equality
+        assert hunt_record(path_graph(4)) is None  # misses the equality
         assert hunt_record(make_cycle(5)) == {
             "graph6": encode_graph6(make_cycle(5)), "family": "C5",
             "expected_form": True, "cactus": True}
@@ -453,7 +454,7 @@ class TestHunt:
         monkeypatch.setattr(characterizations, "invariants", no_scan)
         k12_12 = build_graph(24, [(u, v) for u in range(12) for v in range(12, 24)])
         assert hunt_record(k12_12) is None  # 2α = 24 > 23
-        assert hunt_record(make_path(24)) is None  # 2α = 24 > 23
+        assert hunt_record(path_graph(24)) is None  # 2α = 24 > 23
         assert hunt_record(make_cycle(25)) == {"skipped": "too_large"}  # guard
 
     def test_record_matches_brute_force(self, c3free_up_to_9, graphs_up_to_7):

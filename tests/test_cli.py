@@ -10,16 +10,16 @@ from pathlib import Path
 import pytest
 
 import oracles
+from oracles import edge_list_text, path_graph
 from conftest import call_bounded
 from pairdom import generate, harness
 from pairdom.characterizations import Verdict, hunt_c3free_counterexamples
 from pairdom.cli import build_parser, main
 from pairdom.domination import GuardError, invariants
 from pairdom.generate import girth_at_least, nonisomorphic_graphs, positioned_stream
-from pairdom.graph import (GraphError, build_graph, encode_graph6, format_edge_list,
-                           parse_graph6)
+from pairdom.graph import GraphError, build_graph, encode_graph6, parse_graph6
 from pairdom.families import (classify, every_block_edge_or_cycle, make_cycle,
-                              make_path, recognize_family)
+                              recognize_family)
 from pairdom.harness import (
     ALL_CHECK_IDS,
     CHECKS,
@@ -41,7 +41,7 @@ def run_cli(capsys, *argv):
 
 class TestSources:
     def test_enum(self):
-        assert len(list(load_source("enum:4"))) == 11
+        assert len(list(load_source("enum:4").shard((0, 1)))) == 11
 
     def test_enum_is_generated_as_taken(self, monkeypatch):
         calls = []
@@ -54,7 +54,7 @@ class TestSources:
         monkeypatch.setattr(generate, "_augmenting_masks", counting)
         items = load_source("enum:8")
         assert calls == []
-        assert next(iter(items)).graph.n == 8
+        assert next(items.shard((0, 1)))[1].graph.n == 8
         assert calls
 
     def test_enum_guards(self):
@@ -68,7 +68,7 @@ class TestSources:
     def test_graph6_file(self, tmp_path):
         p = tmp_path / "graphs.g6"
         p.write_text(
-            encode_graph6(make_cycle(5)) + "\n" + encode_graph6(make_path(3)) + "\n"
+            encode_graph6(make_cycle(5)) + "\n" + encode_graph6(path_graph(3)) + "\n"
         )
         items = load_source(str(p))
         assert len(items) == 2
@@ -83,7 +83,7 @@ class TestSources:
 
     def test_edge_list_file(self, tmp_path):
         p = tmp_path / "g.edges"
-        p.write_text(format_edge_list(make_cycle(5)))
+        p.write_text(edge_list_text(make_cycle(5)))
         items = load_source(str(p))
         assert len(items) == 1 and items[0].graph.edge_count == 5
 
@@ -404,7 +404,7 @@ class TestCommands:
     ):
         first = encode_graph6(make_cycle(5))
         p = tmp_path / "graphs.g6"
-        p.write_text(first + "\n" + encode_graph6(make_path(3)) + "\n")
+        p.write_text(first + "\n" + encode_graph6(path_graph(3)) + "\n")
         stderr_at_second_graph = []
 
         def fails_on_first(facts):
@@ -494,6 +494,18 @@ class TestCommands:
         assert (code, out) == (2, "")
         assert "cannot open --output" in err and str(target) in err
 
+    @pytest.mark.parametrize("command", ["invariants", "verify", "hunt"])
+    def test_output_naming_the_source_is_usage_error(self, capsys, tmp_path,
+                                                     monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        text = encode_graph6(make_cycle(5)) + "\n" + encode_graph6(path_graph(4)) + "\n"
+        Path("g.g6").write_text(text)
+        code, out, err = run_cli(capsys, command, "g.g6",
+                                 "--output", str(tmp_path / "g.g6"))
+        assert (code, out) == (2, "")
+        assert "--output names the source file 'g.g6'" in err
+        assert Path("g.g6").read_text() == text
+
     def test_usage_error(self, capsys):
         assert main(["frobnicate", "C5"]) == 2
 
@@ -522,8 +534,8 @@ class TestDeterminismAcrossJobs:
     def test_invariants_order_matches_input(self, capsys, tmp_path):
         p = tmp_path / "graphs.g6"
         # five graphs, so that two worker processes share them
-        lines = [encode_graph6(g) for g in (make_cycle(5), make_path(4), make_cycle(6),
-                                            make_path(6), make_cycle(7))]
+        lines = [encode_graph6(g) for g in (make_cycle(5), path_graph(4), make_cycle(6),
+                                            path_graph(6), make_cycle(7))]
         p.write_text("\n".join(lines) + "\n")
         code, out, _ = call_bounded(run_cli, capsys, "invariants", str(p),
                                     "--jobs", "2")
@@ -691,12 +703,12 @@ class TestStreaming:
         return len(started)
 
     def test_list_source_gets_one_worker_per_item(self, monkeypatch, capsys, tmp_path):
-        graphs = (make_cycle(5), make_path(4), make_cycle(6), make_path(6), make_cycle(7))
+        graphs = (make_cycle(5), path_graph(4), make_cycle(6), path_graph(6), make_cycle(7))
         source = self.graph6_file(tmp_path, graphs)
         assert self.workers_started(monkeypatch, capsys, source, 16) == 5
 
     def test_two_line_file_gets_two_workers(self, monkeypatch, capsys, tmp_path):
-        source = self.graph6_file(tmp_path, (make_cycle(5), make_path(4)))
+        source = self.graph6_file(tmp_path, (make_cycle(5), path_graph(4)))
         assert self.workers_started(monkeypatch, capsys, source, 2) == 2
 
     @pytest.mark.parametrize("source, workers", [("enum:1", 0), ("enum:2", 2)])
@@ -778,9 +790,10 @@ class TestStreaming:
 
         sources = [f"enum:{n}" for n in range(8)] + ["c3free:9", str(p)]
         for source in sources:
-            items = load_source(source)
             if source == "c3free:9":  # the serial stream, already generated
                 items = [SourceItem(g) for g in c3free_up_to_9 if g.n == 9]
+            else:
+                items = [it for _, it in _shard(load_source(source), (0, 1))]
             shards = [list(_shard(load_source(source), (i, jobs)))
                       for i in range(jobs)]
             merged = heapq.merge(*shards, key=itemgetter(0))

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import oracles
+from oracles import path_graph, star_graph
 from pairdom import domination
 from pairdom.characterizations import hunt_record
 from pairdom.graph import GraphError, build_graph
@@ -10,8 +11,6 @@ from pairdom.families import (
     disjoint_union,
     make_cycle,
     make_k2,
-    make_path,
-    make_star,
     make_subdivided_star,
 )
 from pairdom.domination import (
@@ -53,7 +52,7 @@ class TestPrivateNeighborhoods:
     def test_epn_pair(self):
         # epn(u, v; S): outside vertices dominated only via the pair.
         cases = [
-            (make_path(4), 1, 2, [1, 2], {0, 3}),
+            (path_graph(4), 1, 2, [1, 2], {0, 3}),
             (make_cycle(5), 0, 1, [0, 1], {2, 4}),
             # vertex 4 also sees 3 in S, and 2 sees 3, so neither is private
             (make_cycle(5), 0, 1, [0, 1, 3], set()),
@@ -92,7 +91,7 @@ class TestMinimalDominating:
 
 class TestPairedDominating:
     def test_examples(self):
-        star = make_star(3)  # center 0, leaves 1..3
+        star = star_graph(3)  # center 0, leaves 1..3
         assert is_paired_dominating(star, [0, 1])
         assert is_minimal_paired_dominating(star, [0, 1])
         assert not is_paired_dominating(star, [1, 2])  # not adjacent
@@ -286,7 +285,7 @@ class TestInvariants:
                 assert r.witnesses[kind] == expect
 
     def test_component_additivity(self):
-        parts = [make_cycle(5), make_star(3), make_path(4)]
+        parts = [make_cycle(5), star_graph(3), path_graph(4)]
         whole = invariants(disjoint_union(parts))
         per = [invariants(p) for p in parts]
         assert whole.gamma == sum(r.gamma for r in per)

@@ -1,9 +1,11 @@
 import math
 import random
+import re
+import tracemalloc
 
 import pytest
 
-from oracles import labeled_graphs, relabel
+from oracles import labeled_graphs, path_graph, relabel, star_graph
 from pairdom.generate import triangle_free
 from pairdom.graph import GraphError, build_graph, encode_graph6, girth, is_connected
 from pairdom.families import (
@@ -16,10 +18,7 @@ from pairdom.families import (
     is_bipartite,
     make_cycle,
     make_k2,
-    make_path,
-    make_star,
     make_subdivided_star,
-    make_union,
     parse_family_spec,
     recognize_family,
 )
@@ -28,9 +27,9 @@ from pairdom.families import (
 class TestConstructions:
     def test_cycle_path_star(self):
         assert make_cycle(5).edge_count == 5
-        assert make_path(5).edge_count == 4
+        assert path_graph(5).edge_count == 4
         assert make_k2().edges() == [(0, 1)]
-        star = make_star(4)
+        star = star_graph(4)
         assert star.n == 5 and star.degree(0) == 4
         with pytest.raises(GraphError):
             make_cycle(2)
@@ -76,7 +75,7 @@ def networkx_blocks_edge_or_cycle(nx, h) -> bool:
 
 class TestPredicates:
     def test_bipartite(self):
-        assert is_bipartite(make_path(5))
+        assert is_bipartite(path_graph(5))
         assert is_bipartite(make_cycle(6))
         assert not is_bipartite(make_cycle(5))
         assert is_bipartite(build_graph(3, []))
@@ -113,7 +112,7 @@ class TestPredicates:
         assert f.connected and f.unicyclic and f.cactus and f.c3_free
         assert not f.bipartite
         assert f.girth == 5
-        f = classify(make_path(4))
+        f = classify(path_graph(4))
         assert f.bipartite and f.c3_free and not f.unicyclic
         assert f.girth == math.inf
 
@@ -152,8 +151,8 @@ class TestRecognition:
         assert recognize_family(make_k2()).spec_string() == "mK2:1"
         assert recognize_family(make_cycle(4)) is None
         # P3 is the t=1, d=0 subdivided star (and has Gamma_pr = n - 1)
-        assert recognize_family(make_path(3)) == FamilyLabel("star", (1, 0))
-        assert recognize_family(make_path(4)) is None
+        assert recognize_family(path_graph(3)) == FamilyLabel("star", (1, 0))
+        assert recognize_family(path_graph(4)) is None
 
     def test_mk2_and_unions(self):
         three = disjoint_union([make_k2()] * 3)
@@ -199,12 +198,12 @@ class TestRecognition:
         # isomorphic to it, and None when there is none.
         nx = pytest.importorskip("networkx")
         members = [(FamilyLabel("C3"), make_cycle(3)), (FamilyLabel("C5"), make_cycle(5))]
-        members += [(FamilyLabel("mK2", (m,)), make_union([(make_k2(), m)]))
+        members += [(FamilyLabel("mK2", (m,)), disjoint_union([make_k2()] * m))
                     for m in range(1, 5)]
         members += [(FamilyLabel("star", (t, d)), make_subdivided_star(t, d))
                     for t in range(4) for d in range(4) if 1 <= t + d <= 3]
         members += [(FamilyLabel("mK2+mC5", (m, 1)),
-                     make_union([(make_k2(), m), (make_cycle(5), 1)])) for m in (0, 1)]
+                     disjoint_union([make_k2()] * m + [make_cycle(5)])) for m in (0, 1)]
         members.sort(key=lambda lm: _PRECEDENCE.index(lm[0].kind))
         by_shape = {}
         for label, h in members:
@@ -243,9 +242,34 @@ class TestSpecParsing:
         lab = recognize_family(g)
         assert lab.kind == "mK2+mC5" and lab.params == (2, 1)
 
-    def test_make_union_matches(self):
-        built = make_union([(make_k2(), 2), (make_cycle(5), 1)])
+    def test_union_matches_disjoint_union(self):
+        built = disjoint_union([make_k2(), make_k2(), make_cycle(5)])
         assert built.adj == parse_family_spec("union:K2*2+C5*1").adj
+
+    def test_order_limit(self):
+        assert parse_family_spec("mK2:31").n == 62
+        assert parse_family_spec("union:C5*12+K2").n == 62
+        assert parse_family_spec("star:t=10,d=20").n == 61
+
+    # The order a spec asks for is checked before anything of that size is
+    # allocated, so a huge one fails at once and in constant memory.
+    @pytest.mark.parametrize("spec, message", [
+        ("mK2:32", "union exceeds 62 vertices"),
+        ("union:C5*12+K2*2", "union exceeds 62 vertices"),
+        ("star:t=11,d=20", "order 63 outside 0..62"),
+        ("star:t=200000", "order 400001 outside 0..62"),
+        ("mK2:1000000", "union exceeds 62 vertices"),
+        ("union:K2*1000000+C5*1", "union exceeds 62 vertices"),
+    ])
+    def test_oversized_spec_fails_before_it_is_built(self, spec, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+                parse_family_spec(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_star_d_defaults_to_zero(self):
         assert parse_family_spec("star:t=3").adj == make_subdivided_star(3, 0).adj

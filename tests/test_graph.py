@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from oracles import edge_list_text, path_graph
 from pairdom.graph import (
     Graph,
     GraphError,
@@ -12,13 +13,12 @@ from pairdom.graph import (
     build_graph,
     components,
     encode_graph6,
-    format_edge_list,
     girth,
     is_connected,
     parse_edge_list,
     parse_graph6,
 )
-from pairdom.families import make_cycle, make_path
+from pairdom.families import make_cycle
 
 
 def edge_sets(max_n=7):
@@ -93,7 +93,7 @@ class TestBuild:
 
 class TestGirth:
     def test_known(self):
-        assert girth(make_path(4)) == math.inf
+        assert girth(path_graph(4)) == math.inf
         assert girth(make_cycle(3)) == 3
         assert girth(make_cycle(7)) == 7
         g = build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
@@ -166,6 +166,18 @@ class TestGraph6:
         with pytest.raises(GraphError):
             parse_graph6("~??")  # long form unsupported
 
+    def test_networkx_header(self, graphs_up_to_6):
+        # networkx writes ">>graph6<<" before each graph, as its reader
+        # accepts.
+        nx = pytest.importorskip("networkx")
+        for g in graphs_up_to_6:
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            line = nx.to_graph6_bytes(h).decode()
+            assert line.startswith(">>graph6<<")
+            assert parse_graph6(line).adj == g.adj
+
     @settings(max_examples=60, deadline=None)
     @given(edge_sets())
     def test_round_trip_random(self, ne):
@@ -177,7 +189,7 @@ class TestGraph6:
 class TestEdgeList:
     def test_round_trip(self):
         g = make_cycle(5)
-        text = format_edge_list(g)
+        text = edge_list_text(g)
         first = text.splitlines()[0].split()
         assert first == ["5", "5"]
         assert parse_edge_list(text).adj == g.adj

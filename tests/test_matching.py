@@ -3,8 +3,9 @@ import itertools
 import weakref
 
 import oracles
+from oracles import path_graph
 from pairdom.graph import build_graph
-from pairdom.families import make_cycle, make_path
+from pairdom.families import make_cycle
 from pairdom.matching import all_perfect_matchings, perfect_matching_tester
 
 
@@ -21,7 +22,7 @@ class TestHasPerfectMatching:
         assert not pm(mask_of([0, 1, 2]))  # odd
 
     def test_empty_set(self):
-        assert perfect_matching_tester(make_path(3))(0)
+        assert perfect_matching_tester(path_graph(3))(0)
 
     def test_against_oracle(self, graphs_up_to_5):
         for g in graphs_up_to_5:
