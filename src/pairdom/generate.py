@@ -18,10 +18,19 @@ A predicate with a ``masks(parent_adj)`` form, such as ``triangle_free``
 and ``girth_at_least(k)``, proposes the neighbourhoods its children may
 have, so only those are walked and a ``Graph`` is built only when kept.
 
+A child C of parent p, with new vertex w, is dropped unrefined when some
+other vertex v has C - v isomorphic to a parent q < p, as the degree
+multiset S shows when the last parent with S(C - v) comes before p. The
+predicate is hereditary and the previous level complete, so C - v is some
+parent q, and through that isomorphism C is a child of q: the least mask of
+its orbit under Aut(q) is a candidate (the family is Aut-invariant) in C's
+shard (same edge count) that comes first: C's class is already in the bucket.
+
 With ``shard=(i, J)``, ``positioned_stream`` yields only the graphs whose
 edge count is i mod J, so that J workers can split a stream. Every shard
 builds all the levels below the last, since it needs every parent, but at
-the last level it looks only at the candidates of its own edge counts.
+the last level it walks only the masks of its own edge counts (still a
+family that every automorphism maps onto itself, as it keeps |mask|).
 That is exact and keeps every label: isomorphic graphs have equal edge
 counts, so no class spans two shards, and a shard meets its classes'
 candidates in the serial (parent, mask) order, so the first candidate of
@@ -202,24 +211,27 @@ def positioned_stream(n: int, predicate=None, min_n: int = 0, shard=(0, 1)):
     sees each candidate as a ``Graph``, unless ``predicate.masks(adj)``
     exists: then the candidates are only its increasing list of the masks
     whose child of a parent ``adj`` with the property keeps it.
+
+    A candidate that an earlier one of its shard is proven to duplicate,
+    through a vertex deletion (module docstring), is skipped unrefined.
     """
     propose = getattr(predicate, "masks", None)
     index, count = shard
     if min_n <= 0 <= n and index == 0:
         yield (0, 0, 0), Graph(0, ())
-    # (adjacency rows, colours, colour cells, edge count) per representative
-    parents = [((), [], [], 0)]
+    # (adjacency rows, colours, colour cells, edge count, S as _COUNT_BIT sum)
+    parents = [((), [], [], 0, 0)]
     for k in range(1, n + 1):
         bit = 1 << (k - 1)
         buckets: dict[tuple, list] = {}
         kept = []
-        for p, (adj0, colors0, cells0, edges0) in enumerate(parents):
+        last = {parent[4]: p for p, parent in enumerate(parents)}
+        for p, (adj0, colors0, cells0, edges0, _) in enumerate(parents):
             family = propose(adj0) if propose else range(bit)
-            masks = _augmenting_masks(adj0, colors0, cells0, family)
             if count > 1 and k == n:
-                masks = [m for m in masks
-                         if (edges0 + m.bit_count()) % count == index]
-            for mask in masks:
+                family = [m for m in family
+                          if (edges0 + m.bit_count()) % count == index]
+            for mask in _augmenting_masks(adj0, colors0, cells0, family):
                 adj = [row | bit if (mask >> u) & 1 else row
                        for u, row in enumerate(adj0)]
                 adj.append(mask)
@@ -228,6 +240,14 @@ def positioned_stream(n: int, predicate=None, min_n: int = 0, shard=(0, 1)):
                     g = Graph(k, tuple(adj))
                     if not predicate(g):
                         continue
+                # S(C - v): S(C) less v's term and a degree step per neighbour
+                weight = [_COUNT_BIT[row.bit_count()] for row in adj]
+                step = [x - (x >> 6) for x in weight].__getitem__
+                total = sum(weight)
+                if min(map(last.get, [total - x - sum(map(step, bits_of(row)))
+                                      for x, row in zip(weight, adj)],
+                           [p] * k)) < p:  # C - w is the parent p itself
+                    continue
                 key, colors = _refine(adj)
                 bucket = buckets.setdefault(key, [])
                 if any(_isomorphism(adj, colors, adj2, cells2) is not None
@@ -237,7 +257,7 @@ def positioned_stream(n: int, predicate=None, min_n: int = 0, shard=(0, 1)):
                 bucket.append((adj, cells))
                 edges = edges0 + mask.bit_count()
                 if k < n:
-                    kept.append((adj, colors, cells, edges))
+                    kept.append((adj, colors, cells, edges, total))
                 if k >= min_n and edges % count == index:
                     yield (k, p, mask), g or Graph(k, tuple(adj))
         parents = kept

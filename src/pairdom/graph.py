@@ -40,8 +40,9 @@ def bits_of(mask: int) -> tuple[int, ...]:
 
 
 def is_decimal(text: str) -> bool:
-    """Whether text is a non-empty run of the ASCII digits 0-9."""
-    return text.isascii() and text.isdecimal()
+    """Whether text is a run of 1 to 18 of the ASCII digits 0-9: no number
+    field needs more, and ``int()`` refuses runs past 4,300 digits."""
+    return len(text) <= 18 and text.isascii() and text.isdecimal()
 
 
 @dataclass(frozen=True)

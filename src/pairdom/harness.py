@@ -85,9 +85,10 @@ def load_source(source: str) -> GeneratedSource | list[SourceItem]:
     kind, sep, order = source.partition(":")
     if sep and kind in _GENERATED:
         guard, predicate = _GENERATED[kind]
-        if not is_decimal(order):
+        if not (order.isascii() and order.isdecimal()):
             raise ValueError(f"{kind} order must be an integer >= 0, got {source!r}")
-        if int(order) > guard:
+        # digits, but more than is_decimal takes, are past the guard too
+        if not is_decimal(order) or int(order) > guard:
             raise GuardError(f"{kind} order limited to N <= {guard}, got {source!r}")
         return GeneratedSource(predicate, int(order))
     if looks_like_family_spec(source):

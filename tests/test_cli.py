@@ -262,6 +262,17 @@ class TestCommands:
                 f"{kind} order limited to N <= {guard}, got {source!r}"
             ]
 
+    def test_5000_digit_order_is_past_the_guard(self, monkeypatch, capsys):
+        # int() refuses a run of more than 4,300 digits with its own error.
+        monkeypatch.setattr(generate, "_augmenting_masks", None)  # no work
+        for kind, guard in (("enum", 9), ("c3free", 11)):
+            source = f"{kind}:{'9' * 5000}"
+            code, out, err = run_cli(capsys, "hunt", source)
+            assert (code, err) == (2, "")
+            assert json.loads(out)["errors"] == [
+                f"{kind} order limited to N <= {guard}, got {source!r}"
+            ]
+
     def test_hunt_c3free_matches_hunt_enum(self, capsys):
         reports = {}
         for source in ("c3free:7", "enum:7"):

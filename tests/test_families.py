@@ -271,6 +271,16 @@ class TestSpecParsing:
             tracemalloc.stop()
         assert peak < 1 << 20, peak
 
+    # int() refuses a run of more than 4,300 digits with its own error.
+    @pytest.mark.parametrize("spec, message", [
+        ("mK2:{}", "bad multiplicity"),
+        ("star:t=3,d={}", "bad star parameters"),
+        ("union:K2*1+C5*{}", "bad multiplicity"),
+    ])
+    def test_5000_digit_number_is_a_bad_field(self, spec, message):
+        with pytest.raises(GraphError, match=message):
+            parse_family_spec(spec.format("9" * 5000))
+
     def test_star_d_defaults_to_zero(self):
         assert parse_family_spec("star:t=3").adj == make_subdivided_star(3, 0).adj
 

@@ -202,6 +202,14 @@ class TestEdgeList:
         with pytest.raises(GraphError, match="bad edge line '1 x'"):
             parse_edge_list("2 1\n1 x\n")
 
+    # past 4,300 digits int() would raise its own error
+    def test_5000_digit_number_is_bad(self):
+        big = "9" * 5000
+        with pytest.raises(GraphError, match="bad edge-list header"):
+            parse_edge_list(f"{big} 1\n0 1\n")
+        with pytest.raises(GraphError, match="bad edge line"):
+            parse_edge_list(f"4 1\n0 {big}\n")
+
     # a non-ASCII digit (Arabic-Indic three), a sign, an underscore
     @pytest.mark.parametrize("number", ["\u0663", "+3", "1_0"])
     def test_numbers_are_ascii_digits(self, number):
