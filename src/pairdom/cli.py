@@ -29,9 +29,14 @@ from contextlib import nullcontext
 
 from .harness import ALL_CHECK_IDS, RunConfig, RunReport, overwrites_source, run
 
+# A run forks one process per job, up to one per line of a file source, so
+# an unbounded --jobs could fork thousands of processes.
+_MAX_JOBS = 64
+
 
 def _add_common(sub):
-    sub.add_argument("--jobs", type=int, default=1, help="worker processes")
+    sub.add_argument("--jobs", type=int, default=1,
+                     help=f"worker processes, 1 to {_MAX_JOBS}")
     sub.add_argument("--output", default=None, help="report path (default stdout)")
     sub.add_argument("--format", dest="fmt", choices=("json", "text"),
                      default="json")
@@ -97,8 +102,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.jobs < 1:
-            parser.error(f"--jobs must be at least 1, got {args.jobs}")
+        if not 1 <= args.jobs <= _MAX_JOBS:
+            parser.error(f"--jobs must be 1 to {_MAX_JOBS}, got {args.jobs}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     checks: tuple[str, ...] = ()

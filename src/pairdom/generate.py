@@ -19,12 +19,27 @@ and ``girth_at_least(k)``, proposes the neighbourhoods its children may
 have, so only those are walked and a ``Graph`` is built only when kept.
 
 A child C of parent p, with new vertex w, is dropped unrefined when some
-other vertex v has C - v isomorphic to a parent q < p, as the degree
-multiset S shows when the last parent with S(C - v) comes before p. The
+other vertex v has C - v isomorphic to a parent q < p, as an isomorphism
+invariant I shows when the last parent with I(C - v) comes before p. The
 predicate is hereditary and the previous level complete, so C - v is some
 parent q, and through that isomorphism C is a child of q: the least mask of
 its orbit under Aut(q) is a candidate (the family is Aut-invariant) in C's
 shard (same edge count) that comes first: C's class is already in the bucket.
+The proof asks only that isomorphic graphs have equal I, so any invariant
+keeps the rule exact; a finer one tells more parents apart and drops more.
+Here I = S + 2^372 T + 2^396 Q, with S the degree multiset (a sum of
+``_COUNT_BIT[deg]``), T the number of triangles and Q the number of
+4-cycles (as subgraphs). For a parent P, a mask M, its child
+C = P + w(M) and an old vertex v, with M_v = M - v,
+
+    I(C)     = I(P) + grow[M],
+    I(C - v) = I(P - v) + grow[M_v] - shrink[M & N(v)],
+
+since C - v is P - v plus w joined to M_v, and P - v differs from P only
+in that each neighbour of v has one degree less and each two neighbours of
+v one common neighbour less (``_tables`` gives both tables). The values
+I(P - v) are those I(C - v) a parent was kept with, so each candidate
+costs two table lookups per old vertex.
 
 With ``shard=(i, J)``, ``positioned_stream`` yields only the graphs whose
 edge count is i mod J, so that J workers can split a stream. Every shard
@@ -38,6 +53,9 @@ each class still wins.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
+from itertools import repeat
 
 from .graph import MAX_VERTICES, Graph, bits_of, components, girth
 
@@ -189,6 +207,61 @@ def _augmenting_masks(adj, colors, cells, family) -> list[int]:
     return _orbit_minima(len(adj), _automorphisms(adj, colors, cells), family)
 
 
+# I = S + _TRIANGLE_BIT * (triangles) + _SQUARE_BIT * (4-cycles), where S is
+# the degree multiset as a sum of _COUNT_BIT terms: S is below 2^372, and a
+# graph on n <= 62 vertices has fewer than 2^24 triangles.
+_TRIANGLE_BIT = 1 << (6 * MAX_VERTICES)
+_SQUARE_BIT = _TRIANGLE_BIT << 24
+
+
+def _tables(adj, family):
+    """``(grow, shrink)`` of the parent with rows ``adj``, each indexed by the
+    members of ``family``: a range from 0, or an increasing list that holds
+    every subset of each member. With d_u the degree of u and CB _COUNT_BIT,
+
+    grow[X] = CB[|X|] + sum over u in X of (CB[d_u + 1] - CB[d_u])
+              + _TRIANGLE_BIT * e(X)
+              + _SQUARE_BIT * sum over pairs {a, b} of X of |N(a) & N(b)|,
+    shrink[X] = sum over u in X of (CB[d_u + 1] - 2 CB[d_u] + CB[d_u - 1])
+                + _SQUARE_BIT * C(|X|, 2).
+
+    A member X with top vertex v is Y + v, Y a member below 2^v, so the
+    entries are filled one top vertex at a time, each from the entry of Y
+    by one addition. The terms of v with Y in grow come from ``lin``,
+    filled the same way over the members below 2^v; the size terms are
+    added last."""
+    n = len(adj)
+    deg = [row.bit_count() for row in adj]
+    pos = family if type(family) is range else {x: i for i, x in enumerate(family)}
+    starts = [bisect_left(family, 1 << v) for v in range(n)] + [len(family)]
+    below = [[pos[x ^ 1 << v] for x in family[starts[v]:starts[v + 1]]]
+             for v in range(n)]  # below[v]: the places of the Ys of top vertex v
+    grow = [0]
+    shrink = [0]
+    for v in range(n):
+        d = deg[v]
+        lin = [_COUNT_BIT[d + 1] - _COUNT_BIT[d]]
+        for b in range(v):
+            c = (_TRIANGLE_BIT * (adj[v] >> b & 1)
+                 + _SQUARE_BIT * (adj[v] & adj[b]).bit_count())
+            lin += [x + c for x in map(lin.__getitem__, below[b])]
+        grow += [grow[i] + lin[i] for i in below[v]]
+        s = _COUNT_BIT[d + 1] - 2 * _COUNT_BIT[d] + (_COUNT_BIT[d - 1] if d else 0)
+        shrink += [shrink[i] + s for i in below[v]]
+    pairs = [_SQUARE_BIT * (c * (c - 1) // 2) for c in range(n + 1)]
+    grow = [x + _COUNT_BIT[m.bit_count()] for x, m in zip(grow, family)]
+    shrink = [x + pairs[m.bit_count()] for x, m in zip(shrink, family)]
+    if type(family) is range:
+        return grow, shrink
+    return dict(zip(family, grow)), dict(zip(family, shrink))
+
+
+def _child_rows(adj, mask: int, bit: int) -> list[int]:
+    """The rows of the parent ``adj`` plus a new vertex, of bit ``bit``,
+    joined to the vertices in ``mask``."""
+    return [row | bit if mask >> u & 1 else row for u, row in enumerate(adj)] + [mask]
+
+
 def nonisomorphic_graphs(n: int, predicate=None, min_n: int = 0) -> list[Graph]:
     """The graphs of ``positioned_stream(n, predicate, min_n)``, in order."""
     return [g for _, g in positioned_stream(n, predicate, min_n)]
@@ -210,44 +283,46 @@ def positioned_stream(n: int, predicate=None, min_n: int = 0, shard=(0, 1)):
     prunes the level, so restricted families are generated directly. It
     sees each candidate as a ``Graph``, unless ``predicate.masks(adj)``
     exists: then the candidates are only its increasing list of the masks
-    whose child of a parent ``adj`` with the property keeps it.
+    whose child of a parent ``adj`` with the property keeps it, a list that
+    holds every subset of each of its masks.
 
     A candidate that an earlier one of its shard is proven to duplicate,
-    through a vertex deletion (module docstring), is skipped unrefined.
+    through a vertex deletion (module docstring), is skipped unrefined; the
+    tables of that test are built over the parent's whole family, before
+    the shard filter, since a deletion can change the edge count.
     """
     propose = getattr(predicate, "masks", None)
+    test = predicate if propose is None else None
     index, count = shard
     if min_n <= 0 <= n and index == 0:
         yield (0, 0, 0), Graph(0, ())
-    # (adjacency rows, colours, colour cells, edge count, S as _COUNT_BIT sum)
-    parents = [((), [], [], 0, 0)]
+    # (adjacency rows, colours, colour cells, edge count, I, [I(P - v) for v])
+    parents = [((), [], [], 0, 0, [])]
     for k in range(1, n + 1):
         bit = 1 << (k - 1)
+        clear = [~(1 << v) for v in range(k - 1)]
         buckets: dict[tuple, list] = {}
         kept = []
         last = {parent[4]: p for p, parent in enumerate(parents)}
-        for p, (adj0, colors0, cells0, edges0, _) in enumerate(parents):
-            family = propose(adj0) if propose else range(bit)
+        for p, (adj0, colors0, cells0, edges0, inv0, minus0) in enumerate(parents):
+            family = own = propose(adj0) if propose else range(bit)
             if count > 1 and k == n:
-                family = [m for m in family
-                          if (edges0 + m.bit_count()) % count == index]
-            for mask in _augmenting_masks(adj0, colors0, cells0, family):
-                adj = [row | bit if (mask >> u) & 1 else row
-                       for u, row in enumerate(adj0)]
-                adj.append(mask)
+                own = [m for m in family
+                       if (edges0 + m.bit_count()) % count == index]
+            masks = _augmenting_masks(adj0, colors0, cells0, own)
+            if masks:
+                grow, shrink = _tables(adj0, family)
+            for mask in masks:
                 g = None
-                if predicate is not None and propose is None:
-                    g = Graph(k, tuple(adj))
-                    if not predicate(g):
+                if test is not None:
+                    g = Graph(k, tuple(_child_rows(adj0, mask, bit)))
+                    if not test(g):
                         continue
-                # S(C - v): S(C) less v's term and a degree step per neighbour
-                weight = [_COUNT_BIT[row.bit_count()] for row in adj]
-                step = [x - (x >> 6) for x in weight].__getitem__
-                total = sum(weight)
-                if min(map(last.get, [total - x - sum(map(step, bits_of(row)))
-                                      for x, row in zip(weight, adj)],
-                           [p] * k)) < p:  # C - w is the parent p itself
+                minus = [i + grow[mask & c] - shrink[mask & row]
+                         for i, c, row in zip(minus0, clear, adj0)]
+                if min(map(last.get, minus, repeat(p)), default=p) < p:
                     continue
+                adj = list(g.adj) if g else _child_rows(adj0, mask, bit)
                 key, colors = _refine(adj)
                 bucket = buckets.setdefault(key, [])
                 if any(_isomorphism(adj, colors, adj2, cells2) is not None
@@ -257,7 +332,8 @@ def positioned_stream(n: int, predicate=None, min_n: int = 0, shard=(0, 1)):
                 bucket.append((adj, cells))
                 edges = edges0 + mask.bit_count()
                 if k < n:
-                    kept.append((adj, colors, cells, edges, total))
+                    minus.append(inv0)  # C - w is the parent itself
+                    kept.append((adj, colors, cells, edges, inv0 + grow[mask], minus))
                 if k >= min_n and edges % count == index:
                     yield (k, p, mask), g or Graph(k, tuple(adj))
         parents = kept

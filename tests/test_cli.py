@@ -681,10 +681,8 @@ class TestStreaming:
         return str(p)
 
     @staticmethod
-    def workers_started(monkeypatch, capsys, source, jobs):
-        """How many worker processes ``verify`` of the source starts at
-        ``--jobs jobs``; its output must be that of one job."""
-        serial = run_cli(capsys, "verify", source, "--jobs", "1")
+    def processes_started(monkeypatch) -> list:
+        """The list to which each process a run starts from now on is added."""
         started = []
         get_context = multiprocessing.get_context
 
@@ -700,6 +698,14 @@ class TestStreaming:
                 return started[-1]
 
         monkeypatch.setattr(multiprocessing, "get_context", CountingContext)
+        return started
+
+    @staticmethod
+    def workers_started(monkeypatch, capsys, source, jobs):
+        """How many worker processes ``verify`` of the source starts at
+        ``--jobs jobs``; its output must be that of one job."""
+        serial = run_cli(capsys, "verify", source, "--jobs", "1")
+        started = TestStreaming.processes_started(monkeypatch)
         sharded = call_bounded(run_cli, capsys, "verify", source, "--jobs", str(jobs))
 
         def without_elapsed(out):
@@ -721,6 +727,17 @@ class TestStreaming:
     def test_two_line_file_gets_two_workers(self, monkeypatch, capsys, tmp_path):
         source = self.graph6_file(tmp_path, (make_cycle(5), path_graph(4)))
         assert self.workers_started(monkeypatch, capsys, source, 2) == 2
+
+    @pytest.mark.parametrize("jobs", ["65", "1000000"])
+    def test_jobs_past_64_is_usage_error_before_any_process(
+            self, monkeypatch, capsys, tmp_path, jobs):
+        # Unbounded, the two lines would get two workers, never more.
+        source = self.graph6_file(tmp_path, (make_cycle(5), path_graph(4)))
+        started = self.processes_started(monkeypatch)
+        code, out, err = call_bounded(run_cli, capsys, "verify", source, "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert "--jobs must be 1 to 64" in err
+        assert started == []
 
     @pytest.mark.parametrize("source, workers", [("enum:1", 0), ("enum:2", 2)])
     def test_generated_source_gets_one_worker_per_edge_count(

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 from collections import Counter, defaultdict
 
@@ -301,10 +302,43 @@ class TestOrbitPruning:
                 assert _augmenting_masks(*_parent_state(g), family) == minima
 
 
-def _degrees(g, gone: int = 0) -> tuple[int, ...]:
-    """The sorted degree sequence of g less the vertices in the mask gone."""
-    return tuple(sorted((row & ~gone).bit_count()
-                        for u, row in enumerate(g.adj) if not (gone >> u) & 1))
+def _counts(g, gone: int = 0) -> tuple[tuple[int, ...], int, int]:
+    """The sorted degree sequence, the triangles and the 4-cycles (as
+    subgraphs) of g less the vertices in the mask gone, from scratch: a
+    4-cycle has two diagonals, each a pair with two common neighbours."""
+    keep = [u for u in range(g.n) if not (gone >> u) & 1]
+    rows = {u: g.adj[u] & ~gone for u in keep}
+    degrees = tuple(sorted(rows[u].bit_count() for u in keep))
+    triangles = sum(1 for a, b, c in itertools.combinations(keep, 3)
+                    if (rows[a] >> b) & 1 and (rows[a] >> c) & 1 and (rows[b] >> c) & 1)
+    squares = sum(math.comb((rows[a] & rows[b]).bit_count(), 2)
+                  for a, b in itertools.combinations(keep, 2)) // 2
+    return degrees, triangles, squares
+
+
+def _invariant(g, gone: int = 0) -> int:
+    """_counts packed as the generator packs them: 6 bits of count per
+    degree, the triangles from bit 372 and the 4-cycles from bit 396."""
+    degrees, triangles, squares = _counts(g, gone)
+    return sum(1 << 6 * d for d in degrees) + (triangles << 372) + (squares << 396)
+
+
+def _candidates(stream, predicate):
+    """Every candidate the generator walks, level by level: per parent p of
+    level k - 1 its family and each orbit-least mask with the child it
+    gives, as (k, levels, p, family, mask, child), where levels maps each
+    order to the stream's graphs of that order."""
+    levels = defaultdict(list)
+    for (k, _, _), g in stream:
+        levels[k].append(g)
+    for k in range(1, max(levels) + 1):
+        for p, parent in enumerate(levels[k - 1]):
+            new = 1 << parent.n
+            family = predicate.masks(parent.adj) if predicate else range(new)
+            for mask in _augmenting_masks(*_parent_state(parent), family):
+                child = Graph(k, (*(row | new if (mask >> u) & 1 else row
+                                    for u, row in enumerate(parent.adj)), mask))
+                yield k, levels, p, family, mask, child
 
 
 class TestDeletionRule:
@@ -312,43 +346,63 @@ class TestDeletionRule:
     def test_skips_only_candidates_an_earlier_parent_yields(
             self, monkeypatch, n, predicate):
         # Every candidate (parent, orbit-least mask) up to order n, and the
-        # rule's verdict from sorted degree sequences: skipped iff deleting
-        # some old vertex leaves a sequence whose last parent is before its
-        # own. The generator refines exactly the others, in order, and the
-        # one representative of a skipped candidate's class has an earlier
-        # parent, by the oracle.
+        # rule's verdict from degree sequences, triangles and 4-cycles
+        # counted from scratch: skipped iff deleting some old vertex leaves
+        # counts whose last parent is before its own. The generator refines
+        # exactly the others, in order, and the one representative of a
+        # skipped candidate's class has an earlier parent, by the oracle.
         refined = []
         refine = generate._refine
         with monkeypatch.context() as patch:
             patch.setattr(generate, "_refine",
                           lambda adj: refined.append(tuple(adj)) or refine(adj))
             stream = list(generate.positioned_stream(n, predicate))
-        levels = defaultdict(list)  # order -> [(parent index, degrees, graph)]
-        for (k, p, _), g in stream:
-            levels[k].append((p, _degrees(g), g))
+        parent_of = {encode_graph6(g): p for (_, p, _), g in stream}
+        last = {}  # order -> {counts: index of the last parent with them}
+        classes = defaultdict(list)  # (order, counts) -> [(parent index, graph)]
         kept = []
         skipped = 0
-        for k in range(1, n + 1):
-            last = {degrees: q for q, (_, degrees, _) in enumerate(levels[k - 1])}
-            for p, (_, _, parent) in enumerate(levels[k - 1]):
-                new = 1 << parent.n
-                family = predicate.masks(parent.adj) if predicate else range(new)
-                for mask in _augmenting_masks(*_parent_state(parent), family):
-                    child = Graph(k, (*(row | new if (mask >> u) & 1 else row
-                                        for u, row in enumerate(parent.adj)), mask))
-                    if all(last[_degrees(child, 1 << v)] >= p
-                           for v in range(parent.n)):
-                        kept.append(child.adj)
-                        continue
-                    skipped += 1
-                    degrees = _degrees(child)
-                    assert any(oracles.are_isomorphic(child, g)
-                               for q, d, g in levels[k] if q < p and d == degrees)
+        for k, levels, p, _, _, child in _candidates(stream, predicate):
+            if k not in last:
+                last[k] = {_counts(g): q for q, g in enumerate(levels[k - 1])}
+                for g in levels[k]:
+                    classes[k, _counts(g)].append((parent_of[encode_graph6(g)], g))
+            if all(last[k][_counts(child, 1 << v)] >= p for v in range(k - 1)):
+                kept.append(child.adj)
+                continue
+            skipped += 1
+            assert any(oracles.are_isomorphic(child, g)
+                       for q, g in classes[k, _counts(child)] if q < p)
         assert refined == kept
         assert skipped > len(kept)
 
+    @pytest.mark.parametrize("n, predicate", [(7, None), (8, triangle_free)])
+    def test_tables_match_counts_from_scratch(self, n, predicate):
+        # For every candidate C = P + w(M) up to order n, I(C) and each
+        # I(C - v) from the parent's tables equal the counts from scratch.
+        stream = generate.positioned_stream(n, predicate)
+        tabled = None
+        for k, levels, p, family, mask, child in _candidates(stream, predicate):
+            parent = levels[k - 1][p]
+            if tabled != (k, p):
+                tabled = k, p
+                grow, shrink = generate._tables(parent.adj, family)
+            assert _invariant(child) == _invariant(parent) + grow[mask]
+            for v in range(parent.n):
+                assert _invariant(child, 1 << v) == (
+                    _invariant(parent, 1 << v) + grow[mask & ~(1 << v)]
+                    - shrink[mask & parent.adj[v]])
+
     def test_refinements_on_enum8(self, monkeypatch):
         # 85,023 candidates reach the rule; without it each is refined.
+        assert self.refinements(monkeypatch, 8, None) == 18096
+
+    def test_refinements_on_c3free9(self, monkeypatch):
+        assert self.refinements(monkeypatch, 9, triangle_free) == 3597
+
+    @staticmethod
+    def refinements(monkeypatch, n, predicate) -> int:
+        """The ``_refine`` calls of generating the stream up to order n."""
         calls = 0
         refine = generate._refine
 
@@ -358,8 +412,9 @@ class TestDeletionRule:
             return refine(adj)
 
         monkeypatch.setattr(generate, "_refine", counting)
-        assert len(nonisomorphic_graphs(8)) == sum(CLASS_COUNTS)
-        assert calls == 34666
+        counts = CLASS_COUNTS if predicate is None else C3FREE_COUNTS
+        assert len(nonisomorphic_graphs(n, predicate)) == sum(counts[:n + 1])
+        return calls
 
 
 class TestRelabel:
