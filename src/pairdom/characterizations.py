@@ -21,13 +21,16 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .domination import (
     GuardError,
     InvariantReport,
     independence_number,
     invariants,
+    lacking_half_mds,
     paired_domination_defined,
+    sets_of_size,
 )
 from .families import (
     ClassFlags,
@@ -41,10 +44,13 @@ from .graph import Graph, GraphError, bits_of, encode_graph6, is_connected
 from .matching import all_perfect_matchings, perfect_matching_tester
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
+    """One check's outcome on one graph. ``graph6`` names the graph on the
+    verdicts that become records, fails and skipped, and is None on holds
+    and na, so that a graph no check fails on is never encoded."""
+
     check_id: str
-    graph6: str
+    graph6: str | None
     status: str  # "holds" | "fails" | "na" | "skipped"
     witness: dict | None = None
 
@@ -149,8 +155,8 @@ class Facts:
     @cached_property
     def upper_pds_masks(self) -> list[int]:
         """All maximum-size minimal paired dominating sets, as masks."""
-        target = self.report.upper_gamma_pr
-        return [m for m in self.report.mpds_masks if m.bit_count() == target]
+        return list(sets_of_size(self.report.mpds_masks, self.g.n,
+                                 self.report.upper_gamma_pr))
 
     @cached_property
     def equality(self) -> bool | None:
@@ -187,10 +193,10 @@ class Check:
 
     def __call__(self, facts: Facts) -> Verdict:
         if not self.applies(facts):
-            return Verdict(self.check_id, facts.graph6, "na")
+            return Verdict(self.check_id, None, "na")
         witness = self.violation(facts)
         if witness is None:
-            return Verdict(self.check_id, facts.graph6, "holds")
+            return Verdict(self.check_id, None, "holds")
         return Verdict(self.check_id, facts.graph6, "fails", witness)
 
 
@@ -352,28 +358,13 @@ def _private_pair(adjacent_only: bool):
 
 def _pds_contains_half_mds(facts: Facts) -> dict | None:
     """Every minimal PDS contains a minimal dominating set of at least
-    half its size.
-
-    One pass over each list: the minimal dominating sets are indexed as
-    bits, holding[w] those that contain w and at_least[k] those of size at
-    least k, so the ones inside P are at_least[k] less holding[w] for every
-    w outside P."""
-    g = facts.g
-    holding = [0] * g.n
-    at_least = [0] * (g.n + 2)
-    for i, d in enumerate(facts.report.mds_masks):
-        at_least[d.bit_count()] |= 1 << i
-        for w in bits_of(d):
-            holding[w] |= 1 << i
-    for k in reversed(range(g.n + 1)):
-        at_least[k] |= at_least[k + 1]
-    for pmask in facts.report.mpds_masks:
-        inside = at_least[(pmask.bit_count() + 1) // 2]
-        for w in bits_of(g.full_mask & ~pmask):
-            inside &= ~holding[w]
-        if not inside:
-            return {"pds": _verts(pmask)}
-    return None
+    half its size: on the two subset bitmaps, the first in mask order of
+    those that do not (``lacking_half_mds``)."""
+    r = facts.report
+    bad = lacking_half_mds(facts.g.n, r.mds_masks, r.mpds_masks)
+    if not bad:
+        return None
+    return {"pds": _verts((bad & -bad).bit_length() - 1)}
 
 
 def _fastpath_matches_brute(facts: Facts) -> dict | None:
@@ -392,8 +383,8 @@ def _independent_core(facts: Facts) -> dict | None:
     set of maximum size."""
     g = facts.g
     target = facts.report.upper_gamma
-    cores = [d for d in facts.report.mds_masks if d.bit_count() == target
-             and all(g.adj[v] & d == 0 for v in bits_of(d))]
+    cores = [d for d in sets_of_size(facts.report.mds_masks, g.n, target)
+             if all(g.adj[v] & d == 0 for v in bits_of(d))]
     for pmask in facts.upper_pds_masks:
         if not any(d & ~pmask == 0 for d in cores):
             return {"pds": _verts(pmask), "needed_size": target}

@@ -3,10 +3,13 @@
 A vertex subset is a bitset S. The whole-graph scans hold one property of
 all 2^n subsets in a *subset bitmap*, an int whose bit S is set iff S has
 the property. ``_members(n)[i]`` is the bitmap of the subsets containing
-i; ORs and ANDs of these combine conditions, and ``(x & ~members[i]) <<
-2^i`` maps each subset in x without i to itself plus i, so a scan is
-O(n + m) big-int operations. The PDS scan returns its bitmap as a
-``Subsets``, and only the minimal sets are ever listed. Every exact scan,
+i and ``_layers(n)[k]`` that of the k-subsets; ORs and ANDs of these
+combine conditions, and ``(x & ~members[i]) << 2^i`` maps each subset in x
+without i to itself plus i, so a scan is O(n + m) big-int operations. The
+scans return ``Subsets``, which list their sets only when iterated. γ and
+Γ are the least and largest k with ``bitmap & layers[k]``, and the
+lexicographically least k-set is what ANDing the layer with
+``members[v]``, v = 0..n-1, leaves where that keeps a set. Every exact scan,
 the paired ones and the independence branching included, refuses a graph
 past the one guard ``DOMINATION_GUARD`` before it starts. The per-set
 predicates (``is_dominating`` and the like) share nothing with the
@@ -24,14 +27,18 @@ from .matching import perfect_matching_tester
 
 # One guard for every exact scan, so that Γ and Γ_pr are always computed on
 # the same graphs. Its budget at n = 24, on a 2-vCPU Xeon with Python 3.11,
-# one process per graph, one run each: the time of invariants, then of a
-# following run_checks(g, ALL_CHECK_IDS), which scans again, and the peak
-# RSS (ru_maxrss) of both. No check is skipped on any of them.
-#   K24          1.9 s  1.8 s  106 MB      C24       0.7 s  0.7 s  113 MB
-#   K12,12       1.2 s  1.1 s  109 MB      P24       0.6 s  0.6 s  113 MB
-#   11K2         0.1 s  0.1 s   39 MB      12K2      0.6 s  0.4 s  112 MB
-#   7K2 + 2C5    0.5 s  0.4 s  112 MB      2K2 + 4C5 0.6 s  0.5 s  114 MB
-#   ten connected G(24, p), p = 0.15-0.7:  at most 1.5 s  1.5 s  116 MB
+# one process per graph, the least of three runs: the time of invariants,
+# then of a following run_checks(g, ALL_CHECK_IDS), which scans again, and
+# the peak RSS (ru_maxrss) of both. No check is skipped on any of them.
+#   K24          2.4 s  2.2 s  151 MB      C24       0.6 s  0.8 s  163 MB
+#   K12,12       1.5 s  1.4 s  144 MB      P24       0.7 s  0.9 s  163 MB
+#   11K2         0.1 s  0.2 s   53 MB      12K2      0.6 s  0.7 s  173 MB
+#   7K2 + 2C5    0.7 s  0.9 s  170 MB      2K2 + 4C5 0.9 s  0.9 s  170 MB
+#   ten connected G(24, p), p = 0.15-0.69:  at most 1.8 s  2.0 s  167 MB
+# _layers(24) is 50 MB of that. Much of the time is glibc's: it maps and
+# unmaps 2 MB temporaries one by one, so the minimal PDS scan of K24 takes
+# about 360,000 minor page faults, and 2,700 with MALLOC_MMAP_THRESHOLD_ and
+# MALLOC_TRIM_THRESHOLD_ set to 32 MB and 256 MB.
 DOMINATION_GUARD = 24
 
 
@@ -122,12 +129,31 @@ def _members(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=1)
+def _layers(n: int) -> tuple[int, ...]:
+    """layers[k]: the subsets of {0..n-1} with k members. A k-subset of
+    {0..i} is one of {0..i-1}, or a (k-1)-subset of it plus i, which is
+    2^i bits higher. Only the last order is kept (25 x 2 MB at n = 24)."""
+    layers = [1] + [0] * n
+    for i in range(n):
+        for k in range(i + 1, 0, -1):
+            layers[k] |= layers[k - 1] << (1 << i)
+    return tuple(layers)
+
+
 def _one_more(bitmap: int, members) -> int:
     """The subsets S + v for every S in the bitmap and every v not in S."""
     out = 0
     for i, has_i in enumerate(members):
         out |= (bitmap & ~has_i) << (1 << i)
     return out
+
+
+def _up_closure(bitmap: int, members) -> int:
+    """The supersets of the sets in the bitmap."""
+    for i, has_i in enumerate(members):
+        bitmap |= (bitmap & ~has_i) << (1 << i)
+    return bitmap
 
 
 def _dominating(g: Graph, members) -> int:
@@ -163,13 +189,13 @@ def _guard(g: Graph) -> None:
         raise GuardError(f"exact scans limited to n <= {DOMINATION_GUARD}")
 
 
-def minimal_dominating_masks(g: Graph) -> list[int]:
-    """All minimal dominating sets as bitsets, in increasing mask order: the
-    dominating sets S with no dominating S - v (not in ``_one_more``)."""
+def minimal_dominating_masks(g: Graph) -> Subsets:
+    """Bitmap of the minimal dominating sets: the dominating sets S with no
+    dominating S - v (not in ``_one_more``)."""
     _guard(g)
     members = _members(g.n)
     dominating = _dominating(g, members)
-    return _masks(dominating & ~_one_more(dominating, members))
+    return Subsets(dominating & ~_one_more(dominating, members))
 
 
 def paired_dominating_masks(g: Graph) -> Subsets:
@@ -191,15 +217,35 @@ def paired_dominating_masks(g: Graph) -> Subsets:
     return Subsets(_dominating(g, members) & matchable)
 
 
-def minimal_paired_dominating_masks(g: Graph) -> list[int]:
-    """The paired dominating sets with no paired dominating proper subset:
-    those outside ``_one_more`` of the up-closure of all of them."""
+def minimal_paired_dominating_masks(g: Graph) -> Subsets:
+    """Bitmap of the PDSs with no paired dominating proper subset: those
+    outside ``_one_more`` of the up-closure of all of them."""
     pds = paired_dominating_masks(g)
     members = _members(g.n)
-    above = pds
-    for i, has_i in enumerate(members):
-        above |= (above & ~has_i) << (1 << i)
-    return _masks(pds & ~_one_more(above, members))
+    return Subsets(pds & ~_one_more(_up_closure(pds, members), members))
+
+
+def sets_of_size(bitmap: int, n: int, k: int) -> Subsets:
+    """The k-sets of a subset bitmap over n vertices."""
+    return Subsets(bitmap & _layers(n)[k])
+
+
+def lacking_half_mds(n: int, mds: int, sets: int) -> int:
+    """The bitmap of the sets in ``sets`` that contain no set of ``mds``
+    of at least half their size. For k = n..0, the sets of size 2k - 1 and
+    2k must be in ``up``, the supersets of the sets of ``mds`` of size at
+    least k; those wait in ``seeds`` until a size is due, so that one
+    up-closure serves every size in between."""
+    members, layers = _members(n), _layers(n)
+    up = seeds = bad = 0
+    for k in reversed(range(n + 1)):
+        seeds |= mds & layers[k]
+        due = sets & sum(layers[max(2 * k - 1, 0):2 * k + 1])
+        if due and seeds:
+            up |= _up_closure(seeds, members)
+            seeds = 0
+        bad |= due & ~up
+    return bad
 
 
 def _alpha(adj: list[int], cand: int) -> int:
@@ -226,10 +272,10 @@ def independence_number(g: Graph) -> int:
 @dataclass(frozen=True)
 class InvariantReport:
     """γ, Γ, γ_pr, Γ_pr with lexicographically least witness sets, as
-    increasing vertex tuples, and the minimal (paired) dominating sets they
-    were taken from, as bitsets in increasing order.
+    increasing vertex tuples, and the subset bitmaps of the minimal
+    (paired) dominating sets they were taken from.
 
-    The paired fields are None, and there are no minimal PDS masks, where
+    The paired fields are None, and the minimal PDS bitmap is empty, where
     paired domination is undefined: on K0 and on a graph with an isolated
     vertex.
     """
@@ -239,42 +285,45 @@ class InvariantReport:
     gamma_pr: int | None
     upper_gamma_pr: int | None
     witnesses: dict
-    mds_masks: list[int] = field(repr=False, compare=False)
-    mpds_masks: list[int] = field(repr=False, compare=False)
+    mds_masks: Subsets = field(repr=False, compare=False)
+    mpds_masks: Subsets = field(repr=False, compare=False)
 
 
-def _lex_least(masks) -> tuple[int, ...]:
-    """The lexicographically least of bitsets of one size, as its vertex
-    tuple: A precedes B iff the lowest vertex in exactly one of them is in A."""
-    best, *rest = masks
-    for mask in rest:
-        diff = mask ^ best
-        if diff & -diff & mask:
-            best = mask
-    return bits_of(best)
+def _least_of_size(bitmap: int, n: int, k: int) -> tuple[int, ...]:
+    """The lexicographically least k-set of a subset bitmap, as its vertex
+    tuple: of the k-sets left, keep those with vertex v, for v = 0..n-1,
+    whenever one has it. The k-th vertex kept leaves one set."""
+    left = bitmap & _layers(n)[k]
+    taken = 0
+    for has_v in _members(n):
+        if taken == k:
+            break
+        if left & has_v:
+            left &= has_v
+            taken += 1
+    return bits_of(left.bit_length() - 1)
 
 
-def _extremes(masks) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
-    """The least and the largest size in a non-empty list of bitsets, and
-    the lexicographically least set of each of the two sizes."""
-    sizes = [m.bit_count() for m in masks]
-    low, high = min(sizes), max(sizes)
-    return (low, high,
-            _lex_least([m for m, k in zip(masks, sizes) if k == low]),
-            _lex_least([m for m, k in zip(masks, sizes) if k == high]))
+def _size_extremes(bitmap: int, n: int) -> tuple[int, int, tuple, tuple]:
+    """The least and the largest size of a set in a non-empty subset bitmap,
+    and the lexicographically least set of each of the two sizes."""
+    layers = _layers(n)
+    low = next(k for k in range(n + 1) if bitmap & layers[k])
+    high = next(k for k in reversed(range(n + 1)) if bitmap & layers[k])
+    return low, high, _least_of_size(bitmap, n, low), _least_of_size(bitmap, n, high)
 
 
 def invariants(g: Graph) -> InvariantReport:
     """Exact γ, Γ, γ_pr, Γ_pr by exhaustive enumeration."""
     mds = minimal_dominating_masks(g)
-    gamma, upper_gamma, low, high = _extremes(mds)
+    gamma, upper_gamma, low, high = _size_extremes(mds, g.n)
     witnesses = {"gamma": low, "upper_gamma": high,
                  "gamma_pr": None, "upper_gamma_pr": None}
     gamma_pr = upper_gamma_pr = None
-    mpds = []
+    mpds = Subsets(0)
     if paired_domination_defined(g):
         mpds = minimal_paired_dominating_masks(g)
-        (gamma_pr, upper_gamma_pr,
-         witnesses["gamma_pr"], witnesses["upper_gamma_pr"]) = _extremes(mpds)
+        (gamma_pr, upper_gamma_pr, witnesses["gamma_pr"],
+         witnesses["upper_gamma_pr"]) = _size_extremes(mpds, g.n)
     return InvariantReport(gamma, upper_gamma, gamma_pr, upper_gamma_pr, witnesses,
                            mds, mpds)

@@ -22,6 +22,7 @@ import multiprocessing
 import os
 import sys
 import time
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -175,10 +176,12 @@ class RunReport:
 
 
 def _verify_worker(g: Graph, check_ids):
-    """Each check's status, and the records of the failing checks; plain
-    strings and dicts are much cheaper to pickle than Verdicts."""
+    """The tuple of each check's status, in ``check_ids`` order, and the
+    records of the failing checks. ``run`` counts the distinct tuples (18
+    over the 12,346 graphs of order 8) and expands them into
+    ``CheckTotals`` once, after the last graph."""
     verdicts = run_checks(g, check_ids)
-    return ([v.status for v in verdicts],
+    return (tuple(v.status for v in verdicts),
             [v.to_record() for v in verdicts if v.status == "fails"])
 
 
@@ -382,19 +385,19 @@ def run(config: RunConfig):
 
     if config.command == "verify":
         check_ids = tuple(dict.fromkeys(config.checks)) or ALL_CHECK_IDS
-        totals = {cid: CheckTotals() for cid in check_ids}
+        vectors = Counter()
         worker = partial(_verify_worker, check_ids=check_ids)
         for statuses, failed in results(worker):
-            for cid, status in zip(check_ids, statuses):
-                t = totals[cid]
-                t.scanned += 1
-                setattr(t, status, getattr(t, status) + 1)
+            vectors[statuses] += 1
             for rec in failed:
                 report.failures.append(rec)
                 print(json.dumps(rec), file=sys.stderr)
-        for t in totals.values():
-            t.scanned += bad
-            t.skipped += bad
+        totals = {cid: CheckTotals(scanned=bad, skipped=bad) for cid in check_ids}
+        for statuses, count in vectors.items():
+            for cid, status in zip(check_ids, statuses):
+                t = totals[cid]
+                t.scanned += count
+                setattr(t, status, getattr(t, status) + count)
         report.totals = totals
     elif config.command == "hunt":
         hunt = ch.HuntReport()

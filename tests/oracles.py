@@ -96,6 +96,55 @@ def upper_gamma_pr(g: Graph):
     return max(sizes) if sizes else None
 
 
+def _vertices(mask: int) -> tuple[int, ...]:
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def lex_least(masks) -> tuple[int, ...]:
+    """The lexicographically least of bitsets of one size, as its vertex
+    tuple: A precedes B iff the lowest vertex in exactly one of them is in A."""
+    best, *rest = masks
+    for mask in rest:
+        diff = mask ^ best
+        if diff & -diff & mask:
+            best = mask
+    return _vertices(best)
+
+
+def extremes(masks) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    """The least and the largest size in a non-empty list of bitsets, and
+    the lexicographically least set of each of the two sizes."""
+    sizes = [m.bit_count() for m in masks]
+    low, high = min(sizes), max(sizes)
+    return (low, high,
+            lex_least([m for m, k in zip(masks, sizes) if k == low]),
+            lex_least([m for m, k in zip(masks, sizes) if k == high]))
+
+
+def first_lacking_half_mds(n: int, mds_masks, pds_masks) -> int | None:
+    """The first bitset of pds_masks that contains no bitset of mds_masks of
+    at least half its size, or None. One pass over each list: the sets of
+    mds_masks are indexed as bits, holding[w] those that contain w and
+    at_least[k] those of size at least k, so the ones inside P are
+    at_least[k] less holding[w] for every w outside P."""
+    holding = [0] * n
+    at_least = [0] * (n + 2)
+    for i, d in enumerate(mds_masks):
+        at_least[d.bit_count()] |= 1 << i
+        for w in _vertices(d):
+            holding[w] |= 1 << i
+    for k in reversed(range(n + 1)):
+        at_least[k] |= at_least[k + 1]
+    for pmask in pds_masks:
+        inside = at_least[(pmask.bit_count() + 1) // 2]
+        for w in range(n):
+            if not pmask >> w & 1:
+                inside &= ~holding[w]
+        if not inside:
+            return pmask
+    return None
+
+
 def independence_number(g: Graph) -> int:
     best = 0
     for S in _subsets(g.n):

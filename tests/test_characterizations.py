@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 import oracles
+from conftest import call_bounded
 from oracles import path_graph
 from pairdom import characterizations, domination, families
 from pairdom.graph import build_graph, components, encode_graph6
@@ -276,13 +277,33 @@ class TestHalfMds:
             facts = Facts(g)
             report = facts.report
             for pmask in range(1 << g.n):
-                facts.report = dataclasses.replace(report, mpds_masks=[pmask])
+                facts.report = dataclasses.replace(
+                    report, mpds_masks=domination.Subsets(1 << pmask))
                 pds = [v for v in range(g.n) if pmask >> v & 1]
                 found = any(oracles.is_minimal_dominating(g, sub)
                             for size in range((len(pds) + 1) // 2, len(pds) + 1)
                             for sub in combinations(pds, size))
                 witness = characterizations._pds_contains_half_mds(facts)
                 assert witness == (None if found else {"pds": pds}), (g.edges(), pds)
+
+    def test_every_pds_against_per_set_loop(self, graphs_up_to_7):
+        # Fed every PDS, minimal or not, the bitmap rule must name the PDS
+        # that the per-set loop over the listed sets finds first.
+        violating = 0
+        for g in graphs_up_to_7:
+            if not domination.paired_domination_defined(g):
+                continue
+            facts = Facts(g)
+            pds = domination.paired_dominating_masks(g)
+            facts.report = dataclasses.replace(facts.report, mpds_masks=pds)
+            first = oracles.first_lacking_half_mds(
+                g.n, list(facts.report.mds_masks), list(pds))
+            expect = None if first is None else {
+                "pds": [v for v in range(g.n) if first >> v & 1]}
+            assert characterizations._pds_contains_half_mds(facts) == expect, (
+                encode_graph6(g))
+            violating += first is not None
+        assert violating > 0
 
 
 class TestUnicyclicBound:
@@ -430,6 +451,38 @@ class TestRegistry:
             cid: {"scanned": 1044, "holds": holds, "fails": 0, "na": na,
                   "skipped": 0}
             for cid, (holds, na) in pinned.items()}
+
+    def test_totals_by_status_vector(self, tmp_path, monkeypatch):
+        # An injected check fails on one graph, is stopped by a guard on
+        # another and is na elsewhere; with an unreadable line, verify must
+        # give each check the totals of counting every verdict, at one job
+        # and at two.
+        graphs = nonisomorphic_graphs(6, min_n=6)
+        failing, guarded = encode_graph6(graphs[40]), encode_graph6(graphs[101])
+
+        def injected(facts):
+            if facts.graph6 == guarded:
+                raise domination.GuardError("injected guard")
+            if facts.graph6 == failing:
+                return characterizations.Verdict("injected", failing, "fails", {})
+            return characterizations.Verdict("injected", None, "na")
+
+        monkeypatch.setitem(characterizations.CHECKS, "injected", injected)
+        check_ids = ("injected", *ALL_CHECK_IDS)
+        expect = {cid: {"scanned": len(graphs) + 1, "holds": 0, "fails": 0,
+                        "na": 0, "skipped": 1} for cid in check_ids}
+        for g in graphs:
+            for v in run_checks(g, check_ids):
+                expect[v.check_id][v.status] += 1
+        assert (expect["injected"]["fails"], expect["injected"]["skipped"]) == (1, 2)
+        path = tmp_path / "order6.g6"
+        path.write_text("".join(encode_graph6(g) + "\n" for g in graphs) + "!!\n")
+        for jobs in (1, 2):
+            report, code = call_bounded(
+                run, RunConfig("verify", str(path), checks=check_ids, jobs=jobs))
+            assert code == 1
+            assert report.to_record()["totals"] == expect, jobs
+            assert [rec["graph6"] for rec in report.failures] == [failing]
 
 
 class TestHunt:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,7 +7,7 @@ import oracles
 from oracles import path_graph, star_graph
 from pairdom import domination
 from pairdom.characterizations import hunt_record
-from pairdom.graph import GraphError, build_graph
+from pairdom.graph import GraphError, bits_of, build_graph, is_connected
 from pairdom.families import (
     disjoint_union,
     make_cycle,
@@ -144,7 +145,7 @@ class TestScans:
         for scan in (paired_dominating_masks, minimal_paired_dominating_masks):
             with pytest.raises(IsolatedVertexError, match="K0"):
                 scan(k0)
-        assert minimal_dominating_masks(k0) == [0]
+        assert list(minimal_dominating_masks(k0)) == [0]
 
     def test_scans_match_literal_oracle(self, graphs_up_to_6):
         for g in graphs_up_to_6:
@@ -184,8 +185,8 @@ class TestScans:
         assert list(scan(union)) == sorted(expect)
 
     def test_minimality_filter_lists_only_minimal_sets(self, monkeypatch):
-        # The filter reads the PDS bitmap, so the one list it builds is the
-        # minimal PDSs, never the whole PDS family.
+        # The filter reads the PDS bitmap and lists nothing; iterating its
+        # result lists the minimal PDSs, never the whole PDS family.
         listed = []
         original = domination._masks
 
@@ -195,7 +196,8 @@ class TestScans:
 
         monkeypatch.setattr(domination, "_masks", recording)
         minimal = minimal_paired_dominating_masks(disjoint_union([make_cycle(5)] * 4))
-        assert listed == [len(minimal)]
+        assert listed == []
+        assert len(list(minimal)) == len(minimal) and listed == [len(minimal)]
 
 
 class TestInvariants:
@@ -242,7 +244,7 @@ class TestInvariants:
         assert (r.gamma, r.upper_gamma, r.gamma_pr, r.upper_gamma_pr) == (0, 0, None, None)
         assert r.witnesses == {"gamma": (), "upper_gamma": (),
                                "gamma_pr": None, "upper_gamma_pr": None}
-        assert r.mpds_masks == []
+        assert list(r.mpds_masks) == []
 
     def test_witnesses_are_lex_least_and_valid(self, graphs_up_to_5):
         for g in graphs_up_to_5:
@@ -263,18 +265,18 @@ class TestInvariants:
                 assert is_minimal_paired_dominating(g, wp)
 
     def test_lex_least_matches_sort_key_order(self, graphs_up_to_7):
-        # The integer rule must pick what the member-tuple order (plain min
+        # The bitmap rule must pick what the member-tuple order (plain min
         # over the member tuples) picks, for every size class of every scan
         # and so for every witness.
         for g in graphs_up_to_7:
             r = invariants(g)
-            for masks in (r.mds_masks, r.mpds_masks):
+            for bitmap in (r.mds_masks, r.mpds_masks):
                 by_size = {}
-                for m in masks:
+                for m in bitmap:
                     by_size.setdefault(m.bit_count(), []).append(m)
-                for group in by_size.values():
+                for k, group in by_size.items():
                     expect = min(members(m, g.n) for m in group)
-                    assert domination._lex_least(group) == expect
+                    assert domination._least_of_size(bitmap, g.n, k) == expect
             for kind, masks in (("gamma", r.mds_masks),
                                 ("upper_gamma", r.mds_masks),
                                 ("gamma_pr", r.mpds_masks),
@@ -292,6 +294,76 @@ class TestInvariants:
         assert whole.upper_gamma == sum(r.upper_gamma for r in per)
         assert whole.gamma_pr == sum(r.gamma_pr for r in per)
         assert whole.upper_gamma_pr == sum(r.upper_gamma_pr for r in per)
+
+
+def connected_gnp(count: int) -> list:
+    """count seeded connected G(n, p) graphs, n in 16..18, p in 0.15..0.4."""
+    out = []
+    for seed in range(count):
+        rng = random.Random(seed)
+        n, p = 16 + seed % 3, 0.15 + 0.05 * (seed % 6)
+        g = build_graph(n, [])
+        while not is_connected(g):
+            g = build_graph(n, [e for e in itertools.combinations(range(n), 2)
+                                if rng.random() < p])
+        out.append(g)
+    return out
+
+
+def extremes_mismatches(graphs) -> list:
+    """The graphs whose four invariants and witnesses differ from the list
+    rule of ``oracles.extremes`` over the listed minimal sets."""
+    out = []
+    for g in graphs:
+        r = invariants(g)
+        w = r.witnesses
+        got = [(r.gamma, r.upper_gamma, w["gamma"], w["upper_gamma"])]
+        expect = [oracles.extremes(list(r.mds_masks))]
+        if paired_domination_defined(g):
+            got.append((r.gamma_pr, r.upper_gamma_pr,
+                        w["gamma_pr"], w["upper_gamma_pr"]))
+            expect.append(oracles.extremes(list(r.mpds_masks)))
+        if got != expect:
+            out.append((g.edges(), got, expect))
+    return out
+
+
+def least_walking_down(bitmap: int, n: int, k: int) -> tuple[int, ...]:
+    """``domination._least_of_size`` with the vertices walked from n - 1
+    down to 0: the rule a differential test of the extremes must reject."""
+    left = bitmap & domination._layers(n)[k]
+    taken = 0
+    for has_v in reversed(domination._members(n)):
+        if taken == k:
+            break
+        if left & has_v:
+            left &= has_v
+            taken += 1
+    return bits_of(left.bit_length() - 1)
+
+
+class TestExtremes:
+    @pytest.fixture(scope="class")
+    def graphs(self, graphs_up_to_7):
+        return graphs_up_to_7 + connected_gnp(12)
+
+    def test_layers_are_the_sets_of_each_size(self):
+        for n in range(9):
+            layers = domination._layers(n)
+            assert len(layers) == n + 1
+            for k, layer in enumerate(layers):
+                assert layer == sum(1 << m for m in range(1 << n)
+                                    if m.bit_count() == k)
+
+    def test_match_the_list_rule(self, graphs):
+        # Every graph with n <= 7 and twelve connected G(n, p), n 16-18:
+        # the values read off the size layers and the witnesses left by the
+        # member walk equal the list rule's.
+        assert extremes_mismatches(graphs) == []
+
+    def test_high_to_low_walk_is_rejected(self, graphs, monkeypatch):
+        monkeypatch.setattr(domination, "_least_of_size", least_walking_down)
+        assert extremes_mismatches(graphs)
 
 
 class TestIndependence:
