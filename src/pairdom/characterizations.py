@@ -40,7 +40,7 @@ from .families import (
     recognize_family,
 )
 from .generate import triangle_free
-from .graph import Graph, GraphError, bits_of, encode_graph6, is_connected
+from .graph import Graph, GraphError, bits_of, encode_graph6
 from .matching import all_perfect_matchings, perfect_matching_tester
 
 
@@ -290,8 +290,9 @@ def equality_votes(facts: Facts) -> dict[str, bool]:
 
 
 def _gpr_equals_n(facts: Facts) -> dict | None:
-    """The upper paired number equals the order exactly for disjoint
-    unions of single edges."""
+    """Γ_pr = n iff G is mK2, when G has no isolated vertex. If V is a
+    minimal PDS with perfect matching M, and xy is an edge outside M, then
+    V - {x', y'} is a smaller PDS, for x', y' the M-partners of x and y."""
     upper_gamma_pr = facts.report.upper_gamma_pr
     is_mk2 = facts.family is not None and facts.family.kind == "mK2"
     if (upper_gamma_pr == facts.g.n) == is_mk2:
@@ -301,7 +302,7 @@ def _gpr_equals_n(facts: Facts) -> dict | None:
 
 def _gpr_upper_bound(facts: Facts) -> dict | None:
     """Connected graphs of order at least 3 have upper paired number at
-    most n - 1."""
+    most n - 1: the connected n >= 3 case of ``_gpr_equals_n``."""
     upper_gamma_pr = facts.report.upper_gamma_pr
     if upper_gamma_pr <= facts.g.n - 1:
         return None
@@ -310,7 +311,8 @@ def _gpr_upper_bound(facts: Facts) -> dict | None:
 
 def _gpr_equals_n_minus_1(facts: Facts) -> dict | None:
     """Upper paired number n - 1 characterizes the triangle, the 5-cycle,
-    and the subdivided stars with attached triangles."""
+    and the subdivided stars with attached triangles. No fast path reads
+    this check, and its source is still unconfirmed."""
     upper_gamma_pr = facts.report.upper_gamma_pr
     fam = facts.family
     in_family = fam is not None and fam.kind in ("C3", "C5", "star")
@@ -601,22 +603,19 @@ def hunt_record(g: Graph) -> dict | None:
     "too_large"}`` when the guard stops the exact scans, None when it misses
     the equality, else its satisfier record.
 
-    Most misses are found from α, before either 2^n scan: Γ >= α
-    (``gamma-ge-independence``), so 2α > Γ_pr is a miss. Off mK2,
-    Γ_pr <= n - 1 (``gpr-equals-n``). A connected G with n >= 3 other than
-    C5 has Γ_pr <= n - 2, or Γ_pr = n - 1 (``gpr-upper-bound``) and G is a
-    subdivided star S(K1,t) (``gpr-equals-n-minus-1``; where that is proven
-    is unconfirmed, and the check tests it on every graph it meets), whose
-    2α = n + 1 > Γ_pr. So there 2α > n - 2 is a miss. mK2 (2α = n), C5 and
-    every graph under its bound go on to ``Facts.equality``."""
+    Most misses are found from α, before either 2^n scan: 2α > bound(G) is
+    a miss, where bound(G) = n on mK2 and 2⌊(n - 1)/2⌋ elsewhere. Γ >= α,
+    as a maximum independent set is a minimal dominating set. Γ_pr is even,
+    as a PDS has a perfect matching. Γ_pr = n only on mK2: if V is a minimal
+    PDS with perfect matching M and xy is an edge outside M, V - {x', y'}
+    is a smaller PDS, for x', y' the M-partners of x and y. Every graph
+    under its bound goes on to ``Facts.equality``."""
     facts = Facts(g)
     if not facts.paired or not triangle_free(g):
         return {"skipped": "out_of_scope"}
     degrees = {row.bit_count() for row in g.adj}
-    if g.n >= 3 and is_connected(g):  # C5: connected, 2-regular, n = 5
-        bound = g.n - 1 if g.n == 5 and degrees == {2} else g.n - 2
-    else:  # with no isolated vertex, G is mK2 iff every degree is 1
-        bound = g.n if degrees == {1} else g.n - 1
+    # with no isolated vertex, G is mK2 iff every degree is 1
+    bound = g.n if degrees == {1} else (g.n - 1) // 2 * 2
     try:
         if 2 * facts.alpha > bound:
             return None

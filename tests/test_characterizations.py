@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 from itertools import combinations
 
@@ -506,8 +507,8 @@ class TestHunt:
 
         monkeypatch.setattr(characterizations, "invariants", no_scan)
         k12_12 = build_graph(24, [(u, v) for u in range(12) for v in range(12, 24)])
-        assert hunt_record(k12_12) is None  # 2α = 24 > 23
-        assert hunt_record(path_graph(24)) is None  # 2α = 24 > 23
+        assert hunt_record(k12_12) is None  # 2α = 24 > 22
+        assert hunt_record(path_graph(24)) is None  # 2α = 24 > 22
         assert hunt_record(make_cycle(25)) == {"skipped": "too_large"}  # guard
 
     def test_record_matches_brute_force(self, c3free_up_to_9, graphs_up_to_7):
@@ -528,35 +529,38 @@ class TestHunt:
                 expected = None
             assert hunt_record(g) == expected, facts.graph6
 
-    def test_alpha_exit_skips_most_scans(self, c3free_up_to_9, monkeypatch):
+    def test_alpha_exit_decides_exactly_the_graphs_over_the_bound(
+            self, c3free_up_to_9, monkeypatch):
+        # an in-scope graph skips both scans iff 2α > bound(G), with bound
+        # n on mK2 and 2⌊(n - 1)/2⌋ elsewhere; brute force then gives
+        # Γ_pr < 2α on it, so it misses the equality
         calls = []
         scan = characterizations.invariants
         monkeypatch.setattr(characterizations, "invariants",
                             lambda g: calls.append(g) or scan(g))
-        records = [hunt_record(g) for g in c3free_up_to_9]
-        # 1,896 of the 2,480 graphs are in scope; α decides all but 304
-        assert sum(rec != {"skipped": "out_of_scope"} for rec in records) == 1896
-        assert len(calls) <= 304
-
-    def test_alpha_exit_never_drops_a_satisfier(self, c3free_up_to_9,
-                                                monkeypatch):
-        # the exit fires where hunt_record decides an in-scope graph with
-        # no scan; on each such graph Facts.equality must be False
-        calls = []
-        scan = characterizations.invariants
-        monkeypatch.setattr(characterizations, "invariants",
-                            lambda g: calls.append(g) or scan(g))
-        scanned = 0
+        in_scope = scanned = 0
+        near = collections.Counter()  # connected, odd n, 2α = n - 1
         for g in c3free_up_to_9:
             before = len(calls)
             if hunt_record(g) == {"skipped": "out_of_scope"}:
                 continue
+            in_scope += 1
+            alpha = domination.independence_number(g)
+            mk2 = all(g.degree(v) == 1 for v in range(g.n))
+            bound = g.n if mk2 else 2 * ((g.n - 1) // 2)
             if len(calls) > before:
+                assert 2 * alpha <= bound, encode_graph6(g)
                 scanned += 1
+                if g.n % 2 and 2 * alpha == g.n - 1 and len(components(g)) == 1:
+                    near[g.n] += 1
             else:
-                assert Facts(g).equality is False, encode_graph6(g)
-        # 1,876 of the 1,896 in-scope graphs are decided from α alone
-        assert scanned == 20
+                assert 2 * alpha > bound, encode_graph6(g)
+                assert scan(g).upper_gamma_pr < 2 * alpha, encode_graph6(g)
+        # 1,592 of the 1,896 in-scope graphs are decided from α alone; of
+        # the 304 scanned, C5 and the 284 at n = 7 and 9 are connected with
+        # odd n and 2α = n - 1
+        assert (in_scope, scanned) == (1896, 304)
+        assert near == {5: 1, 7: 8, 9: 276}
 
     def test_report_counts_each_record_shape(self):
         c5 = {"graph6": "Dhc", "family": "C5", "expected_form": True, "cactus": True}
