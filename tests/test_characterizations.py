@@ -529,8 +529,18 @@ class TestHunt:
                 expected = None
             assert hunt_record(g) == expected, facts.graph6
 
-    def test_alpha_exit_decides_exactly_the_graphs_over_the_bound(
-            self, c3free_up_to_9, monkeypatch):
+    def test_alpha_exit_skips_most_scans(self, c3free_up_to_9, monkeypatch):
+        calls = []
+        scan = characterizations.invariants
+        monkeypatch.setattr(characterizations, "invariants",
+                            lambda g: calls.append(g) or scan(g))
+        records = [hunt_record(g) for g in c3free_up_to_9]
+        # 1,896 of the 2,480 graphs are in scope; α decides all but 304
+        assert sum(rec != {"skipped": "out_of_scope"} for rec in records) == 1896
+        assert len(calls) == 304
+
+    def test_alpha_exit_never_drops_a_satisfier(self, c3free_up_to_9,
+                                                monkeypatch):
         # an in-scope graph skips both scans iff 2α > bound(G), with bound
         # n on mK2 and 2⌊(n - 1)/2⌋ elsewhere; brute force then gives
         # Γ_pr < 2α on it, so it misses the equality
@@ -538,13 +548,12 @@ class TestHunt:
         scan = characterizations.invariants
         monkeypatch.setattr(characterizations, "invariants",
                             lambda g: calls.append(g) or scan(g))
-        in_scope = scanned = 0
+        scanned = 0
         near = collections.Counter()  # connected, odd n, 2α = n - 1
         for g in c3free_up_to_9:
             before = len(calls)
             if hunt_record(g) == {"skipped": "out_of_scope"}:
                 continue
-            in_scope += 1
             alpha = domination.independence_number(g)
             mk2 = all(g.degree(v) == 1 for v in range(g.n))
             bound = g.n if mk2 else 2 * ((g.n - 1) // 2)
@@ -556,10 +565,11 @@ class TestHunt:
             else:
                 assert 2 * alpha > bound, encode_graph6(g)
                 assert scan(g).upper_gamma_pr < 2 * alpha, encode_graph6(g)
+                assert Facts(g).equality is False, encode_graph6(g)
         # 1,592 of the 1,896 in-scope graphs are decided from α alone; of
         # the 304 scanned, C5 and the 284 at n = 7 and 9 are connected with
         # odd n and 2α = n - 1
-        assert (in_scope, scanned) == (1896, 304)
+        assert scanned == 304
         assert near == {5: 1, 7: 8, 9: 276}
 
     def test_report_counts_each_record_shape(self):
