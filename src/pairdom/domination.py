@@ -4,8 +4,9 @@ A vertex subset is a bitset S. The whole-graph scans hold one property of
 all 2^n subsets in a *subset bitmap*, an int whose bit S is set iff S has
 the property. ``_members(n)[i]`` is the bitmap of the subsets containing
 i and ``_layers(n)[k]`` that of the k-subsets; ORs and ANDs of these
-combine conditions, and ``(x & ~members[i]) << 2^i`` maps each subset in x
-without i to itself plus i, so a scan is O(n + m) big-int operations. The
+combine conditions, and ``(x << 2^i) & members[i]`` maps each subset in x
+without i to itself plus i (adding 2^i to a subset with i carries out of
+bit i, so the AND drops it), so a scan is O(n + m) big-int operations. The
 scans return ``Subsets``, which list their sets only when iterated. γ and
 Γ are the least and largest k with ``bitmap & layers[k]``, and the
 lexicographically least k-set is what ANDing the layer with
@@ -30,15 +31,16 @@ from .matching import perfect_matching_tester
 # one process per graph, the least of three runs: the time of invariants,
 # then of a following run_checks(g, ALL_CHECK_IDS), which scans again, and
 # the peak RSS (ru_maxrss) of both. No check is skipped on any of them.
-#   K24          2.4 s  2.2 s  151 MB      C24       0.6 s  0.8 s  163 MB
-#   K12,12       1.5 s  1.4 s  144 MB      P24       0.7 s  0.9 s  163 MB
-#   11K2         0.1 s  0.2 s   53 MB      12K2      0.6 s  0.7 s  173 MB
-#   7K2 + 2C5    0.7 s  0.9 s  170 MB      2K2 + 4C5 0.9 s  0.9 s  170 MB
-#   ten connected G(24, p), p = 0.15-0.69:  at most 1.8 s  2.0 s  167 MB
-# _layers(24) is 50 MB of that. Much of the time is glibc's: it maps and
-# unmaps 2 MB temporaries one by one, so the minimal PDS scan of K24 takes
-# about 360,000 minor page faults, and 2,700 with MALLOC_MMAP_THRESHOLD_ and
-# MALLOC_TRIM_THRESHOLD_ set to 32 MB and 256 MB.
+#   K24          0.5 s  0.3 s  156 MB      C24       0.4 s  0.5 s  167 MB
+#   K12,12       0.4 s  0.3 s  147 MB      P24       0.4 s  0.4 s  164 MB
+#   11K2         0.1 s  0.1 s   55 MB      12K2      0.4 s  0.4 s  179 MB
+#   7K2 + 2C5    0.4 s  0.4 s  175 MB      2K2 + 4C5 0.3 s  0.4 s  175 MB
+#   ten connected G(24, p), p = 0.15-0.69:  at most 0.5 s  0.5 s  166 MB
+# _members(24) and _layers(24) are 98 MB of that, and touching them first
+# is about 25,000 of the 50,000-70,000 minor page faults invariants takes
+# on each graph. Most of the rest are glibc's: it maps and unmaps each 2 MB
+# temporary on its own, and with MALLOC_MMAP_THRESHOLD_ and
+# MALLOC_TRIM_THRESHOLD_ set to 64 MB and 1 GB, C24 takes 31,000 and 0.3 s.
 DOMINATION_GUARD = 24
 
 
@@ -145,19 +147,22 @@ def _one_more(bitmap: int, members) -> int:
     """The subsets S + v for every S in the bitmap and every v not in S."""
     out = 0
     for i, has_i in enumerate(members):
-        out |= (bitmap & ~has_i) << (1 << i)
+        out |= (bitmap << (1 << i)) & has_i
     return out
 
 
 def _up_closure(bitmap: int, members) -> int:
     """The supersets of the sets in the bitmap."""
     for i, has_i in enumerate(members):
-        bitmap |= (bitmap & ~has_i) << (1 << i)
+        bitmap |= (bitmap << (1 << i)) & has_i
     return bitmap
 
 
-def _dominating(g: Graph, members) -> int:
-    """Bitmap of the dominating sets: for every v, some u in N[v] is in S."""
+@lru_cache(maxsize=1)
+def _dominating(g: Graph) -> int:
+    """Bitmap of the dominating sets: for every v, some u in N[v] is in S.
+    Kept for the last graph, so that both scans of ``invariants`` read it."""
+    members = _members(g.n)
     out = (1 << (1 << g.n)) - 1
     for closed in closed_neighborhoods(g):
         hit = 0
@@ -191,30 +196,31 @@ def _guard(g: Graph) -> None:
 
 def minimal_dominating_masks(g: Graph) -> Subsets:
     """Bitmap of the minimal dominating sets: the dominating sets S with no
-    dominating S - v (not in ``_one_more``)."""
+    dominating S - v, which are all but ``_one_more`` of them."""
     _guard(g)
-    members = _members(g.n)
-    dominating = _dominating(g, members)
-    return Subsets(dominating & ~_one_more(dominating, members))
+    dominating = _dominating(g)
+    return Subsets(dominating ^ _one_more(dominating, _members(g.n)))
 
 
 def paired_dominating_masks(g: Graph) -> Subsets:
     """The bitmap of all paired dominating sets (not only minimal ones),
-    read as their bitsets in increasing mask order. A set with least vertex
-    v has a perfect matching iff it is {v, u} plus a matchable set above v
-    without u, u ~ v, u > v. Raises IsolatedVertexError where paired
-    domination is undefined."""
+    read as their bitsets in increasing mask order. A set with largest
+    vertex v has a perfect matching iff it is {u, v} plus a matchable set
+    below v without u, u ~ v, u < v; so after step v, ``matchable`` holds
+    the matchable subsets of {0..v}, 2^(v+1) bits. Raises
+    IsolatedVertexError where paired domination is undefined."""
     _guard(g)
     if not paired_domination_defined(g):
         raise IsolatedVertexError("paired domination is undefined on K0 and "
                                   "on a graph with an isolated vertex")
     members = _members(g.n)
     matchable = 1
-    for v in reversed(range(g.n)):
-        above_v = matchable
-        for u in bits_of(g.adj[v] >> (v + 1) << (v + 1)):
-            matchable |= (above_v & ~members[u]) << ((1 << v) | (1 << u))
-    return Subsets(_dominating(g, members) & matchable)
+    for v in range(g.n):
+        with_u = 0
+        for u in bits_of(g.adj[v] & ((1 << v) - 1)):
+            with_u |= (matchable << (1 << u)) & members[u]
+        matchable |= with_u << (1 << v)
+    return Subsets(_dominating(g) & matchable)
 
 
 def minimal_paired_dominating_masks(g: Graph) -> Subsets:
@@ -222,7 +228,7 @@ def minimal_paired_dominating_masks(g: Graph) -> Subsets:
     outside ``_one_more`` of the up-closure of all of them."""
     pds = paired_dominating_masks(g)
     members = _members(g.n)
-    return Subsets(pds & ~_one_more(_up_closure(pds, members), members))
+    return Subsets(pds ^ (pds & _one_more(_up_closure(pds, members), members)))
 
 
 def sets_of_size(bitmap: int, n: int, k: int) -> Subsets:
@@ -232,19 +238,22 @@ def sets_of_size(bitmap: int, n: int, k: int) -> Subsets:
 
 def lacking_half_mds(n: int, mds: int, sets: int) -> int:
     """The bitmap of the sets in ``sets`` that contain no set of ``mds``
-    of at least half their size. For k = n..0, the sets of size 2k - 1 and
-    2k must be in ``up``, the supersets of the sets of ``mds`` of size at
-    least k; those wait in ``seeds`` until a size is due, so that one
-    up-closure serves every size in between."""
+    of at least half their size. For j = n..0, the j-sets must be in
+    ``up``, the supersets of the sets of ``mds`` of size at least k = ⌈j/2⌉;
+    those wait in ``seeds`` until a size is due, so that one up-closure
+    serves every size in between."""
     members, layers = _members(n), _layers(n)
     up = seeds = bad = 0
-    for k in reversed(range(n + 1)):
-        seeds |= mds & layers[k]
-        due = sets & sum(layers[max(2 * k - 1, 0):2 * k + 1])
+    k = n + 1
+    for j in reversed(range(n + 1)):
+        while k > (j + 1) // 2:
+            k -= 1
+            seeds |= mds & layers[k]
+        due = sets & layers[j]
         if due and seeds:
             up |= _up_closure(seeds, members)
             seeds = 0
-        bad |= due & ~up
+        bad |= due ^ (due & up)
     return bad
 
 
@@ -298,9 +307,9 @@ def _least_of_size(bitmap: int, n: int, k: int) -> tuple[int, ...]:
     for has_v in _members(n):
         if taken == k:
             break
-        if left & has_v:
-            left &= has_v
-            taken += 1
+        kept = left & has_v
+        if kept:
+            left, taken = kept, taken + 1
     return bits_of(left.bit_length() - 1)
 
 

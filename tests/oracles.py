@@ -1,10 +1,13 @@
 """Slow, independent reference implementations used to cross-check the
 library. Everything here works from first principles (set arithmetic and
-itertools over explicit vertex sets) and deliberately shares no code with
-src/pairdom beyond the Graph accessors."""
+itertools over explicit vertex sets, or an integer program) and deliberately
+shares no code with src/pairdom beyond the Graph accessors. The subset-bitmap
+kernels below are the exception by design: they keep the old kernels of
+``pairdom.domination``, so that the new ones can be compared bit for bit."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from pairdom.graph import Graph
@@ -145,12 +148,152 @@ def first_lacking_half_mds(n: int, mds_masks, pds_masks) -> int | None:
     return None
 
 
+# --- the subset-bitmap kernels as they were before shift-then-mask -----------
+# References for the bitmaps of ``pairdom.domination``: the matchable sets
+# grown from vertex n - 1 down, and every shift by ``members`` masked with a
+# complement first. The per-set functions above are the independent oracle;
+# these pin the new kernels to the old ones bit for bit, past n = 7.
+
+
+@functools.lru_cache(maxsize=1)
+def subset_members(n: int) -> tuple[int, ...]:
+    """members[i]: the bitmap of the subsets of {0..n-1} that contain i."""
+    out = []
+    for i in range(n):
+        bitmap, width = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while width < 1 << n:
+            bitmap |= bitmap << width
+            width <<= 1
+        out.append(bitmap)
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=1)
+def subset_layers(n: int) -> tuple[int, ...]:
+    """layers[k]: the bitmap of the subsets of {0..n-1} with k members."""
+    layers = [1] + [0] * n
+    for i in range(n):
+        for k in range(i + 1, 0, -1):
+            layers[k] |= layers[k - 1] << (1 << i)
+    return tuple(layers)
+
+
+def _one_more(bitmap: int, members) -> int:
+    out = 0
+    for i, has_i in enumerate(members):
+        out |= (bitmap & ~has_i) << (1 << i)
+    return out
+
+
+def _up_closure(bitmap: int, members) -> int:
+    for i, has_i in enumerate(members):
+        bitmap |= (bitmap & ~has_i) << (1 << i)
+    return bitmap
+
+
+def _dominating(g: Graph, members) -> int:
+    out = (1 << (1 << g.n)) - 1
+    for v in range(g.n):
+        hit = 0
+        for u in _vertices(g.adj[v] | (1 << v)):
+            hit |= members[u]
+        out &= hit
+    return out
+
+
+def minimal_dominating_bitmap(g: Graph) -> int:
+    members = subset_members(g.n)
+    dominating = _dominating(g, members)
+    return dominating & ~_one_more(dominating, members)
+
+
+def paired_dominating_bitmap(g: Graph) -> int:
+    """A set with least vertex v has a perfect matching iff it is {v, u}
+    plus a matchable set above v without u, u ~ v, u > v."""
+    members = subset_members(g.n)
+    matchable = 1
+    for v in reversed(range(g.n)):
+        above_v = matchable
+        for u in _vertices(g.adj[v] >> (v + 1) << (v + 1)):
+            matchable |= (above_v & ~members[u]) << ((1 << v) | (1 << u))
+    return _dominating(g, members) & matchable
+
+
+def minimal_paired_dominating_bitmap(g: Graph) -> int:
+    pds = paired_dominating_bitmap(g)
+    members = subset_members(g.n)
+    return pds & ~_one_more(_up_closure(pds, members), members)
+
+
+def lacking_half_mds_bitmap(n: int, mds: int, sets: int) -> int:
+    """The sets of ``sets`` that contain no set of ``mds`` of at least half
+    their size, by one up-closure per size k = n..0."""
+    members, layers = subset_members(n), subset_layers(n)
+    up = seeds = bad = 0
+    for k in reversed(range(n + 1)):
+        seeds |= mds & layers[k]
+        due = sets & sum(layers[max(2 * k - 1, 0):2 * k + 1])
+        if due and seeds:
+            up |= _up_closure(seeds, members)
+            seeds = 0
+        bad |= due & ~up
+    return bad
+
+
 def independence_number(g: Graph) -> int:
     best = 0
     for S in _subsets(g.n):
         if all(not g.has_edge(u, v) for u, v in itertools.combinations(S, 2)):
             best = max(best, len(S))
     return best
+
+
+def upper_gamma_milp(g: Graph) -> int:
+    """Γ by an integer program in scipy's ``milp`` (HiGHS), sharing nothing
+    with the subset bitmaps. A dominating set D is minimal iff each v in D
+    has a private neighbour: a w in N[v] whose closed neighbourhood meets D
+    in v alone (w = v when v has no neighbour in D). So Γ is
+
+        max  sum_v x_v
+        s.t. sum_{u in N[w]} x_u >= 1                    for every w
+             sum_{u in N[w]} x_u + deg(w) z_w <= 1 + deg(w)   for every w
+             sum_{w in N[v]} z_w >= x_v                  for every v
+             x, z binary,
+
+    where x_v says v is in D and z_w that N[w] meets D once. The rows say
+    that D dominates, that z_w = 1 only where N[w] meets D at most once, and
+    that each v in D has such a w in N[v], whose one vertex of D is then v.
+    Γ_pr gets no such program: minimality of a paired dominating set is not
+    local, since a proper paired dominating subset need not arise by
+    dropping one vertex or one pair, so no per-vertex witness certifies it."""
+    import numpy as np
+    from scipy.optimize import LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    n = g.n
+    closed = [[v] + [u for u in range(n) if g.has_edge(u, v)] for v in range(n)]
+    rows, cols, vals, low, high = [], [], [], [], []
+
+    def row(terms, lower, upper):
+        for col, val in terms:
+            rows.append(len(low))
+            cols.append(col)
+            vals.append(val)
+        low.append(lower)
+        high.append(upper)
+
+    for w in range(n):
+        degree = len(closed[w]) - 1
+        row([(u, 1) for u in closed[w]], 1, np.inf)
+        row([(u, 1) for u in closed[w]] + [(n + w, degree)], -np.inf, 1 + degree)
+    for v in range(n):
+        row([(v, -1)] + [(n + w, 1) for w in closed[v]], 0, np.inf)
+    matrix = coo_array((vals, (rows, cols)), shape=(len(low), 2 * n))
+    result = milp(c=np.r_[-np.ones(n), np.zeros(n)],
+                  constraints=LinearConstraint(matrix, low, high),
+                  integrality=np.ones(2 * n), bounds=(0, 1))
+    assert result.success, result.message
+    return round(-result.fun)
 
 
 def girth(g: Graph):

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +9,7 @@ import oracles
 from oracles import path_graph, star_graph
 from pairdom import domination
 from pairdom.characterizations import hunt_record
-from pairdom.graph import GraphError, bits_of, build_graph, is_connected
+from pairdom.graph import GraphError, bits_of, build_graph, is_connected, parse_graph6
 from pairdom.families import (
     disjoint_union,
     make_cycle,
@@ -364,6 +366,65 @@ class TestExtremes:
     def test_high_to_low_walk_is_rejected(self, graphs, monkeypatch):
         monkeypatch.setattr(domination, "_least_of_size", least_walking_down)
         assert extremes_mismatches(graphs)
+
+
+UNIONS = [disjoint_union([make_cycle(7)] * 3), disjoint_union([make_cycle(8)] * 3),
+          disjoint_union([make_cycle(5)] * 4)]
+
+
+def old_kernel_mismatches(graphs) -> list:
+    """The graphs on which a minimal dominating, paired dominating or
+    minimal paired dominating bitmap, or ``lacking_half_mds`` on the minimal
+    PDSs and on all PDSs, differs from the old kernels of ``oracles``."""
+    out = []
+    for g in graphs:
+        mds, old_mds = minimal_dominating_masks(g), oracles.minimal_dominating_bitmap(g)
+        got, expect = [mds], [old_mds]
+        if paired_domination_defined(g):
+            pds, mpds = paired_dominating_masks(g), minimal_paired_dominating_masks(g)
+            old_pds = oracles.paired_dominating_bitmap(g)
+            old_mpds = oracles.minimal_paired_dominating_bitmap(g)
+            got += [pds, mpds, domination.lacking_half_mds(g.n, mds, mpds),
+                    domination.lacking_half_mds(g.n, mds, pds)]
+            expect += [old_pds, old_mpds, oracles.lacking_half_mds_bitmap(g.n, old_mds, old_mpds),
+                       oracles.lacking_half_mds_bitmap(g.n, old_mds, old_pds)]
+        if got != expect:
+            out.append(g.edges())
+    return out
+
+
+class TestOldKernels:
+    # The kernels grow the matchable sets from vertex 0 and shift before
+    # they mask; every bitmap must equal the old kernels' bit for bit.
+    def test_every_graph_up_to_7(self, graphs_up_to_7):
+        assert old_kernel_mismatches(graphs_up_to_7) == []
+
+    def test_connected_gnp_16_to_18(self):
+        assert old_kernel_mismatches(connected_gnp(12)) == []
+
+    def test_unions_20_to_24(self):
+        assert old_kernel_mismatches(UNIONS) == []
+
+
+def sparse_pool_sample() -> list:
+    """Every ninth graph of the p = 0.15 cells of the invariants-gnp pool."""
+    with open(Path(__file__).resolve().parents[1] / "perfbench" / "refs"
+              / "invariants-gnp.json") as fh:
+        cells = json.load(fh)["cells"]
+    sparse = [entry["g6"] for cell in cells if cell["p"] == 0.15
+              for entry in cell["graphs"]]
+    return [parse_graph6(text) for text in sparse[::9]]
+
+
+class TestUpperGammaMilp:
+    def test_matches_scan(self):
+        # An oracle past n = 7 that shares nothing with the bitmaps: C24,
+        # P24, K12,12, 12K2 and eight sparse graphs of the gnp pool.
+        k12_12 = build_graph(24, [(i, 12 + j) for i in range(12) for j in range(12)])
+        graphs = [make_cycle(24), path_graph(24), k12_12,
+                  disjoint_union([make_k2()] * 12)] + sparse_pool_sample()
+        assert [oracles.upper_gamma_milp(g) for g in graphs] == [
+            invariants(g).upper_gamma for g in graphs]
 
 
 class TestIndependence:
