@@ -228,7 +228,7 @@ def minimal_paired_dominating_masks(g: Graph) -> Subsets:
     outside ``_one_more`` of the up-closure of all of them."""
     pds = paired_dominating_masks(g)
     members = _members(g.n)
-    return Subsets(pds ^ (pds & _one_more(_up_closure(pds, members), members)))
+    return Subsets(pds & ~_one_more(_up_closure(pds, members), members))
 
 
 def sets_of_size(bitmap: int, n: int, k: int) -> Subsets:
@@ -238,22 +238,19 @@ def sets_of_size(bitmap: int, n: int, k: int) -> Subsets:
 
 def lacking_half_mds(n: int, mds: int, sets: int) -> int:
     """The bitmap of the sets in ``sets`` that contain no set of ``mds``
-    of at least half their size. For j = n..0, the j-sets must be in
-    ``up``, the supersets of the sets of ``mds`` of size at least k = ⌈j/2⌉;
-    those wait in ``seeds`` until a size is due, so that one up-closure
-    serves every size in between."""
+    of at least half their size. For k = n..0, the sets of size 2k - 1 and
+    2k must be in ``up``, the supersets of the sets of ``mds`` of size at
+    least k; those wait in ``seeds`` until a size is due, so that one
+    up-closure serves every size in between."""
     members, layers = _members(n), _layers(n)
     up = seeds = bad = 0
-    k = n + 1
-    for j in reversed(range(n + 1)):
-        while k > (j + 1) // 2:
-            k -= 1
-            seeds |= mds & layers[k]
-        due = sets & layers[j]
+    for k in reversed(range(n + 1)):
+        seeds |= mds & layers[k]
+        due = sets & sum(layers[max(2 * k - 1, 0):2 * k + 1])
         if due and seeds:
             up |= _up_closure(seeds, members)
             seeds = 0
-        bad |= due ^ (due & up)
+        bad |= due & ~up
     return bad
 
 
@@ -307,9 +304,9 @@ def _least_of_size(bitmap: int, n: int, k: int) -> tuple[int, ...]:
     for has_v in _members(n):
         if taken == k:
             break
-        kept = left & has_v
-        if kept:
-            left, taken = kept, taken + 1
+        if left & has_v:
+            left &= has_v
+            taken += 1
     return bits_of(left.bit_length() - 1)
 
 

@@ -50,7 +50,8 @@ def test_bench_files_follow_the_schema():
 
 def test_refuses_equal_sources(tmp_path):
     # A checkout whose working src/ is its HEAD's: nothing to compare, so
-    # the tool exits 2 before any benchmark run and writes no BENCH file.
+    # the tool exits 2 before it builds a tree or runs the benchmark, and
+    # writes no BENCH file.
     (tmp_path / "tools").mkdir()
     shutil.copy2(TOOL, tmp_path / "tools" / "pairs.py")
     shutil.copy2(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
@@ -62,8 +63,8 @@ def test_refuses_equal_sources(tmp_path):
     subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
     subprocess.run(git + ["add", "-A"], cwd=tmp_path, check=True)
     subprocess.run(git + ["commit", "-q", "-m", "base"], cwd=tmp_path, check=True)
-    proc = subprocess.run([sys.executable, "tools/pairs.py", "--base", "HEAD"],
+    proc = subprocess.run([sys.executable, "tools/pairs.py", "--base", "HEAD", "--label", "t"],
                           cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2, proc.stderr
-    assert "hash the same" in proc.stderr and "nothing to compare" in proc.stderr
+    assert "the working src/ is src/ at HEAD; nothing to compare" in proc.stderr
     assert not list(tmp_path.glob("BENCH_*.json"))

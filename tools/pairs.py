@@ -1,27 +1,30 @@
 """Alternating before/after runs of perfbench, written to a BENCH file.
 
-    python3 tools/pairs.py --base <rev> [--label NAME] [--first-seed 1]
+    python3 tools/pairs.py --base <rev> --label NAME
 
 Run from anywhere inside a git checkout of pairdom. Two temporary trees
 each get the working ``perfbench/`` and ``BENCHMARK.json``; the base tree
 gets ``src/`` as of <rev> (``git archive``), the change tree the working
 ``src/``. For each workload of BENCHMARK.json in turn, pair i of ten runs
-``perfbench/run.py --seed <first-seed + i> --trace 0`` for the benchmark's
+``perfbench/run.py --seed <first seed + i> --trace 0`` for the benchmark's
 ``run_seconds`` in both trees, the base first in odd pairs and the change
-first in even ones, so that neither side always runs on a warmer box. Pick
-a first seed that no run made while writing the change used. ``BENCH_<label>.json`` at the root of the checkout holds both ``src/``
-hashes, every pair's end-to-end metrics, their medians, quartiles and wins,
-and the claim rule's verdict on each: the change is better in at least nine
-pairs of ten, and its median is better than the base median by more than
-the base's interquartile range. The tool refuses to run when the two
-``src/`` trees hash the same, since nothing would be compared.
+first in even ones, so that neither side always runs on a warmer box. The
+first seed is drawn from the hash of ``git diff <rev> -- src``, so each
+change gets its own seeds and the same change the same ones.
+``BENCH_<label>.json`` at the root of the checkout holds the
+``source_sha256`` each side's runs report, every pair's end-to-end
+metrics, their medians, quartiles and wins, and the claim rule's verdict on
+each: the change is better in at least nine pairs of ten, and its median
+is better than the base median by more than the base's interquartile
+range. The tool refuses to run when the working ``src/`` has no change
+against <rev>, since nothing would be compared, and stops when a side's
+runs report more than one hash or both sides the same one.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import os
 import platform
@@ -30,7 +33,6 @@ import shutil
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
@@ -43,16 +45,6 @@ WINS = 9
 
 class PairsError(Exception):
     """A tree could not be built or a run gave no result."""
-
-
-def src_sha256(tree: Path) -> str:
-    """The hash perfbench/run.py reports as ``source_sha256``: every .py
-    file under src/, in path order, as its relative path and its bytes."""
-    digest = hashlib.sha256()
-    for path in sorted((tree / "src").rglob("*.py")):
-        digest.update(path.relative_to(tree).as_posix().encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()
 
 
 def git(*args) -> bytes:
@@ -70,8 +62,10 @@ def build_trees(rev: str, top: Path) -> dict:
     for tree in trees.values():
         shutil.copytree(ROOT / "perfbench", tree / "perfbench", ignore=skip)
         shutil.copy2(ROOT / "BENCHMARK.json", tree / "BENCHMARK.json")
-    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev, "src"))) as tar:
-        tar.extractall(trees["base"], filter="data")
+    proc = subprocess.run(["tar", "-x", "-C", str(trees["base"])],
+                          input=git("archive", "--format=tar", rev, "src"), capture_output=True)
+    if proc.returncode:
+        raise PairsError(f"tar: {proc.stderr.decode().strip()}")
     shutil.copytree(ROOT / "src", trees["change"] / "src", ignore=skip)
     return trees
 
@@ -122,11 +116,14 @@ def measure(trees: dict, workload: str, first_seed: int, seconds: float,
         pair = {"seed": seed, "first": order[0]}
         for side in order:
             got = run_once(trees[side], workload, seed, seconds, metrics)
-            if got.pop("source_sha256") != hashes[side]:
-                raise PairsError(f"{side} tree reported another src/ hash")
+            reported = got.pop("source_sha256")
+            if hashes.setdefault(side, reported) != reported:
+                raise PairsError(f"{side} runs reported two src/ hashes")
             pair[side] = got
             print(f"pairs: {workload} seed {seed} {side} "
                   + " ".join(f"{k}={got[k]:.4f}" for k in metrics), file=sys.stderr)
+        if hashes["base"] == hashes["change"]:
+            raise PairsError("both sides reported one src/ hash")
         pairs.append(pair)
     return {"pairs": pairs,
             "metrics": {name: summarize(pairs, name, better)
@@ -136,10 +133,9 @@ def measure(trees: dict, workload: str, first_seed: int, seconds: float,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision of the base src/")
-    parser.add_argument("--label", help="names BENCH_<label>.json (default: vs-<rev>)")
-    parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
     args = parser.parse_args(argv)
-    if args.label is not None and not re.fullmatch(r"[\w.-]+", args.label):
+    if not re.fullmatch(r"[\w.-]+", args.label):
         parser.error("--label takes letters, digits, '.', '_' and '-'")
     with open(ROOT / "BENCHMARK.json") as fh:
         bench = json.load(fh)
@@ -147,27 +143,28 @@ def main(argv=None) -> int:
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     try:
         rev = git("rev-parse", "--verify", f"{args.base}^{{commit}}").decode().strip()
+        change = git("diff", "--binary", rev, "--", "src")
+        if not change:
+            print(f"pairs: the working src/ is src/ at {args.base}; nothing to compare",
+                  file=sys.stderr)
+            return 2
+        first_seed = 1 + int.from_bytes(hashlib.sha256(change).digest()[:3], "big")
+        hashes = {}
         with tempfile.TemporaryDirectory(prefix="pairs-") as top:
             trees = build_trees(rev, Path(top))
-            hashes = {side: src_sha256(tree) for side, tree in trees.items()}
-            if hashes["base"] == hashes["change"]:
-                print(f"pairs: src/ at {args.base} and the working src/ hash the same "
-                      f"({hashes['base'][:12]}); nothing to compare", file=sys.stderr)
-                return 2
-            results = {w["name"]: measure(trees, w["name"], args.first_seed, seconds,
+            results = {w["name"]: measure(trees, w["name"], first_seed, seconds,
                                           metrics, hashes) for w in bench["workloads"]}
     except PairsError as exc:
         print(f"pairs: {exc}", file=sys.stderr)
         return 1
-    label = args.label or f"vs-{rev[:7]}"
     report = {
-        "label": label, "base_rev": rev, "src_sha256": hashes,
+        "label": args.label, "base_rev": rev, "src_sha256": hashes,
         "python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
-        "pairs": PAIRS, "seconds": seconds, "first_seed": args.first_seed,
+        "pairs": PAIRS, "seconds": seconds, "first_seed": first_seed,
         "rule": f"wins >= {WINS} of {PAIRS} and median gap > base interquartile range",
         "workloads": results,
     }
-    path = ROOT / f"BENCH_{label}.json"
+    path = ROOT / f"BENCH_{args.label}.json"
     with open(path, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
