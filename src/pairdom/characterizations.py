@@ -74,7 +74,6 @@ class Facts:
 
     def __init__(self, g: Graph):
         self.g = g
-        self._matchings_cache: dict[int, list] = {}
 
     @cached_property
     def graph6(self) -> str:
@@ -169,11 +168,7 @@ class Facts:
         return r.upper_gamma_pr == 2 * r.upper_gamma
 
     def matchings(self, mask: int):
-        got = self._matchings_cache.get(mask)
-        if got is None:
-            got = all_perfect_matchings(self.g, mask)
-            self._matchings_cache[mask] = got
-        return got
+        return all_perfect_matchings(self.g, mask)
 
 
 # --- the check row and its shared hypotheses ---------------------------------

@@ -37,7 +37,8 @@ C = P + w(M) and an old vertex v, with M_v = M - v,
 
 since C - v is P - v plus w joined to M_v, and P - v differs from P only
 in that each neighbour of v has one degree less and each two neighbours of
-v one common neighbour less (``_tables`` gives both tables). The values
+v one common neighbour less. ``_tables`` fills both dicts in one pass,
+each member from the member without its top vertex. The values
 I(P - v) are those I(C - v) a parent was kept with, so each candidate
 costs two table lookups per old vertex.
 
@@ -54,8 +55,7 @@ each class still wins.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import repeat
+from itertools import groupby, repeat
 
 from .graph import MAX_VERTICES, Graph, bits_of, components, girth
 
@@ -215,9 +215,9 @@ _SQUARE_BIT = _TRIANGLE_BIT << 24
 
 
 def _tables(adj, family):
-    """``(grow, shrink)`` of the parent with rows ``adj``, each indexed by the
-    members of ``family``: a range from 0, or an increasing list that holds
-    every subset of each member. With d_u the degree of u and CB _COUNT_BIT,
+    """``(grow, shrink)`` of the parent with rows ``adj``, dicts keyed by the
+    members of ``family``, an increasing sequence from 0 that holds every
+    subset of each member. With d_u the degree of u and CB _COUNT_BIT,
 
     grow[X] = CB[|X|] + sum over u in X of (CB[d_u + 1] - CB[d_u])
               + _TRIANGLE_BIT * e(X)
@@ -225,35 +225,26 @@ def _tables(adj, family):
     shrink[X] = sum over u in X of (CB[d_u + 1] - 2 CB[d_u] + CB[d_u - 1])
                 + _SQUARE_BIT * C(|X|, 2).
 
-    A member X with top vertex v is Y + v, Y a member below 2^v, so the
-    entries are filled one top vertex at a time, each from the entry of Y
-    by one addition. The terms of v with Y in grow come from ``lin``,
-    filled the same way over the members below 2^v; the size terms are
-    added last."""
-    n = len(adj)
-    deg = [row.bit_count() for row in adj]
-    pos = family if type(family) is range else {x: i for i, x in enumerate(family)}
-    starts = [bisect_left(family, 1 << v) for v in range(n)] + [len(family)]
-    below = [[pos[x ^ 1 << v] for x in family[starts[v]:starts[v + 1]]]
-             for v in range(n)]  # below[v]: the places of the Ys of top vertex v
-    grow = [0]
-    shrink = [0]
-    for v in range(n):
-        d = deg[v]
-        lin = [_COUNT_BIT[d + 1] - _COUNT_BIT[d]]
-        for b in range(v):
-            c = (_TRIANGLE_BIT * (adj[v] >> b & 1)
-                 + _SQUARE_BIT * (adj[v] & adj[b]).bit_count())
-            lin += [x + c for x in map(lin.__getitem__, below[b])]
-        grow += [grow[i] + lin[i] for i in below[v]]
-        s = _COUNT_BIT[d + 1] - 2 * _COUNT_BIT[d] + (_COUNT_BIT[d - 1] if d else 0)
-        shrink += [shrink[i] + s for i in below[v]]
-    pairs = [_SQUARE_BIT * (c * (c - 1) // 2) for c in range(n + 1)]
-    grow = [x + _COUNT_BIT[m.bit_count()] for x, m in zip(grow, family)]
-    shrink = [x + pairs[m.bit_count()] for x, m in zip(shrink, family)]
-    if type(family) is range:
-        return grow, shrink
-    return dict(zip(family, grow)), dict(zip(family, shrink))
+    A member X with top vertex v is the earlier member Y = X - v plus the
+    terms v adds: its degree step and bend, one size step, |Y| more pairs
+    in shrink, and in grow its edge and common-neighbour counts with each
+    vertex of Y."""
+    grow = {0: _COUNT_BIT[0]}
+    shrink = {0: 0}
+    for top, members in groupby(family[1:], int.bit_length):
+        v = top - 1
+        d = adj[v].bit_count()
+        step = _COUNT_BIT[d + 1] - _COUNT_BIT[d]
+        bend = step - _COUNT_BIT[d] + (_COUNT_BIT[d - 1] if d else 0)
+        with_v = [_TRIANGLE_BIT * (adj[v] >> b & 1) + _SQUARE_BIT * (adj[v] & row).bit_count()
+                  for b, row in enumerate(adj[:v])].__getitem__
+        for x in members:
+            y = x ^ 1 << v
+            k = y.bit_count()
+            grow[x] = (grow[y] + step + _COUNT_BIT[k + 1] - _COUNT_BIT[k]
+                       + sum(map(with_v, bits_of(y))))
+            shrink[x] = shrink[y] + bend + _SQUARE_BIT * k
+    return grow, shrink
 
 
 def _child_rows(adj, mask: int, bit: int) -> list[int]:

@@ -74,6 +74,57 @@ def is_minimal_paired_dominating(g: Graph, S) -> bool:
     return True
 
 
+# The per-matching lemmas as pair conditions on a set P whose G[P] has a
+# perfect matching: each holds iff the lemma fails for some perfect
+# matching of G[P]. An edge uv of G[P] lies in one iff G[P - u - v] has one.
+
+
+def _matched_edges(g: Graph, P) -> list[tuple[int, int]]:
+    P = set(P)
+    return [(u, v) for u, v in itertools.combinations(sorted(P), 2)
+            if g.has_edge(u, v) and has_perfect_matching(g, P - {u, v})]
+
+
+def pair_without_leaf(g: Graph, P) -> bool:
+    """pair-has-leaf fails: some matched edge has both ends of degree >= 2
+    in G[P]."""
+    def inner_degree(x):
+        return sum(g.has_edge(x, y) for y in P)
+
+    return any(inner_degree(u) >= 2 and inner_degree(v) >= 2
+               for u, v in _matched_edges(g, P))
+
+
+def pair_with_two_outside_contacts(g: Graph, P) -> bool:
+    """pair-one-outside-contact fails: some matched edge has both ends
+    adjacent outside P."""
+    outside = set(range(g.n)) - set(P)
+
+    def contact(x):
+        return any(g.has_edge(x, y) for y in outside)
+
+    return any(contact(u) and contact(v) for u, v in _matched_edges(g, P))
+
+
+def outside_partners_apart(g: Graph, P) -> bool:
+    """outside-partners-adjacent fails: some x outside P has other than two
+    neighbours in P, or has two, a and b, with a' in N_P(a) and b' in N_P(b)
+    such that {a, a'} and {b, b'} are disjoint edges, G[P - {a, a', b, b'}]
+    has a perfect matching, and a' is not adjacent to b'."""
+    P = set(P)
+    for x in set(range(g.n)) - P:
+        seen = [y for y in P if g.has_edge(x, y)]
+        if len(seen) != 2:
+            return True
+        a, b = seen
+        for a2, b2 in itertools.product(P, repeat=2):
+            if (len({a, a2, b, b2}) == 4 and g.has_edge(a, a2) and g.has_edge(b, b2)
+                    and not g.has_edge(a2, b2)
+                    and has_perfect_matching(g, P - {a, a2, b, b2})):
+                return True
+    return False
+
+
 def _subsets(n: int):
     for r in range(n + 1):
         yield from itertools.combinations(range(n), r)

@@ -348,6 +348,37 @@ class TestStructuralChecks:
             if any(v.status == "holds" for v in verdicts):
                 assert Facts(g).equality is True
 
+    def test_pair_conditions_match_enumeration(self, graphs_up_to_7):
+        # On every PDS P of every graph with n <= 7, each per-matching
+        # lemma fails for some perfect matching of G[P] iff its pair
+        # condition in the oracles holds, and each sees both verdicts. The
+        # PDSs that are not minimal are needed: on the minimal ones with
+        # n <= 7, no verdict of outside-partners-adjacent turns on whether
+        # G[P - {a, a', b, b'}] has a perfect matching.
+        conditions = (
+            (characterizations._pair_without_leaf, oracles.pair_without_leaf),
+            (characterizations._pair_with_two_outside_contacts,
+             oracles.pair_with_two_outside_contacts),
+            (characterizations._outside_partners_apart, oracles.outside_partners_apart),
+        )
+        sets = 0
+        fails = collections.Counter()
+        for g in graphs_up_to_7:
+            if not domination.paired_domination_defined(g):
+                continue
+            for pmask in domination.paired_dominating_masks(g):
+                sets += 1
+                outside = g.full_mask & ~pmask
+                matchings = all_perfect_matchings(g, pmask)
+                P = [v for v in range(g.n) if pmask >> v & 1]
+                for lemma, condition in conditions:
+                    enumerated = any(lemma(g, pmask, outside, m) is not None
+                                     for m in matchings)
+                    assert condition(g, P) == enumerated, (
+                        encode_graph6(g), P, lemma.__name__)
+                    fails[lemma] += enumerated
+        assert all(0 < fails[lemma] < sets for lemma, _ in conditions), (sets, fails)
+
 
 # Equality graphs with 22 <= n <= 24 whose components are triangle-free
 # cacti, so every structural lemma applies, on a maximum minimal PDS of

@@ -376,7 +376,9 @@ class TestDeletionRule:
         assert refined == kept
         assert skipped > len(kept)
 
-    @pytest.mark.parametrize("n, predicate", [(7, None), (8, triangle_free)])
+    @pytest.mark.parametrize("n, predicate",
+                             [(7, None), (8, triangle_free),
+                              pytest.param(8, girth_at_least(5), id="8-girth5")])
     def test_tables_match_counts_from_scratch(self, n, predicate):
         # For every candidate C = P + w(M) up to order n, I(C) and each
         # I(C - v) from the parent's tables equal the counts from scratch.

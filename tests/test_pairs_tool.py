@@ -39,7 +39,8 @@ def test_bench_files_follow_the_schema():
                 report["first_seed"] + i for i in range(len(runs))]
             assert [p["first"] for p in runs] == [
                 ("base", "change")[i % 2] for i in range(len(runs))]
-            for p in runs:
+            # Files written before the warm-up runs have no warmup key.
+            for p in runs + ([found["warmup"]] if "warmup" in found else []):
                 for side in ("base", "change"):
                     assert p[side]["correct"] is True
                     assert set(p[side]) == set(metrics) | {"correct"}
@@ -68,3 +69,31 @@ def test_refuses_equal_sources(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "the working src/ is src/ at HEAD; nothing to compare" in proc.stderr
     assert not list(tmp_path.glob("BENCH_*.json"))
+
+
+def test_warmup_runs_come_first_and_are_left_out(monkeypatch):
+    # Each workload starts with one discarded run in each tree, base
+    # first, before pair 0; the summaries read the pairs alone.
+    calls = []
+
+    def run_once(tree, workload, seed, seconds, names):
+        calls.append((tree, workload, seed))
+        value = 100.0 if len(calls) <= 2 else float(len(calls))
+        return {**{name: value for name in names}, "correct": True,
+                "source_sha256": tree}
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    trees = {side: side for side in pairs.SIDES}
+    metrics = {"wall_s": "lower"}
+    for workload, first_seed in (("w1", 7), ("w2", 20)):
+        calls.clear()
+        found = pairs.measure(trees, workload, first_seed, 1.0, metrics, {})
+        assert calls[:2] == [("base", workload, first_seed), ("change", workload, first_seed)]
+        assert len(calls) == 2 + 2 * pairs.PAIRS
+        assert found["warmup"] == {"seed": first_seed, "first": "base",
+                                   "base": {"wall_s": 100.0, "correct": True},
+                                   "change": {"wall_s": 100.0, "correct": True}}
+        assert [p["seed"] for p in found["pairs"]] == [
+            first_seed + i for i in range(pairs.PAIRS)]
+        assert found["metrics"] == {"wall_s": pairs.summarize(found["pairs"], "wall_s", "lower")}
+        assert found["metrics"]["wall_s"]["base"]["q3"] < 100.0

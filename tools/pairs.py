@@ -8,7 +8,10 @@ gets ``src/`` as of <rev> (``git archive``), the change tree the working
 ``src/``. For each workload of BENCHMARK.json in turn, pair i of ten runs
 ``perfbench/run.py --seed <first seed + i> --trace 0`` for the benchmark's
 ``run_seconds`` in both trees, the base first in odd pairs and the change
-first in even ones, so that neither side always runs on a warmer box. The
+first in even ones, so that neither side always runs on a warmer box.
+Before pair 0, one warm-up run in each tree (base first, on the first
+seed) is recorded under the workload's ``warmup`` key and left out of
+every summary, since the first run of a set reads high. The
 first seed is drawn from the hash of ``git diff <rev> -- src``, so each
 change gets its own seeds and the same change the same ones.
 ``BENCH_<label>.json`` at the root of the checkout holds the
@@ -107,25 +110,32 @@ def summarize(pairs: list, name: str, better: str) -> dict:
             "claim_holds": wins >= WINS and gap > iqr}
 
 
+def run_pair(trees: dict, workload: str, seed: int, order, seconds: float,
+             metrics: dict, hashes: dict) -> dict:
+    """One run of workload in each tree, in the given order of sides."""
+    pair = {"seed": seed, "first": order[0]}
+    for side in order:
+        got = run_once(trees[side], workload, seed, seconds, metrics)
+        reported = got.pop("source_sha256")
+        if hashes.setdefault(side, reported) != reported:
+            raise PairsError(f"{side} runs reported two src/ hashes")
+        pair[side] = got
+        print(f"pairs: {workload} seed {seed} {side} "
+              + " ".join(f"{k}={got[k]:.4f}" for k in metrics), file=sys.stderr)
+    if hashes["base"] == hashes["change"]:
+        raise PairsError("both sides reported one src/ hash")
+    return pair
+
+
 def measure(trees: dict, workload: str, first_seed: int, seconds: float,
             metrics: dict, hashes: dict) -> dict:
-    pairs = []
-    for i in range(PAIRS):
-        seed = first_seed + i
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            got = run_once(trees[side], workload, seed, seconds, metrics)
-            reported = got.pop("source_sha256")
-            if hashes.setdefault(side, reported) != reported:
-                raise PairsError(f"{side} runs reported two src/ hashes")
-            pair[side] = got
-            print(f"pairs: {workload} seed {seed} {side} "
-                  + " ".join(f"{k}={got[k]:.4f}" for k in metrics), file=sys.stderr)
-        if hashes["base"] == hashes["change"]:
-            raise PairsError("both sides reported one src/ hash")
-        pairs.append(pair)
-    return {"pairs": pairs,
+    """The pairs of one workload and their summaries, after a warm-up run
+    in each tree that no summary reads: the first run of a set reads
+    high."""
+    warmup = run_pair(trees, workload, first_seed, SIDES, seconds, metrics, hashes)
+    pairs = [run_pair(trees, workload, first_seed + i, SIDES if i % 2 == 0 else SIDES[::-1],
+                      seconds, metrics, hashes) for i in range(PAIRS)]
+    return {"warmup": warmup, "pairs": pairs,
             "metrics": {name: summarize(pairs, name, better)
                         for name, better in metrics.items()}}
 
