@@ -3,18 +3,18 @@
 A vertex subset is a bitset S. The whole-graph scans hold one property of
 all 2^n subsets in a *subset bitmap*, an int whose bit S is set iff S has
 the property. ``_members(n)[i]`` is the bitmap of the subsets containing
-i and ``_layers(n)[k]`` that of the k-subsets; ORs and ANDs of these
-combine conditions, and ``(x << 2^i) & members[i]`` maps each subset in x
-without i to itself plus i (adding 2^i to a subset with i carries out of
-bit i, so the AND drops it), so a scan is O(n + m) big-int operations. The
-scans return ``Subsets``, which list their sets only when iterated. γ and
-Γ are the least and largest k with ``bitmap & layers[k]``, and the
-lexicographically least k-set is what ANDing the layer with
-``members[v]``, v = 0..n-1, leaves where that keeps a set. Every exact scan,
-the paired ones and the independence branching included, refuses a graph
-past the one guard ``DOMINATION_GUARD`` before it starts. The per-set
-predicates (``is_dominating`` and the like) share nothing with the
-bitmaps: they are the cross-check.
+i and ``_layers(n)[k]`` that of the k-subsets. ``s |= s << 2^u`` adds u to
+every set of s, so the subsets of V - N[v], the sets that miss N[v], are a
+product; ``(x << 2^i) & members[i]`` adds i to the sets of x without it
+(adding 2^i to a set with i carries out of bit i, so the AND drops it). A
+scan is O(n + m) such passes over 2^n bits and returns ``Subsets``, which
+list their sets only when iterated. γ and Γ are the least and largest k
+with ``bitmap & layers[k]``, and the lexicographically least k-set is what
+ANDing the layer with ``members[v]``, v = 0..n-1, leaves where that keeps
+a set. Every exact scan, the paired ones and the independence branching
+included, refuses a graph past the one guard ``DOMINATION_GUARD`` before
+it starts. The per-set predicates (``is_dominating`` and the like) share
+nothing with the bitmaps: they are the cross-check.
 """
 
 from __future__ import annotations
@@ -31,16 +31,15 @@ from .matching import perfect_matching_tester
 # one process per graph, the least of three runs: the time of invariants,
 # then of a following run_checks(g, ALL_CHECK_IDS), which scans again, and
 # the peak RSS (ru_maxrss) of both. No check is skipped on any of them.
-#   K24          0.5 s  0.3 s  156 MB      C24       0.4 s  0.5 s  167 MB
-#   K12,12       0.4 s  0.3 s  147 MB      P24       0.4 s  0.4 s  164 MB
-#   11K2         0.1 s  0.1 s   55 MB      12K2      0.4 s  0.4 s  179 MB
-#   7K2 + 2C5    0.4 s  0.4 s  175 MB      2K2 + 4C5 0.3 s  0.4 s  175 MB
-#   ten connected G(24, p), p = 0.15-0.69:  at most 0.5 s  0.5 s  166 MB
-# _members(24) and _layers(24) are 98 MB of that, and touching them first
-# is about 25,000 of the 50,000-70,000 minor page faults invariants takes
-# on each graph. Most of the rest are glibc's: it maps and unmaps each 2 MB
-# temporary on its own, and with MALLOC_MMAP_THRESHOLD_ and
-# MALLOC_TRIM_THRESHOLD_ set to 64 MB and 1 GB, C24 takes 31,000 and 0.3 s.
+#   K24         0.22 s  0.20 s  139 MB     C24        0.22 s  0.25 s  150 MB
+#   K12,12      0.23 s  0.21 s  140 MB     P24        0.26 s  0.28 s  151 MB
+#   11K2        0.05 s  0.05 s   46 MB     12K2       0.26 s  0.25 s  149 MB
+#   7K2 + 2C5   0.26 s  0.24 s  154 MB     2K2 + 4C5  0.27 s  0.28 s  155 MB
+#   ten connected G(24, p), p = 0.15-0.69:  at most 0.25 s  0.31 s  155 MB
+# _members(24) and _layers(24) are 98 MB of that, and their first touch
+# 25,000 of the 50,000-70,000 minor faults of invariants; glibc maps each
+# 2 MB temporary anew, and with MALLOC_MMAP_THRESHOLD_ and
+# MALLOC_TRIM_THRESHOLD_ at 64 MB and 1 GB C24 takes 35,000 and 0.2 s.
 DOMINATION_GUARD = 24
 
 
@@ -158,23 +157,37 @@ def _up_closure(bitmap: int, members) -> int:
     return bitmap
 
 
+# _LOW_SUBSETS[m]: the subset bitmap of the subsets of the 8-bit set m.
+_LOW_SUBSETS = [1]
+for _i in range(8):
+    _LOW_SUBSETS += [s | s << (1 << _i) for s in _LOW_SUBSETS]
+
+
 @lru_cache(maxsize=1)
 def _dominating(g: Graph) -> int:
-    """Bitmap of the dominating sets: for every v, some u in N[v] is in S.
-    Kept for the last graph, so that both scans of ``invariants`` read it."""
-    members = _members(g.n)
-    out = (1 << (1 << g.n)) - 1
+    """Bitmap of the dominating sets: all but the subsets of some V - N[v],
+    each built below the top vertex t from the table entry of its low 8
+    vertices; those of a V - N[v] with t are also kept in ``with_top``, which
+    one last shift adds t to. Kept for the last graph, so that both scans of
+    ``invariants`` read it."""
+    missed = with_top = 0
     for closed in closed_neighborhoods(g):
-        hit = 0
-        for u in bits_of(closed):
-            hit |= members[u]
-        out &= hit
-    return out
+        low = ~closed & g.full_mask >> 1
+        subsets = _LOW_SUBSETS[low & 255]
+        for u in bits_of(low >> 8):
+            subsets |= subsets << (256 << u)
+        missed |= subsets
+        if not closed >> (g.n - 1):
+            with_top |= subsets
+    return ((1 << (1 << g.n)) - 1) ^ (missed | with_top << ((1 << g.n) >> 1))
 
 
 def _masks(bitmap: int) -> list[int]:
-    """The set bits of a bitmap, in increasing order."""
-    return [m.start() for m in re.finditer("1", format(bitmap, "b")[::-1])]
+    """The set bits of a bitmap, in increasing order, read off one string of
+    its 2^n digits: at n = 24 that string sets the checks' peak memory."""
+    digits = bin(bitmap)
+    top = len(digits) - 1
+    return [top - m.start() for m in re.finditer("1", digits)][::-1]
 
 
 class Subsets(int):
@@ -224,11 +237,16 @@ def paired_dominating_masks(g: Graph) -> Subsets:
 
 
 def minimal_paired_dominating_masks(g: Graph) -> Subsets:
-    """Bitmap of the PDSs with no paired dominating proper subset: those
-    outside ``_one_more`` of the up-closure of all of them."""
-    pds = paired_dominating_masks(g)
-    members = _members(g.n)
-    return Subsets(pds & ~_one_more(_up_closure(pds, members), members))
+    """Bitmap of the PDSs with no paired dominating proper subset. Step i
+    of the up-closure grows S from an S - i in ``up``, so S strictly holds
+    a PDS, and grows each S strictly above a PDS T at i = max(S - T); the
+    sets of ``up`` never grown, outside ``strict``, are the minimal PDSs."""
+    up, strict = paired_dominating_masks(g), 0
+    for i, has_i in enumerate(_members(g.n)):
+        grown = (up << (1 << i)) & has_i
+        up |= grown
+        strict |= grown
+    return Subsets(up ^ strict)
 
 
 def sets_of_size(bitmap: int, n: int, k: int) -> Subsets:
@@ -304,18 +322,21 @@ def _least_of_size(bitmap: int, n: int, k: int) -> tuple[int, ...]:
     for has_v in _members(n):
         if taken == k:
             break
-        if left & has_v:
-            left &= has_v
+        kept = left & has_v
+        if kept:
+            left = kept
             taken += 1
     return bits_of(left.bit_length() - 1)
 
 
-def _size_extremes(bitmap: int, n: int) -> tuple[int, int, tuple, tuple]:
+def _size_extremes(bitmap: int, n: int, step: int = 1) -> tuple[int, int, tuple, tuple]:
     """The least and the largest size of a set in a non-empty subset bitmap,
-    and the lexicographically least set of each of the two sizes."""
-    layers = _layers(n)
-    low = next(k for k in range(n + 1) if bitmap & layers[k])
-    high = next(k for k in reversed(range(n + 1)) if bitmap & layers[k])
+    and the lexicographically least set of each of the two sizes, among the
+    multiples of ``step``. ``invariants`` passes 2 for the minimal PDSs: a
+    PDS is the disjoint pairs of a perfect matching, so its size is even."""
+    layers, sizes = _layers(n), range(0, n + 1, step)
+    low = next(k for k in sizes if bitmap & layers[k])
+    high = next(k for k in reversed(sizes) if bitmap & layers[k])
     return low, high, _least_of_size(bitmap, n, low), _least_of_size(bitmap, n, high)
 
 
@@ -330,6 +351,6 @@ def invariants(g: Graph) -> InvariantReport:
     if paired_domination_defined(g):
         mpds = minimal_paired_dominating_masks(g)
         (gamma_pr, upper_gamma_pr, witnesses["gamma_pr"],
-         witnesses["upper_gamma_pr"]) = _size_extremes(mpds, g.n)
+         witnesses["upper_gamma_pr"]) = _size_extremes(mpds, g.n, 2)
     return InvariantReport(gamma, upper_gamma, gamma_pr, upper_gamma_pr, witnesses,
                            mds, mpds)

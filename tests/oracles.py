@@ -201,9 +201,11 @@ def first_lacking_half_mds(n: int, mds_masks, pds_masks) -> int | None:
 
 # --- the subset-bitmap kernels as they were before shift-then-mask -----------
 # References for the bitmaps of ``pairdom.domination``: the matchable sets
-# grown from vertex n - 1 down, and every shift by ``members`` masked with a
-# complement first. The per-set functions above are the independent oracle;
-# these pin the new kernels to the old ones bit for bit, past n = 7.
+# grown from vertex n - 1 down, every shift by ``members`` masked with a
+# complement first, the dominating sets as an AND over v of the members of
+# N[v], and the minimal PDSs as the PDSs outside ``_one_more`` of their
+# up-closure. The per-set functions above are the independent oracle; these
+# pin the new kernels to the old ones bit for bit, past n = 7.
 
 
 @functools.lru_cache(maxsize=1)

@@ -363,6 +363,15 @@ class TestExtremes:
         # member walk equal the list rule's.
         assert extremes_mismatches(graphs) == []
 
+    def test_minimal_pds_sizes_are_even(self, graphs):
+        # A PDS is covered by the pairs of a perfect matching, so the
+        # minimal-PDS bitmap meets no odd layer: the premise of scanning
+        # only the even ones for γ_pr and Γ_pr.
+        for g in graphs:
+            if paired_domination_defined(g):
+                mpds = minimal_paired_dominating_masks(g)
+                assert mpds and not mpds & sum(domination._layers(g.n)[1::2]), g.edges()
+
     def test_high_to_low_walk_is_rejected(self, graphs, monkeypatch):
         monkeypatch.setattr(domination, "_least_of_size", least_walking_down)
         assert extremes_mismatches(graphs)
@@ -370,6 +379,28 @@ class TestExtremes:
 
 UNIONS = [disjoint_union([make_cycle(7)] * 3), disjoint_union([make_cycle(8)] * 3),
           disjoint_union([make_cycle(5)] * 4)]
+
+
+def one_connected_gnp(n: int, p: float, seed: int):
+    """A seeded connected G(n, p)."""
+    rng = random.Random(seed)
+    while True:
+        g = build_graph(n, [e for e in itertools.combinations(range(n), 2)
+                            if rng.random() < p])
+        if is_connected(g):
+            return g
+
+
+# Dense graphs: N[v] is large and V - N[v] small, the opposite of the sparse
+# graphs above, so each subset product is short where the OR over N[v] of
+# the old kernel was long.
+DENSE = {
+    "K16": build_graph(16, list(itertools.combinations(range(16), 2))),
+    "K8,8": build_graph(16, [(i, 8 + j) for i in range(8) for j in range(8)]),
+    "co-C18": build_graph(18, [(i, j) for i, j in itertools.combinations(range(18), 2)
+                               if j - i not in (1, 17)]),
+    "G(20,0.5)": one_connected_gnp(20, 0.5, 20),
+}
 
 
 def old_kernel_mismatches(graphs) -> list:
@@ -404,6 +435,10 @@ class TestOldKernels:
 
     def test_unions_20_to_24(self):
         assert old_kernel_mismatches(UNIONS) == []
+
+    @pytest.mark.parametrize("name", DENSE)
+    def test_dense_graphs(self, name):
+        assert old_kernel_mismatches([DENSE[name]]) == []
 
 
 def sparse_pool_sample() -> list:
