@@ -259,16 +259,18 @@ def lacking_half_mds(n: int, mds: int, sets: int) -> int:
     of at least half their size. For k = n..0, the sets of size 2k - 1 and
     2k must be in ``up``, the supersets of the sets of ``mds`` of size at
     least k; those wait in ``seeds`` until a size is due, so that one
-    up-closure serves every size in between."""
-    members, layers = _members(n), _layers(n)
+    up-closure serves every size in between. A k whose two sizes ``sets``
+    lacks costs three ANDs and no closure. The n zeros after the layers
+    stand for the sizes past n and for size -1 (n = 0 reads layer 0 twice)."""
+    members, layers = _members(n), _layers(n) + (0,) * n
     up = seeds = bad = 0
     for k in reversed(range(n + 1)):
         seeds |= mds & layers[k]
-        due = sets & sum(layers[max(2 * k - 1, 0):2 * k + 1])
+        due = sets & layers[2 * k] | sets & layers[2 * k - 1]
         if due and seeds:
             up |= _up_closure(seeds, members)
             seeds = 0
-        bad |= due & ~up
+        bad |= due ^ (due & up)
     return bad
 
 

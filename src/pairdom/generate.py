@@ -11,9 +11,9 @@ one orbit give isomorphic children). Each such child is refined once
 final refinement signatures, and kept unless exact backtracking maps it
 onto an earlier representative in its bucket, so the first candidate of
 each class wins in (parent, mask) order. The same backtracking routine,
-with a pinned prefix, finds the generators of Aut(P). A hereditary
-predicate prunes each level, so restricted streams such as triangle-free
-graphs never materialize the unrestricted universe.
+with a pinned prefix, finds the generators of Aut(P) in one search order.
+A hereditary predicate prunes each level, so restricted streams such as
+triangle-free graphs never materialize the unrestricted universe.
 A predicate with a ``masks(parent_adj)`` form, such as ``triangle_free``
 and ``girth_at_least(k)``, proposes the neighbourhoods its children may
 have, so only those are walked and a ``Graph`` is built only when kept.
@@ -38,9 +38,10 @@ C = P + w(M) and an old vertex v, with M_v = M - v,
 since C - v is P - v plus w joined to M_v, and P - v differs from P only
 in that each neighbour of v has one degree less and each two neighbours of
 v one common neighbour less. ``_tables`` fills both dicts in one pass,
-each member from the member without its top vertex. The values
-I(P - v) are those I(C - v) a parent was kept with, so each candidate
-costs two table lookups per old vertex.
+each member from the member without its top vertex. The values I(P - v)
+are those I(C - v) a parent was kept with, so a candidate costs at most
+two table lookups per old vertex: the test walks them in order and stops
+at the first deletion that shows an earlier parent.
 
 With ``shard=(i, J)``, ``positioned_stream`` yields only the graphs whose
 edge count is i mod J, so that J workers can split a stream. Every shard
@@ -55,7 +56,7 @@ each class still wins.
 
 from __future__ import annotations
 
-from itertools import groupby, repeat
+from itertools import groupby
 
 from .graph import MAX_VERTICES, Graph, bits_of, components, girth
 
@@ -110,17 +111,16 @@ def _search_order(colors: list[int], cells) -> list[int]:
                   key=lambda v: (len(cells[colors[v]]), colors[v], v))
 
 
-def _isomorphism(adj1, colors1, adj2, cells2, pinned=()) -> list[int] | None:
+def _isomorphism(adj1, colors1, adj2, cells2, order, pinned=()) -> list[int] | None:
     """An isomorphism between two graphs with equal refinement keys, as the
     list of images of the first graph's vertices, or None if there is none.
 
-    Each vertex of the first, in ``_search_order``, is mapped onto an unused
-    vertex of the same colour in the second whose adjacency to the vertices
-    mapped so far agrees, backtracking on a dead end. ``pinned[i]``, a
-    vertex of the right colour, is the only image tried for the i-th vertex
-    of the order."""
+    Each vertex of the first, in ``order``, the ``_search_order`` of either
+    (equal keys give equal cell sizes), is mapped onto an unused vertex of
+    the same colour in the second whose adjacency to those mapped so far
+    agrees, backtracking on a dead end. ``pinned[i]``, a vertex of the right
+    colour, is the only image tried for the i-th vertex of the order."""
     n = len(adj1)
-    order = _search_order(colors1, cells2)
     image = [0] * n  # image[v]: the bit of the vertex v is mapped to
 
     def extend(k: int, done1: int, done2: int) -> bool:
@@ -171,7 +171,7 @@ def _automorphisms(adj, colors, cells) -> list[list[int]]:
         orbit = _orbit(base, generators)
         for w in cells[colors[base]]:
             if w not in orbit:
-                perm = _isomorphism(adj, colors, adj, cells, order[:i] + [w])
+                perm = _isomorphism(adj, colors, adj, cells, order, order[:i] + [w])
                 if perm is not None:
                     generators.append(perm)
                     orbit = _orbit(base, generators)
@@ -227,8 +227,9 @@ def _tables(adj, family):
 
     A member X with top vertex v is the earlier member Y = X - v plus the
     terms v adds: its degree step and bend, one size step, |Y| more pairs
-    in shrink, and in grow its edge and common-neighbour counts with each
-    vertex of Y."""
+    in shrink, and in grow its edge and common-neighbour counts with the
+    vertices of Y, ``pairs[Y]``: those of Y less its least vertex plus that
+    vertex's own."""
     grow = {0: _COUNT_BIT[0]}
     shrink = {0: 0}
     for top, members in groupby(family[1:], int.bit_length):
@@ -236,13 +237,15 @@ def _tables(adj, family):
         d = adj[v].bit_count()
         step = _COUNT_BIT[d + 1] - _COUNT_BIT[d]
         bend = step - _COUNT_BIT[d] + (_COUNT_BIT[d - 1] if d else 0)
-        with_v = [_TRIANGLE_BIT * (adj[v] >> b & 1) + _SQUARE_BIT * (adj[v] & row).bit_count()
-                  for b, row in enumerate(adj[:v])].__getitem__
+        with_v = {1 << b: _TRIANGLE_BIT * (adj[v] >> b & 1)
+                  + _SQUARE_BIT * (adj[v] & row).bit_count() for b, row in enumerate(adj[:v])}
+        with_v[0] = 0
+        pairs = {0: 0}  # pairs[Y]: the sum of with_v over the vertices of Y
         for x in members:
             y = x ^ 1 << v
             k = y.bit_count()
-            grow[x] = (grow[y] + step + _COUNT_BIT[k + 1] - _COUNT_BIT[k]
-                       + sum(map(with_v, bits_of(y))))
+            pairs[y] = pairs[y & y - 1] + with_v[y & -y]
+            grow[x] = grow[y] + step + _COUNT_BIT[k + 1] - _COUNT_BIT[k] + pairs[y]
             shrink[x] = shrink[y] + bend + _SQUARE_BIT * k
     return grow, shrink
 
@@ -309,14 +312,19 @@ def positioned_stream(n: int, predicate=None, min_n: int = 0, shard=(0, 1)):
                     g = Graph(k, tuple(_child_rows(adj0, mask, bit)))
                     if not test(g):
                         continue
-                minus = [i + grow[mask & c] - shrink[mask & row]
-                         for i, c, row in zip(minus0, clear, adj0)]
-                if min(map(last.get, minus, repeat(p)), default=p) < p:
+                minus = []
+                for i, c, row in zip(minus0, clear, adj0):
+                    i_v = i + grow[mask & c] - shrink[mask & row]  # I(C - v)
+                    if last.get(i_v, p) < p:
+                        break
+                    minus.append(i_v)
+                if len(minus) < k - 1:
                     continue
                 adj = list(g.adj) if g else _child_rows(adj0, mask, bit)
                 key, colors = _refine(adj)
                 bucket = buckets.setdefault(key, [])
-                if any(_isomorphism(adj, colors, adj2, cells2) is not None
+                order = bucket and _search_order(colors, bucket[0][1])
+                if any(_isomorphism(adj, colors, adj2, cells2, order) is not None
                        for adj2, cells2 in bucket):
                     continue
                 cells = _cells(colors)

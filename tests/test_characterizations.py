@@ -306,6 +306,21 @@ class TestHalfMds:
             violating += first is not None
         assert violating > 0
 
+    @pytest.mark.parametrize("sizes", [(0, 3), (1, 4, 5), (2, 6), (7,)])
+    def test_sets_that_skip_sizes(self, graphs_up_to_7, sizes):
+        # ``sets`` holds every vertex subset of the given sizes and none of
+        # the sizes between; the bitmap rule must name exactly the subsets
+        # that contain no minimal dominating set of at least half their size.
+        for g in graphs_up_to_7:
+            mds = domination.minimal_dominating_masks(g)
+            sets = sum(domination.sets_of_size((1 << (1 << g.n)) - 1, g.n, k)
+                       for k in sizes if k <= g.n)
+            expect = sum(1 << s for s in range(1 << g.n) if s.bit_count() in sizes
+                         and not any(d & s == d and 2 * d.bit_count() >= s.bit_count()
+                                     for d in mds))
+            assert domination.lacking_half_mds(g.n, mds, sets) == expect, (
+                encode_graph6(g), sizes)
+
 
 class TestUnicyclicBound:
     def test_bound_values(self):

@@ -18,6 +18,7 @@ from pairdom.generate import (
     _cells,
     _isomorphism,
     _refine,
+    _search_order,
     at_most_one_cycle_per_component,
     girth_at_least,
     nonisomorphic_graphs,
@@ -60,7 +61,8 @@ def are_isomorphic(g, h) -> bool:
     key2, colors2 = _refine(h.adj)
     found = None
     if key1 == key2:
-        found = _isomorphism(g.adj, colors1, h.adj, _cells(colors2))
+        cells2 = _cells(colors2)
+        found = _isomorphism(g.adj, colors1, h.adj, cells2, _search_order(colors1, cells2))
         assert found is None or relabel(g, found).adj == h.adj
     assert (found is not None) == oracles.are_isomorphic(g, h)
     return found is not None
@@ -402,21 +404,40 @@ class TestDeletionRule:
     def test_refinements_on_c3free9(self, monkeypatch):
         assert self.refinements(monkeypatch, 9, triangle_free) == 3597
 
+    # The backtracking searches of the same streams, candidates against their
+    # bucket and pinned automorphism searches: the one search order per graph
+    # changes none of them. It is sorted once per parent for the automorphism
+    # searches and once per candidate whose bucket is not empty.
+    def test_searches_on_enum8(self, monkeypatch):
+        assert self.calls(monkeypatch, 8, None, "_isomorphism", "_search_order") == {
+            "_isomorphism": 12522, "_search_order": 1253 + 5082}
+
+    def test_searches_on_c3free9(self, monkeypatch):
+        assert self.calls(monkeypatch, 9, triangle_free, "_isomorphism", "_search_order") == {
+            "_isomorphism": 6171, "_search_order": 583 + 1146}
+
     @staticmethod
     def refinements(monkeypatch, n, predicate) -> int:
         """The ``_refine`` calls of generating the stream up to order n."""
-        calls = 0
-        refine = generate._refine
+        return TestDeletionRule.calls(monkeypatch, n, predicate, "_refine")["_refine"]
 
-        def counting(adj):
-            nonlocal calls
-            calls += 1
-            return refine(adj)
+    @staticmethod
+    def calls(monkeypatch, n, predicate, *names) -> dict:
+        """The calls of each ``generate.<name>`` in generating the stream up
+        to order n."""
+        calls = Counter()
 
-        monkeypatch.setattr(generate, "_refine", counting)
+        def counting(name, function):
+            def counted(*args):
+                calls[name] += 1
+                return function(*args)
+            return counted
+
+        for name in names:
+            monkeypatch.setattr(generate, name, counting(name, getattr(generate, name)))
         counts = CLASS_COUNTS if predicate is None else C3FREE_COUNTS
         assert len(nonisomorphic_graphs(n, predicate)) == sum(counts[:n + 1])
-        return calls
+        return dict(calls)
 
 
 class TestRelabel:

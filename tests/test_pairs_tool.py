@@ -97,3 +97,31 @@ def test_warmup_runs_come_first_and_are_left_out(monkeypatch):
             first_seed + i for i in range(pairs.PAIRS)]
         assert found["metrics"] == {"wall_s": pairs.summarize(found["pairs"], "wall_s", "lower")}
         assert found["metrics"]["wall_s"]["base"]["q3"] < 100.0
+
+
+def test_stops_at_the_first_incorrect_run(monkeypatch, tmp_path, capsys):
+    # The third run (w1's first pair, base side) reports correct: false:
+    # the tool makes no further run, exits 1 naming the workload, the seed
+    # and the side, and writes no BENCH file.
+    calls = []
+
+    def run_once(tree, workload, seed, seconds, names):
+        calls.append((tree, workload, seed))
+        return {**{name: 1.0 for name in names}, "correct": len(calls) != 3,
+                "source_sha256": tree}
+
+    bench = {"run_seconds": 1, "workloads": [{"name": "w1"}, {"name": "w2"}],
+             "end_to_end": [{"name": "wall_s", "better": "lower"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+    outputs = {"rev-parse": b"0" * 40 + b"\n", "diff": b"a change"}
+    monkeypatch.setattr(pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(pairs, "git", lambda *args: outputs[args[0]])
+    monkeypatch.setattr(pairs, "build_trees", lambda rev, top: {s: s for s in pairs.SIDES})
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    assert pairs.main(["--base", "HEAD", "--label", "t"]) == 1
+    first_seed = calls[0][2]
+    assert calls == [("base", "w1", first_seed), ("change", "w1", first_seed),
+                     ("base", "w1", first_seed)]
+    assert (f"pairs: w1 seed {first_seed} base: the run reported correct: false"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("BENCH_*.json"))

@@ -21,7 +21,10 @@ each: the change is better in at least nine pairs of ten, and its median
 is better than the base median by more than the base's interquartile
 range. The tool refuses to run when the working ``src/`` has no change
 against <rev>, since nothing would be compared, and stops when a side's
-runs report more than one hash or both sides the same one.
+runs report more than one hash or both sides the same one. It also stops
+at the first run that reports ``correct: false``, naming its workload,
+seed and side: a time from a wrong run compares nothing. When it stops it
+exits 1 and writes no BENCH file.
 """
 
 from __future__ import annotations
@@ -116,6 +119,8 @@ def run_pair(trees: dict, workload: str, seed: int, order, seconds: float,
     pair = {"seed": seed, "first": order[0]}
     for side in order:
         got = run_once(trees[side], workload, seed, seconds, metrics)
+        if not got["correct"]:
+            raise PairsError(f"{workload} seed {seed} {side}: the run reported correct: false")
         reported = got.pop("source_sha256")
         if hashes.setdefault(side, reported) != reported:
             raise PairsError(f"{side} runs reported two src/ hashes")
