@@ -11,7 +11,7 @@ a check on a graph too large for the exact scans. A check never raises for
 an unmet hypothesis, and an na verdict is never silently treated as holds.
 ``EQUALITY_CLASSES`` is the one table of the four equality
 characterizations; it gives both the ``equality-*`` checks and the fast
-path, ``equality_votes``. ``Facts.equality`` is the one brute-force answer,
+path, ``Facts.votes``. ``Facts.equality`` is the one brute-force answer,
 from both exact scans.
 """
 
@@ -113,10 +113,6 @@ class Facts:
         return invariants(self.g)
 
     @cached_property
-    def pm_test(self):
-        return perfect_matching_tester(self.g)
-
-    @cached_property
     def pairs_without_epn(self) -> list[tuple[int, int, int]]:
         """Each (S, u, v), S a minimal PDS as a mask and u < v in S, that
         meets the private-pair lemmas' hypothesis (u and v each keep a
@@ -133,6 +129,7 @@ class Facts:
         filter."""
         adj = self.g.adj
         full = self.g.full_mask
+        pm_test = perfect_matching_tester(self.g)
         out = []
         for smask in self.report.mpds_masks:
             singles = 0
@@ -147,7 +144,7 @@ class Facts:
                 pair = (1 << u) | (1 << v)
                 rest = smask ^ pair
                 if (adj[u] & rest and adj[v] & rest and pair not in seen_sets
-                        and self.pm_test(rest)):
+                        and pm_test(rest)):
                     out.append((smask, u, v))
         return out
 
@@ -166,6 +163,16 @@ class Facts:
             return None
         r = self.report
         return r.upper_gamma_pr == 2 * r.upper_gamma
+
+    @cached_property
+    def votes(self) -> dict[str, bool]:
+        """The fast path: each applicable class's vote on the equality, from
+        family recognition alone, keyed by its method in precedence order.
+        Empty when Γ_pr is undefined or no characterization applies."""
+        if not self.paired:
+            return {}
+        return {c.method: c.expected(self.family)
+                for c in EQUALITY_CLASSES if c.applies(self)}
 
     def matchings(self, mask: int):
         return all_perfect_matchings(self.g, mask)
@@ -227,12 +234,12 @@ class EqualityClass:
     """A graph class on which Γ_pr = 2Γ holds exactly for one family."""
 
     check_id: str
-    method: str  # the key of this class's vote in ``equality_votes``
+    method: str  # the key of this class's vote in ``Facts.votes``
     applies: Callable[[Facts], bool]
     expected: Callable[[FamilyLabel | None], bool]
 
 
-# In precedence order, which orders the keys of ``equality_votes``.
+# In precedence order, which orders the keys of ``Facts.votes``.
 EQUALITY_CLASSES = (
     EqualityClass(
         "equality-girth6", "girth-at-least-6",
@@ -269,16 +276,6 @@ def _equality_check(c: EqualityClass) -> Check:
         return {"equality": facts.equality, "family": facts.family_spec}
 
     return Check(c.check_id, lambda f: _paired(f) and c.applies(f), mismatch)
-
-
-def equality_votes(facts: Facts) -> dict[str, bool]:
-    """The fast path: each applicable class's vote on the equality, from
-    family recognition alone, keyed by its method in precedence order.
-    Empty when ``_paired`` fails or no characterization applies."""
-    if not _paired(facts):
-        return {}
-    return {c.method: c.expected(facts.family)
-            for c in EQUALITY_CLASSES if c.applies(facts)}
 
 
 # --- violations: each returns a counterexample witness, or None ---------------
@@ -366,10 +363,9 @@ def _pds_contains_half_mds(facts: Facts) -> dict | None:
 
 def _fastpath_matches_brute(facts: Facts) -> dict | None:
     """The class fast paths agree with each other and with brute force."""
-    votes = equality_votes(facts)
-    if set(votes.values()) == {facts.equality}:
+    if set(facts.votes.values()) == {facts.equality}:
         return None
-    return {"votes": votes, "brute": facts.equality}
+    return {"votes": facts.votes, "brute": facts.equality}
 
 
 # --- structure of equality graphs ---------------------------------------------
@@ -509,7 +505,7 @@ CHECKS: dict[str, Callable[[Facts], Verdict]] = {c.check_id: c for c in (
     _EQUALITY["equality-unicyclic"],
     _EQUALITY["equality-girth6"],
     _EQUALITY["equality-c3free-cactus"],
-    Check("fastpath-matches-brute", lambda f: bool(equality_votes(f)),
+    Check("fastpath-matches-brute", lambda f: bool(f.votes),
           _fastpath_matches_brute),
     *STRUCTURAL_LEMMAS,
 )}

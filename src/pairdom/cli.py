@@ -73,10 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _format_text(report: RunReport) -> str:
     lines = []
     for cid, t in report.totals.items():
-        lines.append(
-            f"{cid}: scanned={t.scanned} holds={t.holds} "
-            f"fails={t.fails} na={t.na} skipped={t.skipped}"
-        )
+        lines.append(f"{cid}: " + " ".join(f"{k}={v}" for k, v in t.items()))
     for rec in report.failures:
         lines.append(f"FAIL {rec.get('check_id', '-')} {rec.get('graph6', '-')}")
     for rec in report.results:

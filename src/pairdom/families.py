@@ -218,24 +218,30 @@ def recognize_family(g: Graph) -> FamilyLabel | None:
 
 # --- family spec mini-syntax -------------------------------------------------
 
+# The spec grammar: base names (a union's components too), then prefixes.
+_SPEC_BASES = {"K2": make_k2, "C3": lambda: make_cycle(3), "C5": lambda: make_cycle(5)}
+_SPEC_PREFIXES = ("mK2:", "star:", "union:")
+
 
 def parse_family_spec(spec: str) -> Graph:
     """Build a graph from a spec string such as "C5", "mK2:3",
     "star:t=3,d=1", or "union:K2*2+C5*1". The order a spec asks for is
     checked before any graph of that order is built."""
     s = spec.strip()
-    base = {"K2": make_k2, "C3": lambda: make_cycle(3), "C5": lambda: make_cycle(5)}
-    if s in base:
-        return base[s]()
-    if s.startswith("mK2:"):
-        if not is_decimal(s[4:]):
+    if s in _SPEC_BASES:
+        return _SPEC_BASES[s]()
+    if not s.startswith(_SPEC_PREFIXES):
+        raise GraphError(f"unrecognized family spec {spec!r}")
+    kind, _, arg = s.partition(":")
+    if kind == "mK2":
+        if not is_decimal(arg):
             raise GraphError(f"bad multiplicity in {spec!r}")
-        m = int(s[4:])
+        m = int(arg)
         if m < 1:
             raise GraphError("mK2 requires m >= 1")
         parts = [(make_k2(), m)]
-    elif s.startswith("star:"):
-        pairs = [part.split("=") for part in s[5:].split(",")]
+    elif kind == "star":
+        pairs = [part.split("=") for part in arg.split(",")]
         params = dict(p for p in pairs if len(p) == 2)
         if len(params) < len(pairs):  # a part that is not key=value, or a key twice
             raise GraphError(f"bad star parameters in {spec!r}")
@@ -245,19 +251,17 @@ def parse_family_spec(spec: str) -> Graph:
         if params:
             raise GraphError(f"unknown star parameters {sorted(params)}")
         return make_subdivided_star(int(t), int(d))
-    elif s.startswith("union:"):
+    else:
         parts = []
-        for term in s[6:].split("+"):
+        for term in arg.split("+"):
             name, star, mult = term.partition("*")
-            if name not in base:
+            if name not in _SPEC_BASES:
                 raise GraphError(f"unknown union component {name!r}")
             if star and not is_decimal(mult):
                 raise GraphError(f"bad multiplicity in {spec!r}")
-            parts.append((base[name](), int(mult) if star else 1))
+            parts.append((_SPEC_BASES[name](), int(mult) if star else 1))
         if not sum(m for _, m in parts):
             raise GraphError(f"no component in {spec!r}")
-    else:
-        raise GraphError(f"unrecognized family spec {spec!r}")
     if sum(g.n * m for g, m in parts) > MAX_VERTICES:
         raise GraphError(f"union exceeds {MAX_VERTICES} vertices")
     return disjoint_union(g for g, m in parts for _ in range(m))
@@ -265,4 +269,4 @@ def parse_family_spec(spec: str) -> Graph:
 
 def looks_like_family_spec(text: str) -> bool:
     s = text.strip()
-    return s in ("K2", "C3", "C5") or s.startswith(("mK2:", "star:", "union:"))
+    return s in _SPEC_BASES or s.startswith(_SPEC_PREFIXES)

@@ -74,9 +74,6 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in bits_of(self.adj[u]) if u < v]
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj[u] >> v) & 1 == 1
 

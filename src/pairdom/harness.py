@@ -34,8 +34,8 @@ from . import characterizations as ch
 from .characterizations import ALL_CHECK_IDS, CHECKS, Facts, run_checks  # noqa: F401
 from .domination import GuardError
 from .families import looks_like_family_spec, parse_family_spec
-from .graph import (Graph, GraphError, encode_graph6, is_decimal, parse_edge_list,
-                    parse_graph6)
+from .graph import (INFINITE, Graph, GraphError, encode_graph6, is_decimal,
+                    parse_edge_list, parse_graph6)
 from .generate import positioned_stream, triangle_free
 
 
@@ -74,6 +74,15 @@ class GeneratedSource:
         return ((pos, SourceItem(g)) for pos, g in stream)
 
 
+def _source_kind(source: str) -> tuple[str, str]:
+    """(kind, order) of a source spec: kind is a key of ``_GENERATED``,
+    "family" or "file", and order is "" but for a generated kind."""
+    kind, sep, order = source.partition(":")
+    if sep and kind in _GENERATED:
+        return kind, order
+    return "family" if looks_like_family_spec(source) else "file", ""
+
+
 def load_source(source: str) -> GeneratedSource | list[SourceItem]:
     """Resolve a source spec: ``enum:N``, ``c3free:N``, a family spec
     string, or a path to a graph6 / edge-list file.
@@ -83,8 +92,8 @@ def load_source(source: str) -> GeneratedSource | list[SourceItem]:
     holds their guards. A bad spec raises, naming it, before any graph is
     built, and a ``GeneratedSource`` generates its graphs as its shards
     are iterated; files are read whole, into a list."""
-    kind, sep, order = source.partition(":")
-    if sep and kind in _GENERATED:
+    kind, order = _source_kind(source)
+    if kind in _GENERATED:
         guard, predicate = _GENERATED[kind]
         if not (order.isascii() and order.isdecimal()):
             raise ValueError(f"{kind} order must be an integer >= 0, got {source!r}")
@@ -92,7 +101,7 @@ def load_source(source: str) -> GeneratedSource | list[SourceItem]:
         if not is_decimal(order) or int(order) > guard:
             raise GuardError(f"{kind} order limited to N <= {guard}, got {source!r}")
         return GeneratedSource(predicate, int(order))
-    if looks_like_family_spec(source):
+    if kind == "family":
         return [SourceItem(parse_family_spec(source))]
     with open(source) as fh:
         text = fh.read()
@@ -127,23 +136,13 @@ class RunConfig:
 def overwrites_source(config: RunConfig) -> bool:
     """Whether ``config.output`` is the file that ``run`` reads the graphs
     from; gen, a generated source and a family spec read no file."""
-    kind, sep, _ = config.source.partition(":")
-    if not config.output or config.command == "gen" or (
-            sep and kind in _GENERATED) or looks_like_family_spec(config.source):
+    if (not config.output or config.command == "gen"
+            or _source_kind(config.source)[0] != "file"):
         return False
     try:
         return os.path.samefile(config.source, config.output)
     except OSError:  # a file that is missing is not overwritten; run reports it
         return False
-
-
-@dataclass
-class CheckTotals:
-    scanned: int = 0
-    holds: int = 0
-    fails: int = 0
-    na: int = 0
-    skipped: int = 0
 
 
 @dataclass
@@ -159,7 +158,7 @@ class RunReport:
     def to_record(self) -> dict:
         rec = {
             "config": self.config,
-            "totals": {cid: asdict(t) for cid, t in self.totals.items()},
+            "totals": self.totals,
             "failures": self.failures,
             "elapsed_ms": self.elapsed_ms,
         }
@@ -178,8 +177,8 @@ class RunReport:
 def _verify_worker(g: Graph, check_ids):
     """The tuple of each check's status, in ``check_ids`` order, and the
     records of the failing checks. ``run`` counts the distinct tuples (18
-    over the 12,346 graphs of order 8) and expands them into
-    ``CheckTotals`` once, after the last graph."""
+    over the 12,346 graphs of order 8) and adds each into the totals once,
+    after the last graph."""
     verdicts = run_checks(g, check_ids)
     return (tuple(v.status for v in verdicts),
             [v.to_record() for v in verdicts if v.status == "fails"])
@@ -193,11 +192,9 @@ def _invariants_worker(g: Graph):
     split, else null unless there are votes and an equality, and then
     whether the vote is the equality."""
     facts = Facts(g)
-    votes = ch.equality_votes(facts)
     rec = {"graph6": facts.graph6, "n": g.n, **asdict(facts.flags),
-           "family": facts.family_spec,
-           "votes": votes}
-    if rec["girth"] == float("inf"):  # acyclic
+           "family": facts.family_spec, "votes": facts.votes}
+    if rec["girth"] == INFINITE:  # acyclic
         rec["girth"] = None
     equality = None
     try:
@@ -218,7 +215,7 @@ def _invariants_worker(g: Graph):
             deficit=None if r.upper_gamma_pr is None
             else 2 * r.upper_gamma - r.upper_gamma_pr,
         )
-    fast = set(votes.values())
+    fast = set(facts.votes.values())
     rec["agree"] = (False if len(fast) > 1
                     else None if not fast or equality is None
                     else fast == {equality})
@@ -359,7 +356,7 @@ def run(config: RunConfig):
                                    "edges": g.edges()})
             return done(0)
         items = load_source(config.source)
-    except (OSError, GraphError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # GraphError and GuardError too
         report.errors.append(str(exc))
         return done(2)
 
@@ -392,13 +389,12 @@ def run(config: RunConfig):
             for rec in failed:
                 report.failures.append(rec)
                 print(json.dumps(rec), file=sys.stderr)
-        totals = {cid: CheckTotals(scanned=bad, skipped=bad) for cid in check_ids}
+        report.totals = {cid: {"scanned": bad, "holds": 0, "fails": 0, "na": 0,
+                               "skipped": bad} for cid in check_ids}
         for statuses, count in vectors.items():
             for cid, status in zip(check_ids, statuses):
-                t = totals[cid]
-                t.scanned += count
-                setattr(t, status, getattr(t, status) + count)
-        report.totals = totals
+                report.totals[cid]["scanned"] += count
+                report.totals[cid][status] += count
     elif config.command == "hunt":
         hunt = ch.HuntReport()
         for rec in results(ch.hunt_record):

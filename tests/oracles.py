@@ -478,7 +478,7 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
         if v == n:
             return True
         for w in range(n):
-            if w in image or g2.degree(w) != g1.degree(v):
+            if w in image or g2.adj[w].bit_count() != g1.adj[v].bit_count():
                 continue
             if all(g1.has_edge(u, v) == g2.has_edge(x, w)
                    for u, x in enumerate(image)):

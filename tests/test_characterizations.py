@@ -21,7 +21,6 @@ from pairdom.characterizations import (
     HUNT_SKIP_REASONS,
     HuntReport,
     STRUCTURAL_LEMMAS,
-    equality_votes,
     hunt_c3free_counterexamples,
     hunt_record,
     run_checks,
@@ -54,7 +53,7 @@ class TestDecideBruteforce:
         for g in graphs_up_to_5:
             ug_pr = oracles.upper_gamma_pr(g)
             if g.n == 0 or ug_pr is None or any(
-                g.degree(v) == 0 for v in range(g.n)
+                g.adj[v].bit_count() == 0 for v in range(g.n)
             ):
                 continue
             expect = ug_pr == 2 * oracles.upper_gamma(g)
@@ -65,30 +64,30 @@ class TestDecideFastpath:
     def test_applicable_classes(self):
         # C5 is both a triangle-free cactus and unicyclic; the votes come
         # in precedence order, so the first names the fast-path method
-        assert equality_votes(Facts(make_cycle(5))) == {
+        assert Facts(make_cycle(5)).votes == {
             "c3-free-cactus": True, "unicyclic": True}
-        assert set(equality_votes(Facts(make_k2())).values()) == {True}
-        assert set(equality_votes(Facts(path_graph(4))).values()) == {False}
-        votes = equality_votes(Facts(make_cycle(7)))
+        assert set(Facts(make_k2()).votes.values()) == {True}
+        assert set(Facts(path_graph(4)).votes.values()) == {False}
+        votes = Facts(make_cycle(7)).votes
         assert next(iter(votes)) == "girth-at-least-6"
         assert set(votes.values()) == {False}
 
     def test_inapplicable_returns_none(self):
         # no class applies, so no class votes
         k4 = build_graph(4, [(i, j) for i in range(4) for j in range(i)])
-        assert equality_votes(Facts(k4)) == {}
+        assert Facts(k4).votes == {}
         # butterfly: has triangles, two cycles, not bipartite, not girth >= 6
-        assert equality_votes(Facts(make_subdivided_star(0, 2))) == {}
+        assert Facts(make_subdivided_star(0, 2)).votes == {}
         # paired domination is undefined: no class votes
-        assert equality_votes(Facts(build_graph(3, [(0, 1)]))) == {}
+        assert Facts(build_graph(3, [(0, 1)])).votes == {}
 
     def test_agrees_with_bruteforce(self, graphs_up_to_6):
         checked = 0
         for g in graphs_up_to_6:
-            if g.n == 0 or any(g.degree(v) == 0 for v in range(g.n)):
+            if g.n == 0 or any(g.adj[v].bit_count() == 0 for v in range(g.n)):
                 continue
             facts = Facts(g)
-            votes = equality_votes(facts)
+            votes = facts.votes
             if not votes:
                 continue
             checked += 1
@@ -103,7 +102,7 @@ class TestDecideFastpath:
         wrong = dataclasses.replace(table[0], expected=lambda fam: True)
         monkeypatch.setattr(characterizations, "EQUALITY_CLASSES",
                             (wrong,) + table[1:])
-        assert len(set(equality_votes(facts).values())) == 2
+        assert len(set(facts.votes.values())) == 2
         v = check(c6, "fastpath-matches-brute")
         assert v.status == "fails"
         assert v.witness == {
@@ -601,7 +600,7 @@ class TestHunt:
             if hunt_record(g) == {"skipped": "out_of_scope"}:
                 continue
             alpha = domination.independence_number(g)
-            mk2 = all(g.degree(v) == 1 for v in range(g.n))
+            mk2 = all(g.adj[v].bit_count() == 1 for v in range(g.n))
             bound = g.n if mk2 else 2 * ((g.n - 1) // 2)
             if len(calls) > before:
                 assert 2 * alpha <= bound, encode_graph6(g)

@@ -485,8 +485,17 @@ class TestCommands:
     def test_text_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "C5", "--format", "text")
         assert code == 0
-        assert "gpr-at-most-2gamma: scanned=1" in out
-        assert "elapsed_ms=" in out
+        # C5 misses the bipartite and girth >= 6 hypotheses and holds the rest
+        na = {"equality-bipartite", "equality-girth6"}
+        *totals, elapsed = out.splitlines()
+        assert totals == [f"{cid}: scanned=1 holds={int(cid not in na)} fails=0 "
+                          f"na={int(cid in na)} skipped=0" for cid in ALL_CHECK_IDS]
+        assert elapsed.startswith("elapsed_ms=")
+        code, out, _ = run_cli(capsys, "verify", "C5")
+        totals = json.loads(out)["totals"]
+        assert list(totals) == list(ALL_CHECK_IDS)
+        assert {tuple(t) for t in totals.values()} == {
+            ("scanned", "holds", "fails", "na", "skipped")}
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -601,7 +610,7 @@ class TestRecord:
                        "c3-free-cactus": cactus,
                        "unicyclic": flags.unicyclic,
                        "bipartite": flags.connected and flags.bipartite}
-            paired = g.n > 0 and all(g.degree(v) for v in range(g.n))
+            paired = g.n > 0 and all(g.adj[v].bit_count() for v in range(g.n))
             assert rec["graph6"] == encode_graph6(g)
             assert [rec[k] for k in ("connected", "bipartite", "unicyclic",
                                      "cactus", "c3_free")] == [
@@ -767,7 +776,7 @@ class TestStreaming:
                                     timeout=60)
         assert code == 2
         assert report.errors == [str(exc)]
-        assert {t.scanned for t in report.totals.values()} == {k}
+        assert {t["scanned"] for t in report.totals.values()} == {k}
 
     def test_worker_exit_ends_run_with_error(self, monkeypatch):
         order7 = nonisomorphic_graphs(7, min_n=7)
@@ -788,7 +797,7 @@ class TestStreaming:
             f"worker for shard {shard} of 2 exited with code 3 before finishing"]
         # The other shard finished; the victim and what follows it are lost.
         other = sum(g.edge_count % 2 != shard for g in order7)
-        scanned = {t.scanned for t in report.totals.values()}
+        scanned = {t["scanned"] for t in report.totals.values()}
         assert len(scanned) == 1 and other <= scanned.pop() < 500 + other
         assert multiprocessing.active_children() == []
 

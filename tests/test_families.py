@@ -30,16 +30,16 @@ class TestConstructions:
         assert path_graph(5).edge_count == 4
         assert make_k2().edges() == [(0, 1)]
         star = star_graph(4)
-        assert star.n == 5 and star.degree(0) == 4
+        assert star.n == 5 and star.adj[0].bit_count() == 4
         with pytest.raises(GraphError):
             make_cycle(2)
 
     def test_subdivided_star_shape(self):
         g = make_subdivided_star(3, 2)
         assert g.n == 1 + 2 * 3 + 2 * 2
-        assert g.degree(0) == 3 + 2 * 2
+        assert g.adj[0].bit_count() == 3 + 2 * 2
         # each leg contributes one leaf at distance 2
-        leaves = [v for v in range(g.n) if g.degree(v) == 1]
+        leaves = [v for v in range(g.n) if g.adj[v].bit_count() == 1]
         assert len(leaves) == 3
         assert girth(g) == 3
 

@@ -1,11 +1,13 @@
-"""Every public top-level name in pairdom has a caller outside the tests.
+"""Every public top-level name in pairdom, and every public method and
+property of its classes, has a caller outside the tests.
 
 A name counts as used when code in ``src/`` or ``perfbench/`` reads it (an
 ``ast.Name`` or ``ast.Attribute``) or imports it, or when a benchmark file
 spells it as a string (``perfbench/tracing.py`` names the layers it wraps
-by module and attribute). Docstrings do not count. A helper that only tests
-need belongs in the tests, as ``tests/oracles.py`` holds the reference
-implementations.
+by module and attribute). A method or property counts as used when that
+code reads it as an attribute, or a benchmark file spells its name as a
+string. Docstrings do not count. A helper that only tests need belongs in
+the tests, as ``tests/oracles.py`` holds the reference implementations.
 """
 
 import ast
@@ -15,8 +17,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "pairdom").glob("*.py"))
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
-# Public names kept without a caller, each for the ROADMAP item that gives
-# it one.
+# Public names, and Class.method names, kept without a caller, each for the
+# ROADMAP item that gives it one.
 ALLOWED = {
     "girth_at_least": "item 13: the girth5:N source of the girth >= 5 hunt",
     "at_most_one_cycle_per_component": "item 6: the onecycle:N source",
@@ -35,6 +37,15 @@ def public_names(tree: ast.Module) -> set[str]:
     return {name for name in names if not name.startswith("_")}
 
 
+def public_methods(tree: ast.Module) -> set[tuple[str, str]]:
+    """(class, name) for each public method and property that a module's
+    top-level classes define."""
+    return {(cls.name, node.name) for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")}
+
+
 def docstrings(tree: ast.Module) -> set[int]:
     """The ids of the docstring nodes of a module and its defs."""
     out = set()
@@ -49,17 +60,18 @@ def docstrings(tree: ast.Module) -> set[int]:
     return out
 
 
-def references(tree: ast.Module, strings: bool) -> set[str]:
-    """The names a module reads or imports, and with ``strings`` also the
-    string constants it holds outside docstrings."""
+def references(tree: ast.Module, strings: bool, names: bool = True) -> set[str]:
+    """The attributes a module reads, with ``names`` also the names it reads
+    or imports, and with ``strings`` also the string constants it holds
+    outside docstrings."""
     skip = docstrings(tree)
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if names and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             out.add(node.attr)
-        elif isinstance(node, ast.alias):
+        elif names and isinstance(node, ast.alias):
             out.add(node.name.rpartition(".")[2])
         elif (strings and isinstance(node, ast.Constant)
               and isinstance(node.value, str) and id(node) not in skip):
@@ -69,8 +81,13 @@ def references(tree: ast.Module, strings: bool) -> set[str]:
 
 def test_every_public_name_has_a_caller():
     trees = {path: ast.parse(path.read_text(), str(path)) for path in SRC + PERFBENCH}
-    used = set()
+    used, attributes = set(), set()
     for path, tree in trees.items():
         used |= references(tree, strings=path in PERFBENCH)
+        attributes |= references(tree, strings=path in PERFBENCH, names=False)
     public = {name for path in SRC for name in public_names(trees[path])}
-    assert sorted(public - used) == sorted(ALLOWED)
+    unused = public - used
+    for path in SRC:
+        unused |= {f"{cls}.{name}" for cls, name in public_methods(trees[path])
+                   if name not in attributes}
+    assert sorted(unused) == sorted(ALLOWED)
