@@ -3,30 +3,33 @@
 ``positioned_stream``, the one generator loop, yields one representative
 per isomorphism class, one vertex-addition level at a time, each as soon as
 it is kept and with its position (level, parent index, mask), its place in
-the stream; ``nonisomorphic_graphs`` is the list of its graphs. A kept
-representative P that becomes a parent gets a new vertex joined to one
-subset of each orbit of Aut(P), the least (McKay's first rule: subsets in
-one orbit give isomorphic children). Each such child is refined once
-(colour refinement on its adjacency rows), bucketed on the multiset of its
-final refinement signatures, and kept unless exact backtracking maps it
-onto an earlier representative in its bucket, so the first candidate of
-each class wins in (parent, mask) order. The same backtracking routine,
-with a pinned prefix, finds the generators of Aut(P) in one search order.
-A hereditary predicate prunes each level, so restricted streams such as
-triangle-free graphs never materialize the unrestricted universe.
-A predicate with a ``masks(parent_adj)`` form, such as ``triangle_free``
-and ``girth_at_least(k)``, proposes the neighbourhoods its children may
-have, so only those are walked and a ``Graph`` is built only when kept.
+the stream; ``nonisomorphic_graphs`` is the list of its graphs. The p-th
+representative P_p of a level, as a parent, gets a new vertex w joined to
+the least subset M of each orbit of Aut(P_p) (McKay's first rule: subsets
+in one orbit give isomorphic children). A hereditary predicate prunes each
+level, so restricted streams such as triangle-free graphs never materialize
+the unrestricted universe; one with a ``masks(parent_adj)`` form, such as
+``triangle_free`` and ``girth_at_least(k)``, proposes the neighbourhoods
+its children may have, so only those are walked and a ``Graph`` is built
+only when kept.
 
-A child C of parent p, with new vertex w, is dropped unrefined when some
-other vertex v has C - v isomorphic to a parent q < p, as an isomorphism
-invariant I shows when the last parent with I(C - v) comes before p. The
-predicate is hereditary and the previous level complete, so C - v is some
-parent q, and through that isomorphism C is a child of q: the least mask of
-its orbit under Aut(q) is a candidate (the family is Aut-invariant) in C's
-shard (same edge count) that comes first: C's class is already in the bucket.
-The proof asks only that isomorphic graphs have equal I, so any invariant
-keeps the rule exact; a finer one tells more parents apart and drops more.
+Each class keeps its first candidate in (parent, mask) order, decided from
+its parent and the previous level alone (after McKay's least parent, J.
+Algorithms 1998): C = P_p + w(M) is kept iff (a) no old vertex v has C - v
+isomorphic to a parent q < p and (b) no earlier mask of p gives a child
+isomorphic to C. As the predicate is hereditary and the previous level
+complete, each C - u is isomorphic to exactly one parent q, and C to a
+candidate of q (the least mask in the Aut(P_q)-orbit of u's neighbourhood,
+a member of q's family); an isomorphism onto C from a child of q < p maps
+its new vertex to an old vertex, as C - w is P_p and distinct parents are
+not isomorphic. For (b), a child is refined only when p has kept another
+with its I (below). (a) is decided in three exact tiers, since the parent
+isomorphic to C - v shares every invariant with it; tier 1 runs for every v
+before tier 2 for any. (1) If every parent with I(C - v) comes before p, C
+is dropped; if none does, v is cleared. (2) The same over those with the
+first-round refinement key of C - v (``_first_key``). (3) If both sides of
+p still tie, C is dropped iff backtracking maps C - v onto one before p.
+
 Here I = S + 2^372 T + 2^396 Q, with S the degree multiset (a sum of
 ``_COUNT_BIT[deg]``), T the number of triangles and Q the number of
 4-cycles (as subgraphs). For a parent P, a mask M, its child
@@ -37,21 +40,16 @@ C = P + w(M) and an old vertex v, with M_v = M - v,
 
 since C - v is P - v plus w joined to M_v, and P - v differs from P only
 in that each neighbour of v has one degree less and each two neighbours of
-v one common neighbour less. ``_tables`` fills both dicts in one pass,
-each member from the member without its top vertex. The values I(P - v)
-are those I(C - v) a parent was kept with, so a candidate costs at most
-two table lookups per old vertex: the test walks them in order and stops
-at the first deletion that shows an earlier parent.
+v one common neighbour less (``_tables``). The values I(P - v) are those
+I(C - v) a parent was kept with, so tier 1 costs at most two table lookups
+per old vertex.
 
 With ``shard=(i, J)``, ``positioned_stream`` yields only the graphs whose
-edge count is i mod J, so that J workers can split a stream. Every shard
-builds all the levels below the last, since it needs every parent, but at
-the last level it walks only the masks of its own edge counts (still a
-family that every automorphism maps onto itself, as it keeps |mask|).
-That is exact and keeps every label: isomorphic graphs have equal edge
-counts, so no class spans two shards, and a shard meets its classes'
-candidates in the serial (parent, mask) order, so the first candidate of
-each class still wins.
+parent index is i mod J, so that J workers can split a stream. Every shard
+builds the levels below the last, and at the last extends only its own
+parents. A decision reads only its parent's candidates and the previous
+level, so each shard decides as the serial stream does: every label and
+position stays, and the shards merged by position are the serial stream.
 """
 
 from __future__ import annotations
@@ -81,19 +79,28 @@ def _refine(adj) -> tuple[tuple, list[int]]:
     of v's signature among the distinct ones, so two graphs with equal keys
     have comparable colours."""
     n = len(adj)
-    top = 6 * n
     colors = [row.bit_count() for row in adj]
     count = len(set(colors))
     while True:
-        count_bit = [_COUNT_BIT[c] for c in colors].__getitem__
-        sig = [c << top | sum(map(count_bit, bits_of(row)))
-               for c, row in zip(colors, adj)]
+        sig = _signatures(adj, colors)
         key = tuple(sorted(sig))
         palette = {s: i for i, s in enumerate(dict.fromkeys(key))}
         colors = [palette[s] for s in sig]
         if len(palette) in (count, n):
             return key, colors
         count = len(palette)
+
+
+def _signatures(adj, colors) -> list[int]:
+    """Each vertex's colour above the multiset of its neighbours' colours."""
+    count_bit = [_COUNT_BIT[c] for c in colors].__getitem__
+    top = 6 * len(adj)
+    return [c << top | sum(map(count_bit, bits_of(row))) for c, row in zip(colors, adj)]
+
+
+def _first_key(adj) -> tuple:
+    """The key of ``_refine``'s first round, an isomorphism invariant."""
+    return tuple(sorted(_signatures(adj, [row.bit_count() for row in adj])))
 
 
 def _cells(colors: list[int]) -> list[list[int]]:
@@ -256,6 +263,26 @@ def _child_rows(adj, mask: int, bit: int) -> list[int]:
     return [row | bit if mask >> u & 1 else row for u, row in enumerate(adj)] + [mask]
 
 
+def _isomorphic(adj, key, colors, others) -> bool:
+    """Whether the graph ``adj``, refined to ``key`` and ``colors``, is
+    isomorphic to one of ``others``, each (rows, key, colours)."""
+    return any(key2 == key and _isomorphism(adj, colors, adj2, cells2,
+                                            _search_order(colors, cells2)) is not None
+               for adj2, key2, colors2 in others for cells2 in [_cells(colors2)])
+
+
+def _earlier(adj, v: int, i: int, p: int, firsts, parents) -> bool:
+    """Tiers 2 and 3: whether C - v, for C the graph ``adj``, is isomorphic
+    to a parent before p; ``firsts[i, key]`` holds the parents with I = i =
+    I(C - v) and first-round key ``key``."""
+    low = (1 << v) - 1  # C - v: the vertices above v move down by one
+    adj = [row & low | row >> 1 & ~low for row in adj[:v] + adj[v + 1:]]
+    tied = firsts[i, _first_key(adj)]
+    if tied[-1] < p or tied[0] >= p:
+        return tied[-1] < p
+    return _isomorphic(adj, *_refine(adj), [parents[q][:3] for q in tied if q < p])
+
+
 def nonisomorphic_graphs(n: int, predicate=None, min_n: int = 0) -> list[Graph]:
     """The graphs of ``positioned_stream(n, predicate, min_n)``, in order."""
     return [g for _, g in positioned_stream(n, predicate, min_n)]
@@ -266,46 +293,35 @@ def positioned_stream(n: int, predicate=None, min_n: int = 0, shard=(0, 1)):
     vertices, each as soon as it is kept, as ``((level, parent index, mask),
     graph)``; positions increase along the stream. No work is done before
     the first graph is taken. With ``shard=(i, J)``, only the graphs whose
-    edge count is i mod J are yielded, and at level n only their candidates
-    are looked at.
+    parent index is i mod J are yielded, and at level n only those parents
+    are extended.
 
-    Level k extends each representative of level k - 1 by a new vertex
-    k - 1 joined to a subset of the old vertices, the least subset of each
-    orbit of the parent's automorphism group. ``predicate`` must be
-    invariant under isomorphism and hereditary under vertex deletion
-    (triangle-free, girth bounds, cactus-like conditions all qualify); it
-    prunes the level, so restricted families are generated directly. It
-    sees each candidate as a ``Graph``, unless ``predicate.masks(adj)``
-    exists: then the candidates are only its increasing list of the masks
-    whose child of a parent ``adj`` with the property keeps it, a list that
-    holds every subset of each of its masks.
-
-    A candidate that an earlier one of its shard is proven to duplicate,
-    through a vertex deletion (module docstring), is skipped unrefined; the
-    tables of that test are built over the parent's whole family, before
-    the shard filter, since a deletion can change the edge count.
+    ``predicate`` must be invariant under isomorphism and hereditary under
+    vertex deletion (triangle-free, girth bounds, cactus-like conditions all
+    qualify); it prunes the level, so restricted families are generated
+    directly. It sees each candidate as a ``Graph``, unless
+    ``predicate.masks(adj)`` exists: then the candidates are only its
+    increasing list of the masks whose child of a parent ``adj`` with the
+    property keeps it, a list that holds every subset of each of its masks.
     """
     propose = getattr(predicate, "masks", None)
     test = predicate if propose is None else None
     index, count = shard
     if min_n <= 0 <= n and index == 0:
         yield (0, 0, 0), Graph(0, ())
-    # (adjacency rows, colours, colour cells, edge count, I, [I(P - v) for v])
-    parents = [((), [], [], 0, 0, [])]
+    # (rows, key, colours, colour cells, I, [I(P - v) for v]) of each parent
+    parents, sharing, firsts = [((), (), [], [], 0, [])], {}, {}
     for k in range(1, n + 1):
         bit = 1 << (k - 1)
         clear = [~(1 << v) for v in range(k - 1)]
-        buckets: dict[tuple, list] = {}
-        kept = []
-        last = {parent[4]: p for p, parent in enumerate(parents)}
-        for p, (adj0, colors0, cells0, edges0, inv0, minus0) in enumerate(parents):
-            family = own = propose(adj0) if propose else range(bit)
-            if count > 1 and k == n:
-                own = [m for m in family
-                       if (edges0 + m.bit_count()) % count == index]
-            masks = _augmenting_masks(adj0, colors0, cells0, own)
-            if masks:
-                grow, shrink = _tables(adj0, family)
+        kept, shared, split = [], {}, {}  # indices by I, by (I, first-round key)
+        for p, (adj0, _, colors0, cells0, inv0, minus0) in enumerate(parents):
+            if k == n and p % count != index:
+                continue
+            family = propose(adj0) if propose else range(bit)
+            masks = _augmenting_masks(adj0, colors0, cells0, family)
+            grow, shrink = _tables(adj0, family)
+            twins = {}  # I(C) -> [(rows, key or None, colours)] of p's kept children
             for mask in masks:
                 g = None
                 if test is not None:
@@ -315,27 +331,30 @@ def positioned_stream(n: int, predicate=None, min_n: int = 0, shard=(0, 1)):
                 minus = []
                 for i, c, row in zip(minus0, clear, adj0):
                     i_v = i + grow[mask & c] - shrink[mask & row]  # I(C - v)
-                    if last.get(i_v, p) < p:
+                    if sharing[i_v][-1] < p:  # tier 1
                         break
                     minus.append(i_v)
                 if len(minus) < k - 1:
                     continue
                 adj = list(g.adj) if g else _child_rows(adj0, mask, bit)
-                key, colors = _refine(adj)
-                bucket = buckets.setdefault(key, [])
-                order = bucket and _search_order(colors, bucket[0][1])
-                if any(_isomorphism(adj, colors, adj2, cells2, order) is not None
-                       for adj2, cells2 in bucket):
+                if any(sharing[i][0] < p and _earlier(adj, v, i, p, firsts, parents)
+                       for v, i in enumerate(minus)):
                     continue
-                cells = _cells(colors)
-                bucket.append((adj, cells))
-                edges = edges0 + mask.bit_count()
+                inv = inv0 + grow[mask]
+                same = twins.setdefault(inv, [])
+                key, colors = _refine(adj) if same or k < n else (None, None)
+                same[:] = [t if t[1] else (t[0], *_refine(t[0])) for t in same]
+                if _isomorphic(adj, key, colors, same):
+                    continue
+                same.append((adj, key, colors))
                 if k < n:
                     minus.append(inv0)  # C - w is the parent itself
-                    kept.append((adj, colors, cells, edges, inv0 + grow[mask], minus))
-                if k >= min_n and edges % count == index:
+                    shared.setdefault(inv, []).append(len(kept))
+                    split.setdefault((inv, _first_key(adj)), []).append(len(kept))
+                    kept.append((adj, key, colors, _cells(colors), inv, minus))
+                if k >= min_n and p % count == index:
                     yield (k, p, mask), g or Graph(k, tuple(adj))
-        parents = kept
+        parents, sharing, firsts = kept, shared, split
 
 
 # --- hereditary predicates ----------------------------------------------------

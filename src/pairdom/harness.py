@@ -4,7 +4,7 @@ run configuration and report, and `run`, which executes one command.
 The checks themselves live in ``characterizations.CHECKS``; this module
 maps them, or one of the other per-graph workers, over a source. Every
 source can be split into shards: shard i of J holds the graphs at every
-J-th line of a file, and the generated classes whose edge count is i mod J
+J-th line of a file, and the generated classes whose parent index is i mod J
 (``generate`` says why that split is exact and keeps every label). With
 ``jobs`` = J > 1, J worker processes each generate and check their own
 shard and send back (position, result) pairs, and the main process only
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -324,10 +325,10 @@ def _map_source(fn, items, jobs: int):
     """fn over the graphs of a source, in source order, as ``_apply`` gives
     them without positions: in ``jobs`` worker processes when there are
     more than one, else here. A list source gets at most one worker per
-    item, and a generated source of order n at most one per edge count
-    0..n(n-1)/2, since the shards past that hold no graph."""
+    item, and a generated source of order n at most one per labelled graph
+    on n - 1 vertices, which bounds its parents: other shards hold nothing."""
     if isinstance(items, GeneratedSource):
-        jobs = min(jobs, items.n * (items.n - 1) // 2 + 1)
+        jobs = min(jobs, 2 ** math.comb(max(items.n - 1, 0), 2))
     else:
         jobs = min(jobs, len(items))
     if jobs > 1:

@@ -748,10 +748,12 @@ class TestStreaming:
         assert "--jobs must be 1 to 64" in err
         assert started == []
 
-    @pytest.mark.parametrize("source, workers", [("enum:1", 0), ("enum:2", 2)])
-    def test_generated_source_gets_one_worker_per_edge_count(
+    @pytest.mark.parametrize("source, workers",
+                             [("enum:1", 0), ("enum:2", 0), ("enum:3", 2)])
+    def test_generated_source_gets_at_most_one_worker_per_parent(
             self, monkeypatch, capsys, source, workers):
-        # order n has edge counts 0..n(n-1)/2, and a shard past them is empty
+        # order n has at most 2^C(n-1, 2) parents, 1, 1 and 2 here, and
+        # a shard past them is empty
         assert self.workers_started(monkeypatch, capsys, source, 4) == workers
 
     @pytest.mark.parametrize("exc", [GraphError("bad graph"),
@@ -779,9 +781,9 @@ class TestStreaming:
         assert {t["scanned"] for t in report.totals.values()} == {k}
 
     def test_worker_exit_ends_run_with_error(self, monkeypatch):
-        order7 = nonisomorphic_graphs(7, min_n=7)
-        victim = encode_graph6(order7[500])
-        shard = order7[500].edge_count % 2
+        order7 = list(positioned_stream(7, min_n=7))
+        victim = encode_graph6(order7[500][1])
+        shard = order7[500][0][1] % 2  # the victim's parent index mod 2
         original = harness._verify_worker
 
         def exits_on_victim(g, check_ids):
@@ -796,7 +798,7 @@ class TestStreaming:
         assert report.errors == [
             f"worker for shard {shard} of 2 exited with code 3 before finishing"]
         # The other shard finished; the victim and what follows it are lost.
-        other = sum(g.edge_count % 2 != shard for g in order7)
+        other = sum(p % 2 != shard for (_, p, _), _ in order7)
         scanned = {t["scanned"] for t in report.totals.values()}
         assert len(scanned) == 1 and other <= scanned.pop() < 500 + other
         assert multiprocessing.active_children() == []
@@ -836,15 +838,16 @@ class TestStreaming:
             merged = heapq.merge(*shards, key=itemgetter(0))
             assert [label(it) for _, it in merged] == [label(it) for it in items]
             for i, shard in enumerate(shards):
-                if source in sources[:9]:  # by edge count
-                    assert all(it.graph.edge_count % jobs == i for _, it in shard)
+                if source in sources[:9]:  # by parent index
+                    assert all(pos[1] % jobs == i for pos, _ in shard)
                 else:  # by line
                     assert all(pos[0] % jobs == i for pos, _ in shard)
+        # Every order up to 10, positions and labels alike.
         girth5 = girth_at_least(5)
-        shards = [list(positioned_stream(8, girth5, shard=(i, jobs)))
+        shards = [list(positioned_stream(10, girth5, shard=(i, jobs)))
                   for i in range(jobs)]
         merged = heapq.merge(*shards, key=itemgetter(0))
-        assert [encode_graph6(g) for _, g in merged] == [
-            encode_graph6(g) for g in nonisomorphic_graphs(8, girth5)]
+        assert [(pos, encode_graph6(g)) for pos, g in merged] == [
+            (pos, encode_graph6(g)) for pos, g in positioned_stream(10, girth5)]
         for i, shard in enumerate(shards):
-            assert all(g.edge_count % jobs == i for _, g in shard)
+            assert all(pos[1] % jobs == i for pos, _ in shard)

@@ -343,40 +343,50 @@ def _candidates(stream, predicate):
                 yield k, levels, p, family, mask, child
 
 
+def _deleted(g, v: int) -> Graph:
+    """g less vertex v, the vertices above v moved down by one."""
+    return oracles.graph_of(g.n - 1, [(a - (a > v), b - (b > v))
+                                      for a, b in g.edges() if v not in (a, b)])
+
+
 class TestDeletionRule:
-    @pytest.mark.parametrize("n, predicate", [(7, None), (8, triangle_free)])
-    def test_skips_only_candidates_an_earlier_parent_yields(
-            self, monkeypatch, n, predicate):
-        # Every candidate (parent, orbit-least mask) up to order n, and the
-        # rule's verdict from degree sequences, triangles and 4-cycles
-        # counted from scratch: skipped iff deleting some old vertex leaves
-        # counts whose last parent is before its own. The generator refines
-        # exactly the others, in order, and the one representative of a
-        # skipped candidate's class has an earlier parent, by the oracle.
-        refined = []
-        refine = generate._refine
-        with monkeypatch.context() as patch:
-            patch.setattr(generate, "_refine",
-                          lambda adj: refined.append(tuple(adj)) or refine(adj))
-            stream = list(generate.positioned_stream(n, predicate))
-        parent_of = {encode_graph6(g): p for (_, p, _), g in stream}
-        last = {}  # order -> {counts: index of the last parent with them}
-        classes = defaultdict(list)  # (order, counts) -> [(parent index, graph)]
-        kept = []
-        skipped = 0
-        for k, levels, p, _, _, child in _candidates(stream, predicate):
-            if k not in last:
-                last[k] = {_counts(g): q for q, g in enumerate(levels[k - 1])}
-                for g in levels[k]:
-                    classes[k, _counts(g)].append((parent_of[encode_graph6(g)], g))
-            if all(last[k][_counts(child, 1 << v)] >= p for v in range(k - 1)):
-                kept.append(child.adj)
-                continue
-            skipped += 1
-            assert any(oracles.are_isomorphic(child, g)
-                       for q, g in classes[k, _counts(child)] if q < p)
-        assert refined == kept
-        assert skipped > len(kept)
+    # (kept, dropped for a parent q < p) of each stream. No candidate there
+    # has an earlier isomorphic sibling; the 4 of enum:8 are dropped, as the
+    # pinned stream and the published count of order 8 show.
+    @pytest.mark.parametrize("n, predicate, expected",
+                             [(7, None, (1252, 4507)), (8, triangle_free, (582, 2037))],
+                             ids=["7-None", "8-triangle_free"])
+    def test_keeps_iff_no_earlier_parent_or_sibling(self, n, predicate, expected):
+        # Every candidate C = P_p + w(M) (parent, orbit-least mask) up to
+        # order n is yielded, at its position and with its labels, iff by the
+        # oracle no old vertex v has C - v isomorphic to a parent q < p and no
+        # earlier mask of p gives a child isomorphic to C. The oracle is asked
+        # about every pair with equal degree sequences, triangles and
+        # 4-cycles, counted from scratch.
+        stream = list(generate.positioned_stream(n, predicate))
+        yielded = dict(stream)
+        parents = {}  # order -> {counts: [(index, parent)]}
+        tried = None
+        verdicts = Counter()
+        for k, levels, p, _, mask, child in _candidates(stream, predicate):
+            if k not in parents:
+                parents[k] = defaultdict(list)
+                for q, g in enumerate(levels[k - 1]):
+                    parents[k][_counts(g)].append((q, g))
+            if tried != (k, p):
+                tried, earlier = (k, p), []  # (counts, child) of p's candidates
+            by_parent = any(oracles.are_isomorphic(_deleted(child, v), g)
+                            for v in range(k - 1)
+                            for q, g in parents[k][_counts(child, 1 << v)] if q < p)
+            counts = _counts(child)
+            by_mask = any(oracles.are_isomorphic(child, h) for c, h in earlier if c == counts)
+            earlier.append((counts, child))
+            kept = yielded.pop((k, p, mask), None)
+            assert (kept is not None) == (not by_parent and not by_mask), (k, p, mask)
+            assert kept is None or kept.adj == child.adj
+            verdicts[by_parent, by_mask] += 1
+        assert list(yielded) == [(0, 0, 0)]  # the one graph of no parent
+        assert verdicts == {(False, False): expected[0], (True, False): expected[1]}
 
     @pytest.mark.parametrize("n, predicate",
                              [(7, None), (8, triangle_free),
@@ -397,24 +407,55 @@ class TestDeletionRule:
                     _invariant(parent, 1 << v) + grow[mask & ~(1 << v)]
                     - shrink[mask & parent.adj[v]])
 
+    # One refinement per parent (the 1,253 graphs of order <= 7 and the 583
+    # triangle-free ones of order <= 8), and one for each child whose parent
+    # already kept a child with its I, and once for that child: 1,727 and
+    # 190. Tier 3 refines none here. Without the rule each of the 85,023
+    # candidates of enum:8 would be refined, and with the level-wide store
+    # each that passed its tier 1, 18,096 and 3,597.
     def test_refinements_on_enum8(self, monkeypatch):
-        # 85,023 candidates reach the rule; without it each is refined.
-        assert self.refinements(monkeypatch, 8, None) == 18096
+        assert self.refinements(monkeypatch, 8, None) == 1253 + 1727
 
     def test_refinements_on_c3free9(self, monkeypatch):
-        assert self.refinements(monkeypatch, 9, triangle_free) == 3597
+        assert self.refinements(monkeypatch, 9, triangle_free) == 583 + 190
 
-    # The backtracking searches of the same streams, candidates against their
-    # bucket and pinned automorphism searches: the one search order per graph
-    # changes none of them. It is sorted once per parent for the automorphism
-    # searches and once per candidate whose bucket is not empty.
+    # The backtracking searches of the same streams: the pinned searches for
+    # the parents' automorphism generators (6,893 and 5,011), and one per
+    # earlier sibling with a child's refinement key, 4 on enum:8, each a
+    # duplicate. The search order is sorted once per parent for its
+    # automorphism group and once per sibling search.
     def test_searches_on_enum8(self, monkeypatch):
         assert self.calls(monkeypatch, 8, None, "_isomorphism", "_search_order") == {
-            "_isomorphism": 12522, "_search_order": 1253 + 5082}
+            "_isomorphism": 6893 + 4, "_search_order": 1253 + 4}
 
     def test_searches_on_c3free9(self, monkeypatch):
         assert self.calls(monkeypatch, 9, triangle_free, "_isomorphism", "_search_order") == {
-            "_isomorphism": 6171, "_search_order": 583 + 1146}
+            "_isomorphism": 5011, "_search_order": 583}
+
+    # Each stream of PINNED_STREAMS: its order and predicate, and its
+    # refinements when tier 2 always ties: those without that plus one per
+    # deletion tier 1 leaves unsure (237, 13,124, 3,860, 213 and 162).
+    TIED = {
+        "graphs_up_to_7": (7, None, 278 + 237),
+        "graphs_up_to_8": (8, None, 2980 + 13124),
+        "c3free_up_to_9": (9, triangle_free, 773 + 3860),
+        "girth6_up_to_9": (9, girth_at_least(6), 201 + 213),
+        "one_cycle_per_component_up_to_8": (8, at_most_one_cycle_per_component, 223 + 162),
+    }
+
+    @pytest.mark.parametrize("stream", sorted(PINNED_STREAMS))
+    def test_tier_three_alone_keeps_the_pinned_streams(self, monkeypatch, stream):
+        # With every first-round key equal, every deletion that tier 1 leaves
+        # unsure is refined and backtracked against the tied parents before p.
+        n, predicate, refinements = self.TIED[stream]
+        monkeypatch.setattr(generate, "_first_key", lambda adj: ())
+        calls = Counter()
+        refine = generate._refine
+        monkeypatch.setattr(generate, "_refine",
+                            lambda adj: calls.update(["_refine"]) or refine(adj))
+        text = "".join(encode_graph6(g) + "\n" for g in nonisomorphic_graphs(n, predicate))
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_STREAMS[stream]
+        assert calls["_refine"] == refinements
 
     @staticmethod
     def refinements(monkeypatch, n, predicate) -> int:
