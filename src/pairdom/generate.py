@@ -323,11 +323,8 @@ def positioned_stream(n: int, predicate=None, min_n: int = 0, shard=(0, 1)):
             grow, shrink = _tables(adj0, family)
             twins = {}  # I(C) -> [(rows, key or None, colours)] of p's kept children
             for mask in masks:
-                g = None
-                if test is not None:
-                    g = Graph(k, tuple(_child_rows(adj0, mask, bit)))
-                    if not test(g):
-                        continue
+                if test is not None and not test(Graph(k, tuple(_child_rows(adj0, mask, bit)))):
+                    continue
                 minus = []
                 for i, c, row in zip(minus0, clear, adj0):
                     i_v = i + grow[mask & c] - shrink[mask & row]  # I(C - v)
@@ -336,7 +333,7 @@ def positioned_stream(n: int, predicate=None, min_n: int = 0, shard=(0, 1)):
                     minus.append(i_v)
                 if len(minus) < k - 1:
                     continue
-                adj = list(g.adj) if g else _child_rows(adj0, mask, bit)
+                adj = _child_rows(adj0, mask, bit)
                 if any(sharing[i][0] < p and _earlier(adj, v, i, p, firsts, parents)
                        for v, i in enumerate(minus)):
                     continue
@@ -353,7 +350,7 @@ def positioned_stream(n: int, predicate=None, min_n: int = 0, shard=(0, 1)):
                     split.setdefault((inv, _first_key(adj)), []).append(len(kept))
                     kept.append((adj, key, colors, _cells(colors), inv, minus))
                 if k >= min_n and p % count == index:
-                    yield (k, p, mask), g or Graph(k, tuple(adj))
+                    yield (k, p, mask), Graph(k, tuple(adj))
         parents, sharing, firsts = kept, shared, split
 
 

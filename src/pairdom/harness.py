@@ -3,9 +3,11 @@ run configuration and report, and `run`, which executes one command.
 
 The checks themselves live in ``characterizations.CHECKS``; this module
 maps them, or one of the other per-graph workers, over a source. Every
-source can be split into shards: shard i of J holds the graphs at every
-J-th line of a file, and the generated classes whose parent index is i mod J
-(``generate`` says why that split is exact and keeps every label). With
+source is a stream of plain graphs, which can be split into shards: shard i
+of J holds every J-th readable graph of a file, and the generated classes
+whose parent index is i mod J (``generate`` says why that split is exact and
+keeps every label). An unreadable line never enters a stream: ``run``
+records its error and counts it as skipped when it loads the source. With
 ``jobs`` = J > 1, J worker processes each generate and check their own
 shard and send back (position, result) pairs, and the main process only
 merges the J ordered streams by position. Runs are deterministic: results
@@ -43,12 +45,6 @@ from .generate import positioned_stream, triangle_free
 # --- input sources ----------------------------------------------------------
 
 
-@dataclass
-class SourceItem:
-    graph: Graph | None
-    error: str | None = None
-
-
 def _looks_like_edge_list(first_line: str) -> bool:
     """A graph6 line holds no whitespace, so a first line of two or more
     fields is an edge-list header, well formed or not."""
@@ -70,10 +66,6 @@ class GeneratedSource:
     predicate: Callable | None
     n: int
 
-    def shard(self, shard):
-        stream = positioned_stream(self.n, self.predicate, min_n=self.n, shard=shard)
-        return ((pos, SourceItem(g)) for pos, g in stream)
-
 
 def _source_kind(source: str) -> tuple[str, str]:
     """(kind, order) of a source spec: kind is a key of ``_GENERATED``,
@@ -84,15 +76,17 @@ def _source_kind(source: str) -> tuple[str, str]:
     return "family" if looks_like_family_spec(source) else "file", ""
 
 
-def load_source(source: str) -> GeneratedSource | list[SourceItem]:
+def load_source(source: str) -> tuple[GeneratedSource | list[Graph], list[str]]:
     """Resolve a source spec: ``enum:N``, ``c3free:N``, a family spec
-    string, or a path to a graph6 / edge-list file.
+    string, or a path to a graph6 / edge-list file. Returns the source and
+    the error of each unreadable graph6 line, ``"line N: ..."`` in line
+    order; the line itself is left out of the source.
 
     ``enum:N`` yields one representative per isomorphism class of order N,
     and ``c3free:N`` one per class of triangle-free graphs; ``_GENERATED``
     holds their guards. A bad spec raises, naming it, before any graph is
     built, and a ``GeneratedSource`` generates its graphs as its shards
-    are iterated; files are read whole, into a list."""
+    are iterated; files are read whole, into a list of graphs."""
     kind, order = _source_kind(source)
     if kind in _GENERATED:
         guard, predicate = _GENERATED[kind]
@@ -101,24 +95,24 @@ def load_source(source: str) -> GeneratedSource | list[SourceItem]:
         # digits, but more than is_decimal takes, are past the guard too
         if not is_decimal(order) or int(order) > guard:
             raise GuardError(f"{kind} order limited to N <= {guard}, got {source!r}")
-        return GeneratedSource(predicate, int(order))
+        return GeneratedSource(predicate, int(order)), []
     if kind == "family":
-        return [SourceItem(parse_family_spec(source))]
+        return [parse_family_spec(source)], []
     with open(source) as fh:
         text = fh.read()
     lines = text.splitlines()
     first = next((ln for ln in lines if ln.strip()), "")
     if _looks_like_edge_list(first):
-        return [SourceItem(parse_edge_list(text))]
-    items = []
+        return [parse_edge_list(text)], []
+    graphs, errors = [], []
     for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
         try:
-            items.append(SourceItem(parse_graph6(raw)))
+            graphs.append(parse_graph6(raw))
         except GraphError as exc:
-            items.append(SourceItem(None, f"line {lineno}: {exc}"))
-    return items
+            errors.append(f"line {lineno}: {exc}")
+    return graphs, errors
 
 
 # --- run configuration and report --------------------------------------------
@@ -223,42 +217,43 @@ def _invariants_worker(g: Graph):
     return rec
 
 
-def _shard(items, shard):
-    """(position, SourceItem) for each item of shard (i, J) of a source, in
-    order; the positions of all the shards interleave into source order."""
-    if isinstance(items, GeneratedSource):
-        return items.shard(shard)
-    index, count = shard  # the j-th item of the shard sits at i + J*j
-    return (((index + count * j,), it)
-            for j, it in enumerate(items[index::count]))
+def _shard(source, shard):
+    """(position, graph) for each graph of shard (i, J) of a source, in
+    order; the positions of all the shards interleave into source order.
+    This is the one place where a source becomes a stream; a file's
+    unreadable lines were left out, and counted, by ``load_source``."""
+    if isinstance(source, GeneratedSource):
+        return positioned_stream(source.n, source.predicate, min_n=source.n, shard=shard)
+    index, count = shard  # the j-th graph of the shard sits at i + J*j
+    return (((index + count * j,), g) for j, g in enumerate(source[index::count]))
 
 
 def _apply(fn, positioned):
-    """(position, fn(graph)) for each (position, SourceItem) of a stream, or
-    (position, item) for an unreadable item. A ValueError the stream raises
-    ends it: it is yielded last, at the position of the last item."""
+    """(position, fn(graph)) for each (position, graph) of a stream, which
+    ``load_source`` kept unreadable lines out of. A ValueError the stream
+    raises ends it: it is yielded last, at the position of the last graph."""
     pos = ()
     positioned = iter(positioned)
     while True:
         try:
-            pos, item = next(positioned)
+            pos, g = next(positioned)
         except StopIteration:
             return
         except ValueError as exc:  # GraphError and GuardError too
             yield pos, exc
             return
-        yield pos, item if item.graph is None else fn(item.graph)
+        yield pos, fn(g)
 
 
 _CHUNK = 32  # results per message from a worker
 
 
-def _shard_worker(fn, items, shard, conn):
+def _shard_worker(fn, source, shard, conn):
     """In a worker process: ``_apply(fn, shard)`` sent in chunks, then None;
     an exception fn raises is sent in place of the rest."""
     try:
         chunk = []
-        for entry in _apply(fn, _shard(items, shard)):
+        for entry in _apply(fn, _shard(source, shard)):
             chunk.append(entry)
             if len(chunk) == _CHUNK:
                 conn.send(chunk)
@@ -295,10 +290,10 @@ def _received(conn, proc, name: str):
         last = msg[-1][0]
 
 
-def _sharded(fn, items, jobs: int):
+def _sharded(fn, source, jobs: int):
     """``_apply(fn, source)`` from ``jobs`` forked worker processes, one per
-    shard, merged back into source order. ``fork`` lets a worker inherit the
-    resolved source, whose streams are closures."""
+    shard, merged back into source order. ``fork`` lets a worker inherit fn
+    and the resolved source without pickling them."""
     ctx = multiprocessing.get_context("fork")
     procs, conns = [], []
     try:
@@ -306,7 +301,7 @@ def _sharded(fn, items, jobs: int):
             recv, send = ctx.Pipe(duplex=False)
             conns.append(recv)
             procs.append(ctx.Process(target=_shard_worker, daemon=True,
-                                     args=(fn, items, (i, jobs), send)))
+                                     args=(fn, source, (i, jobs), send)))
             procs[i].start()
             send.close()  # so that only the worker holds it
         yield from heapq.merge(
@@ -321,20 +316,20 @@ def _sharded(fn, items, jobs: int):
             conn.close()
 
 
-def _map_source(fn, items, jobs: int):
+def _map_source(fn, source, jobs: int):
     """fn over the graphs of a source, in source order, as ``_apply`` gives
     them without positions: in ``jobs`` worker processes when there are
     more than one, else here. A list source gets at most one worker per
-    item, and a generated source of order n at most one per labelled graph
+    graph, and a generated source of order n at most one per labelled graph
     on n - 1 vertices, which bounds its parents: other shards hold nothing."""
-    if isinstance(items, GeneratedSource):
-        jobs = min(jobs, 2 ** math.comb(max(items.n - 1, 0), 2))
+    if isinstance(source, GeneratedSource):
+        jobs = min(jobs, 2 ** math.comb(max(source.n - 1, 0), 2))
     else:
-        jobs = min(jobs, len(items))
+        jobs = min(jobs, len(source))
     if jobs > 1:
-        entries = _sharded(fn, items, jobs)
+        entries = _sharded(fn, source, jobs)
     else:
-        entries = _apply(fn, _shard(items, (0, 1)))
+        entries = _apply(fn, _shard(source, (0, 1)))
     return map(itemgetter(1), entries)
 
 
@@ -356,25 +351,21 @@ def run(config: RunConfig):
             report.results.append({"graph6": encode_graph6(g), "n": g.n,
                                    "edges": g.edges()})
             return done(0)
-        items = load_source(config.source)
+        source, unreadable = load_source(config.source)
     except (OSError, ValueError) as exc:  # GraphError and GuardError too
         report.errors.append(str(exc))
         return done(2)
-
-    bad = 0  # unreadable items, each counted as skipped
+    report.errors += unreadable
+    bad = len(unreadable)  # each unreadable line is counted as skipped
     broken = False  # the source raised partway through, or a worker died
 
     def results(fn):
-        """fn of each graph of the source; an unreadable item is counted
-        and its error recorded. A stream that ended early marks the run
-        broken, and its error is recorded once: every shard builds the
-        levels below the last, so a failure there ends every shard."""
-        nonlocal bad, broken
-        for out in _map_source(fn, items, config.jobs):
-            if isinstance(out, SourceItem):
-                bad += 1
-                report.errors.append(out.error)
-            elif isinstance(out, Exception):
+        """fn of each graph of the source. A stream that ended early marks
+        the run broken, and its error is recorded once: every shard builds
+        the levels below the last, so a failure there ends every shard."""
+        nonlocal broken
+        for out in _map_source(fn, source, config.jobs):
+            if isinstance(out, Exception):
                 broken = True
                 if str(out) not in report.errors:
                     report.errors.append(str(out))

@@ -24,7 +24,6 @@ from pairdom.harness import (
     ALL_CHECK_IDS,
     CHECKS,
     RunConfig,
-    SourceItem,
     _map_source,
     _shard,
     load_source,
@@ -41,7 +40,8 @@ def run_cli(capsys, *argv):
 
 class TestSources:
     def test_enum(self):
-        assert len(list(load_source("enum:4").shard((0, 1)))) == 11
+        source, errors = load_source("enum:4")
+        assert len(list(_shard(source, (0, 1)))) == 11 and errors == []
 
     def test_enum_is_generated_as_taken(self, monkeypatch):
         calls = []
@@ -52,9 +52,9 @@ class TestSources:
             return original(*args)
 
         monkeypatch.setattr(generate, "_augmenting_masks", counting)
-        items = load_source("enum:8")
+        source, _ = load_source("enum:8")
         assert calls == []
-        assert next(items.shard((0, 1)))[1].graph.n == 8
+        assert next(_shard(source, (0, 1)))[1].n == 8
         assert calls
 
     def test_enum_guards(self):
@@ -62,30 +62,29 @@ class TestSources:
             load_source("enum:10")
 
     def test_family_spec(self):
-        items = load_source("mK2:2")
-        assert len(items) == 1 and items[0].graph.n == 4
+        graphs, errors = load_source("mK2:2")
+        assert [g.n for g in graphs] == [4] and errors == []
 
     def test_graph6_file(self, tmp_path):
         p = tmp_path / "graphs.g6"
         p.write_text(
             encode_graph6(make_cycle(5)) + "\n" + encode_graph6(path_graph(3)) + "\n"
         )
-        items = load_source(str(p))
-        assert len(items) == 2
-        assert all(it.graph is not None for it in items)
+        graphs, errors = load_source(str(p))
+        assert [g.n for g in graphs] == [5, 3] and errors == []
 
     def test_graph6_file_with_bad_line(self, tmp_path):
         p = tmp_path / "graphs.g6"
         p.write_text(encode_graph6(make_cycle(5)) + "\nDq\n")
-        items = load_source(str(p))
-        assert items[0].graph is not None
-        assert items[1].graph is None and "2" in items[1].error
+        graphs, errors = load_source(str(p))
+        assert [g.n for g in graphs] == [5]
+        assert len(errors) == 1 and errors[0].startswith("line 2: ")
 
     def test_edge_list_file(self, tmp_path):
         p = tmp_path / "g.edges"
         p.write_text(edge_list_text(make_cycle(5)))
-        items = load_source(str(p))
-        assert len(items) == 1 and items[0].graph.edge_count == 5
+        graphs, errors = load_source(str(p))
+        assert [g.edge_count for g in graphs] == [5] and errors == []
 
     # a non-ASCII digit (Arabic-Indic three), a sign, an underscore
     @pytest.mark.parametrize("number", ["\u0663", "+3", "1_0"])
@@ -677,11 +676,37 @@ class TestStreaming:
             raise ProcessStarted(method)
 
         monkeypatch.setattr(multiprocessing, "get_context", get_context)
-        c5 = SourceItem(make_cycle(5))
-        unreadable = SourceItem(None, "line 1: bad")
-        assert list(_map_source(encode_graph6, [c5], 2)) == [encode_graph6(c5.graph)]
-        assert list(_map_source(encode_graph6, [unreadable], 2)) == [unreadable]
+        c5 = make_cycle(5)
+        assert list(_map_source(encode_graph6, [c5], 2)) == [encode_graph6(c5)]
         assert list(_map_source(encode_graph6, [], 2)) == []
+
+    @pytest.mark.parametrize("command", ["verify", "hunt", "invariants"])
+    def test_unreadable_lines_are_counted_alike_at_every_job_count(
+            self, capsys, tmp_path, command):
+        # The 2nd and the last line are unreadable. The shards split the
+        # readable graphs, and the unreadable lines are counted once, as the
+        # file is read, so every job count gives the same report.
+        lines = [encode_graph6(g) for g in nonisomorphic_graphs(5)]
+        lines[1:1] = ["Dq"]
+        lines.append("!!")
+        p = tmp_path / "graphs.g6"
+        p.write_text("\n".join(lines) + "\n")
+        outcomes = []
+        for jobs in (1, 2, 3):
+            code, out, err = run_cli(capsys, command, str(p), "--jobs", str(jobs))
+            rec = json.loads(out)
+            del rec["elapsed_ms"], rec["config"]["jobs"]
+            outcomes.append((rec, err, code))
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+        rec = outcomes[0][0]
+        assert [e.split(":")[0] for e in rec["errors"]] == ["line 2", f"line {len(lines)}"]
+        if command == "verify":
+            assert {t["skipped"] for t in rec["totals"].values()} == {2}
+            assert {t["scanned"] for t in rec["totals"].values()} == {len(lines)}
+        elif command == "hunt":
+            assert rec["hunt"]["skipped_by_reason"]["unreadable"] == 2
+        else:
+            assert len(rec["results"]) == len(lines) - 2
 
     @staticmethod
     def graph6_file(tmp_path, graphs) -> str:
@@ -824,23 +849,21 @@ class TestStreaming:
         p.write_text("".join(encode_graph6(g) + "\n" for g in nonisomorphic_graphs(4))
                      + "Dq\n" + encode_graph6(make_cycle(5)) + "\n")
 
-        def label(item):
-            return item.error if item.graph is None else encode_graph6(item.graph)
-
         sources = [f"enum:{n}" for n in range(8)] + ["c3free:9", str(p)]
         for source in sources:
+            loaded, _ = load_source(source)
             if source == "c3free:9":  # the serial stream, already generated
-                items = [SourceItem(g) for g in c3free_up_to_9 if g.n == 9]
+                graphs = [g for g in c3free_up_to_9 if g.n == 9]
             else:
-                items = [it for _, it in _shard(load_source(source), (0, 1))]
-            shards = [list(_shard(load_source(source), (i, jobs)))
-                      for i in range(jobs)]
+                graphs = [g for _, g in _shard(loaded, (0, 1))]
+            shards = [list(_shard(loaded, (i, jobs))) for i in range(jobs)]
             merged = heapq.merge(*shards, key=itemgetter(0))
-            assert [label(it) for _, it in merged] == [label(it) for it in items]
+            assert [encode_graph6(g) for _, g in merged] == [
+                encode_graph6(g) for g in graphs]
             for i, shard in enumerate(shards):
                 if source in sources[:9]:  # by parent index
                     assert all(pos[1] % jobs == i for pos, _ in shard)
-                else:  # by line
+                else:  # every J-th readable graph
                     assert all(pos[0] % jobs == i for pos, _ in shard)
         # Every order up to 10, positions and labels alike.
         girth5 = girth_at_least(5)
