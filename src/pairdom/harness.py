@@ -2,12 +2,14 @@
 run configuration and report, and `run`, which executes one command.
 
 The checks themselves live in ``characterizations.CHECKS``; this module
-maps them, or one of the other per-graph workers, over a source. Every
-source is a stream of plain graphs, which can be split into shards: shard i
-of J holds every J-th readable graph of a file, and the generated classes
-whose parent index is i mod J (``generate`` says why that split is exact and
-keeps every label). An unreadable line never enters a stream: ``run``
-records its error and counts it as skipped when it loads the source. With
+maps them, or one of the other per-graph workers, over a source.
+``load_source`` is the one place that knows the kinds of source. It turns
+each into a shard function, whose shard i of J is a stream of plain graphs:
+every J-th readable graph of a file, or the generated classes whose parent
+index is i mod J (``generate`` says why that split is exact and keeps every
+label). It also gives the number of shards that can hold a graph, which
+caps the worker count, and the errors of the unreadable lines, which never
+enter a stream: ``run`` records them and counts them as skipped. With
 ``jobs`` = J > 1, J worker processes each generate and check their own
 shard and send back (position, result) pairs, and the main process only
 merges the J ordered streams by position. Runs are deterministic: results
@@ -58,15 +60,6 @@ _GENERATED = {
 }
 
 
-@dataclass(frozen=True)
-class GeneratedSource:
-    """The classes of order n that ``predicate`` keeps, resolved and
-    validated; nothing is generated until a shard of it is iterated."""
-
-    predicate: Callable | None
-    n: int
-
-
 def _source_kind(source: str) -> tuple[str, str]:
     """(kind, order) of a source spec: kind is a key of ``_GENERATED``,
     "family" or "file", and order is "" but for a generated kind."""
@@ -76,17 +69,34 @@ def _source_kind(source: str) -> tuple[str, str]:
     return "family" if looks_like_family_spec(source) else "file", ""
 
 
-def load_source(source: str) -> tuple[GeneratedSource | list[Graph], list[str]]:
+def _listed(graphs: list[Graph], errors=()):
+    """A list of graphs as ``load_source`` returns a source: shard (i, J)
+    holds every J-th graph from the i-th, so at most len(graphs) shards
+    hold one."""
+    def shards(shard):
+        index, count = shard  # the j-th graph of the shard sits at i + J*j
+        return (((index + count * j,), g) for j, g in enumerate(graphs[index::count]))
+    return shards, len(graphs), list(errors)
+
+
+def load_source(source: str) -> tuple[Callable, int, list[str]]:
     """Resolve a source spec: ``enum:N``, ``c3free:N``, a family spec
-    string, or a path to a graph6 / edge-list file. Returns the source and
-    the error of each unreadable graph6 line, ``"line N: ..."`` in line
-    order; the line itself is left out of the source.
+    string, or a path to a graph6 / edge-list file. This is the one place
+    that tells the kinds of source apart. Returns ``(shards, bound,
+    errors)``. ``shards((i, J))`` yields shard i of J as (position, graph)
+    pairs, in order; the positions of the J shards interleave into source
+    order. No shard past the first ``bound`` holds a graph, so ``run``
+    starts at most ``bound`` workers. ``errors`` holds the error of each
+    unreadable graph6 line, ``"line N: ..."`` in line order; the line
+    itself is left out of the source.
 
     ``enum:N`` yields one representative per isomorphism class of order N,
     and ``c3free:N`` one per class of triangle-free graphs; ``_GENERATED``
     holds their guards. A bad spec raises, naming it, before any graph is
-    built, and a ``GeneratedSource`` generates its graphs as its shards
-    are iterated; files are read whole, into a list of graphs."""
+    built. A generated source is ``positioned_stream``, which generates as
+    a shard is iterated; its bound is 2^C(N-1, 2), the number of labelled
+    graphs on N - 1 vertices, since shards split it by parent index. A
+    file is read whole into a list of graphs, whose bound is their number."""
     kind, order = _source_kind(source)
     if kind in _GENERATED:
         guard, predicate = _GENERATED[kind]
@@ -95,15 +105,16 @@ def load_source(source: str) -> tuple[GeneratedSource | list[Graph], list[str]]:
         # digits, but more than is_decimal takes, are past the guard too
         if not is_decimal(order) or int(order) > guard:
             raise GuardError(f"{kind} order limited to N <= {guard}, got {source!r}")
-        return GeneratedSource(predicate, int(order)), []
+        n = int(order)
+        return partial(positioned_stream, n, predicate, n), 2 ** math.comb(max(n - 1, 0), 2), []
     if kind == "family":
-        return [parse_family_spec(source)], []
+        return _listed([parse_family_spec(source)])
     with open(source) as fh:
         text = fh.read()
     lines = text.splitlines()
     first = next((ln for ln in lines if ln.strip()), "")
     if _looks_like_edge_list(first):
-        return [parse_edge_list(text)], []
+        return _listed([parse_edge_list(text)])
     graphs, errors = [], []
     for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():
@@ -112,7 +123,7 @@ def load_source(source: str) -> tuple[GeneratedSource | list[Graph], list[str]]:
             graphs.append(parse_graph6(raw))
         except GraphError as exc:
             errors.append(f"line {lineno}: {exc}")
-    return graphs, errors
+    return _listed(graphs, errors)
 
 
 # --- run configuration and report --------------------------------------------
@@ -217,17 +228,6 @@ def _invariants_worker(g: Graph):
     return rec
 
 
-def _shard(source, shard):
-    """(position, graph) for each graph of shard (i, J) of a source, in
-    order; the positions of all the shards interleave into source order.
-    This is the one place where a source becomes a stream; a file's
-    unreadable lines were left out, and counted, by ``load_source``."""
-    if isinstance(source, GeneratedSource):
-        return positioned_stream(source.n, source.predicate, min_n=source.n, shard=shard)
-    index, count = shard  # the j-th graph of the shard sits at i + J*j
-    return (((index + count * j,), g) for j, g in enumerate(source[index::count]))
-
-
 def _apply(fn, positioned):
     """(position, fn(graph)) for each (position, graph) of a stream, which
     ``load_source`` kept unreadable lines out of. A ValueError the stream
@@ -248,12 +248,12 @@ def _apply(fn, positioned):
 _CHUNK = 32  # results per message from a worker
 
 
-def _shard_worker(fn, source, shard, conn):
-    """In a worker process: ``_apply(fn, shard)`` sent in chunks, then None;
-    an exception fn raises is sent in place of the rest."""
+def _shard_worker(fn, shards, shard, conn):
+    """In a worker process: ``_apply(fn, shards(shard))`` sent in chunks,
+    then None; an exception fn raises is sent in place of the rest."""
     try:
         chunk = []
-        for entry in _apply(fn, _shard(source, shard)):
+        for entry in _apply(fn, shards(shard)):
             chunk.append(entry)
             if len(chunk) == _CHUNK:
                 conn.send(chunk)
@@ -290,10 +290,10 @@ def _received(conn, proc, name: str):
         last = msg[-1][0]
 
 
-def _sharded(fn, source, jobs: int):
-    """``_apply(fn, source)`` from ``jobs`` forked worker processes, one per
-    shard, merged back into source order. ``fork`` lets a worker inherit fn
-    and the resolved source without pickling them."""
+def _sharded(fn, shards, jobs: int):
+    """``_apply(fn, shards((i, jobs)))`` for each i, in ``jobs`` forked
+    worker processes, merged back into source order. ``fork`` lets a worker
+    inherit fn and the shard function without pickling them."""
     ctx = multiprocessing.get_context("fork")
     procs, conns = [], []
     try:
@@ -301,7 +301,7 @@ def _sharded(fn, source, jobs: int):
             recv, send = ctx.Pipe(duplex=False)
             conns.append(recv)
             procs.append(ctx.Process(target=_shard_worker, daemon=True,
-                                     args=(fn, source, (i, jobs), send)))
+                                     args=(fn, shards, (i, jobs), send)))
             procs[i].start()
             send.close()  # so that only the worker holds it
         yield from heapq.merge(
@@ -314,23 +314,6 @@ def _sharded(fn, source, jobs: int):
             proc.join()
         for conn in conns:
             conn.close()
-
-
-def _map_source(fn, source, jobs: int):
-    """fn over the graphs of a source, in source order, as ``_apply`` gives
-    them without positions: in ``jobs`` worker processes when there are
-    more than one, else here. A list source gets at most one worker per
-    graph, and a generated source of order n at most one per labelled graph
-    on n - 1 vertices, which bounds its parents: other shards hold nothing."""
-    if isinstance(source, GeneratedSource):
-        jobs = min(jobs, 2 ** math.comb(max(source.n - 1, 0), 2))
-    else:
-        jobs = min(jobs, len(source))
-    if jobs > 1:
-        entries = _sharded(fn, source, jobs)
-    else:
-        entries = _apply(fn, _shard(source, (0, 1)))
-    return map(itemgetter(1), entries)
 
 
 def run(config: RunConfig):
@@ -351,20 +334,24 @@ def run(config: RunConfig):
             report.results.append({"graph6": encode_graph6(g), "n": g.n,
                                    "edges": g.edges()})
             return done(0)
-        source, unreadable = load_source(config.source)
+        shards, bound, unreadable = load_source(config.source)
     except (OSError, ValueError) as exc:  # GraphError and GuardError too
         report.errors.append(str(exc))
         return done(2)
+    jobs = min(config.jobs, bound)  # a shard past the bound holds no graph
     report.errors += unreadable
     bad = len(unreadable)  # each unreadable line is counted as skipped
     broken = False  # the source raised partway through, or a worker died
 
     def results(fn):
-        """fn of each graph of the source. A stream that ended early marks
-        the run broken, and its error is recorded once: every shard builds
-        the levels below the last, so a failure there ends every shard."""
+        """fn of each graph of the source, in source order: in ``jobs``
+        worker processes when there are more than one, else here. A stream
+        that ended early marks the run broken, and its error is recorded
+        once: every shard builds the levels below the last, so a failure
+        there ends every shard."""
         nonlocal broken
-        for out in _map_source(fn, source, config.jobs):
+        entries = _sharded(fn, shards, jobs) if jobs > 1 else _apply(fn, shards((0, 1)))
+        for _, out in entries:
             if isinstance(out, Exception):
                 broken = True
                 if str(out) not in report.errors:

@@ -24,8 +24,6 @@ from pairdom.harness import (
     ALL_CHECK_IDS,
     CHECKS,
     RunConfig,
-    _map_source,
-    _shard,
     load_source,
     run,
     run_checks,
@@ -38,10 +36,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def loaded_graphs(source):
+    """The graphs of a source in source order, from its one shard of one,
+    and the errors of its unreadable lines."""
+    shards, _, errors = load_source(source)
+    return [g for _, g in shards((0, 1))], errors
+
+
 class TestSources:
     def test_enum(self):
-        source, errors = load_source("enum:4")
-        assert len(list(_shard(source, (0, 1)))) == 11 and errors == []
+        shards, bound, errors = load_source("enum:4")
+        # the 11 classes of order 4 have the 4 classes of order 3 as
+        # parents, bounded by the 2^C(3, 2) = 8 labelled graphs on 3 vertices
+        assert len(list(shards((0, 1)))) == 11 and bound == 8 and errors == []
 
     def test_enum_is_generated_as_taken(self, monkeypatch):
         calls = []
@@ -52,9 +59,9 @@ class TestSources:
             return original(*args)
 
         monkeypatch.setattr(generate, "_augmenting_masks", counting)
-        source, _ = load_source("enum:8")
+        shards, _, _ = load_source("enum:8")
         assert calls == []
-        assert next(_shard(source, (0, 1)))[1].n == 8
+        assert next(shards((0, 1)))[1].n == 8
         assert calls
 
     def test_enum_guards(self):
@@ -62,7 +69,7 @@ class TestSources:
             load_source("enum:10")
 
     def test_family_spec(self):
-        graphs, errors = load_source("mK2:2")
+        graphs, errors = loaded_graphs("mK2:2")
         assert [g.n for g in graphs] == [4] and errors == []
 
     def test_graph6_file(self, tmp_path):
@@ -70,20 +77,20 @@ class TestSources:
         p.write_text(
             encode_graph6(make_cycle(5)) + "\n" + encode_graph6(path_graph(3)) + "\n"
         )
-        graphs, errors = load_source(str(p))
+        graphs, errors = loaded_graphs(str(p))
         assert [g.n for g in graphs] == [5, 3] and errors == []
 
     def test_graph6_file_with_bad_line(self, tmp_path):
         p = tmp_path / "graphs.g6"
         p.write_text(encode_graph6(make_cycle(5)) + "\nDq\n")
-        graphs, errors = load_source(str(p))
+        graphs, errors = loaded_graphs(str(p))
         assert [g.n for g in graphs] == [5]
         assert len(errors) == 1 and errors[0].startswith("line 2: ")
 
     def test_edge_list_file(self, tmp_path):
         p = tmp_path / "g.edges"
         p.write_text(edge_list_text(make_cycle(5)))
-        graphs, errors = load_source(str(p))
+        graphs, errors = loaded_graphs(str(p))
         assert [g.edge_count for g in graphs] == [5] and errors == []
 
     # a non-ASCII digit (Arabic-Indic three), a sign, an underscore
@@ -668,7 +675,7 @@ class TestRunApi:
 
 
 class TestStreaming:
-    def test_one_item_list_runs_in_process(self, monkeypatch):
+    def test_one_item_list_runs_in_process(self, monkeypatch, tmp_path):
         class ProcessStarted(Exception):
             pass
 
@@ -676,9 +683,15 @@ class TestStreaming:
             raise ProcessStarted(method)
 
         monkeypatch.setattr(multiprocessing, "get_context", get_context)
-        c5 = make_cycle(5)
-        assert list(_map_source(encode_graph6, [c5], 2)) == [encode_graph6(c5)]
-        assert list(_map_source(encode_graph6, [], 2)) == []
+        # A source of one graph, or of none, caps --jobs 2 at one job or
+        # none, and so runs here.
+        report, code = run(RunConfig("invariants", "C5", jobs=2))
+        assert code == 0
+        assert [r["graph6"] for r in report.results] == [encode_graph6(make_cycle(5))]
+        empty = tmp_path / "empty.g6"
+        empty.write_text("")
+        report, code = run(RunConfig("invariants", str(empty), jobs=2))
+        assert code == 0 and report.results == [] and report.errors == []
 
     @pytest.mark.parametrize("command", ["verify", "hunt", "invariants"])
     def test_unreadable_lines_are_counted_alike_at_every_job_count(
@@ -848,23 +861,30 @@ class TestStreaming:
         p = tmp_path / "graphs.g6"
         p.write_text("".join(encode_graph6(g) + "\n" for g in nonisomorphic_graphs(4))
                      + "Dq\n" + encode_graph6(make_cycle(5)) + "\n")
+        edges = tmp_path / "g.edges"
+        edges.write_text(edge_list_text(make_cycle(5)))
 
-        sources = [f"enum:{n}" for n in range(8)] + ["c3free:9", str(p)]
-        for source in sources:
-            loaded, _ = load_source(source)
+        generated = [f"enum:{n}" for n in range(8)] + ["c3free:9"]
+        for source in generated + ["mK2:2", str(edges), str(p)]:
+            shards, bound, _ = load_source(source)
             if source == "c3free:9":  # the serial stream, already generated
                 graphs = [g for g in c3free_up_to_9 if g.n == 9]
             else:
-                graphs = [g for _, g in _shard(loaded, (0, 1))]
-            shards = [list(_shard(loaded, (i, jobs))) for i in range(jobs)]
-            merged = heapq.merge(*shards, key=itemgetter(0))
+                graphs = [g for _, g in shards((0, 1))]
+            split = [list(shards((i, jobs))) for i in range(jobs)]
+            merged = heapq.merge(*split, key=itemgetter(0))
             assert [encode_graph6(g) for _, g in merged] == [
                 encode_graph6(g) for g in graphs]
-            for i, shard in enumerate(shards):
-                if source in sources[:9]:  # by parent index
+            for i, shard in enumerate(split):
+                if source in generated:  # by parent index
                     assert all(pos[1] % jobs == i for pos, _ in shard)
                 else:  # every J-th readable graph
                     assert all(pos[0] % jobs == i for pos, _ in shard)
+            if source not in generated:
+                assert bound == len(graphs)
+            if source in generated[1:5] or source == str(p):
+                # no graph past the bound: enum:1 to enum:4 and the file
+                assert list(shards((bound, bound + 1))) == []
         # Every order up to 10, positions and labels alike.
         girth5 = girth_at_least(5)
         shards = [list(positioned_stream(10, girth5, shard=(i, jobs)))

@@ -1,0 +1,157 @@
+"""Same outputs before and after a change to src/: a fixed set of CLI
+commands and generated streams, run on both sides and compared.
+
+    python3 tools/sameout.py --base <rev>
+
+Run from anywhere inside a git checkout of pairdom. A temporary tree gets
+``src/`` as of <rev> (``git archive``), and another the working ``src/``.
+In each tree, every command of ``COMMANDS`` runs as ``python -m
+pairdom.cli`` from one directory of input files that both sides share, so
+the paths in the reports match. A command's outcome is its stdout without
+its elapsed time (the ``elapsed_ms`` key of a JSON report or the
+``elapsed_ms=`` line of a text report), its stderr and its exit code;
+nothing else is left out. Each stream of ``STREAMS`` is the sha256 of its
+``positioned_stream`` as one "<position> <graph6>" line per graph, labels
+and positions included. One line per item, ``same`` or ``DIFF``, names
+what differs; the tool exits 1 on any ``DIFF`` and 0 otherwise. It refuses
+to run, with exit 2, when the working ``src/`` has no change against
+<rev>, since nothing would be compared.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from functools import partial
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("base", "change")
+
+# Input files, written into the directory the commands run from. The
+# graph6 file has two unreadable lines, the 2nd and the last.
+INPUTS = {
+    "mixed.g6": "Dhc\nDq\nCh\nC~\nE`?G\nJ`?G?C@?GC_\nHkE?KA@\nIheA@GUAo\n!!\n",
+    "c5.edges": "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n",
+}
+COMMANDS = [
+    ("verify", "enum:8", "--jobs", "2"),
+    ("verify", "enum:6", "--format", "text"),
+    ("hunt", "c3free:10", "--jobs", "2"),
+    ("invariants", "enum:6"),
+    *((command, "mixed.g6", "--jobs", jobs)
+      for command in ("verify", "hunt", "invariants") for jobs in ("1", "3")),
+    ("invariants", "c5.edges"),
+    ("verify", "enum:3", "--jobs", "4"),
+    ("gen", "union:K2*2+C5*1"),
+    ("verify", "enum:10"),
+    ("verify", "missing.g6"),
+]
+# name -> (order, predicate name in pairdom.generate or None)
+STREAMS = {"enum <= 8": (8, None), "c3free <= 10": (10, "triangle_free")}
+_STREAM_HASH = """\
+import hashlib, sys
+from pairdom import generate
+from pairdom.graph import encode_graph6
+n, name = int(sys.argv[1]), sys.argv[2]
+digest = hashlib.sha256()
+for pos, g in generate.positioned_stream(n, getattr(generate, name) if name else None):
+    digest.update(f"{pos} {encode_graph6(g)}\\n".encode())
+print(digest.hexdigest())
+"""
+_ELAPSED = re.compile(r'^(  "elapsed_ms": \d+,?|elapsed_ms=\d+)\n', re.M)
+
+
+class SameoutError(Exception):
+    """A tree could not be built or a stream could not be hashed."""
+
+
+def git(*args) -> bytes:
+    proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True)
+    if proc.returncode:
+        raise SameoutError(f"git {' '.join(args)}: {proc.stderr.decode().strip()}")
+    return proc.stdout
+
+
+def build_trees(rev: str, top: Path) -> dict:
+    """The ``src/`` of each side under top: <rev>'s and the working one."""
+    (top / "base").mkdir()
+    proc = subprocess.run(["tar", "-x", "-C", str(top / "base")],
+                          input=git("archive", "--format=tar", rev, "src"), capture_output=True)
+    if proc.returncode:
+        raise SameoutError(f"tar: {proc.stderr.decode().strip()}")
+    shutil.copytree(ROOT / "src", top / "change" / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return {side: top / side / "src" for side in SIDES}
+
+
+def _python(src: Path, cwd: Path, args) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+def run_cli(src: Path, cwd: Path, argv) -> tuple[str, str, int]:
+    """stdout, stderr and exit code of one CLI command on src."""
+    proc = _python(src, cwd, ["-m", "pairdom.cli", *argv])
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def stream(n: int, predicate, src: Path, cwd: Path) -> dict:
+    """The sha256 of one generated stream on src."""
+    proc = _python(src, cwd, ["-c", _STREAM_HASH, str(n), predicate or ""])
+    if proc.returncode:
+        raise SameoutError(f"stream {n} {predicate}: {proc.stderr[-2000:]}")
+    return {"sha256": proc.stdout.strip()}
+
+
+def outcome(argv, src: Path, cwd: Path) -> dict:
+    """What a command gives on src that must not change: everything but
+    the elapsed time."""
+    out, err, code = run_cli(src, cwd, argv)
+    return {"stdout": _ELAPSED.sub("", out), "stderr": err, "exit code": code}
+
+
+def compare(trees: dict, cwd: Path) -> bool:
+    """Print one line per item, naming what differs; whether every item is
+    the same on both sides."""
+    items = [(" ".join(argv), partial(outcome, argv)) for argv in COMMANDS]
+    items += [(f"stream {name}", partial(stream, *spec)) for name, spec in STREAMS.items()]
+    same = True
+    for name, produce in items:
+        base, change = (produce(trees[side], cwd) for side in SIDES)
+        differs = [key for key in base if base[key] != change[key]]
+        same = same and not differs
+        print(f"DIFF  {name}  ({', '.join(differs)})" if differs else f"same  {name}")
+    return same
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision of the base src/")
+    args = parser.parse_args(argv)
+    try:
+        rev = git("rev-parse", "--verify", f"{args.base}^{{commit}}").decode().strip()
+        if not git("diff", "--binary", rev, "--", "src"):
+            print(f"sameout: the working src/ is src/ at {args.base}; nothing to compare",
+                  file=sys.stderr)
+            return 2
+        with tempfile.TemporaryDirectory(prefix="sameout-") as top:
+            trees = build_trees(rev, Path(top))
+            cwd = Path(top) / "inputs"
+            cwd.mkdir()
+            for name, text in INPUTS.items():
+                (cwd / name).write_text(text)
+            return 0 if compare(trees, cwd) else 1
+    except SameoutError as exc:
+        print(f"sameout: {exc}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
