@@ -10,8 +10,9 @@ fourth status, skipped, is set only by ``run_checks``, when a guard stops
 a check on a graph too large for the exact scans. A check never raises for
 an unmet hypothesis, and an na verdict is never silently treated as holds.
 ``EQUALITY_CLASSES`` is the one table of the four equality
-characterizations; it gives both the ``equality-*`` checks and the fast
-path, ``Facts.votes``. ``Facts.equality`` is the one brute-force answer,
+characterizations. It gives the fast path, ``Facts.votes``, and each
+``equality-*`` check reads its class's vote there, so a theorem is
+evaluated once per graph. ``Facts.equality`` is the one brute-force answer,
 from both exact scans.
 """
 
@@ -34,7 +35,6 @@ from .domination import (
 )
 from .families import (
     ClassFlags,
-    FamilyLabel,
     classify,
     every_block_edge_or_cycle,
     recognize_family,
@@ -92,13 +92,9 @@ class Facts:
         return classify(self.g)
 
     @cached_property
-    def family(self) -> FamilyLabel | None:
+    def family(self) -> str | None:
+        """The family's spec, or None outside every family."""
         return recognize_family(self.g)
-
-    @property
-    def family_spec(self) -> str | None:
-        """The family as a spec string, or None outside every family."""
-        return self.family and self.family.spec_string()
 
     @cached_property
     def componentwise_c3free_cactus(self) -> bool:
@@ -223,59 +219,50 @@ def _structural_scope(facts: Facts) -> bool:
 # --- the equality characterizations ---------------------------------------
 
 
-def _edges_and_5_cycles(fam: FamilyLabel | None) -> bool:
+def _is_mk2(fam: str | None) -> bool:
+    return fam is not None and fam.startswith("mK2:")
+
+
+def _edges_and_5_cycles(fam: str | None) -> bool:
     """The equality family of triangle-free cacti, and the form the hunt
     expects of every triangle-free satisfier."""
-    return fam is not None and fam.kind in ("mK2", "C5", "mK2+mC5")
+    return fam is not None and (fam == "C5" or fam.startswith(("mK2:", "union:")))
 
 
 @dataclass(frozen=True)
 class EqualityClass:
     """A graph class on which Γ_pr = 2Γ holds exactly for one family."""
 
-    check_id: str
     method: str  # the key of this class's vote in ``Facts.votes``
     applies: Callable[[Facts], bool]
-    expected: Callable[[FamilyLabel | None], bool]
+    expected: Callable[[str | None], bool]
 
 
 # In precedence order, which orders the keys of ``Facts.votes``.
 EQUALITY_CLASSES = (
+    EqualityClass("girth-at-least-6", lambda f: f.flags.girth >= 6, _is_mk2),
+    EqualityClass("c3-free-cactus", lambda f: f.componentwise_c3free_cactus,
+                  _edges_and_5_cycles),
     EqualityClass(
-        "equality-girth6", "girth-at-least-6",
-        lambda f: f.flags.girth >= 6,
-        lambda fam: fam is not None and fam.kind == "mK2",
+        "unicyclic", lambda f: f.flags.unicyclic,
+        lambda fam: fam in ("C3", "C5") or (
+            fam is not None and fam.startswith("star:") and fam.endswith(",d=1")),
     ),
-    EqualityClass(
-        "equality-c3free-cactus", "c3-free-cactus",
-        lambda f: f.componentwise_c3free_cactus,
-        _edges_and_5_cycles,
-    ),
-    EqualityClass(
-        "equality-unicyclic", "unicyclic",
-        lambda f: f.flags.unicyclic,
-        lambda fam: fam is not None and (
-            fam.kind in ("C3", "C5") or (fam.kind == "star" and fam.params[1] == 1)
-        ),
-    ),
-    EqualityClass(
-        "equality-bipartite", "bipartite",
-        lambda f: f.flags.connected and f.flags.bipartite,
-        lambda fam: fam is not None and fam.kind == "mK2" and fam.params[0] == 1,
-    ),
+    EqualityClass("bipartite", lambda f: f.flags.connected and f.flags.bipartite,
+                  lambda fam: fam == "mK2:1"),
 )
 
 
-def _equality_check(c: EqualityClass) -> Check:
+def _equality_check(check_id: str, method: str) -> Check:
     """The theorem's check: where Γ_pr is defined and the class applies,
-    the equality must match family membership."""
+    so that the class votes, the vote must be the equality."""
 
     def mismatch(facts: Facts) -> dict | None:
-        if facts.equality == c.expected(facts.family):
+        if facts.votes[method] == facts.equality:
             return None
-        return {"equality": facts.equality, "family": facts.family_spec}
+        return {"equality": facts.equality, "family": facts.family}
 
-    return Check(c.check_id, lambda f: _paired(f) and c.applies(f), mismatch)
+    return Check(check_id, lambda f: method in f.votes, mismatch)
 
 
 # --- violations: each returns a counterexample witness, or None ---------------
@@ -286,7 +273,7 @@ def _gpr_equals_n(facts: Facts) -> dict | None:
     minimal PDS with perfect matching M, and xy is an edge outside M, then
     V - {x', y'} is a smaller PDS, for x', y' the M-partners of x and y."""
     upper_gamma_pr = facts.report.upper_gamma_pr
-    is_mk2 = facts.family is not None and facts.family.kind == "mK2"
+    is_mk2 = _is_mk2(facts.family)
     if (upper_gamma_pr == facts.g.n) == is_mk2:
         return None
     return {"upper_gamma_pr": upper_gamma_pr, "is_mk2": is_mk2}
@@ -307,10 +294,10 @@ def _gpr_equals_n_minus_1(facts: Facts) -> dict | None:
     this check, and its source is still unconfirmed."""
     upper_gamma_pr = facts.report.upper_gamma_pr
     fam = facts.family
-    in_family = fam is not None and fam.kind in ("C3", "C5", "star")
+    in_family = fam in ("C3", "C5") or (fam is not None and fam.startswith("star:"))
     if (upper_gamma_pr == facts.g.n - 1) == in_family:
         return None
-    return {"upper_gamma_pr": upper_gamma_pr, "family": facts.family_spec}
+    return {"upper_gamma_pr": upper_gamma_pr, "family": fam}
 
 
 def _gpr_at_most_2gamma(facts: Facts) -> dict | None:
@@ -488,8 +475,6 @@ STRUCTURAL_LEMMAS = tuple(
 
 # --- the registry ---------------------------------------------------------------
 
-_EQUALITY = {c.check_id: _equality_check(c) for c in EQUALITY_CLASSES}
-
 CHECKS: dict[str, Callable[[Facts], Verdict]] = {c.check_id: c for c in (
     Check("gpr-equals-n", _paired, _gpr_equals_n),
     Check("gpr-upper-bound", _connected_order_3, _gpr_upper_bound),
@@ -501,10 +486,10 @@ CHECKS: dict[str, Callable[[Facts], Verdict]] = {c.check_id: c for c in (
     Check("pds-contains-half-mds", _paired, _pds_contains_half_mds),
     Check("unicyclic-gamma-bound", lambda f: f.flags.unicyclic, _unicyclic_gamma_bound),
     Check("independent-core", _equality_met, _independent_core),
-    _EQUALITY["equality-bipartite"],
-    _EQUALITY["equality-unicyclic"],
-    _EQUALITY["equality-girth6"],
-    _EQUALITY["equality-c3free-cactus"],
+    _equality_check("equality-bipartite", "bipartite"),
+    _equality_check("equality-unicyclic", "unicyclic"),
+    _equality_check("equality-girth6", "girth-at-least-6"),
+    _equality_check("equality-c3free-cactus", "c3-free-cactus"),
     Check("fastpath-matches-brute", lambda f: bool(f.votes),
           _fastpath_matches_brute),
     *STRUCTURAL_LEMMAS,
@@ -617,7 +602,7 @@ def hunt_record(g: Graph) -> dict | None:
         return None
     return {
         "graph6": facts.graph6,
-        "family": facts.family_spec,
+        "family": facts.family,
         "expected_form": _edges_and_5_cycles(facts.family),
         "cactus": facts.componentwise_c3free_cactus,
     }

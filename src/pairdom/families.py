@@ -2,11 +2,12 @@
 
 The recognizable families are disjoint unions of edges (mK2), the triangle
 and the 5-cycle, the once-subdivided star with triangles attached at the
-center, and disjoint unions of edges and 5-cycles. Recognition follows
-each family's definition, not a general isomorphism test: a census of the
-components (2-vertex ones, 5-cycles) for the unions, and for the star a
-centre whose removal leaves a perfect matching with an end of each edge on
-the centre.
+center, and disjoint unions of edges and 5-cycles. Recognition names a
+graph's family by its spec, the string ``parse_family_spec`` reads. It
+follows each family's definition, not a general isomorphism test: a census
+of the components (2-vertex ones, 5-cycles) for the unions, and for the
+star a centre whose removal leaves a perfect matching with an end of each
+edge on the centre.
 """
 
 from __future__ import annotations
@@ -25,32 +26,6 @@ from .graph import (
     is_connected,
     is_decimal,
 )
-
-# Precedence when several family shapes describe the same graph: a triangle
-# is reported as C3 (not a degenerate subdivided star), a lone 5-cycle as C5
-# (not a one-copy union), a perfect matching as mK2.
-_PRECEDENCE = ("C3", "C5", "mK2", "star", "mK2+mC5")
-
-
-@dataclass(frozen=True)
-class FamilyLabel:
-    kind: str
-    params: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in _PRECEDENCE:
-            raise GraphError(f"unknown family kind {self.kind!r}")
-
-    def spec_string(self) -> str:
-        if self.kind == "mK2":
-            return f"mK2:{self.params[0]}"
-        if self.kind == "star":
-            t, d = self.params
-            return f"star:t={t},d={d}"
-        if self.kind == "mK2+mC5":
-            m1, m2 = self.params
-            return f"union:K2*{m1}+C5*{m2}"
-        return self.kind
 
 
 @dataclass(frozen=True)
@@ -179,7 +154,7 @@ def _is_cycle_component(g: Graph, mask: int, length: int) -> bool:
         g.adj[v].bit_count() == 2 for v in bits_of(mask))
 
 
-def _recognize_subdivided_star(g: Graph) -> FamilyLabel | None:
+def _recognize_subdivided_star(g: Graph) -> str | None:
     """The subdivided star that g, connected of order at least 3, is: by
     definition, one with a centre c such that G - c is a perfect matching,
     each of whose edges has an end adjacent to c (as g is connected). A leg
@@ -191,28 +166,33 @@ def _recognize_subdivided_star(g: Graph) -> FamilyLabel | None:
         rest = g.full_mask ^ (1 << c)
         if all((g.adj[v] & rest).bit_count() == 1 for v in bits_of(rest)):
             delta = g.adj[c].bit_count() - g.n // 2
-            return FamilyLabel("star", (g.n // 2 - delta, delta))
+            return f"star:t={g.n // 2 - delta},d={delta}"
     return None
 
 
-def recognize_family(g: Graph) -> FamilyLabel | None:
-    """Structural family recognition, up to isomorphism."""
+def recognize_family(g: Graph) -> str | None:
+    """The spec that ``parse_family_spec`` builds g from, up to
+    relabelling, or None outside every family. The spec is one of C3, C5,
+    mK2:m, star:t=T,d=D and union:K2*a+C5*b; where several describe g, the
+    first in that order is given: a triangle is C3, not star:t=0,d=1, a
+    lone 5-cycle C5, not union:K2*0+C5*1, and a perfect matching mK2:m,
+    not union:K2*m+C5*0."""
     if g.n == 0:
         return None
     masks = components(g)
     if len(masks) == 1:
         if g.n == 3 and g.edge_count == 3:
-            return FamilyLabel("C3")
+            return "C3"
         if _is_cycle_component(g, g.full_mask, 5):
-            return FamilyLabel("C5")
+            return "C5"
         if g.n > 2:  # K2 is mK2:1, and no subdivided star is disconnected
             return _recognize_subdivided_star(g)
     k2s = sum(1 for m in masks if m.bit_count() == 2)
     c5s = sum(1 for m in masks if _is_cycle_component(g, m, 5))
     if k2s == len(masks):
-        return FamilyLabel("mK2", (k2s,))
+        return f"mK2:{k2s}"
     if k2s + c5s == len(masks):
-        return FamilyLabel("mK2+mC5", (k2s, c5s))
+        return f"union:K2*{k2s}+C5*{c5s}"
     return None
 
 

@@ -199,7 +199,7 @@ def _invariants_worker(g: Graph):
     whether the vote is the equality."""
     facts = Facts(g)
     rec = {"graph6": facts.graph6, "n": g.n, **asdict(facts.flags),
-           "family": facts.family_spec, "votes": facts.votes}
+           "family": facts.family, "votes": facts.votes}
     if rec["girth"] == INFINITE:  # acyclic
         rec["girth"] = None
     equality = None

@@ -5,13 +5,11 @@ import tracemalloc
 
 import pytest
 
-from oracles import labeled_graphs, path_graph, relabel, star_graph
+from oracles import are_isomorphic, labeled_graphs, path_graph, relabel, star_graph
 from pairdom.generate import triangle_free
 from pairdom.graph import GraphError, build_graph, encode_graph6, girth, is_connected
 from pairdom.families import (
-    _PRECEDENCE,
     ClassFlags,
-    FamilyLabel,
     classify,
     disjoint_union,
     every_block_edge_or_cycle,
@@ -146,21 +144,20 @@ class TestAgainstNetworkx:
 
 class TestRecognition:
     def test_precedence(self):
-        assert recognize_family(make_cycle(3)) == FamilyLabel("C3")
-        assert recognize_family(make_cycle(5)) == FamilyLabel("C5")
-        assert recognize_family(make_k2()).spec_string() == "mK2:1"
+        assert recognize_family(make_cycle(3)) == "C3"
+        assert recognize_family(make_cycle(5)) == "C5"
+        assert recognize_family(make_k2()) == "mK2:1"
         assert recognize_family(make_cycle(4)) is None
         # P3 is the t=1, d=0 subdivided star (and has Gamma_pr = n - 1)
-        assert recognize_family(path_graph(3)) == FamilyLabel("star", (1, 0))
+        assert recognize_family(path_graph(3)) == "star:t=1,d=0"
         assert recognize_family(path_graph(4)) is None
 
     def test_mk2_and_unions(self):
         three = disjoint_union([make_k2()] * 3)
-        assert recognize_family(three).spec_string() == "mK2:3"
+        assert recognize_family(three) == "mK2:3"
         mix = disjoint_union([make_k2(), make_cycle(5), make_k2()])
-        lab = recognize_family(mix)
-        assert lab.kind == "mK2+mC5" and lab.params == (2, 1)
-        assert recognize_family(disjoint_union([make_cycle(5)] * 2)).params == (0, 2)
+        assert recognize_family(mix) == "union:K2*2+C5*1"
+        assert recognize_family(disjoint_union([make_cycle(5)] * 2)) == "union:K2*0+C5*2"
 
     def test_star_round_trip(self):
         for t in range(0, 5):
@@ -168,13 +165,10 @@ class TestRecognition:
                 if t + d == 0 or (t, d) == (0, 1):
                     continue  # empty, or C3 by precedence
                 g = make_subdivided_star(t, d)
-                lab = recognize_family(g)
-                assert lab == FamilyLabel("star", (t, d)), (t, d)
+                assert recognize_family(g) == f"star:t={t},d={d}", (t, d)
 
     def test_butterfly_is_a_star_with_no_legs(self):
-        assert recognize_family(make_subdivided_star(0, 2)) == FamilyLabel(
-            "star", (0, 2)
-        )
+        assert recognize_family(make_subdivided_star(0, 2)) == "star:t=0,d=2"
 
     def test_invariant_under_relabeling(self):
         rng = random.Random(7)
@@ -197,14 +191,12 @@ class TestRecognition:
         # of its order and size, in precedence order, that networkx finds
         # isomorphic to it, and None when there is none.
         nx = pytest.importorskip("networkx")
-        members = [(FamilyLabel("C3"), make_cycle(3)), (FamilyLabel("C5"), make_cycle(5))]
-        members += [(FamilyLabel("mK2", (m,)), disjoint_union([make_k2()] * m))
-                    for m in range(1, 5)]
-        members += [(FamilyLabel("star", (t, d)), make_subdivided_star(t, d))
+        members = [("C3", make_cycle(3)), ("C5", make_cycle(5))]
+        members += [(f"mK2:{m}", disjoint_union([make_k2()] * m)) for m in range(1, 5)]
+        members += [(f"star:t={t},d={d}", make_subdivided_star(t, d))
                     for t in range(4) for d in range(4) if 1 <= t + d <= 3]
-        members += [(FamilyLabel("mK2+mC5", (m, 1)),
+        members += [(f"union:K2*{m}+C5*1",
                      disjoint_union([make_k2()] * m + [make_cycle(5)])) for m in (0, 1)]
-        members.sort(key=lambda lm: _PRECEDENCE.index(lm[0].kind))
         by_shape = {}
         for label, h in members:
             by_shape.setdefault((h.n, h.edge_count), []).append(
@@ -235,12 +227,26 @@ class TestSpecParsing:
         for spec in ("K2", "C3", "C5", "mK2:3", "star:t=3,d=1", "star:t=0,d=2"):
             g = parse_family_spec(spec)
             assert g.n > 0
+            assert recognize_family(g) == ("mK2:1" if spec == "K2" else spec)
+
+    def test_every_recognized_name_parses_back(self, graphs_up_to_8):
+        # The name recognition gives builds the graph it was given, up to
+        # relabelling, and is given again for what it builds.
+        named = 0
+        for g in graphs_up_to_8:
+            name = recognize_family(g)
+            if name is None:
+                continue
+            built = parse_family_spec(name)
+            assert are_isomorphic(built, g), (name, encode_graph6(g))
+            assert recognize_family(built) == name
+            named += 1
+        assert named == 15
 
     def test_union_syntax(self):
         g = parse_family_spec("union:K2*2+C5*1")
         assert g.n == 9
-        lab = recognize_family(g)
-        assert lab.kind == "mK2+mC5" and lab.params == (2, 1)
+        assert recognize_family(g) == "union:K2*2+C5*1"
 
     def test_union_matches_disjoint_union(self):
         built = disjoint_union([make_k2(), make_k2(), make_cycle(5)])

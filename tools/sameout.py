@@ -51,6 +51,13 @@ COMMANDS = [
     ("gen", "union:K2*2+C5*1"),
     ("verify", "enum:10"),
     ("verify", "missing.g6"),
+    # the equality votes without fastpath-matches-brute, and both checks
+    # that read the family
+    ("verify", "enum:7", "--checks", "equality-girth6,equality-c3free-cactus,"
+     "equality-unicyclic,equality-bipartite,gpr-equals-n,gpr-equals-n-minus-1"),
+    # recognized families past the guard on the exact scans
+    ("invariants", "union:K2*3+C5*4"),
+    ("invariants", "star:t=12,d=1"),
 ]
 # name -> (order, predicate name in pairdom.generate or None)
 STREAMS = {"enum <= 8": (8, None), "c3free <= 10": (10, "triangle_free")}
