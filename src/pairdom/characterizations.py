@@ -69,34 +69,46 @@ def _verts(mask: int) -> list[int]:
     return list(bits_of(mask))
 
 
+class _field(cached_property):
+    """``cached_property`` without the lock Python 3.11 takes on each first
+    access, as a Facts is never shared between threads: the value goes into
+    the instance ``__dict__``, which then shadows this non-data descriptor."""
+
+    def __get__(self, facts, owner=None):
+        if facts is None:
+            return self
+        value = facts.__dict__[self.attrname] = self.func(facts)
+        return value
+
+
 class Facts:
     """Lazily computed exact data for one graph, shared across checks."""
 
     def __init__(self, g: Graph):
         self.g = g
 
-    @cached_property
+    @_field
     def graph6(self) -> str:
         return encode_graph6(self.g)
 
-    @cached_property
+    @_field
     def paired(self) -> bool:
         return paired_domination_defined(self.g)
 
-    @cached_property
+    @_field
     def alpha(self) -> int:
         return independence_number(self.g)
 
-    @cached_property
+    @_field
     def flags(self) -> ClassFlags:
         return classify(self.g)
 
-    @cached_property
+    @_field
     def family(self) -> str | None:
         """The family's spec, or None outside every family."""
         return recognize_family(self.g)
 
-    @cached_property
+    @_field
     def componentwise_c3free_cactus(self) -> bool:
         """Triangle-free with every block an edge or a cycle; for a
         connected graph that is ``flags.cactus``, already scanned."""
@@ -104,11 +116,11 @@ class Facts:
         return flags.c3_free and (
             flags.cactus if flags.connected else every_block_edge_or_cycle(self.g))
 
-    @cached_property
+    @_field
     def report(self) -> InvariantReport:
         return invariants(self.g)
 
-    @cached_property
+    @_field
     def pairs_without_epn(self) -> list[tuple[int, int, int]]:
         """Each (S, u, v), S a minimal PDS as a mask and u < v in S, that
         meets the private-pair lemmas' hypothesis (u and v each keep a
@@ -144,13 +156,13 @@ class Facts:
                     out.append((smask, u, v))
         return out
 
-    @cached_property
+    @_field
     def upper_pds_masks(self) -> list[int]:
         """All maximum-size minimal paired dominating sets, as masks."""
         return list(sets_of_size(self.report.mpds_masks, self.g.n,
                                  self.report.upper_gamma_pr))
 
-    @cached_property
+    @_field
     def equality(self) -> bool | None:
         """Whether the upper paired bound is met with equality, by brute
         force; None when paired domination is undefined (``_paired``
@@ -160,7 +172,7 @@ class Facts:
         r = self.report
         return r.upper_gamma_pr == 2 * r.upper_gamma
 
-    @cached_property
+    @_field
     def votes(self) -> dict[str, bool]:
         """The fast path: each applicable class's vote on the equality, from
         family recognition alone, keyed by its method in precedence order.
@@ -177,24 +189,26 @@ class Facts:
 # --- the check row and its shared hypotheses ---------------------------------
 
 
-@dataclass(frozen=True)
 class Check:
     """One registry check: a hypothesis and the statement it implies.
 
     Called on a Facts, it is na when ``applies`` is false; otherwise it
     holds when ``violation`` returns None, and fails with the returned
-    dict as the counterexample witness."""
+    dict as the counterexample witness. The na and holds verdicts carry no
+    graph, so each row builds them once and returns them on every graph."""
 
-    check_id: str
-    applies: Callable[[Facts], bool]
-    violation: Callable[[Facts], dict | None]
+    def __init__(self, check_id: str, applies: Callable[[Facts], bool],
+                 violation: Callable[[Facts], dict | None]):
+        self.check_id, self.applies, self.violation = check_id, applies, violation
+        self.na = Verdict(check_id, None, "na")
+        self.holds = Verdict(check_id, None, "holds")
 
     def __call__(self, facts: Facts) -> Verdict:
         if not self.applies(facts):
-            return Verdict(self.check_id, None, "na")
+            return self.na
         witness = self.violation(facts)
         if witness is None:
-            return Verdict(self.check_id, None, "holds")
+            return self.holds
         return Verdict(self.check_id, facts.graph6, "fails", witness)
 
 

@@ -275,15 +275,25 @@ def lacking_half_mds(n: int, mds: int, sets: int) -> int:
 
 
 def _alpha(adj: list[int], cand: int) -> int:
-    """Largest independent subset of the bitset cand: the least vertex v is
-    taken outright when it has no neighbour in cand, else
-    max(alpha(cand - v), 1 + alpha(cand - N[v]))."""
+    """Largest independent subset of the bitset cand. A vertex v with at
+    most one neighbour u in cand is taken outright: it lies in some maximum
+    independent set, as a maximum set I without v holds u (else I + v would
+    be larger), and I - u + v is independent and as large. Otherwise a
+    vertex v of largest degree is branched on: max(alpha(cand - v),
+    1 + alpha(cand - N[v]))."""
     size = 0
     while cand:
-        v = (cand & -cand).bit_length() - 1
-        cand ^= 1 << v
-        if adj[v] & cand:
-            return size + max(_alpha(adj, cand), 1 + _alpha(adj, cand & ~adj[v]))
+        top = top_degree = 0
+        for v in bits_of(cand):
+            degree = (adj[v] & cand).bit_count()
+            if degree <= 1:
+                break
+            if degree > top_degree:
+                top, top_degree = v, degree
+        else:
+            cand ^= 1 << top
+            return size + max(_alpha(adj, cand), 1 + _alpha(adj, cand & ~adj[top]))
+        cand &= ~(adj[v] | 1 << v)
         size += 1
     return size
 

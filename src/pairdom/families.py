@@ -23,7 +23,6 @@ from .graph import (
     build_graph,
     components,
     girth,
-    is_connected,
     is_decimal,
 )
 
@@ -91,13 +90,6 @@ def disjoint_union(graphs) -> Graph:
 # --- class predicates -------------------------------------------------------
 
 
-def is_bipartite(g: Graph) -> bool:
-    """The BFS layer parity 2-colours g unless an edge lies in a layer,
-    which closes an odd cycle."""
-    return not any(g.adj[v] & layer
-                   for layer, _ in bfs_layers(g) for v in bits_of(layer))
-
-
 def every_block_edge_or_cycle(g: Graph) -> bool:
     """True iff each biconnected block is a single edge or a cycle, i.e.
     every edge lies on at most one cycle (the cactus condition, minus the
@@ -134,11 +126,17 @@ def every_block_edge_or_cycle(g: Graph) -> bool:
 
 
 def classify(g: Graph) -> ClassFlags:
+    """One BFS walk gives connected (one root) and bipartite: the layer
+    parity 2-colours g unless an edge lies in a layer, closing an odd cycle."""
     gth = girth(g)
-    connected = is_connected(g)
+    roots, bipartite = 0, True
+    for layer, above in bfs_layers(g):
+        roots += not above
+        bipartite = bipartite and not any(g.adj[v] & layer for v in bits_of(layer))
+    connected = roots == 1
     return ClassFlags(
         connected=connected,
-        bipartite=is_bipartite(g),
+        bipartite=bipartite,
         unicyclic=connected and g.edge_count == g.n,
         cactus=connected and every_block_edge_or_cycle(g),
         c3_free=gth != 3,

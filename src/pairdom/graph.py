@@ -179,10 +179,6 @@ def components(g: Graph) -> list[int]:
     return out
 
 
-def is_connected(g: Graph) -> bool:
-    return len(components(g)) == 1
-
-
 # --- graph6 codec (short form, n <= 62) ---------------------------------
 
 

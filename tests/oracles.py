@@ -349,6 +349,27 @@ def upper_gamma_milp(g: Graph) -> int:
     return round(-result.fun)
 
 
+def alpha_milp(g: Graph) -> int:
+    """α by an integer program in scipy's ``milp`` (HiGHS), sharing nothing
+    with ``pairdom.domination``: max sum_v x_v subject to x_u + x_v <= 1
+    for every edge uv, x binary."""
+    import numpy as np
+    from scipy.optimize import LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    edges = g.edges()
+    rows = [i for i in range(len(edges)) for _ in range(2)]
+    cols = [v for edge in edges for v in edge]
+    constraints = []
+    if edges:
+        matrix = coo_array((np.ones(len(cols)), (rows, cols)), shape=(len(edges), g.n))
+        constraints = [LinearConstraint(matrix, -np.inf, 1)]
+    result = milp(c=-np.ones(g.n), constraints=constraints,
+                  integrality=np.ones(g.n), bounds=(0, 1))
+    assert result.success, result.message
+    return round(-result.fun)
+
+
 def girth(g: Graph):
     """Shortest cycle via per-edge removal + BFS between the endpoints."""
     best = None

@@ -464,6 +464,42 @@ class TestRegistry:
             run_checks(g, ALL_CHECK_IDS)
             assert calls == 1, g
 
+    def test_each_layer_runs_once_per_graph(self, monkeypatch, graphs_up_to_6):
+        # However many checks read a layer, one Facts computes it once; the
+        # family is read only where Γ_pr is defined.
+        layers = ("invariants", "classify", "recognize_family", "independence_number")
+        calls = collections.Counter()
+
+        def counted(name, layer):
+            def wrapper(g):
+                calls[name] += 1
+                return layer(g)
+            return wrapper
+
+        for name in layers:
+            monkeypatch.setattr(characterizations, name,
+                                counted(name, getattr(characterizations, name)))
+        for g in graphs_up_to_6:
+            calls.clear()
+            run_checks(g, ALL_CHECK_IDS)
+            paired = domination.paired_domination_defined(g)
+            assert calls == {name: 1 for name in layers
+                             if paired or name != "recognize_family"}, g
+
+    def test_shared_verdicts_give_fresh_records(self):
+        # The na and holds verdicts of a check are one object on every
+        # graph, so a record edited after one graph must not reach the next.
+        for cid, graphs, status in (
+                ("gpr-at-most-2gamma", (make_cycle(5), make_k2()), "holds"),
+                ("independent-core", (path_graph(4), build_graph(2, [])), "na")):
+            first, second = (check(g, cid) for g in graphs)
+            assert first is second and first.status == status
+            record = first.to_record()
+            record["holds"] = "edited"
+            record["witness"] = {}
+            assert second.to_record() == {"check_id": cid, "graph6": None,
+                                          "holds": status == "holds" or None}
+
     def test_verify_totals_at_order_7(self, tmp_path, graphs_up_to_7):
         # (holds, na) of each check in registry order over the 1,044
         # graphs of order 7, recorded before the checks became rows.

@@ -9,7 +9,7 @@ import oracles
 from oracles import path_graph, star_graph
 from pairdom import domination
 from pairdom.characterizations import hunt_record
-from pairdom.graph import GraphError, bits_of, build_graph, is_connected, parse_graph6
+from pairdom.graph import GraphError, bits_of, build_graph, components, parse_graph6
 from pairdom.families import (
     disjoint_union,
     make_cycle,
@@ -305,7 +305,7 @@ def connected_gnp(count: int) -> list:
         rng = random.Random(seed)
         n, p = 16 + seed % 3, 0.15 + 0.05 * (seed % 6)
         g = build_graph(n, [])
-        while not is_connected(g):
+        while len(components(g)) != 1:
             g = build_graph(n, [e for e in itertools.combinations(range(n), 2)
                                 if rng.random() < p])
         out.append(g)
@@ -387,7 +387,7 @@ def one_connected_gnp(n: int, p: float, seed: int):
     while True:
         g = build_graph(n, [e for e in itertools.combinations(range(n), 2)
                             if rng.random() < p])
-        if is_connected(g):
+        if len(components(g)) == 1:
             return g
 
 
@@ -462,10 +462,31 @@ class TestUpperGammaMilp:
             invariants(g).upper_gamma for g in graphs]
 
 
+def circulant(n: int, steps):
+    return build_graph(n, [(i, (i + s) % n) for i in range(n) for s in steps])
+
+
+def generalized_petersen(n: int, k: int):
+    """GP(n, k): an outer n-cycle, spokes i ~ n + i, inner edges at step k."""
+    return build_graph(2 * n, [(i, (i + 1) % n) for i in range(n)]
+                       + [(i, n + i) for i in range(n)]
+                       + [(n + i, n + (i + k) % n) for i in range(n)])
+
+
 class TestIndependence:
-    def test_against_oracle(self, graphs_up_to_6):
-        for g in graphs_up_to_6:
+    def test_against_oracle(self, graphs_up_to_7):
+        for g in graphs_up_to_7:
             assert independence_number(g) == oracles.independence_number(g)
+
+    def test_kernel_past_the_guard_against_milp(self):
+        # The reduction and branching kernel itself, against an integer
+        # program, on orders up to 60 past independence_number's guard and
+        # on the sparse gnp sample: taking a vertex of degree two outright
+        # is wrong on these.
+        graphs = [circulant(30, [1]), circulant(40, [1, 6]), generalized_petersen(15, 2),
+                  generalized_petersen(30, 7), circulant(60, [1, 4])] + sparse_pool_sample()
+        assert [domination._alpha(g.adj, g.full_mask) for g in graphs] == [
+            oracles.alpha_milp(g) for g in graphs]
 
     @pytest.mark.parametrize(
         "g, alpha",

@@ -7,13 +7,12 @@ import pytest
 
 from oracles import are_isomorphic, labeled_graphs, path_graph, relabel, star_graph
 from pairdom.generate import triangle_free
-from pairdom.graph import GraphError, build_graph, encode_graph6, girth, is_connected
+from pairdom.graph import GraphError, build_graph, components, encode_graph6, girth
 from pairdom.families import (
     ClassFlags,
     classify,
     disjoint_union,
     every_block_edge_or_cycle,
-    is_bipartite,
     make_cycle,
     make_k2,
     make_subdivided_star,
@@ -54,7 +53,7 @@ class TestConstructions:
     def test_disjoint_union(self):
         g = disjoint_union([make_k2(), make_cycle(3)])
         assert g.n == 5 and g.edge_count == 4
-        assert not is_connected(g)
+        assert components(g) == [0b00011, 0b11100]
 
 
 def networkx_graph(nx, g):
@@ -73,10 +72,10 @@ def networkx_blocks_edge_or_cycle(nx, h) -> bool:
 
 class TestPredicates:
     def test_bipartite(self):
-        assert is_bipartite(path_graph(5))
-        assert is_bipartite(make_cycle(6))
-        assert not is_bipartite(make_cycle(5))
-        assert is_bipartite(build_graph(3, []))
+        assert classify(path_graph(5)).bipartite
+        assert classify(make_cycle(6)).bipartite
+        assert not classify(make_cycle(5)).bipartite
+        assert classify(build_graph(3, [])).bipartite
 
     def test_blocks(self):
         nx = pytest.importorskip("networkx")

@@ -58,6 +58,9 @@ COMMANDS = [
     # recognized families past the guard on the exact scans
     ("invariants", "union:K2*3+C5*4"),
     ("invariants", "star:t=12,d=1"),
+    # α, the class flags and the votes of every graph of order 7
+    ("invariants", "enum:7"),
+    ("hunt", "c3free:9"),
 ]
 # name -> (order, predicate name in pairdom.generate or None)
 STREAMS = {"enum <= 8": (8, None), "c3free <= 10": (10, "triangle_free")}
