@@ -184,8 +184,6 @@ def components(g: Graph) -> list[int]:
 
 def encode_graph6(g: Graph) -> str:
     """Encode a labeled graph in graph6 short form."""
-    if g.n > MAX_VERTICES:
-        raise GraphError(f"graph6 short form requires n <= {MAX_VERTICES}")
     out = [chr(g.n + 63)]
     acc = 0
     nbits = 0

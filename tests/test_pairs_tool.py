@@ -1,5 +1,8 @@
 """``tools/pairs.py``: the committed BENCH files follow its schema, and it
-refuses to compare a ``src/`` with itself."""
+stops at a run that is wrong or ran other code. ``tools/trees.py``, which
+it shares with ``tools/sameout.py``: both tools refuse to compare a
+``src/`` with itself, an untracked module is a change, and a tree's
+digest is the benchmark's ``source_sha256``."""
 
 import importlib.util
 import json
@@ -9,11 +12,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
-TOOL = ROOT / "tools" / "pairs.py"
-spec = importlib.util.spec_from_file_location("pairs", TOOL)
-pairs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(pairs)
+sys.path.insert(0, str(ROOT / "tools"))
+import pairs  # noqa: E402
+import trees  # noqa: E402
 
 
 def test_bench_files_follow_the_schema():
@@ -49,26 +53,58 @@ def test_bench_files_follow_the_schema():
                                         for name, better in metrics.items()}
 
 
-def test_refuses_equal_sources(tmp_path):
-    # A checkout whose working src/ is its HEAD's: nothing to compare, so
-    # the tool exits 2 before it builds a tree or runs the benchmark, and
-    # writes no BENCH file.
+def run_in_checkout(tmp_path, tool: str, untracked: bool) -> subprocess.CompletedProcess:
+    """``tools/<tool>.py --base HEAD`` in a new checkout that commits the
+    tool, the tree module and a one-module ``src/`` (for pairs, also a
+    benchmark that exits 3); with untracked, one more module is added to
+    ``src/pairdom`` and left out of git."""
     (tmp_path / "tools").mkdir()
-    shutil.copy2(TOOL, tmp_path / "tools" / "pairs.py")
-    shutil.copy2(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
-    (tmp_path / "perfbench").mkdir()
-    (tmp_path / "perfbench" / "run.py").write_text("raise SystemExit(3)\n")
+    for name in (tool, "trees"):
+        shutil.copy2(ROOT / "tools" / f"{name}.py", tmp_path / "tools")
+    if tool == "pairs":
+        shutil.copy2(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
+        (tmp_path / "perfbench").mkdir()
+        (tmp_path / "perfbench" / "run.py").write_text("raise SystemExit(3)\n")
     (tmp_path / "src" / "pairdom").mkdir(parents=True)
     (tmp_path / "src" / "pairdom" / "__init__.py").write_text('"""pairdom"""\n')
     git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
-    subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
-    subprocess.run(git + ["add", "-A"], cwd=tmp_path, check=True)
-    subprocess.run(git + ["commit", "-q", "-m", "base"], cwd=tmp_path, check=True)
-    proc = subprocess.run([sys.executable, "tools/pairs.py", "--base", "HEAD", "--label", "t"],
-                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "base"]):
+        subprocess.run(git + args, cwd=tmp_path, check=True)
+    if untracked:
+        (tmp_path / "src" / "pairdom" / "zz_new.py").write_text("X = 1\n")
+    argv = ["--base", "HEAD"] + (["--label", "t"] if tool == "pairs" else [])
+    return subprocess.run([sys.executable, f"tools/{tool}.py", *argv],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("tool", ["pairs", "sameout"])
+def test_refuses_equal_sources(tmp_path, tool):
+    # The working src/ is its HEAD's: nothing to compare, so the tool
+    # exits 2 before it runs anything, and writes no BENCH file.
+    proc = run_in_checkout(tmp_path, tool, untracked=False)
     assert proc.returncode == 2, proc.stderr
-    assert "the working src/ is src/ at HEAD; nothing to compare" in proc.stderr
+    assert f"{tool}: the working src/ is src/ at HEAD; nothing to compare" in proc.stderr
+    assert proc.stdout == ""
     assert not list(tmp_path.glob("BENCH_*.json"))
+
+
+@pytest.mark.parametrize("tool", ["pairs", "sameout"])
+def test_an_untracked_module_is_a_change(tmp_path, tool):
+    # git diff shows no untracked file, but the change tree holds it: the
+    # tool goes on to compare, and fails there, as this checkout has
+    # nothing it can run.
+    proc = run_in_checkout(tmp_path, tool, untracked=True)
+    assert proc.returncode == 1, proc.stderr
+    assert "nothing to compare" not in proc.stderr
+    assert not list(tmp_path.glob("BENCH_*.json"))
+
+
+def test_digest_is_the_benchmarks_source_sha256(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    assert trees.digest(ROOT) == run.source_sha256()
 
 
 def test_warmup_runs_come_first_and_are_left_out(monkeypatch):
@@ -83,11 +119,11 @@ def test_warmup_runs_come_first_and_are_left_out(monkeypatch):
                 "source_sha256": tree}
 
     monkeypatch.setattr(pairs, "run_once", run_once)
-    trees = {side: side for side in pairs.SIDES}
+    sides = {side: side for side in pairs.SIDES}
     metrics = {"wall_s": "lower"}
     for workload, first_seed in (("w1", 7), ("w2", 20)):
         calls.clear()
-        found = pairs.measure(trees, workload, first_seed, 1.0, metrics, {})
+        found = pairs.measure(sides, workload, first_seed, 1.0, metrics, sides)
         assert calls[:2] == [("base", workload, first_seed), ("change", workload, first_seed)]
         assert len(calls) == 2 + 2 * pairs.PAIRS
         assert found["warmup"] == {"seed": first_seed, "first": "base",
@@ -99,29 +135,42 @@ def test_warmup_runs_come_first_and_are_left_out(monkeypatch):
         assert found["metrics"]["wall_s"]["base"]["q3"] < 100.0
 
 
-def test_stops_at_the_first_incorrect_run(monkeypatch, tmp_path, capsys):
-    # The third run (w1's first pair, base side) reports correct: false:
-    # the tool makes no further run, exits 1 naming the workload, the seed
-    # and the side, and writes no BENCH file.
+def stop_at_the_third_run(monkeypatch, tmp_path, fault: dict) -> int:
+    """pairs.main on two workloads whose third run (w1's first pair, base
+    side) reports fault: it makes no further run, exits 1 and writes no
+    BENCH file. The first seed."""
     calls = []
 
     def run_once(tree, workload, seed, seconds, names):
-        calls.append((tree, workload, seed))
-        return {**{name: 1.0 for name in names}, "correct": len(calls) != 3,
-                "source_sha256": tree}
+        calls.append((tree.name, workload, seed))
+        out = {**{name: 1.0 for name in names}, "correct": True, "source_sha256": tree.name}
+        return {**out, **fault} if len(calls) == 3 else out
 
     bench = {"run_seconds": 1, "workloads": [{"name": "w1"}, {"name": "w2"}],
              "end_to_end": [{"name": "wall_s", "better": "lower"}]}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
-    outputs = {"rev-parse": b"0" * 40 + b"\n", "diff": b"a change"}
+    (tmp_path / "perfbench").mkdir()
+    built = {side: tmp_path / side for side in pairs.SIDES}
     monkeypatch.setattr(pairs, "ROOT", tmp_path)
-    monkeypatch.setattr(pairs, "git", lambda *args: outputs[args[0]])
-    monkeypatch.setattr(pairs, "build_trees", lambda rev, top: {s: s for s in pairs.SIDES})
+    monkeypatch.setattr(pairs, "build_trees", lambda base, top: (
+        "0" * 40, built, {side: side for side in pairs.SIDES}))
     monkeypatch.setattr(pairs, "run_once", run_once)
     assert pairs.main(["--base", "HEAD", "--label", "t"]) == 1
     first_seed = calls[0][2]
     assert calls == [("base", "w1", first_seed), ("change", "w1", first_seed),
                      ("base", "w1", first_seed)]
+    assert not list(tmp_path.glob("BENCH_*.json"))
+    return first_seed
+
+
+def test_stops_at_the_first_incorrect_run(monkeypatch, tmp_path, capsys):
+    first_seed = stop_at_the_third_run(monkeypatch, tmp_path, {"correct": False})
     assert (f"pairs: w1 seed {first_seed} base: the run reported correct: false"
             in capsys.readouterr().err)
-    assert not list(tmp_path.glob("BENCH_*.json"))
+
+
+def test_stops_at_the_first_run_of_another_tree(monkeypatch, tmp_path, capsys):
+    # Each run must report its own tree's digest.
+    first_seed = stop_at_the_third_run(monkeypatch, tmp_path, {"source_sha256": "change"})
+    assert (f"pairs: w1 seed {first_seed} base: the run reported source_sha256 change, "
+            "not its tree's base" in capsys.readouterr().err)

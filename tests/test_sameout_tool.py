@@ -1,19 +1,13 @@
 """``tools/sameout.py``: only the elapsed time is left out of a command's
-outcome, any other change is a DIFF, and a ``src/`` equal to the base is
-refused."""
+outcome, and any other change is a DIFF. Its refusal of a ``src/`` equal
+to the base is tested with the tree module, in ``test_pairs_tool.py``."""
 
-import importlib.util
 import json
-import shutil
-import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-TOOL = ROOT / "tools" / "sameout.py"
-spec = importlib.util.spec_from_file_location("sameout", TOOL)
-sameout = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(sameout)
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import sameout  # noqa: E402
 
 TREES = {side: Path(side) for side in sameout.SIDES}
 
@@ -33,17 +27,17 @@ def stub_runs(monkeypatch, changed: dict):
     """Each side's CLI runs stubbed: the base gives one outcome per
     command, and the change the same with another elapsed time, except
     where ``changed`` maps a command's index to its outcome."""
-    def run_cli(src, cwd, argv):
+    def run_cli(tree, cwd, argv):
         i = sameout.COMMANDS.index(tuple(argv))
         if argv[-2:] == ("--format", "text"):
-            out = f"gpr-equals-n: scanned=4 holds=3\nelapsed_ms={7 if src.name == 'base' else 90}\n"
+            out = f"gpr-equals-n: scanned=4 holds=3\nelapsed_ms={7 if tree.name == 'base' else 90}\n"
         else:
-            out = report(7 if src.name == "base" else 90, errors=["line 2: bad"] if i % 2 else None)
+            out = report(7 if tree.name == "base" else 90, errors=["line 2: bad"] if i % 2 else None)
         outcome = (out, '{"check": "gpr-equals-n"}\n', 1)
-        return changed.get(i, outcome) if src.name == "change" else outcome
+        return changed.get(i, outcome) if tree.name == "change" else outcome
 
     monkeypatch.setattr(sameout, "run_cli", run_cli)
-    monkeypatch.setattr(sameout, "stream", lambda n, predicate, src, cwd: {"sha256": str(n)})
+    monkeypatch.setattr(sameout, "stream", lambda n, predicate, tree, cwd: {"sha256": str(n)})
 
 
 def test_only_the_elapsed_time_is_left_out(monkeypatch, capsys):
@@ -74,29 +68,10 @@ def test_exit_code_stderr_and_totals_changes_are_diffs(monkeypatch, capsys):
     assert len(lines) == len(sameout.COMMANDS) + len(sameout.STREAMS)
 
 
-def test_exits_1_on_a_diff(monkeypatch, tmp_path):
-    outputs = {"rev-parse": b"0" * 40 + b"\n", "diff": b"a change"}
-    monkeypatch.setattr(sameout, "git", lambda *args: outputs[args[0]])
-    monkeypatch.setattr(sameout, "build_trees", lambda rev, top: TREES)
+def test_exits_1_on_a_diff(monkeypatch):
+    monkeypatch.setattr(sameout, "build_trees", lambda base, top: ("0" * 40, TREES, {}))
     stub_runs(monkeypatch, {})
     assert sameout.main(["--base", "HEAD"]) == 0
     stub_runs(monkeypatch, {1: ("", "", 1)})
     assert sameout.main(["--base", "HEAD"]) == 1
 
-
-def test_refuses_equal_sources(tmp_path):
-    # A checkout whose working src/ is its HEAD's: nothing to compare, so
-    # the tool exits 2 before it builds a tree or runs a command.
-    (tmp_path / "tools").mkdir()
-    shutil.copy2(TOOL, tmp_path / "tools" / "sameout.py")
-    (tmp_path / "src" / "pairdom").mkdir(parents=True)
-    (tmp_path / "src" / "pairdom" / "__init__.py").write_text('"""pairdom"""\n')
-    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
-    subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
-    subprocess.run(git + ["add", "-A"], cwd=tmp_path, check=True)
-    subprocess.run(git + ["commit", "-q", "-m", "base"], cwd=tmp_path, check=True)
-    proc = subprocess.run([sys.executable, "tools/sameout.py", "--base", "HEAD"],
-                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2, proc.stderr
-    assert "the working src/ is src/ at HEAD; nothing to compare" in proc.stderr
-    assert proc.stdout == ""

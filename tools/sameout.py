@@ -3,8 +3,8 @@ commands and generated streams, run on both sides and compared.
 
     python3 tools/sameout.py --base <rev>
 
-Run from anywhere inside a git checkout of pairdom. A temporary tree gets
-``src/`` as of <rev> (``git archive``), and another the working ``src/``.
+Run from anywhere inside a git checkout of pairdom. ``tools/trees.py``
+builds two temporary trees, ``src/`` as of <rev> and the working ``src/``.
 In each tree, every command of ``COMMANDS`` runs as ``python -m
 pairdom.cli`` from one directory of input files that both sides share, so
 the paths in the reports match. A command's outcome is its stdout without
@@ -14,8 +14,8 @@ nothing else is left out. Each stream of ``STREAMS`` is the sha256 of its
 ``positioned_stream`` as one "<position> <graph6>" line per graph, labels
 and positions included. One line per item, ``same`` or ``DIFF``, names
 what differs; the tool exits 1 on any ``DIFF`` and 0 otherwise. It refuses
-to run, with exit 2, when the working ``src/`` has no change against
-<rev>, since nothing would be compared.
+to run, with exit 2, when the two trees' digests are equal, since nothing
+would be compared.
 """
 
 from __future__ import annotations
@@ -23,15 +23,13 @@ from __future__ import annotations
 import argparse
 import os
 import re
-import shutil
 import subprocess
 import sys
 import tempfile
 from functools import partial
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-SIDES = ("base", "change")
+from trees import SIDES, TreeError, build_trees
 
 # Input files, written into the directory the commands run from. The
 # graph6 file has two unreadable lines, the 2nd and the last.
@@ -77,53 +75,30 @@ print(digest.hexdigest())
 _ELAPSED = re.compile(r'^(  "elapsed_ms": \d+,?|elapsed_ms=\d+)\n', re.M)
 
 
-class SameoutError(Exception):
-    """A tree could not be built or a stream could not be hashed."""
-
-
-def git(*args) -> bytes:
-    proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True)
-    if proc.returncode:
-        raise SameoutError(f"git {' '.join(args)}: {proc.stderr.decode().strip()}")
-    return proc.stdout
-
-
-def build_trees(rev: str, top: Path) -> dict:
-    """The ``src/`` of each side under top: <rev>'s and the working one."""
-    (top / "base").mkdir()
-    proc = subprocess.run(["tar", "-x", "-C", str(top / "base")],
-                          input=git("archive", "--format=tar", rev, "src"), capture_output=True)
-    if proc.returncode:
-        raise SameoutError(f"tar: {proc.stderr.decode().strip()}")
-    shutil.copytree(ROOT / "src", top / "change" / "src",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    return {side: top / side / "src" for side in SIDES}
-
-
-def _python(src: Path, cwd: Path, args) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(src)}
+def _python(tree: Path, cwd: Path, args) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True)
 
 
-def run_cli(src: Path, cwd: Path, argv) -> tuple[str, str, int]:
-    """stdout, stderr and exit code of one CLI command on src."""
-    proc = _python(src, cwd, ["-m", "pairdom.cli", *argv])
+def run_cli(tree: Path, cwd: Path, argv) -> tuple[str, str, int]:
+    """stdout, stderr and exit code of one CLI command in tree."""
+    proc = _python(tree, cwd, ["-m", "pairdom.cli", *argv])
     return proc.stdout, proc.stderr, proc.returncode
 
 
-def stream(n: int, predicate, src: Path, cwd: Path) -> dict:
-    """The sha256 of one generated stream on src."""
-    proc = _python(src, cwd, ["-c", _STREAM_HASH, str(n), predicate or ""])
+def stream(n: int, predicate, tree: Path, cwd: Path) -> dict:
+    """The sha256 of one generated stream in tree."""
+    proc = _python(tree, cwd, ["-c", _STREAM_HASH, str(n), predicate or ""])
     if proc.returncode:
-        raise SameoutError(f"stream {n} {predicate}: {proc.stderr[-2000:]}")
+        raise TreeError(f"stream {n} {predicate}: {proc.stderr[-2000:]}")
     return {"sha256": proc.stdout.strip()}
 
 
-def outcome(argv, src: Path, cwd: Path) -> dict:
-    """What a command gives on src that must not change: everything but
+def outcome(argv, tree: Path, cwd: Path) -> dict:
+    """What a command gives in tree that must not change: everything but
     the elapsed time."""
-    out, err, code = run_cli(src, cwd, argv)
+    out, err, code = run_cli(tree, cwd, argv)
     return {"stdout": _ELAPSED.sub("", out), "stderr": err, "exit code": code}
 
 
@@ -146,21 +121,16 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="git revision of the base src/")
     args = parser.parse_args(argv)
     try:
-        rev = git("rev-parse", "--verify", f"{args.base}^{{commit}}").decode().strip()
-        if not git("diff", "--binary", rev, "--", "src"):
-            print(f"sameout: the working src/ is src/ at {args.base}; nothing to compare",
-                  file=sys.stderr)
-            return 2
         with tempfile.TemporaryDirectory(prefix="sameout-") as top:
-            trees = build_trees(rev, Path(top))
+            _, trees, _ = build_trees(args.base, Path(top))
             cwd = Path(top) / "inputs"
             cwd.mkdir()
             for name, text in INPUTS.items():
                 (cwd / name).write_text(text)
             return 0 if compare(trees, cwd) else 1
-    except SameoutError as exc:
+    except TreeError as exc:
         print(f"sameout: {exc}", file=sys.stderr)
-        return 1
+        return exc.code
 
 
 if __name__ == "__main__":
