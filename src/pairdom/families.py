@@ -82,8 +82,6 @@ def disjoint_union(graphs) -> Graph:
     for g in graphs:
         edges.extend((u + n, v + n) for u, v in g.edges())
         n += g.n
-        if n > MAX_VERTICES:
-            raise GraphError(f"union exceeds {MAX_VERTICES} vertices")
     return build_graph(n, edges)
 
 
@@ -211,14 +209,11 @@ def parse_family_spec(spec: str) -> Graph:
     if not s.startswith(_SPEC_PREFIXES):
         raise GraphError(f"unrecognized family spec {spec!r}")
     kind, _, arg = s.partition(":")
-    if kind == "mK2":
+    if kind == "mK2":  # read as union:K2*m once m is a number, not more terms
         if not is_decimal(arg):
             raise GraphError(f"bad multiplicity in {spec!r}")
-        m = int(arg)
-        if m < 1:
-            raise GraphError("mK2 requires m >= 1")
-        parts = [(make_k2(), m)]
-    elif kind == "star":
+        kind, arg = "union", f"K2*{arg}"
+    if kind == "star":
         pairs = [part.split("=") for part in arg.split(",")]
         params = dict(p for p in pairs if len(p) == 2)
         if len(params) < len(pairs):  # a part that is not key=value, or a key twice
@@ -229,17 +224,16 @@ def parse_family_spec(spec: str) -> Graph:
         if params:
             raise GraphError(f"unknown star parameters {sorted(params)}")
         return make_subdivided_star(int(t), int(d))
-    else:
-        parts = []
-        for term in arg.split("+"):
-            name, star, mult = term.partition("*")
-            if name not in _SPEC_BASES:
-                raise GraphError(f"unknown union component {name!r}")
-            if star and not is_decimal(mult):
-                raise GraphError(f"bad multiplicity in {spec!r}")
-            parts.append((_SPEC_BASES[name](), int(mult) if star else 1))
-        if not sum(m for _, m in parts):
-            raise GraphError(f"no component in {spec!r}")
+    parts = []
+    for term in arg.split("+"):
+        name, star, mult = term.partition("*")
+        if name not in _SPEC_BASES:
+            raise GraphError(f"unknown union component {name!r}")
+        if star and not is_decimal(mult):
+            raise GraphError(f"bad multiplicity in {spec!r}")
+        parts.append((_SPEC_BASES[name](), int(mult) if star else 1))
+    if not sum(m for _, m in parts):
+        raise GraphError(f"no component in {spec!r}")
     if sum(g.n * m for g, m in parts) > MAX_VERTICES:
         raise GraphError(f"union exceeds {MAX_VERTICES} vertices")
     return disjoint_union(g for g, m in parts for _ in range(m))

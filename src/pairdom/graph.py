@@ -86,15 +86,13 @@ class Graph:
 
 
 def build_graph(n: int, edges) -> Graph:
-    """Build a simple graph, collapsing duplicate edges and rejecting loops."""
+    """Build a simple graph, collapsing duplicate edges; Graph refuses loops."""
     if not 0 <= n <= MAX_VERTICES:
         raise GraphError(f"order {n} outside 0..{MAX_VERTICES}")
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
-        if u == v:
-            raise GraphError(f"loop edge ({u},{v})")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, tuple(adj))

@@ -49,11 +49,6 @@ def pytest_terminal_summary(terminalreporter):
 
 
 @pytest.fixture(scope="session")
-def graphs_up_to_4():
-    return nonisomorphic_graphs(4)
-
-
-@pytest.fixture(scope="session")
 def graphs_up_to_5():
     return nonisomorphic_graphs(5)
 

@@ -454,27 +454,6 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     ]
 
 
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    """Whether some bijection of the vertices maps the edges of g onto
-    those of h, found by extending a partial map vertex by vertex while it
-    keeps degrees and adjacency to the vertices already mapped."""
-    if g.n != h.n or len(g.edges()) != len(h.edges()):
-        return False
-
-    def degree(f, v):
-        return sum(f.has_edge(v, u) for u in range(f.n) if u != v)
-
-    def extend(image):
-        v = len(image)
-        return v == g.n or any(
-            w not in image and degree(h, w) == degree(g, v)
-            and all(g.has_edge(u, v) == h.has_edge(image[u], w) for u in range(v))
-            and extend(image + [w])
-            for w in range(h.n))
-
-    return extend([])
-
-
 def graph_of(n: int, edges) -> Graph:
     """The graph of order n with the given edges."""
     adj = [0] * n

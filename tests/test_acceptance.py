@@ -14,7 +14,7 @@ import pytest
 
 import conftest
 import oracles
-from pairdom.graph import components, encode_graph6, girth
+from pairdom.graph import components, encode_graph6
 from pairdom.families import (
     disjoint_union,
     every_block_edge_or_cycle,
@@ -23,7 +23,6 @@ from pairdom.families import (
     make_subdivided_star,
 )
 from pairdom.domination import (
-    has_isolated_vertex,
     invariants,
     is_minimal_dominating,
 )

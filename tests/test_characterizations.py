@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import json
 from itertools import combinations
 
 import pytest
@@ -396,6 +397,69 @@ class TestStructuralChecks:
                         encode_graph6(g), P, lemma.__name__)
                     fails[lemma] += enumerated
         assert all(0 < fails[lemma] < sets for lemma, _ in conditions), (sets, fails)
+
+
+def stored_report(**changes):
+    """Store the computed ``Facts.report`` with ``changes`` made."""
+    return lambda facts: {"report": dataclasses.replace(facts.report, **changes)}
+
+
+def in_structural_scope(*pds):
+    """Store the structural lemmas' hypothesis as met, with P = pds the one
+    maximum minimal PDS."""
+    return lambda facts: {"componentwise_c3free_cactus": True, "equality": True,
+                          "upper_pds_masks": [sum(1 << v for v in pds)]}
+
+
+C4, P3, P4, K13 = make_cycle(4), path_graph(3), path_graph(4), oracles.star_graph(3)
+# P5 as 1-0-4-2-3: G[0..3] has the one perfect matching 01, 23, and the
+# partners 1 and 3 of vertex 4's neighbors 0 and 2 are apart.
+P5 = oracles.graph_of(5, [(0, 1), (2, 3), (4, 0), (4, 2)])
+
+# Each check that no real graph of the sweeps fails, with Facts fields
+# stored before it runs (a field is a non-data descriptor, so a value in the
+# instance dict stands in for the computed one) and the witness it gives.
+FAILING = [
+    ("gpr-equals-n", C4, stored_report(upper_gamma_pr=4),
+     {"upper_gamma_pr": 4, "is_mk2": False}),
+    ("gpr-upper-bound", C4, stored_report(upper_gamma_pr=4), {"upper_gamma_pr": 4}),
+    ("gpr-equals-n-minus-1", C4, stored_report(upper_gamma_pr=3),
+     {"upper_gamma_pr": 3, "family": None}),
+    ("gpr-at-most-2gamma", C4, stored_report(upper_gamma_pr=6),
+     {"upper_gamma_pr": 6, "upper_gamma": 2}),
+    ("gamma-ge-independence", C4, lambda facts: {"alpha": 3},
+     {"upper_gamma": 2, "independence": 3}),
+    ("unicyclic-gamma-bound", C4, stored_report(upper_gamma=1),
+     {"upper_gamma": 1, "bound": 2}),
+    ("pair-has-leaf", C4, in_structural_scope(0, 1, 2, 3),
+     {"pds": [0, 1, 2, 3], "matching": [[0, 1], [2, 3]], "pair": [0, 1]}),
+    ("outside-two-neighbors", P3, in_structural_scope(0, 1),
+     {"pds": [0, 1], "vertex": 2, "neighbors_in_pds": [1]}),
+    ("outside-partners-adjacent", P5, in_structural_scope(0, 1, 2, 3),
+     {"pds": [0, 1, 2, 3], "matching": [[0, 1], [2, 3]], "vertex": 4,
+      "partners": [1, 3]}),
+    ("outside-no-common-neighbor", K13, in_structural_scope(0, 1),
+     {"pds": [0, 1], "pair": [2, 3], "common": [0]}),
+    ("pds-max-degree-two", K13, in_structural_scope(0, 1, 2, 3),
+     {"pds": [0, 1, 2, 3], "vertex": 0, "degree": 3}),
+    ("pair-one-outside-contact", P4, in_structural_scope(1, 2),
+     {"pds": [1, 2], "matching": [[1, 2]], "pair": [1, 2]}),
+    ("outside-set-independent", P4, in_structural_scope(0, 1),
+     {"pds": [0, 1], "pair": [2, 3]}),
+]
+
+
+class TestFailingVerdicts:
+    @pytest.mark.parametrize("cid, g, stored, witness", FAILING,
+                             ids=[case[0] for case in FAILING])
+    def test_check_reports_its_witness(self, cid, g, stored, witness):
+        facts = Facts(g)
+        facts.__dict__.update(stored(facts))
+        v = characterizations.CHECKS[cid](facts)
+        assert (v.check_id, v.status, v.graph6) == (cid, "fails", encode_graph6(g))
+        assert json.loads(json.dumps(v.to_record())) == {
+            "check_id": cid, "graph6": encode_graph6(g), "holds": False,
+            "witness": witness}
 
 
 # Equality graphs with 22 <= n <= 24 whose components are triangle-free

@@ -12,7 +12,7 @@ import pytest
 import oracles
 from oracles import edge_list_text, path_graph
 from conftest import call_bounded
-from pairdom import generate, harness
+from pairdom import characterizations, generate, harness
 from pairdom.characterizations import Verdict, hunt_c3free_counterexamples
 from pairdom.cli import build_parser, main
 from pairdom.domination import GuardError, invariants
@@ -86,6 +86,17 @@ class TestSources:
         graphs, errors = loaded_graphs(str(p))
         assert [g.n for g in graphs] == [5]
         assert len(errors) == 1 and errors[0].startswith("line 2: ")
+
+    def test_graph6_file_blank_lines_are_no_lines(self, tmp_path):
+        # a blank line is neither a graph nor an unreadable line, and the
+        # lines after it keep their numbers
+        p = tmp_path / "graphs.g6"
+        p.write_text("Dhc\n\n  \nBg\nDq\n")
+        graphs, errors = loaded_graphs(str(p))
+        assert [encode_graph6(g) for g in graphs] == ["Dhc", "Bg"]
+        assert errors == ["line 5: graph6 payload has 1 bytes, expected 2 for n=5"]
+        report, code = run(RunConfig("hunt", str(p)))
+        assert (code, report.hunt["scanned"], report.hunt["skipped"]) == (0, 3, 1)
 
     def test_edge_list_file(self, tmp_path):
         p = tmp_path / "g.edges"
@@ -482,8 +493,8 @@ class TestCommands:
                 code, out, _ = run_cli(capsys, command, spec)
                 assert code == 2
                 assert json.loads(out)["errors"] == [f"bad {what} in {spec!r}"]
-            # so does a union of no component, as mK2:0 is an error
-            for spec in ("union:K2*0", "union:K2*0+C5*0"):
+            # so does a union of no component, mK2:0 included
+            for spec in ("union:K2*0", "union:K2*0+C5*0", "mK2:0"):
                 code, out, _ = run_cli(capsys, command, spec)
                 assert code == 2
                 assert json.loads(out)["errors"] == [f"no component in {spec!r}"]
@@ -502,6 +513,50 @@ class TestCommands:
         assert list(totals) == list(ALL_CHECK_IDS)
         assert {tuple(t) for t in totals.values()} == {
             ("scanned", "holds", "fails", "na", "skipped")}
+
+    def test_text_format_of_each_report_part(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+
+        def text(*argv):
+            code, out, err = run_cli(capsys, *argv, "--format", "text")
+            *lines, elapsed = out.splitlines()
+            assert elapsed.startswith("elapsed_ms=")
+            return code, lines, err
+
+        assert text("hunt", "c3free:6") == (0, [
+            "hunt: scanned=38 skipped=14 satisfiers=1 exceptions=0",
+            "satisfier ECO_ family=mK2:3 cactus=True"], "")
+        _, out, _ = run_cli(capsys, "invariants", "C5")
+        (rec,) = json.loads(out)["results"]
+        assert text("invariants", "C5") == (0, [json.dumps(rec)], "")
+        assert text("verify", "missing.g6") == (2, [
+            "error: [Errno 2] No such file or directory: 'missing.g6'"], "")
+        # an exception is a failure without a check id
+        monkeypatch.setattr(characterizations, "_edges_and_5_cycles", lambda fam: False)
+        assert text("hunt", "C5") == (1, [
+            "FAIL - Dhc",
+            "hunt: scanned=1 skipped=0 satisfiers=1 exceptions=1",
+            "satisfier Dhc family=C5 cactus=True",
+            "EXCEPTION Dhc"],
+            '{"graph6": "Dhc", "family": "C5", "expected_form": false, "cactus": true}\n')
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_hunt_exceptions_stream_to_stderr(self, capsys, monkeypatch, tmp_path,
+                                              jobs):
+        # With no family of the expected form, each satisfier is an
+        # exception, and its record goes to stderr as one JSON line, in
+        # file order; the forked workers inherit the patch.
+        monkeypatch.setattr(characterizations, "_edges_and_5_cycles", lambda fam: False)
+        p = tmp_path / "graphs.g6"
+        p.write_text("Dhc\nA_\n")
+        code, out, err = run_cli(capsys, "hunt", str(p), "--jobs", jobs)
+        records = [{"graph6": "Dhc", "family": "C5", "expected_form": False,
+                    "cactus": True},
+                   {"graph6": "A_", "family": "mK2:1", "expected_form": False,
+                    "cactus": True}]
+        assert code == 1
+        assert err.splitlines() == [json.dumps(rec) for rec in records]
+        assert json.loads(out)["hunt"]["exceptions"] == records
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -531,6 +586,16 @@ class TestCommands:
         assert (code, out) == (2, "")
         assert "--output names the source file 'g.g6'" in err
         assert Path("g.g6").read_text() == text
+
+    def test_output_beside_a_missing_source(self, capsys, tmp_path, monkeypatch):
+        # a source that is missing is not overwritten; the run reports it
+        monkeypatch.chdir(tmp_path)
+        assert not harness.overwrites_source(
+            RunConfig("verify", "missing.g6", output="report.json"))
+        code, out, _ = run_cli(capsys, "verify", "missing.g6", "--output", "report.json")
+        assert (code, out) == (2, "")
+        assert json.loads(Path("report.json").read_text())["errors"] == [
+            "[Errno 2] No such file or directory: 'missing.g6'"]
 
     def test_usage_error(self, capsys):
         assert main(["frobnicate", "C5"]) == 2
@@ -672,6 +737,10 @@ class TestRunApi:
         report, code = run(RunConfig(command="verify", source="C3"))
         assert code == 0
         assert report.to_record()["totals"]["gpr-equals-n-minus-1"]["holds"] == 1
+
+    def test_unknown_command(self):
+        report, code = run(RunConfig("bogus", "C5"))
+        assert (code, report.errors) == (2, ["unknown command 'bogus'"])
 
 
 class TestStreaming:

@@ -54,6 +54,9 @@ class TestConstructions:
         g = disjoint_union([make_k2(), make_cycle(3)])
         assert g.n == 5 and g.edge_count == 4
         assert components(g) == [0b00011, 0b11100]
+        # build_graph refuses the order before it allocates
+        with pytest.raises(GraphError, match=r"^order 64 outside 0\.\.62$"):
+            disjoint_union([make_k2()] * 32)
 
 
 def networkx_graph(nx, g):
@@ -294,9 +297,12 @@ class TestSpecParsing:
             parse_family_spec("star:d=1")  # t is required
         with pytest.raises(GraphError):
             parse_family_spec("star:t=1,x=2")
-        for spec in ("mK2:x", "mK2:1_0", "mK2:+2", "mK2: 2"):
+        # mK2:m is union:K2*m once m is a number, so never a longer union
+        for spec in ("mK2:x", "mK2:1_0", "mK2:+2", "mK2: 2", "mK2:2+C5"):
             with pytest.raises(GraphError, match="bad multiplicity"):
                 parse_family_spec(spec)
+        with pytest.raises(GraphError, match="^no component in 'mK2:0'$"):
+            parse_family_spec("mK2:0")
         for spec in ("star:t=1_0", "star:t=+2", "star:t=2,d= 1",
                      "star:t=1,t=2", "star:d=1,t=1,d=2"):  # a key given twice
             with pytest.raises(GraphError, match="bad star parameters"):

@@ -64,7 +64,8 @@ class TestBuild:
         assert g.edge_count == 1
 
     def test_rejects_loops_and_bad_vertices(self):
-        with pytest.raises(GraphError):
+        # Graph itself refuses the loop
+        with pytest.raises(GraphError, match="^loop at vertex 1$"):
             build_graph(3, [(1, 1)])
         with pytest.raises(GraphError):
             build_graph(3, [(0, 3)])
@@ -83,6 +84,7 @@ class TestBuild:
         (2, (0b10, 0b100), "adjacency row mentions a vertex >= n"),
         (2, (0b10, 0b10), "loop at vertex 1"),
         (2, (0b1,), "adjacency length does not match order"),
+        (63, (0,) * 63, "order 63 outside 0..62"),
     ])
     def test_rejects_malformed_adjacency(self, n, adj, message):
         with pytest.raises(GraphError) as excinfo:
@@ -162,6 +164,8 @@ class TestGraph6:
             parse_graph6("Dq\x01")  # byte out of range
         with pytest.raises(GraphError):
             parse_graph6("~??")  # long form unsupported
+        with pytest.raises(GraphError, match="^nonzero graph6 padding bits$"):
+            parse_graph6("A@")  # K1 + K1 with its one padding bit set
 
     def test_networkx_header(self, graphs_up_to_6):
         # networkx writes ">>graph6<<" before each graph, as its reader
@@ -192,6 +196,9 @@ class TestEdgeList:
         assert parse_edge_list(text).adj == g.adj
 
     def test_parse_rejects_bad(self):
+        for text in ("", "\n  \n"):
+            with pytest.raises(GraphError, match="^empty edge-list input$"):
+                parse_edge_list(text)
         with pytest.raises(GraphError):
             parse_edge_list("2 1\n0 0\n")
         with pytest.raises(GraphError):

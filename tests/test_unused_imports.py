@@ -1,15 +1,22 @@
-"""Every name a ``src/pairdom`` module imports is read in that module.
+"""Code rules over the modules of ``src/pairdom``, ``tests`` and ``tools``.
 
-A name counts as read when the module loads it (an ``ast.Name`` in a load
-context, annotations included). An import kept only for re-export carries
-``# noqa: F401`` on its line, as ``harness`` does for ``CHECKS``, which the
-benchmark reads through it.
+Every name a module imports is read in that module. A name counts as read
+when the module loads it (an ``ast.Name`` in a load context, annotations
+included). An import kept only for re-export carries ``# noqa: F401`` on
+its line, as ``harness`` does for ``CHECKS``, which the benchmark reads
+through it.
+
+No def or class name is bound twice in one module or class body: Python
+keeps the later one, so the earlier never runs, and pytest collects only
+the later of two same-named tests.
 """
 
 import ast
 from pathlib import Path
 
-SRC = sorted((Path(__file__).resolve().parents[1] / "src" / "pairdom").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SRC = sorted((ROOT / "src" / "pairdom").glob("*.py"))
+TESTS_AND_TOOLS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,6 +41,29 @@ def unused_imports(source: str) -> list[str]:
     return unused
 
 
+def rebound_definitions(source: str) -> list[str]:
+    """``name:line`` for each def or class statement of ``source`` that
+    binds a name an earlier def or class of the same module or class body
+    bound."""
+    tree = ast.parse(source)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    rebound = []
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))]:
+        seen = set()
+        for node in scope.body:
+            if isinstance(node, defs):
+                if node.name in seen:
+                    rebound.append(f"{node.name}:{node.lineno}")
+                seen.add(node.name)
+    return rebound
+
+
+def found_by(rule, paths) -> dict[str, list[str]]:
+    """What ``rule`` finds in each of ``paths``, by path below the repo."""
+    return {str(path.relative_to(ROOT)): found for path in paths
+            if (found := rule(path.read_text()))}
+
+
 def test_rule_on_examples():
     assert unused_imports("import os\nos.sep\n") == []
     assert unused_imports("import os.path\nos.path.sep\n") == []
@@ -43,7 +73,32 @@ def test_rule_on_examples():
     assert unused_imports("from a import b\ndef f(x: b): pass\n") == []
 
 
+def test_rebinding_rule_on_examples():
+    assert rebound_definitions("def f(): pass\ndef g(): pass\n") == []
+    assert rebound_definitions("def f(): pass\nclass f: pass\n") == ["f:2"]
+    assert rebound_definitions(
+        "class T:\n    def test_a(self): pass\n    def test_a(self): pass\n") == ["test_a:3"]
+    # separate bodies, and a def that only a branch or a function holds
+    assert rebound_definitions(
+        "def f(): pass\nclass A:\n    def f(self): pass\nclass B:\n    def f(self): pass\n"
+    ) == []
+    assert rebound_definitions(
+        "if x:\n    def f(): pass\nelse:\n    def f(): pass\n") == []
+    assert rebound_definitions(
+        "def f():\n    def g(): pass\n    return g\ndef g(): pass\n") == []
+    # a name bound twice inside a nested class counts too
+    assert rebound_definitions(
+        "class A:\n    class B:\n        def f(self): pass\n        def f(self): pass\n"
+    ) == ["f:4"]
+
+
 def test_no_unused_import_in_src():
-    unused = {path.name: names for path in SRC
-              if (names := unused_imports(path.read_text()))}
-    assert unused == {}
+    assert found_by(unused_imports, SRC) == {}
+
+
+def test_no_unused_import_in_tests_and_tools():
+    assert found_by(unused_imports, TESTS_AND_TOOLS) == {}
+
+
+def test_no_definition_rebound():
+    assert found_by(rebound_definitions, SRC + TESTS_AND_TOOLS) == {}
