@@ -13,9 +13,8 @@ enter a stream: ``run`` records them and counts them as skipped. With
 ``jobs`` = J > 1, J worker processes each generate and check their own
 shard and send back (position, result) pairs, and the main process only
 merges the J ordered streams by position. Runs are deterministic: results
-come back in input order regardless of the worker count, and failing
-verdicts and hunt exceptions are streamed to stderr as JSON lines as they
-are found.
+come back in input order regardless of the worker count, and every failure
+record is streamed to stderr as a JSON line as it is found.
 """
 
 from __future__ import annotations
@@ -129,6 +128,11 @@ def load_source(source: str) -> tuple[Callable, int, list[str]]:
 # --- run configuration and report --------------------------------------------
 
 
+# A run forks one process per job, up to one per line of a file source, so
+# an unbounded ``jobs`` could fork thousands of processes.
+MAX_JOBS = 64
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -228,10 +232,19 @@ def _invariants_worker(g: Graph):
     return rec
 
 
+class _ErrorRecord(dict):
+    """The failure record of a graph that a per-graph worker raised on:
+    ``{"graph6": ..., "error": "<Type>: <message>"}``."""
+
+
 def _apply(fn, positioned):
     """(position, fn(graph)) for each (position, graph) of a stream, which
-    ``load_source`` kept unreadable lines out of. A ValueError the stream
-    raises ends it: it is yielded last, at the position of the last graph."""
+    ``load_source`` kept unreadable lines out of. An exception fn raises on
+    a graph gives that graph's ``_ErrorRecord`` in place of fn(graph), and
+    the stream goes on. An exception the stream raises ends it: its message
+    is yielded last, at the position of the last graph. So only plain
+    results and strings are sent from a worker, never an exception, which
+    might not unpickle."""
     pos = ()
     positioned = iter(positioned)
     while True:
@@ -239,10 +252,15 @@ def _apply(fn, positioned):
             pos, g = next(positioned)
         except StopIteration:
             return
-        except ValueError as exc:  # GraphError and GuardError too
-            yield pos, exc
+        except Exception as exc:
+            yield pos, str(exc)
             return
-        yield pos, fn(g)
+        try:
+            out = fn(g)
+        except Exception as exc:
+            out = _ErrorRecord(graph6=encode_graph6(g),
+                               error=f"{type(exc).__name__}: {exc}")
+        yield pos, out
 
 
 _CHUNK = 32  # results per message from a worker
@@ -250,44 +268,40 @@ _CHUNK = 32  # results per message from a worker
 
 def _shard_worker(fn, shards, shard, conn):
     """In a worker process: ``_apply(fn, shards(shard))`` sent in chunks,
-    then None; an exception fn raises is sent in place of the rest."""
-    try:
-        chunk = []
-        for entry in _apply(fn, shards(shard)):
-            chunk.append(entry)
-            if len(chunk) == _CHUNK:
-                conn.send(chunk)
-                chunk = []
-        if chunk:
+    then None. Anything that still raises here, such as a result that
+    cannot be pickled, ends the worker before it sends None."""
+    chunk = []
+    for entry in _apply(fn, shards(shard)):
+        chunk.append(entry)
+        if len(chunk) == _CHUNK:
             conn.send(chunk)
-        conn.send(None)
-    except Exception as exc:  # the main process raises it
-        conn.send(exc)
+            chunk = []
+    if chunk:
+        conn.send(chunk)
+    conn.send(None)
 
 
 def _received(conn, proc, name: str):
     """The entries a worker sends through ``conn``, as they arrive. Waits on
     the worker's sentinel too: if the worker exits before it finishes, the
-    stream ends with a RuntimeError naming it, at the position of its last
-    entry. An exception the worker sends is raised here."""
+    stream ends with an error message naming it, at the position of its
+    last entry, as a stream that raises ends in ``_apply``."""
     last = ()
     while True:
         wait([conn, proc.sentinel])
         try:
-            if not conn.poll():  # exited, and something else holds the pipe
-                raise EOFError
-            msg = conn.recv()
+            # an empty chunk: the worker exited, and something else holds the pipe
+            msg = conn.recv() if conn.poll() else []
         except EOFError:
-            proc.join()
-            yield last, RuntimeError(
-                f"worker for {name} exited with code {proc.exitcode} before finishing")
-            return
+            msg = []
         if msg is None:
             return
-        if isinstance(msg, BaseException):
-            raise msg
+        if not msg:
+            break
         yield from msg
         last = msg[-1][0]
+    proc.join()
+    yield last, f"worker for {name} exited with code {proc.exitcode} before finishing"
 
 
 def _sharded(fn, shards, jobs: int):
@@ -317,9 +331,16 @@ def _sharded(fn, shards, jobs: int):
 
 
 def run(config: RunConfig):
-    """Execute one harness run. Returns (RunReport, exit_code); a source
-    that raises ValueError partway, or a worker process that exits before
-    it finishes its shard, gives an error and exit 2."""
+    """Execute one harness run. Returns (RunReport, exit_code).
+
+    An unknown command, an unknown check id, or a ``jobs`` outside 1 to
+    ``MAX_JOBS`` is refused with exit 2 before a source is loaded or a
+    process started. Every failure record (a failing verdict, a hunt
+    exception, an ``invariants`` record with ``agree`` false, and the
+    error record of a graph that a worker raised on) goes into
+    ``report.failures`` and to stderr as it is found, and gives exit 1. A
+    source that raises partway, or a worker process that exits before it
+    finishes its shard, gives an error and exit 2."""
     start = time.monotonic()
     report = RunReport(config=vars(config).copy())
     report.config["checks"] = list(config.checks)
@@ -328,6 +349,15 @@ def run(config: RunConfig):
         report.elapsed_ms = int((time.monotonic() - start) * 1000)
         return report, code
 
+    unknown = [c for c in config.checks if c not in CHECKS]
+    if config.command not in ("gen", "verify", "hunt", "invariants"):
+        report.errors.append(f"unknown command {config.command!r}")
+    if unknown:
+        report.errors.append(f"unknown checks: {', '.join(unknown)}")
+    if not 1 <= config.jobs <= MAX_JOBS:
+        report.errors.append(f"--jobs must be 1 to {MAX_JOBS}, got {config.jobs}")
+    if report.errors:
+        return done(2)
     try:
         if config.command == "gen":
             g = parse_family_spec(config.source)
@@ -341,21 +371,30 @@ def run(config: RunConfig):
     jobs = min(config.jobs, bound)  # a shard past the bound holds no graph
     report.errors += unreadable
     bad = len(unreadable)  # each unreadable line is counted as skipped
+    raised = 0  # graphs a worker raised on, each one a failure
     broken = False  # the source raised partway through, or a worker died
+
+    def fail(rec: dict):
+        report.failures.append(rec)
+        print(json.dumps(rec), file=sys.stderr)
 
     def results(fn):
         """fn of each graph of the source, in source order: in ``jobs``
-        worker processes when there are more than one, else here. A stream
-        that ended early marks the run broken, and its error is recorded
-        once: every shard builds the levels below the last, so a failure
-        there ends every shard."""
-        nonlocal broken
+        worker processes when there are more than one, else here. The
+        error record of a graph fn raised on is a failure, in place of a
+        result. A stream that ended early marks the run broken, and its
+        error is recorded once: every shard builds the levels below the
+        last, so a failure there ends every shard."""
+        nonlocal broken, raised
         entries = _sharded(fn, shards, jobs) if jobs > 1 else _apply(fn, shards((0, 1)))
         for _, out in entries:
-            if isinstance(out, Exception):
+            if isinstance(out, str):
                 broken = True
-                if str(out) not in report.errors:
-                    report.errors.append(str(out))
+                if out not in report.errors:
+                    report.errors.append(out)
+            elif isinstance(out, _ErrorRecord):
+                raised += 1
+                fail(out)
             else:
                 yield out
 
@@ -366,10 +405,10 @@ def run(config: RunConfig):
         for statuses, failed in results(worker):
             vectors[statuses] += 1
             for rec in failed:
-                report.failures.append(rec)
-                print(json.dumps(rec), file=sys.stderr)
-        report.totals = {cid: {"scanned": bad, "holds": 0, "fails": 0, "na": 0,
-                               "skipped": bad} for cid in check_ids}
+                fail(rec)
+        skipped = bad + raised  # an unreadable line or a raise, in every check
+        report.totals = {cid: {"scanned": skipped, "holds": 0, "fails": 0, "na": 0,
+                               "skipped": skipped} for cid in check_ids}
         for statuses, count in vectors.items():
             for cid, status in zip(check_ids, statuses):
                 report.totals[cid]["scanned"] += count
@@ -378,15 +417,14 @@ def run(config: RunConfig):
         hunt = ch.HuntReport()
         for rec in results(ch.hunt_record):
             if hunt.add(rec):
-                print(json.dumps(rec), file=sys.stderr)
+                fail(rec)
         for _ in range(bad):
             hunt.add({"skipped": "unreadable"})
+        hunt.scanned += raised  # scanned, and in failures, not in a skip reason
         report.hunt = hunt.to_record()
-        report.failures = hunt.exceptions
-    elif config.command == "invariants":
-        report.results = list(results(_invariants_worker))
-        report.failures = [r for r in report.results if r.get("agree") is False]
-    else:
-        report.errors.append(f"unknown command {config.command!r}")
-        return done(2)
+    else:  # invariants
+        for rec in results(_invariants_worker):
+            report.results.append(rec)
+            if rec["agree"] is False:
+                fail(rec)
     return done(2 if broken else 1 if report.failures else 0)

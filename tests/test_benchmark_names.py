@@ -1,23 +1,30 @@
-"""The pairdom names the benchmark uses must exist in pairdom.
+"""The pairdom names the benchmark uses must exist in pairdom, and the
+outputs its references pin must still be what pairdom gives.
 
 ``perfbench/tracing.py`` replaces pairdom functions by name, and the other
 benchmark scripts import pairdom names or read them off pairdom modules. A
 change that drops or renames one fails here, in the fast suite, and not
-only in the slow ``pytest perfbench`` run.
+only in the slow ``pytest perfbench`` run. So does a change that adds or
+renames a check, or relabels a hunt satisfier, which every benchmark run
+would count as wrong until the references are re-recorded.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
+import pytest
+
 from pairdom import harness
-from pairdom.characterizations import ALL_CHECK_IDS, Facts
+from pairdom.characterizations import ALL_CHECK_IDS, Facts, hunt_c3free_counterexamples
 from pairdom.families import make_cycle
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
+RERECORD = "a benchmark PR must re-record it with perfbench/make_refs.py"
 
 
 def load_tracing():
@@ -124,3 +131,25 @@ def test_benchmark_scripts_use_existing_pairdom_names():
             ("make_refs.py", "pairdom.domination", "paired_dominating_masks"),
             ("tracing.py", "pairdom.harness", "CHECKS"),
             ("cli_probed.py", "pairdom.cli", "main")} <= used
+
+
+@pytest.mark.parametrize("name", ["verify-enum8.json", "tiny-verify-enum6.json"])
+def test_verify_refs_name_every_check_in_order(name):
+    # perfbench/run.py counts a verify run as wrong on every graph when its
+    # check ids differ from the refs.
+    totals = json.loads((PERFBENCH / "refs" / name).read_text())["totals"]
+    assert list(totals) == list(ALL_CHECK_IDS), (
+        f"perfbench/refs/{name} names other checks than ALL_CHECK_IDS; {RERECORD}")
+
+
+@pytest.mark.parametrize("name", ["hunt-c3free9.json", "tiny-hunt-c3free7.json"])
+def test_hunt_refs_pin_the_satisfiers_as_generated(name, c3free_up_to_9):
+    ref = json.loads((PERFBENCH / "refs" / name).read_text())
+    n = ref["n"]
+    graphs = [g for g in c3free_up_to_9 if g.n <= n]
+    report = hunt_c3free_counterexamples(graphs)
+    got = {"per_order": [sum(g.n == k for g in graphs) for k in range(n + 1)],
+           "skipped": report.skipped,
+           "satisfiers": sorted(s["graph6"] for s in report.satisfiers)}
+    assert got == {key: ref[key] for key in got}, (
+        f"perfbench/refs/{name} pins other satisfiers or counts; {RERECORD}")

@@ -1,3 +1,4 @@
+import dataclasses
 import doctest
 import heapq
 import json
@@ -239,9 +240,10 @@ class TestCommands:
         assert "gpr-equals-n: scanned=1 holds=1 " in out
 
     def test_verify_unknown_check(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "enum:4", "--checks", "bogus")
-        assert code == 2
-        assert "bogus" in err
+        # harness.run refuses it, with the message in the report
+        code, out, err = run_cli(capsys, "verify", "enum:4", "--checks", "bogus")
+        assert (code, err) == (2, "")
+        assert json.loads(out)["errors"] == ["unknown checks: bogus"]
 
     @pytest.mark.parametrize("checks", ["", ",", " , "])
     def test_verify_empty_check_list_is_usage_error(self, capsys, checks):
@@ -424,8 +426,8 @@ class TestCommands:
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, capsys, jobs):
         code, out, err = run_cli(capsys, "verify", "enum:4", "--jobs", jobs)
-        assert code == 2 and out == ""
-        assert "--jobs" in err
+        assert (code, err) == (2, "")
+        assert json.loads(out)["errors"] == [f"--jobs must be 1 to 64, got {jobs}"]
 
     def test_verify_failure_streams_before_next_graph(
         self, capsys, monkeypatch, tmp_path
@@ -531,13 +533,12 @@ class TestCommands:
         assert text("invariants", "C5") == (0, [json.dumps(rec)], "")
         assert text("verify", "missing.g6") == (2, [
             "error: [Errno 2] No such file or directory: 'missing.g6'"], "")
-        # an exception is a failure without a check id
+        # an exception is a failure without a check id, printed once
         monkeypatch.setattr(characterizations, "_edges_and_5_cycles", lambda fam: False)
         assert text("hunt", "C5") == (1, [
             "FAIL - Dhc",
             "hunt: scanned=1 skipped=0 satisfiers=1 exceptions=1",
-            "satisfier Dhc family=C5 cactus=True",
-            "EXCEPTION Dhc"],
+            "satisfier Dhc family=C5 cactus=True"],
             '{"graph6": "Dhc", "family": "C5", "expected_form": false, "cactus": true}\n')
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -557,6 +558,22 @@ class TestCommands:
         assert code == 1
         assert err.splitlines() == [json.dumps(rec) for rec in records]
         assert json.loads(out)["hunt"]["exceptions"] == records
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_invariants_disagreement_streams_to_stderr(self, capsys, monkeypatch,
+                                                       tmp_path, jobs):
+        # Under the patch of test_disagreement_is_a_failure the votes on C6
+        # split; C5's do not.
+        table = characterizations.EQUALITY_CLASSES
+        wrong = dataclasses.replace(table[0], expected=lambda fam: True)
+        monkeypatch.setattr(characterizations, "EQUALITY_CLASSES", (wrong,) + table[1:])
+        p = tmp_path / "graphs.g6"
+        p.write_text(encode_graph6(make_cycle(6)) + "\n" + encode_graph6(make_cycle(5)) + "\n")
+        code, out, err = run_cli(capsys, "invariants", str(p), "--jobs", jobs)
+        c6, c5 = json.loads(out)["results"]
+        assert (code, c6["agree"], c5["agree"]) == (1, False, True)
+        assert err.splitlines() == [json.dumps(c6)]
+        assert json.loads(out)["failures"] == [c6]
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -851,9 +868,29 @@ class TestStreaming:
         source = self.graph6_file(tmp_path, (make_cycle(5), path_graph(4)))
         started = self.processes_started(monkeypatch)
         code, out, err = call_bounded(run_cli, capsys, "verify", source, "--jobs", jobs)
-        assert code == 2 and out == ""
-        assert "--jobs must be 1 to 64" in err
+        assert (code, err) == (2, "")
+        assert json.loads(out)["errors"] == [f"--jobs must be 1 to 64, got {jobs}"]
         assert started == []
+
+    @pytest.mark.parametrize("config, error", [
+        (RunConfig("verify", "", checks=("bogus", "gpr-equals-n"), jobs=2),
+         "unknown checks: bogus"),
+        (RunConfig("bogus", "", jobs=2), "unknown command 'bogus'"),
+        *((RunConfig("verify", "", jobs=jobs), f"--jobs must be 1 to 64, got {jobs}")
+          for jobs in (0, -3, 65, 1000000)),
+    ], ids=["checks", "command", "jobs0", "jobs-3", "jobs65", "jobs1000000"])
+    def test_run_refuses_before_loading_or_forking(self, monkeypatch, tmp_path,
+                                                   config, error):
+        # The two lines would get two workers past the gate.
+        source = self.graph6_file(tmp_path, (make_cycle(5), path_graph(4)))
+        config = dataclasses.replace(config, source=source)
+        loaded, load = [], harness.load_source
+        monkeypatch.setattr(harness, "load_source",
+                            lambda source: loaded.append(source) or load(source))
+        started = self.processes_started(monkeypatch)
+        report, code = call_bounded(run, config)
+        assert (code, report.errors, report.failures) == (2, [error], [])
+        assert loaded == [] and started == []
 
     @pytest.mark.parametrize("source, workers",
                              [("enum:1", 0), ("enum:2", 0), ("enum:3", 2)])
@@ -865,8 +902,9 @@ class TestStreaming:
 
     @pytest.mark.parametrize("exc", [GraphError("bad graph"),
                                      ValueError("bad value"),
-                                     GuardError("over budget")],
-                             ids=["graph", "value", "guard"])
+                                     GuardError("over budget"),
+                                     TypeError("bad type")],
+                             ids=["graph", "value", "guard", "type"])
     @pytest.mark.parametrize("jobs,k", [(1, 2), (1, 10), (1, 40), (2, 2), (2, 40)])
     def test_source_raising_partway_is_an_error(self, monkeypatch, exc, jobs, k):
         # The failure sits at global position k: every shard yields its
@@ -910,7 +948,9 @@ class TestStreaming:
         assert len(scanned) == 1 and other <= scanned.pop() < 500 + other
         assert multiprocessing.active_children() == []
 
-    def test_worker_exception_is_raised_here(self, monkeypatch):
+    def test_worker_exception_is_a_failure_record(self, monkeypatch, capsys):
+        # The graph is counted as skipped in every check, as an unreadable
+        # line is, and the run goes on; no exception crosses the pipe.
         victim = encode_graph6(nonisomorphic_graphs(7, min_n=7)[500])
         original = harness._verify_worker
 
@@ -920,9 +960,67 @@ class TestStreaming:
             return original(g, check_ids)
 
         monkeypatch.setattr(harness, "_verify_worker", raises_on_victim)
-        with pytest.raises(ArithmeticError, match=f"no checks for {victim}"):
-            call_bounded(run, RunConfig("verify", "enum:7", jobs=2), timeout=60)
+        record = {"graph6": victim, "error": f"ArithmeticError: no checks for {victim}"}
+        reports = []
+        for jobs in (1, 2):
+            report, code = call_bounded(run, RunConfig("verify", "enum:7", jobs=jobs),
+                                        timeout=60)
+            assert code == 1
+            assert capsys.readouterr().err == json.dumps(record) + "\n"
+            rec = report.to_record()
+            del rec["elapsed_ms"], rec["config"]["jobs"]
+            reports.append(rec)
+        assert reports[0] == reports[1]
+        assert reports[0]["failures"] == [record] and "errors" not in reports[0]
+        assert {(t["scanned"], t["skipped"]) for t in reports[0]["totals"].values()} == {
+            (1044, 1)}
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("command, worker", [
+        ("verify", (harness, "_verify_worker")),
+        ("hunt", (characterizations, "hunt_record")),
+        ("invariants", (harness, "_invariants_worker")),
+    ], ids=["verify", "hunt", "invariants"])
+    def test_worker_raising_on_a_graph_is_a_failure_at_every_job_count(
+            self, monkeypatch, capsys, tmp_path, command, worker):
+        # The worker raises on the 2nd and 4th graph. Each one's error
+        # record goes to stderr in source order, the run goes on and exits
+        # 1, and the --output file holds the report.
+        graphs = (make_cycle(5), path_graph(4), make_cycle(6), path_graph(5))
+        source = self.graph6_file(tmp_path, graphs)
+        victims = [encode_graph6(graphs[1]), encode_graph6(graphs[3])]
+        module, name = worker
+        original = getattr(module, name)
+
+        def raises_on_victims(g, *args, **kwargs):
+            if encode_graph6(g) in victims:
+                raise ArithmeticError(f"bad {encode_graph6(g)}")
+            return original(g, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, raises_on_victims)
+        records = [{"graph6": v, "error": f"ArithmeticError: bad {v}"} for v in victims]
+        reports = []
+        for jobs in ("1", "2"):
+            target = tmp_path / f"report{jobs}.json"
+            code, out, err = call_bounded(run_cli, capsys, command, source,
+                                          "--jobs", jobs, "--output", str(target))
+            assert (code, out) == (1, "")
+            assert err.splitlines() == [json.dumps(rec) for rec in records]
+            rec = json.loads(target.read_text())
+            del rec["elapsed_ms"], rec["config"]["jobs"], rec["config"]["output"]
+            reports.append(rec)
+            assert multiprocessing.active_children() == []
+        assert reports[0] == reports[1]
+        rec = reports[0]
+        assert rec["failures"] == records and "errors" not in rec
+        if command == "verify":
+            assert {(t["scanned"], t["skipped"], t["fails"])
+                    for t in rec["totals"].values()} == {(4, 2, 0)}
+        elif command == "hunt":
+            assert (rec["hunt"]["scanned"], rec["hunt"]["skipped"]) == (4, 0)
+        else:
+            assert [r["graph6"] for r in rec["results"]] == [
+                encode_graph6(graphs[0]), encode_graph6(graphs[2])]
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_shards_merge_into_the_serial_stream(self, tmp_path, jobs,
