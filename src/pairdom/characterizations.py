@@ -40,7 +40,7 @@ from .families import (
     recognize_family,
 )
 from .generate import triangle_free
-from .graph import Graph, GraphError, bits_of, encode_graph6
+from .graph import Graph, bits_of, encode_graph6
 from .matching import all_perfect_matchings, perfect_matching_tester
 
 
@@ -514,14 +514,16 @@ ALL_CHECK_IDS = tuple(CHECKS)
 
 def run_checks(g: Graph, check_ids) -> list[Verdict]:
     """Run the selected checks on one graph, sharing one Facts. A check that
-    a guard stops on a graph too large for the exact scans is skipped, with
-    the guard's message as witness."""
+    the guard stops on a graph too large for the exact scans is skipped, with
+    the guard's message as witness; that is the only skip. Any other
+    exception propagates, and ``harness.run`` makes it the graph's error
+    record."""
     facts = Facts(g)
     out = []
     for cid in check_ids:
         try:
             out.append(CHECKS[cid](facts))
-        except GraphError as exc:
+        except GuardError as exc:
             out.append(Verdict(cid, facts.graph6, "skipped", {"skipped": str(exc)}))
     return out
 

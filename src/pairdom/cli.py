@@ -1,12 +1,12 @@
-"""Command-line front end with four commands:
+"""Command-line front end, one subcommand for each of ``harness.COMMANDS``:
 
 * invariants: one record per graph, with its class flags, family, the
   fast path's votes, α, the four invariants, the equality and the deficit,
 * verify: the lemma and theorem checks over a stream,
 * hunt: the triangle-free counterexample hunt,
-* gen: one named family graph.
+* gen: each graph of a source, with its order and edges.
 
-Sources accepted by every graph-consuming command:
+Sources accepted by every command:
 
 * a path to a graph6 file (one graph per line, optionally after a
   ">>graph6<<" header),
@@ -31,15 +31,7 @@ import json
 import sys
 from contextlib import nullcontext
 
-from .harness import MAX_JOBS, RunConfig, RunReport, overwrites_source, run
-
-
-def _add_common(sub):
-    sub.add_argument("--jobs", type=int, default=1,
-                     help=f"worker processes, 1 to {MAX_JOBS}")
-    sub.add_argument("--output", default=None, help="report path (default stdout)")
-    sub.add_argument("--format", dest="fmt", choices=("json", "text"),
-                     default="json")
+from .harness import COMMANDS, MAX_JOBS, RunConfig, RunReport, overwrites_source, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,25 +40,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact upper (paired) domination toolkit for small graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("invariants", help="one record per graph")
-    p.add_argument("source")
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="run lemma/theorem checks over a stream")
-    p.add_argument("source")
-    p.add_argument("--checks", default="all",
-                   help="comma-separated check ids, or 'all'")
-    _add_common(p)
-
-    p = sub.add_parser("hunt", help="triangle-free counterexample hunt")
-    p.add_argument("source")
-    _add_common(p)
-
-    p = sub.add_parser("gen", help="emit a named family graph")
-    p.add_argument("source", metavar="family-spec")
-    _add_common(p)
-
+    for command, help_line in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        p.add_argument("source")
+        if command == "verify":
+            p.add_argument("--checks", default="all",
+                           help="comma-separated check ids, or 'all'")
+        p.add_argument("--jobs", type=int, default=1,
+                       help=f"worker processes, 1 to {MAX_JOBS}")
+        p.add_argument("--output", default=None, help="report path (default stdout)")
+        p.add_argument("--format", dest="fmt", choices=("json", "text"),
+                       default="json")
     return parser
 
 

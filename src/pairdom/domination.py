@@ -47,11 +47,6 @@ class GuardError(GraphError):
     """An enumeration guard was exceeded."""
 
 
-class IsolatedVertexError(GraphError):
-    """Paired domination is undefined on K0 and on a graph with an isolated
-    vertex (``paired_domination_defined`` is false)."""
-
-
 def closed_neighborhoods(g: Graph) -> list[int]:
     return [g.adj[v] | (1 << v) for v in range(g.n)]
 
@@ -220,12 +215,12 @@ def paired_dominating_masks(g: Graph) -> Subsets:
     read as their bitsets in increasing mask order. A set with largest
     vertex v has a perfect matching iff it is {u, v} plus a matchable set
     below v without u, u ~ v, u < v; so after step v, ``matchable`` holds
-    the matchable subsets of {0..v}, 2^(v+1) bits. Raises
-    IsolatedVertexError where paired domination is undefined."""
+    the matchable subsets of {0..v}, 2^(v+1) bits. Raises GraphError
+    where paired domination is undefined (``paired_domination_defined``)."""
     _guard(g)
     if not paired_domination_defined(g):
-        raise IsolatedVertexError("paired domination is undefined on K0 and "
-                                  "on a graph with an isolated vertex")
+        raise GraphError("paired domination is undefined on K0 and "
+                         "on a graph with an isolated vertex")
     members = _members(g.n)
     matchable = 1
     for v in range(g.n):

@@ -1,8 +1,9 @@
 """Batch harness behind the command-line front end: graph sources, the
 run configuration and report, and `run`, which executes one command.
 
-The checks themselves live in ``characterizations.CHECKS``; this module
-maps them, or one of the other per-graph workers, over a source.
+``COMMANDS`` lists the commands. Each one maps its per-graph worker over a
+source: the checks of ``characterizations.CHECKS``, the hunt record, the
+invariants record, or the graph itself.
 ``load_source`` is the one place that knows the kinds of source. It turns
 each into a shard function, whose shard i of J is a stream of plain graphs:
 every J-th readable graph of a file, or the generated classes whose parent
@@ -128,6 +129,15 @@ def load_source(source: str) -> tuple[Callable, int, list[str]]:
 # --- run configuration and report --------------------------------------------
 
 
+# The one list of commands, with their help lines: ``run`` refuses any
+# other command, and the CLI builds one subcommand from each.
+COMMANDS = {
+    "invariants": "one record per graph",
+    "verify": "run lemma/theorem checks over a stream",
+    "hunt": "triangle-free counterexample hunt",
+    "gen": "list each graph of a source with its edges",
+}
+
 # A run forks one process per job, up to one per line of a file source, so
 # an unbounded ``jobs`` could fork thousands of processes.
 MAX_JOBS = 64
@@ -145,9 +155,8 @@ class RunConfig:
 
 def overwrites_source(config: RunConfig) -> bool:
     """Whether ``config.output`` is the file that ``run`` reads the graphs
-    from; gen, a generated source and a family spec read no file."""
-    if (not config.output or config.command == "gen"
-            or _source_kind(config.source)[0] != "file"):
+    from; a generated source and a family spec read no file."""
+    if not config.output or _source_kind(config.source)[0] != "file":
         return False
     try:
         return os.path.samefile(config.source, config.output)
@@ -192,6 +201,11 @@ def _verify_worker(g: Graph, check_ids):
     verdicts = run_checks(g, check_ids)
     return (tuple(v.status for v in verdicts),
             [v.to_record() for v in verdicts if v.status == "fails"])
+
+
+def _gen_worker(g: Graph):
+    """One record per graph: its graph6 string, its order and its edges."""
+    return {"graph6": encode_graph6(g), "n": g.n, "edges": g.edges()}
 
 
 def _invariants_worker(g: Graph):
@@ -350,7 +364,7 @@ def run(config: RunConfig):
         return report, code
 
     unknown = [c for c in config.checks if c not in CHECKS]
-    if config.command not in ("gen", "verify", "hunt", "invariants"):
+    if config.command not in COMMANDS:
         report.errors.append(f"unknown command {config.command!r}")
     if unknown:
         report.errors.append(f"unknown checks: {', '.join(unknown)}")
@@ -359,11 +373,6 @@ def run(config: RunConfig):
     if report.errors:
         return done(2)
     try:
-        if config.command == "gen":
-            g = parse_family_spec(config.source)
-            report.results.append({"graph6": encode_graph6(g), "n": g.n,
-                                   "edges": g.edges()})
-            return done(0)
         shards, bound, unreadable = load_source(config.source)
     except (OSError, ValueError) as exc:  # GraphError and GuardError too
         report.errors.append(str(exc))
@@ -422,9 +431,11 @@ def run(config: RunConfig):
             hunt.add({"skipped": "unreadable"})
         hunt.scanned += raised  # scanned, and in failures, not in a skip reason
         report.hunt = hunt.to_record()
-    else:  # invariants
+    elif config.command == "invariants":
         for rec in results(_invariants_worker):
             report.results.append(rec)
             if rec["agree"] is False:
                 fail(rec)
+    else:  # gen
+        report.results += results(_gen_worker)
     return done(2 if broken else 1 if report.failures else 0)

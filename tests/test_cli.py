@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import doctest
 import heapq
@@ -501,6 +502,20 @@ class TestCommands:
                 assert code == 2
                 assert json.loads(out)["errors"] == [f"no component in {spec!r}"]
 
+    def test_gen_lists_each_graph_of_a_generated_source(self):
+        graphs, _ = loaded_graphs("enum:5")
+        report, code = run(RunConfig("gen", "enum:5"))
+        assert code == 0
+        assert report.results == [{"graph6": encode_graph6(g), "n": g.n,
+                                   "edges": g.edges()} for g in graphs]
+
+    def test_parser_has_one_subcommand_per_command(self):
+        parser = build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(harness.COMMANDS)
+        assert {name for name, p in sub.choices.items()
+                if "--checks" in p._option_string_actions} == {"verify"}
+
     def test_text_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "C5", "--format", "text")
         assert code == 0
@@ -592,7 +607,7 @@ class TestCommands:
         assert (code, out) == (2, "")
         assert "cannot open --output" in err and str(target) in err
 
-    @pytest.mark.parametrize("command", ["invariants", "verify", "hunt"])
+    @pytest.mark.parametrize("command", ["invariants", "verify", "hunt", "gen"])
     def test_output_naming_the_source_is_usage_error(self, capsys, tmp_path,
                                                      monkeypatch, command):
         monkeypatch.chdir(tmp_path)
@@ -779,7 +794,7 @@ class TestStreaming:
         report, code = run(RunConfig("invariants", str(empty), jobs=2))
         assert code == 0 and report.results == [] and report.errors == []
 
-    @pytest.mark.parametrize("command", ["verify", "hunt", "invariants"])
+    @pytest.mark.parametrize("command", ["verify", "hunt", "invariants", "gen"])
     def test_unreadable_lines_are_counted_alike_at_every_job_count(
             self, capsys, tmp_path, command):
         # The 2nd and the last line are unreadable. The shards split the
@@ -797,15 +812,16 @@ class TestStreaming:
             del rec["elapsed_ms"], rec["config"]["jobs"]
             outcomes.append((rec, err, code))
         assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
-        rec = outcomes[0][0]
+        rec, err, code = outcomes[0]
+        assert (err, code) == ("", 0)
         assert [e.split(":")[0] for e in rec["errors"]] == ["line 2", f"line {len(lines)}"]
         if command == "verify":
             assert {t["skipped"] for t in rec["totals"].values()} == {2}
             assert {t["scanned"] for t in rec["totals"].values()} == {len(lines)}
         elif command == "hunt":
             assert rec["hunt"]["skipped_by_reason"]["unreadable"] == 2
-        else:
-            assert len(rec["results"]) == len(lines) - 2
+        else:  # one record per readable line, in file order
+            assert [r["graph6"] for r in rec["results"]] == lines[:1] + lines[2:-1]
 
     @staticmethod
     def graph6_file(tmp_path, graphs) -> str:
@@ -974,6 +990,37 @@ class TestStreaming:
         assert reports[0]["failures"] == [record] and "errors" not in reports[0]
         assert {(t["scanned"], t["skipped"]) for t in reports[0]["totals"].values()} == {
             (1044, 1)}
+        assert multiprocessing.active_children() == []
+
+    def test_check_raising_is_the_graphs_error_record(self, monkeypatch, capsys,
+                                                      tmp_path):
+        # Only the guard makes a check skip a graph. Any other exception in
+        # a check, a GraphError included, is the graph's error record.
+        graphs = (make_cycle(5), path_graph(4))
+        source = self.graph6_file(tmp_path, graphs)
+        victim = encode_graph6(graphs[1])
+        original = CHECKS["gpr-upper-bound"]
+
+        def raises_on_victim(facts):
+            if facts.graph6 == victim:
+                raise GraphError("x")
+            return original(facts)
+
+        monkeypatch.setitem(CHECKS, "gpr-upper-bound", raises_on_victim)
+        record = {"graph6": victim, "error": "GraphError: x"}
+        reports = []
+        for jobs in (1, 2):
+            report, code = call_bounded(run, RunConfig("verify", source, jobs=jobs),
+                                        timeout=60)
+            assert code == 1
+            assert capsys.readouterr().err == json.dumps(record) + "\n"
+            rec = report.to_record()
+            del rec["elapsed_ms"], rec["config"]["jobs"]
+            reports.append(rec)
+        assert reports[0] == reports[1]
+        assert reports[0]["failures"] == [record]
+        assert {(t["scanned"], t["skipped"]) for t in reports[0]["totals"].values()} == {
+            (2, 1)}
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("command, worker", [

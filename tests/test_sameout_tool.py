@@ -8,6 +8,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import sameout  # noqa: E402
+from pairdom.harness import COMMANDS  # noqa: E402
 
 TREES = {side: Path(side) for side in sameout.SIDES}
 
@@ -75,3 +76,7 @@ def test_exits_1_on_a_diff(monkeypatch):
     stub_runs(monkeypatch, {1: ("", "", 1)})
     assert sameout.main(["--base", "HEAD"]) == 1
 
+
+def test_every_command_has_an_item():
+    # A command that no item runs could change its output unseen.
+    assert set(COMMANDS) <= {argv[0] for argv in sameout.COMMANDS}

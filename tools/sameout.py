@@ -47,6 +47,7 @@ COMMANDS = [
     ("invariants", "c5.edges"),
     ("verify", "enum:3", "--jobs", "4"),
     ("gen", "union:K2*2+C5*1"),
+    ("gen", "mixed.g6", "--jobs", "3"),
     ("verify", "enum:10"),
     ("verify", "missing.g6"),
     # the equality votes without fastpath-matches-brute, and both checks
