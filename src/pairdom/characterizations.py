@@ -1,5 +1,6 @@
-"""Every check on one graph, and the equality votes and hunt built on the
-same facts.
+"""Every record built on one graph's ``Facts``, in the one module that
+reads them and catches ``GuardError``: the verdicts of the checks, the hunt
+record and the invariants record.
 
 ``CHECKS`` is the one check registry. Each entry is a ``Check`` row: a
 hypothesis ``applies(facts)`` and a ``violation(facts)`` that returns a
@@ -19,7 +20,7 @@ from both exact scans.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
@@ -40,7 +41,7 @@ from .families import (
     recognize_family,
 )
 from .generate import triangle_free
-from .graph import Graph, bits_of, encode_graph6
+from .graph import INFINITE, Graph, bits_of, encode_graph6
 from .matching import all_perfect_matchings, perfect_matching_tester
 
 
@@ -622,6 +623,42 @@ def hunt_record(g: Graph) -> dict | None:
         "expected_form": _edges_and_5_cycles(facts.family),
         "cactus": facts.componentwise_c3free_cactus,
     }
+
+
+def invariants_record(g: Graph) -> dict:
+    """One record per graph: the class flags, the family and the fast
+    path's votes, then α, the four invariants with their witnesses, the
+    brute-force equality and the deficit 2Γ - Γ_pr, or ``skipped`` when the
+    guard stops the exact scans on g. ``agree`` is false when the votes
+    split, else null unless there are votes and an equality, and then
+    whether the vote is the equality."""
+    facts = Facts(g)
+    rec = {"graph6": facts.graph6, "n": g.n, **asdict(facts.flags),
+           "family": facts.family, "votes": facts.votes}
+    if rec["girth"] == INFINITE:  # acyclic
+        rec["girth"] = None
+    try:
+        r = facts.report
+        rec["alpha"] = facts.alpha
+    except GuardError as exc:
+        rec["skipped"] = str(exc)
+    else:
+        rec.update(
+            gamma=r.gamma,
+            upper_gamma=r.upper_gamma,
+            gamma_pr=r.gamma_pr,
+            upper_gamma_pr=r.upper_gamma_pr,
+            witnesses={k: None if w is None else list(w)
+                       for k, w in r.witnesses.items()},
+            equality=facts.equality,
+            deficit=None if r.upper_gamma_pr is None
+            else 2 * r.upper_gamma - r.upper_gamma_pr,
+        )
+    fast, equality = set(facts.votes.values()), rec.get("equality")
+    rec["agree"] = (False if len(fast) > 1
+                    else None if not fast or equality is None
+                    else fast == {equality})
+    return rec
 
 
 def hunt_c3free_counterexamples(stream) -> HuntReport:

@@ -1,9 +1,10 @@
 """Batch harness behind the command-line front end: graph sources, the
 run configuration and report, and `run`, which executes one command.
 
-``COMMANDS`` lists the commands. Each one maps its per-graph worker over a
-source: the checks of ``characterizations.CHECKS``, the hunt record, the
-invariants record, or the graph itself.
+``COMMANDS`` lists the commands. Each one maps a per-graph worker over a
+source: ``characterizations`` builds the verdicts, the hunt record and the
+invariants record, and ``gen`` lists the graph itself. This module only
+loads sources, runs the map and folds its results.
 ``load_source`` is the one place that knows the kinds of source. It turns
 each into a shard function, whose shard i of J is a stream of plain graphs:
 every J-th readable graph of a file, or the generated classes whose parent
@@ -12,9 +13,9 @@ label). It also gives the number of shards that can hold a graph, which
 caps the worker count, and the errors of the unreadable lines, which never
 enter a stream: ``run`` records them and counts them as skipped. With
 ``jobs`` = J > 1, J worker processes each generate and check their own
-shard and send back (position, result) pairs, and the main process only
-merges the J ordered streams by position. Runs are deterministic: results
-come back in input order regardless of the worker count, and every failure
+shard and send back (position, kind, value) entries, and the main process
+only merges the J ordered streams by position. Runs are deterministic:
+results come back in input order at every worker count, and every failure
 record is streamed to stderr as a JSON line as it is found.
 """
 
@@ -29,18 +30,18 @@ import sys
 import time
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing.connection import wait
 from operator import itemgetter
 
 from . import characterizations as ch
 # CHECKS and run_checks are re-exported as part of this module's API.
-from .characterizations import ALL_CHECK_IDS, CHECKS, Facts, run_checks  # noqa: F401
+from .characterizations import ALL_CHECK_IDS, CHECKS, run_checks  # noqa: F401
 from .domination import GuardError
 from .families import looks_like_family_spec, parse_family_spec
-from .graph import (INFINITE, Graph, GraphError, encode_graph6, is_decimal,
-                    parse_edge_list, parse_graph6)
+from .graph import (Graph, GraphError, encode_graph6, is_decimal, parse_edge_list,
+                    parse_graph6)
 from .generate import positioned_stream, triangle_free
 
 
@@ -208,57 +209,17 @@ def _gen_worker(g: Graph):
     return {"graph6": encode_graph6(g), "n": g.n, "edges": g.edges()}
 
 
-def _invariants_worker(g: Graph):
-    """One record per graph: the class flags, the family and the fast
-    path's votes, then α, the four invariants with their witnesses, the
-    brute-force equality and the deficit 2Γ - Γ_pr, or ``skipped`` when the
-    guard stops the exact scans on g. ``agree`` is false when the votes
-    split, else null unless there are votes and an equality, and then
-    whether the vote is the equality."""
-    facts = Facts(g)
-    rec = {"graph6": facts.graph6, "n": g.n, **asdict(facts.flags),
-           "family": facts.family, "votes": facts.votes}
-    if rec["girth"] == INFINITE:  # acyclic
-        rec["girth"] = None
-    equality = None
-    try:
-        r = facts.report
-        rec["alpha"] = facts.alpha
-    except GuardError as exc:
-        rec["skipped"] = str(exc)
-    else:
-        equality = facts.equality
-        rec.update(
-            gamma=r.gamma,
-            upper_gamma=r.upper_gamma,
-            gamma_pr=r.gamma_pr,
-            upper_gamma_pr=r.upper_gamma_pr,
-            witnesses={k: None if w is None else list(w)
-                       for k, w in r.witnesses.items()},
-            equality=equality,
-            deficit=None if r.upper_gamma_pr is None
-            else 2 * r.upper_gamma - r.upper_gamma_pr,
-        )
-    fast = set(facts.votes.values())
-    rec["agree"] = (False if len(fast) > 1
-                    else None if not fast or equality is None
-                    else fast == {equality})
-    return rec
-
-
-class _ErrorRecord(dict):
-    """The failure record of a graph that a per-graph worker raised on:
-    ``{"graph6": ..., "error": "<Type>: <message>"}``."""
+_RESULT, _RAISED, _ENDED = range(3)  # the kinds of entry, as ``_apply`` says
 
 
 def _apply(fn, positioned):
-    """(position, fn(graph)) for each (position, graph) of a stream, which
-    ``load_source`` kept unreadable lines out of. An exception fn raises on
-    a graph gives that graph's ``_ErrorRecord`` in place of fn(graph), and
-    the stream goes on. An exception the stream raises ends it: its message
-    is yielded last, at the position of the last graph. So only plain
-    results and strings are sent from a worker, never an exception, which
-    might not unpickle."""
+    """(position, kind, value) for each (position, graph) of a stream, which
+    ``load_source`` kept unreadable lines out of: ``_RESULT`` and fn(graph),
+    of any type, or ``_RAISED`` and the graph's ``{"graph6", "error"}``
+    record when fn raises on it, and the stream goes on. An exception the
+    stream raises ends it: ``_ENDED`` and its message come last, at the
+    position of the last graph. So no exception is sent from a worker, as
+    it might not unpickle."""
     pos = ()
     positioned = iter(positioned)
     while True:
@@ -267,17 +228,17 @@ def _apply(fn, positioned):
         except StopIteration:
             return
         except Exception as exc:
-            yield pos, str(exc)
+            yield pos, _ENDED, str(exc)
             return
         try:
-            out = fn(g)
+            entry = pos, _RESULT, fn(g)
         except Exception as exc:
-            out = _ErrorRecord(graph6=encode_graph6(g),
-                               error=f"{type(exc).__name__}: {exc}")
-        yield pos, out
+            entry = pos, _RAISED, {"graph6": encode_graph6(g),
+                                   "error": f"{type(exc).__name__}: {exc}"}
+        yield entry
 
 
-_CHUNK = 32  # results per message from a worker
+_CHUNK = 32  # entries per message from a worker
 
 
 def _shard_worker(fn, shards, shard, conn):
@@ -298,8 +259,8 @@ def _shard_worker(fn, shards, shard, conn):
 def _received(conn, proc, name: str):
     """The entries a worker sends through ``conn``, as they arrive. Waits on
     the worker's sentinel too: if the worker exits before it finishes, the
-    stream ends with an error message naming it, at the position of its
-    last entry, as a stream that raises ends in ``_apply``."""
+    stream ends with an ``_ENDED`` entry whose message names it, at the
+    position of its last entry, as a stream that raises ends in ``_apply``."""
     last = ()
     while True:
         wait([conn, proc.sentinel])
@@ -315,7 +276,7 @@ def _received(conn, proc, name: str):
         yield from msg
         last = msg[-1][0]
     proc.join()
-    yield last, f"worker for {name} exited with code {proc.exitcode} before finishing"
+    yield last, _ENDED, f"worker for {name} exited with code {proc.exitcode} before finishing"
 
 
 def _sharded(fn, shards, jobs: int):
@@ -389,23 +350,24 @@ def run(config: RunConfig):
 
     def results(fn):
         """fn of each graph of the source, in source order: in ``jobs``
-        worker processes when there are more than one, else here. The
-        error record of a graph fn raised on is a failure, in place of a
-        result. A stream that ended early marks the run broken, and its
-        error is recorded once: every shard builds the levels below the
-        last, so a failure there ends every shard."""
+        worker processes when there are more than one, else here. Reads the
+        kind of each entry, not the type of its value, so fn may return
+        anything. A graph fn raised on is a failure, with no result. A
+        stream that ended early marks the run broken, and its message is
+        recorded once: every shard builds the levels below the last, so a
+        failure there ends every shard."""
         nonlocal broken, raised
         entries = _sharded(fn, shards, jobs) if jobs > 1 else _apply(fn, shards((0, 1)))
-        for _, out in entries:
-            if isinstance(out, str):
-                broken = True
-                if out not in report.errors:
-                    report.errors.append(out)
-            elif isinstance(out, _ErrorRecord):
+        for _, kind, value in entries:
+            if kind == _RESULT:
+                yield value
+            elif kind == _RAISED:
                 raised += 1
-                fail(out)
+                fail(value)
             else:
-                yield out
+                broken = True
+                if value not in report.errors:
+                    report.errors.append(value)
 
     if config.command == "verify":
         check_ids = tuple(dict.fromkeys(config.checks)) or ALL_CHECK_IDS
@@ -432,7 +394,7 @@ def run(config: RunConfig):
         hunt.scanned += raised  # scanned, and in failures, not in a skip reason
         report.hunt = hunt.to_record()
     elif config.command == "invariants":
-        for rec in results(_invariants_worker):
+        for rec in results(ch.invariants_record):
             report.results.append(rec)
             if rec["agree"] is False:
                 fail(rec)

@@ -67,8 +67,14 @@ class TestSources:
         assert calls
 
     def test_enum_guards(self):
-        with pytest.raises(Exception):
+        with pytest.raises(GuardError, match=r"^enum order limited to N <= 9, got 'enum:10'$"):
             load_source("enum:10")
+        with pytest.raises(GuardError,
+                           match=r"^c3free order limited to N <= 11, got 'c3free:12'$"):
+            load_source("c3free:12")
+        with pytest.raises(ValueError, match="must be an integer") as info:
+            load_source("enum:x")
+        assert not isinstance(info.value, GuardError)
 
     def test_family_spec(self):
         graphs, errors = loaded_graphs("mK2:2")
@@ -508,6 +514,23 @@ class TestCommands:
         assert code == 0
         assert report.results == [{"graph6": encode_graph6(g), "n": g.n,
                                    "edges": g.edges()} for g in graphs]
+
+    def test_a_string_result_is_a_result(self, monkeypatch):
+        # A worker may return any value: the map tags each entry with its
+        # kind, so a string is a result, not the message of a broken stream.
+        graphs, _ = loaded_graphs("enum:4")
+        monkeypatch.setattr(harness, "_gen_worker", encode_graph6)
+        reports = []
+        for jobs in (1, 2):
+            report, code = call_bounded(run, RunConfig("gen", "enum:4", jobs=jobs),
+                                        timeout=60)
+            assert code == 0
+            rec = report.to_record()
+            del rec["elapsed_ms"], rec["config"]["jobs"]
+            reports.append(rec)
+        assert reports[0] == reports[1]
+        assert reports[0]["results"] == [encode_graph6(g) for g in graphs]
+        assert len(graphs) == 11 and "errors" not in reports[0]
 
     def test_parser_has_one_subcommand_per_command(self):
         parser = build_parser()
@@ -1026,7 +1049,7 @@ class TestStreaming:
     @pytest.mark.parametrize("command, worker", [
         ("verify", (harness, "_verify_worker")),
         ("hunt", (characterizations, "hunt_record")),
-        ("invariants", (harness, "_invariants_worker")),
+        ("invariants", (characterizations, "invariants_record")),
     ], ids=["verify", "hunt", "invariants"])
     def test_worker_raising_on_a_graph_is_a_failure_at_every_job_count(
             self, monkeypatch, capsys, tmp_path, command, worker):

@@ -8,6 +8,9 @@ by module and attribute). A method or property counts as used when that
 code reads it as an attribute, or a benchmark file spells its name as a
 string. Docstrings do not count. A helper that only tests need belongs in
 the tests, as ``tests/oracles.py`` holds the reference implementations.
+
+The same helpers keep one boundary in place: ``characterizations`` is the
+one module that reads ``Facts`` and catches the exact scans' guard.
 """
 
 import ast
@@ -77,6 +80,44 @@ def references(tree: ast.Module, strings: bool, names: bool = True) -> set[str]:
               and isinstance(node.value, str) and id(node) not in skip):
             out.add(node.value)
     return out
+
+
+def guard_handlers(tree: ast.Module) -> set[str]:
+    """The name of the top-level def around each ``except`` clause that
+    names ``GuardError``, alone or in a tuple; "" for one outside a def."""
+    out = set()
+    for top in tree.body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else ""
+        for node in ast.walk(top):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = (node.type.elts if isinstance(node.type, ast.Tuple)
+                          else [node.type])
+                if any(isinstance(c, ast.Name) and c.id == "GuardError"
+                       or isinstance(c, ast.Attribute) and c.attr == "GuardError"
+                       for c in caught):
+                    out.add(name)
+    return out
+
+
+def test_one_module_reads_facts_and_catches_the_guard():
+    # characterizations builds every record that reads Facts, so it alone
+    # catches the exact scans' guard; the harness only loads sources, runs
+    # the map and folds the results.
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SRC}
+    handlers = {(module, name) for module, tree in trees.items()
+                for name in guard_handlers(tree)}
+    assert handlers == {("characterizations.py", "run_checks"),
+                        ("characterizations.py", "hunt_record"),
+                        ("characterizations.py", "invariants_record")}
+    assert "Facts" not in references(trees["harness.py"], strings=False)
+
+
+def test_guard_handlers_on_examples():
+    tree = ast.parse(
+        "def f():\n    try:\n        pass\n    except (OSError, d.GuardError):\n        pass\n"
+        "def g():\n    try:\n        pass\n    except ValueError:\n        pass\n"
+        "try:\n    pass\nexcept GuardError:\n    pass\n")
+    assert guard_handlers(tree) == {"f", ""}
 
 
 def test_every_public_name_has_a_caller():
