@@ -135,12 +135,31 @@ class Facts:
         ``singles``), two cover just that pair, and only the other pairs get
         the hypothesis tests. Adjacency and the matching tester alone are
         read, never the subset bitmaps: a cross-check of the minimality
-        filter."""
+        filter.
+
+        S must dominate, as every set the scans give does (and the oracle
+        test feeds PDSs only). Then a pair meets the hypothesis and has an
+        empty epn iff R = S - {u, v} is a PDS: the hypothesis dominates u
+        and v, an empty epn means each vertex outside S has a neighbor in
+        R, R's vertices dominate themselves, and G[R] is matchable; and a
+        PDS R gives both back. So a 2-set flags nothing (R is empty), and a
+        4-set flags S - e for each dominating edge e inside it (an edge u v
+        with N(u) | N(v) = V), listed once per graph in pair order; the
+        pairs of a 4-set, complemented, come in reverse order. Larger sets
+        are walked as above."""
         adj = self.g.adj
         full = self.g.full_mask
         pm_test = perfect_matching_tester(self.g)
+        dominating_edges = [1 << u | 1 << v for u, row in enumerate(adj)
+                            for v in bits_of(row) if u < v and row | adj[v] == full]
         out = []
         for smask in self.report.mpds_masks:
+            size = smask.bit_count()
+            if size <= 4:
+                if size == 4 and dominating_edges:
+                    out += [(smask, *bits_of(smask ^ e))
+                            for e in reversed(dominating_edges) if e & smask == e]
+                continue
             singles = 0
             seen_sets = []
             for w in bits_of(full & ~smask):

@@ -52,7 +52,7 @@ def closed_neighborhoods(g: Graph) -> list[int]:
 
 
 def has_isolated_vertex(g: Graph) -> bool:
-    return any(row == 0 for row in g.adj)
+    return 0 in g.adj
 
 
 def paired_domination_defined(g: Graph) -> bool:

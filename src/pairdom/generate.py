@@ -30,6 +30,13 @@ is dropped; if none does, v is cleared. (2) The same over those with the
 first-round refinement key of C - v (``_first_key``). (3) If both sides of
 p still tie, C is dropped iff backtracking maps C - v onto one before p.
 
+Tier 2's list of tied parents depends on the labelled graph C - v alone,
+which the rows of P_p - v and M - v, relabelled, determine; so while the
+parents of one sibling group (the children of one parent) are extended, the
+list is remembered under those two, and the memo is dropped when the group
+changes. Siblings induce their parent on their first k - 2 vertices, so
+many C - v recur across them. Tier 3 still runs whenever the list spans p.
+
 Here I = S + 2^372 T + 2^396 Q, with S the degree multiset (a sum of
 ``_COUNT_BIT[deg]``), T the number of triangles and Q the number of
 4-cycles (as subgraphs). For a parent P, a mask M, its child
@@ -271,15 +278,39 @@ def _isomorphic(adj, key, colors, others) -> bool:
                for adj2, key2, colors2 in others for cells2 in [_cells(colors2)])
 
 
-def _earlier(adj, v: int, i: int, p: int, firsts, parents) -> bool:
-    """Tiers 2 and 3: whether C - v, for C the graph ``adj``, is isomorphic
-    to a parent before p; ``firsts[i, key]`` holds the parents with I = i =
-    I(C - v) and first-round key ``key``."""
-    low = (1 << v) - 1  # C - v: the vertices above v move down by one
-    adj = [row & low | row >> 1 & ~low for row in adj[:v] + adj[v + 1:]]
-    tied = firsts[i, _first_key(adj)]
+def _drop(mask: int, v: int) -> int:
+    """``mask`` without vertex v, the vertices above v moved down by one."""
+    low = (1 << v) - 1
+    return mask & low | mask >> 1 & ~low
+
+
+class _Deletions(dict):
+    """v -> (rows of P - v, tier 2's tied lists of the C - v built on them,
+    by M - v) for the parent P = ``adj``: the rows are relabelled once per
+    v, and the tied lists are shared, through ``memo``, by every parent of
+    one sibling group with the same rows of P - v."""
+
+    def __init__(self, adj, memo: dict):
+        super().__init__()
+        self.adj, self.memo = adj, memo
+
+    def __missing__(self, v: int):
+        rows = tuple(_drop(row, v) for u, row in enumerate(self.adj) if u != v)
+        self[v] = rows, self.memo.setdefault(rows, {})
+        return self[v]
+
+
+def _earlier(rows, tied_by, mask: int, i: int, p: int, firsts, parents) -> bool:
+    """Tiers 2 and 3: whether C - v is isomorphic to a parent before p, for
+    C - v the graph ``rows`` plus a vertex joined to ``mask``;
+    ``firsts[i, key]`` holds the parents with I = i = I(C - v) and
+    first-round key ``key``, and ``tied_by`` remembers that list by mask."""
+    tied = tied_by.get(mask)
+    if tied is None:
+        tied = tied_by[mask] = firsts[i, _first_key(_child_rows(rows, mask, 1 << len(rows)))]
     if tied[-1] < p or tied[0] >= p:
         return tied[-1] < p
+    adj = _child_rows(rows, mask, 1 << len(rows))
     return _isomorphic(adj, *_refine(adj), [parents[q][:3] for q in tied if q < p])
 
 
@@ -309,15 +340,20 @@ def positioned_stream(n: int, predicate=None, min_n: int = 0, shard=(0, 1)):
     index, count = shard
     if min_n <= 0 <= n and index == 0:
         yield (0, 0, 0), Graph(0, ())
-    # (rows, key, colours, colour cells, I, [I(P - v) for v]) of each parent
-    parents, sharing, firsts = [((), (), [], [], 0, [])], {}, {}
+    # (rows, key, colours, colour cells, I, [I(P - v) for v], its parent's
+    # index) of each parent
+    parents, sharing, firsts = [((), (), [], [], 0, [], 0)], {}, {}
     for k in range(1, n + 1):
         bit = 1 << (k - 1)
         clear = [~(1 << v) for v in range(k - 1)]
         kept, shared, split = [], {}, {}  # indices by I, by (I, first-round key)
-        for p, (adj0, _, colors0, cells0, inv0, minus0) in enumerate(parents):
+        group = memo = None  # tier 2's memo, kept for one sibling group
+        for p, (adj0, _, colors0, cells0, inv0, minus0, up) in enumerate(parents):
             if k == n and p % count != index:
                 continue
+            if up != group:
+                group, memo = up, {}
+            deletions = _Deletions(adj0, memo)
             family = propose(adj0) if propose else range(bit)
             masks = _augmenting_masks(adj0, colors0, cells0, family)
             grow, shrink = _tables(adj0, family)
@@ -333,10 +369,11 @@ def positioned_stream(n: int, predicate=None, min_n: int = 0, shard=(0, 1)):
                     minus.append(i_v)
                 if len(minus) < k - 1:
                     continue
-                adj = _child_rows(adj0, mask, bit)
-                if any(sharing[i][0] < p and _earlier(adj, v, i, p, firsts, parents)
+                if any(sharing[i][0] < p and _earlier(
+                        *deletions[v], _drop(mask, v), i, p, firsts, parents)
                        for v, i in enumerate(minus)):
                     continue
+                adj = _child_rows(adj0, mask, bit)
                 inv = inv0 + grow[mask]
                 same = twins.setdefault(inv, [])
                 key, colors = _refine(adj) if same or k < n else (None, None)
@@ -348,7 +385,7 @@ def positioned_stream(n: int, predicate=None, min_n: int = 0, shard=(0, 1)):
                     minus.append(inv0)  # C - w is the parent itself
                     shared.setdefault(inv, []).append(len(kept))
                     split.setdefault((inv, _first_key(adj)), []).append(len(kept))
-                    kept.append((adj, key, colors, _cells(colors), inv, minus))
+                    kept.append((adj, key, colors, _cells(colors), inv, minus, p))
                 if k >= min_n and p % count == index:
                     yield (k, p, mask), Graph(k, tuple(adj))
         parents, sharing, firsts = kept, shared, split

@@ -190,8 +190,9 @@ class TestPrivatePairs:
 
     def test_pairs_without_epn_match_literal_oracle(self, graphs_up_to_7):
         # On a real minimal PDS the list is empty, so feed it every PDS:
-        # the non-minimal ones give real violations.
-        violating = 0
+        # the non-minimal ones give real violations, from sets of size 4
+        # (read off the dominating edges) and of size 6 (walked).
+        sizes = collections.Counter()
         for g in graphs_up_to_7:
             if not domination.paired_domination_defined(g):
                 continue
@@ -203,8 +204,16 @@ class TestPrivatePairs:
                 if not oracles.epn_pair(
                     g, u, v, [x for x in range(g.n) if smask >> x & 1])]
             assert facts.pairs_without_epn == expected, encode_graph6(g)
-            violating += bool(expected)
-        assert violating > 0
+            sizes.update(smask.bit_count() for smask, _, _ in expected)
+        assert sizes[4] > 0 and sizes[6] > 0, sizes
+
+    def test_k4_flags_every_pair(self):
+        # Each edge of K4 dominates it, so its vertex set, fed as a minimal
+        # PDS, flags all six pairs, in pair order.
+        facts = Facts(build_graph(4, combinations(range(4), 2)))
+        facts.report = dataclasses.replace(facts.report, mpds_masks=[15])
+        assert facts.pairs_without_epn == [
+            (15, 0, 1), (15, 0, 2), (15, 0, 3), (15, 1, 2), (15, 1, 3), (15, 2, 3)]
 
     @pytest.mark.parametrize("cid,adjacent", [
         ("pds-pair-removal-private", False), ("pds-matched-pair-private", True)])

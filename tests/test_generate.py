@@ -432,6 +432,18 @@ class TestDeletionRule:
         assert self.calls(monkeypatch, 9, triangle_free, "_isomorphism", "_search_order") == {
             "_isomorphism": 5011, "_search_order": 583}
 
+    # The first-round keys of the same streams: one per child kept below
+    # the last level (1,252 and 582), for the level's store, and one per
+    # tier-2 deletion C - v that the sibling group's memo has not met:
+    # 5,530 of the 13,124 deletions tier 1 leaves unsure on enum:8, and
+    # 2,414 of the 3,860 on c3free:9.
+    def test_first_keys_on_enum8(self, monkeypatch):
+        assert self.calls(monkeypatch, 8, None, "_first_key") == {"_first_key": 1252 + 5530}
+
+    def test_first_keys_on_c3free9(self, monkeypatch):
+        assert self.calls(monkeypatch, 9, triangle_free, "_first_key") == {
+            "_first_key": 582 + 2414}
+
     # Each stream of PINNED_STREAMS: its order and predicate, and its
     # refinements when tier 2 always ties: those without that plus one per
     # deletion tier 1 leaves unsure (237, 13,124, 3,860, 213 and 162).

@@ -6,10 +6,13 @@ digest is the benchmark's ``source_sha256``."""
 
 import importlib.util
 import json
+import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -53,18 +56,21 @@ def test_bench_files_follow_the_schema():
                                         for name, better in metrics.items()}
 
 
-def run_in_checkout(tmp_path, tool: str, untracked: bool) -> subprocess.CompletedProcess:
+def run_in_checkout(tmp_path, tool: str, untracked: bool, bench: str = "raise SystemExit(3)\n",
+                    stop_at: Path | None = None) -> subprocess.CompletedProcess:
     """``tools/<tool>.py --base HEAD`` in a new checkout that commits the
     tool, the tree module and a one-module ``src/`` (for pairs, also a
-    benchmark that exits 3); with untracked, one more module is added to
-    ``src/pairdom`` and left out of git."""
+    benchmark whose ``run.py`` is ``bench``); with untracked, one more
+    module is added to ``src/pairdom`` and left out of git. With
+    ``stop_at``, the tool runs with its temporary files under
+    ``tmp_path/tmp`` and gets SIGTERM once that file exists."""
     (tmp_path / "tools").mkdir()
     for name in (tool, "trees"):
         shutil.copy2(ROOT / "tools" / f"{name}.py", tmp_path / "tools")
     if tool == "pairs":
         shutil.copy2(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
         (tmp_path / "perfbench").mkdir()
-        (tmp_path / "perfbench" / "run.py").write_text("raise SystemExit(3)\n")
+        (tmp_path / "perfbench" / "run.py").write_text(bench)
     (tmp_path / "src" / "pairdom").mkdir(parents=True)
     (tmp_path / "src" / "pairdom" / "__init__.py").write_text('"""pairdom"""\n')
     git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
@@ -72,9 +78,21 @@ def run_in_checkout(tmp_path, tool: str, untracked: bool) -> subprocess.Complete
         subprocess.run(git + args, cwd=tmp_path, check=True)
     if untracked:
         (tmp_path / "src" / "pairdom" / "zz_new.py").write_text("X = 1\n")
-    argv = ["--base", "HEAD"] + (["--label", "t"] if tool == "pairs" else [])
-    return subprocess.run([sys.executable, f"tools/{tool}.py", *argv],
-                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    argv = [sys.executable, f"tools/{tool}.py", "--base", "HEAD"] + (
+        ["--label", "t"] if tool == "pairs" else [])
+    if stop_at is None:
+        return subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    (tmp_path / "tmp").mkdir()
+    env = {**os.environ, "TMPDIR": str(tmp_path / "tmp")}
+    with subprocess.Popen(argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as proc:
+        deadline = time.monotonic() + 60
+        while not stop_at.exists() and proc.poll() is None:
+            assert time.monotonic() < deadline, "the benchmark never started"
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        out, err = proc.communicate(timeout=60)
+    return subprocess.CompletedProcess(argv, proc.returncode, out, err)
 
 
 @pytest.mark.parametrize("tool", ["pairs", "sameout"])
@@ -96,6 +114,22 @@ def test_an_untracked_module_is_a_change(tmp_path, tool):
     proc = run_in_checkout(tmp_path, tool, untracked=True)
     assert proc.returncode == 1, proc.stderr
     assert "nothing to compare" not in proc.stderr
+    assert not list(tmp_path.glob("BENCH_*.json"))
+
+
+def test_sigterm_stops_the_run_and_removes_the_trees(tmp_path):
+    # The fake benchmark writes its pid and sleeps; SIGTERM to pairs kills
+    # it, removes both temporary trees and exits 143, writing no BENCH file.
+    pid_file = tmp_path / "run.pid"
+    bench = ("import os, time\n"
+             f"open({str(pid_file) + '.new'!r}, 'w').write(str(os.getpid()))\n"
+             f"os.replace({str(pid_file) + '.new'!r}, {str(pid_file)!r})\n"
+             "time.sleep(120)\n")
+    proc = run_in_checkout(tmp_path, "pairs", untracked=True, bench=bench, stop_at=pid_file)
+    assert proc.returncode == 143, proc.stderr
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
+    assert not list((tmp_path / "tmp").glob("pairs-*"))
     assert not list(tmp_path.glob("BENCH_*.json"))
 
 

@@ -24,6 +24,12 @@ nothing would be compared. It stops at the first run that reports
 naming its workload, seed and side: a time from a wrong run, or from a
 run of other code, compares nothing. When it stops it exits 1 and writes
 no BENCH file.
+
+SIGTERM stops it with exit 143 and no BENCH file: the signal becomes
+``SystemExit``, so ``subprocess.run`` kills the ``perfbench/run.py`` it is
+waiting on and the temporary trees are removed. That run's own CLI or
+worker child, in the session perfbench starts for it, is not signalled;
+it ends by itself when its one pass does.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import os
 import platform
 import re
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -162,4 +169,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     raise SystemExit(main())
