@@ -30,6 +30,12 @@ is dropped; if none does, v is cleared. (2) The same over those with the
 first-round refinement key of C - v (``_first_key``). (3) If both sides of
 p still tie, C is dropped iff backtracking maps C - v onto one before p.
 
+Tier 1 probes the old vertices newest first, from k - 2 down to 0, as the
+newest reject most often: 200,542 probes in place of 322,881 on enum <= 8.
+The order cannot change a verdict, since C is dropped iff some v has every
+parent with I(C - v) before p, whichever v is tried first; when none has,
+every I(C - v) is computed, and tiers 2 and 3 read them in vertex order.
+
 Tier 2's list of tied parents depends on the labelled graph C - v alone,
 which the rows of P_p - v and M - v, relabelled, determine; so while the
 parents of one sibling group (the children of one parent) are extended, the
@@ -133,28 +139,35 @@ def _isomorphism(adj1, colors1, adj2, cells2, order, pinned=()) -> list[int] | N
     (equal keys give equal cell sizes), is mapped onto an unused vertex of
     the same colour in the second whose adjacency to those mapped so far
     agrees, backtracking on a dead end. ``pinned[i]``, a vertex of the right
-    colour, is the only image tried for the i-th vertex of the order."""
-    n = len(adj1)
-    image = [0] * n  # image[v]: the bit of the vertex v is mapped to
+    colour, is the only image tried for the i-th vertex of the order.
 
-    def extend(k: int, done1: int, done2: int) -> bool:
-        if k == n:
-            return True
-        v = order[k]
-        want = 0
-        for u in bits_of(adj1[v] & done1):
-            want |= image[u]
-        for w in (pinned[k],) if k < len(pinned) else cells2[colors1[v]]:
-            bit = 1 << w
-            if not done2 & bit and adj2[w] & done2 == want:
-                image[v] = bit
-                if extend(k + 1, done1 | 1 << v, done2 | bit):
-                    return True
-        return False
-
-    if not extend(0, 0, 0):
+    As in ``matching.perfect_matching_tester``, the search recurses through
+    a module-level function, not a closure that refers to itself, so a call
+    leaves no reference cycle for the cyclic collector to free."""
+    image = [0] * len(adj1)  # image[v]: the bit of the vertex v is mapped to
+    if not _extend(adj1, colors1, adj2, cells2, order, pinned, image, 0, 0, 0):
         return None
     return [bit.bit_length() - 1 for bit in image]
+
+
+def _extend(adj1, colors1, adj2, cells2, order, pinned, image,
+            k: int, done1: int, done2: int) -> bool:
+    """``_isomorphism``'s search from the k-th vertex of ``order`` on, with
+    the vertices of ``done1`` mapped by ``image`` onto those of ``done2``."""
+    if k == len(order):
+        return True
+    v = order[k]
+    want = 0
+    for u in bits_of(adj1[v] & done1):
+        want |= image[u]
+    for w in (pinned[k],) if k < len(pinned) else cells2[colors1[v]]:
+        bit = 1 << w
+        if not done2 & bit and adj2[w] & done2 == want:
+            image[v] = bit
+            if _extend(adj1, colors1, adj2, cells2, order, pinned, image,
+                       k + 1, done1 | 1 << v, done2 | bit):
+                return True
+    return False
 
 
 def _orbit(point: int, generators) -> set[int]:
@@ -177,14 +190,21 @@ def _automorphisms(adj, colors, cells) -> list[list[int]]:
     Base points b_0, b_1, ... are taken deepest first. The generators found
     so far fix b_0..b_{i-1}; each vertex of b_i's colour outside the orbit
     of b_i under them is tried as the image of b_i, with b_0..b_{i-1}
-    pinned, and an automorphism found joins the generators."""
+    pinned, and an automorphism found joins the generators. A vertex w whose
+    neighbours among the fixed points F = {b_0..b_{i-1}} differ from b_i's
+    is not tried: an automorphism that fixes F pointwise keeps adjacency to
+    F, and the pinned search would fail at step i for exactly these w, so
+    the generators found are the same."""
     order = _search_order(colors, cells)
     generators = []
+    fixed = (1 << len(order)) - 1
     for i in reversed(range(len(order))):
         base = order[i]
+        fixed ^= 1 << base  # b_0..b_{i-1}
+        want = adj[base] & fixed
         orbit = _orbit(base, generators)
         for w in cells[colors[base]]:
-            if w not in orbit:
+            if w not in orbit and adj[w] & fixed == want:
                 perm = _isomorphism(adj, colors, adj, cells, order, order[:i] + [w])
                 if perm is not None:
                     generators.append(perm)
@@ -357,18 +377,20 @@ def positioned_stream(n: int, predicate=None, min_n: int = 0, shard=(0, 1)):
             family = propose(adj0) if propose else range(bit)
             masks = _augmenting_masks(adj0, colors0, cells0, family)
             grow, shrink = _tables(adj0, family)
+            probes = list(zip(minus0, clear, adj0))[::-1]  # the newest vertex first
             twins = {}  # I(C) -> [(rows, key or None, colours)] of p's kept children
             for mask in masks:
                 if test is not None and not test(Graph(k, tuple(_child_rows(adj0, mask, bit)))):
                     continue
-                minus = []
-                for i, c, row in zip(minus0, clear, adj0):
+                minus = []  # I(C - v) for v = k - 2 down to 0
+                for i, c, row in probes:
                     i_v = i + grow[mask & c] - shrink[mask & row]  # I(C - v)
                     if sharing[i_v][-1] < p:  # tier 1
                         break
                     minus.append(i_v)
                 if len(minus) < k - 1:
                     continue
+                minus.reverse()
                 if any(sharing[i][0] < p and _earlier(
                         *deletions[v], _drop(mask, v), i, p, firsts, parents)
                        for v, i in enumerate(minus)):

@@ -54,18 +54,21 @@ def all_perfect_matchings(g: Graph, S) -> list[tuple[tuple[int, int], ...]]:
     if mask.bit_count() % 2:
         return []
     out = []
-    pairs: list[tuple[int, int]] = []
-
-    def rec(rest: int):
-        if not rest:
-            out.append(tuple(pairs))
-            return
-        v = (rest & -rest).bit_length() - 1
-        body = rest ^ (1 << v)
-        for u in bits_of(g.adj[v] & body):
-            pairs.append((v, u))
-            rec(body ^ (1 << u))
-            pairs.pop()
-
-    rec(mask)
+    _matchings(g.adj, mask, [], out)
     return out
+
+
+def _matchings(adj, rest: int, pairs: list, out: list) -> None:
+    """Append to ``out`` each perfect matching of G[rest] after ``pairs``,
+    pairing the least vertex of ``rest`` with its partners in increasing
+    order. A module-level function, not a closure that refers to itself, so
+    a call leaves no reference cycle."""
+    if not rest:
+        out.append(tuple(pairs))
+        return
+    v = (rest & -rest).bit_length() - 1
+    body = rest ^ (1 << v)
+    for u in bits_of(adj[v] & body):
+        pairs.append((v, u))
+        _matchings(adj, body ^ (1 << u), pairs, out)
+        pairs.pop()

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import gc
 import json
 from itertools import combinations
 
@@ -26,7 +27,7 @@ from pairdom.characterizations import (
     hunt_record,
     run_checks,
 )
-from pairdom.generate import nonisomorphic_graphs, triangle_free
+from pairdom.generate import nonisomorphic_graphs, positioned_stream, triangle_free
 from pairdom.matching import all_perfect_matchings
 from pairdom.harness import RunConfig, run
 
@@ -643,6 +644,20 @@ class TestRegistry:
             assert report.to_record()["totals"] == expect, jobs
             assert [rec["graph6"] for rec in report.failures] == [failing]
 
+    def test_verify_leaves_no_cyclic_garbage(self):
+        # Generation, the checks and matching enumeration recurse through
+        # module-level functions, so a verify run is freed by reference
+        # counting alone.
+        gc.collect()
+        gc.disable()
+        try:
+            report, code = run(RunConfig("verify", "enum:7"))
+            assert code == 0
+            del report
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestHunt:
     def test_record_scope(self, monkeypatch):
@@ -752,6 +767,20 @@ class TestHunt:
         assert report.scanned == 1
         assert len(report.satisfiers) == 1
         assert not report.exceptions
+
+    def test_hunt_leaves_no_cyclic_garbage(self):
+        # The hunt over the triangle-free stream, generated as it is read,
+        # is freed by reference counting alone.
+        gc.collect()
+        gc.disable()
+        try:
+            report = hunt_c3free_counterexamples(
+                g for _, g in positioned_stream(9, triangle_free))
+            assert report.scanned == 2480  # triangle-free classes, n = 0..9
+            del report
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_small_exhaustive_hunt_finds_no_exceptions(self):
         stream = nonisomorphic_graphs(6, predicate=triangle_free)

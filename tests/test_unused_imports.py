@@ -9,6 +9,11 @@ through it.
 No def or class name is bound twice in one module or class body: Python
 keeps the later one, so the earlier never runs, and pytest collects only
 the later of two same-named tests.
+
+No function defined inside another function of ``src/pairdom`` reads its
+own name. Such a closure and its cell refer to each other, so every call
+of the outer function leaves a reference cycle that only the cyclic
+collector frees; a search recurses through a module-level function instead.
 """
 
 import ast
@@ -58,6 +63,29 @@ def rebound_definitions(source: str) -> list[str]:
     return rebound
 
 
+def self_referencing_closures(source: str) -> list[str]:
+    """The qualified name of each function of ``source`` defined inside
+    another function whose body reads its own name."""
+    found = []
+
+    def visit(node, prefix: str, nested: bool):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                if nested and any(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                                  and n.id == child.name
+                                  for stmt in child.body for n in ast.walk(stmt)):
+                    found.append(name)
+                visit(child, name + ".<locals>.", True)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".", nested)
+            else:
+                visit(child, prefix, nested)
+
+    visit(ast.parse(source), "", False)
+    return found
+
+
 def found_by(rule, paths) -> dict[str, list[str]]:
     """What ``rule`` finds in each of ``paths``, by path below the repo."""
     return {str(path.relative_to(ROOT)): found for path in paths
@@ -92,6 +120,24 @@ def test_rebinding_rule_on_examples():
     ) == ["f:4"]
 
 
+def test_closure_rule_on_examples():
+    recursive = "def f():\n    def rec(k):\n        return k and rec(k - 1)\n    return rec(3)\n"
+    assert self_referencing_closures(recursive) == ["f.<locals>.rec"]
+    # a module-level or class-level function may recurse by name
+    assert self_referencing_closures("def f(k):\n    return k and f(k - 1)\n") == []
+    assert self_referencing_closures(
+        "class A:\n    def f(self):\n        return f\n") == []
+    # a closure that reads only other names, or is only named by its outer
+    # function, is no cycle
+    assert self_referencing_closures(
+        "def f(x):\n    def g():\n        return x\n    return g\n") == []
+    # deeper nesting and methods give qualified names
+    assert self_referencing_closures(
+        "class A:\n    def m(self):\n        def g():\n            def h():\n"
+        "                return h\n            return h\n        return g\n"
+    ) == ["A.m.<locals>.g.<locals>.h"]
+
+
 def test_no_unused_import_in_src():
     assert found_by(unused_imports, SRC) == {}
 
@@ -102,3 +148,7 @@ def test_no_unused_import_in_tests_and_tools():
 
 def test_no_definition_rebound():
     assert found_by(rebound_definitions, SRC + TESTS_AND_TOOLS) == {}
+
+
+def test_no_self_referencing_closure_in_src():
+    assert found_by(self_referencing_closures, SRC) == {}
