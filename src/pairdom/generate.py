@@ -30,11 +30,16 @@ is dropped; if none does, v is cleared. (2) The same over those with the
 first-round refinement key of C - v (``_first_key``). (3) If both sides of
 p still tie, C is dropped iff backtracking maps C - v onto one before p.
 
-Tier 1 probes the old vertices newest first, from k - 2 down to 0, as the
-newest reject most often: 200,542 probes in place of 322,881 on enum <= 8.
-The order cannot change a verdict, since C is dropped iff some v has every
-parent with I(C - v) before p, whichever v is tried first; when none has,
-every I(C - v) is computed, and tiers 2 and 3 read them in vertex order.
+Tiers 1 and 2 probe the old vertices newest first, from k - 2 down to 0,
+as the newest reject most often: tier 1 makes 200,542 probes in place of
+322,881 on enum <= 8, and tier 2 reads 12,297 deletions in place of
+13,124. The order cannot change a verdict. Tier 1 drops C iff some v has
+every parent with I(C - v) before p, and tiers 2 and 3 iff some v has
+C - v isomorphic to a parent before p, whichever v is tried first; the
+sibling memo and ``_Deletions`` only cache functions of their keys. When
+tier 1 drops nothing, every I(C - v) is computed, newest first, and the
+list is reversed once C passes, so that the kept parent reads it in
+vertex order.
 
 Tier 2's list of tied parents depends on the labelled graph C - v alone,
 which the rows of P_p - v and M - v, relabelled, determine; so while the
@@ -131,40 +136,45 @@ def _search_order(colors: list[int], cells) -> list[int]:
                   key=lambda v: (len(cells[colors[v]]), colors[v], v))
 
 
-def _isomorphism(adj1, colors1, adj2, cells2, order, pinned=()) -> list[int] | None:
+def _isomorphism(adj1, colors1, adj2, cells2, order) -> list[int] | None:
     """An isomorphism between two graphs with equal refinement keys, as the
     list of images of the first graph's vertices, or None if there is none.
 
     Each vertex of the first, in ``order``, the ``_search_order`` of either
     (equal keys give equal cell sizes), is mapped onto an unused vertex of
     the same colour in the second whose adjacency to those mapped so far
-    agrees, backtracking on a dead end. ``pinned[i]``, a vertex of the right
-    colour, is the only image tried for the i-th vertex of the order.
+    agrees, backtracking on a dead end.
 
     As in ``matching.perfect_matching_tester``, the search recurses through
     a module-level function, not a closure that refers to itself, so a call
     leaves no reference cycle for the cyclic collector to free."""
     image = [0] * len(adj1)  # image[v]: the bit of the vertex v is mapped to
-    if not _extend(adj1, colors1, adj2, cells2, order, pinned, image, 0, 0, 0):
+    if not _extend(adj1, colors1, adj2, cells2, order, image, 0, 0, 0):
         return None
     return [bit.bit_length() - 1 for bit in image]
 
 
-def _extend(adj1, colors1, adj2, cells2, order, pinned, image,
+def _extend(adj1, colors1, adj2, cells2, order, image,
             k: int, done1: int, done2: int) -> bool:
     """``_isomorphism``'s search from the k-th vertex of ``order`` on, with
-    the vertices of ``done1`` mapped by ``image`` onto those of ``done2``."""
+    the vertices of ``done1`` mapped by ``image`` onto those of ``done2``.
+
+    The search may start at any k whose first k vertices of ``order`` make
+    up ``done1`` and are mapped consistently: ``_automorphisms`` starts
+    past its fixed prefix, so the steps that map it are not walked again.
+    Each entry of ``image`` for a vertex from the k-th on is overwritten
+    before it is read, and all of them when the search succeeds."""
     if k == len(order):
         return True
     v = order[k]
     want = 0
     for u in bits_of(adj1[v] & done1):
         want |= image[u]
-    for w in (pinned[k],) if k < len(pinned) else cells2[colors1[v]]:
+    for w in cells2[colors1[v]]:
         bit = 1 << w
         if not done2 & bit and adj2[w] & done2 == want:
             image[v] = bit
-            if _extend(adj1, colors1, adj2, cells2, order, pinned, image,
+            if _extend(adj1, colors1, adj2, cells2, order, image,
                        k + 1, done1 | 1 << v, done2 | bit):
                 return True
     return False
@@ -188,26 +198,37 @@ def _automorphisms(adj, colors, cells) -> list[list[int]]:
     """A strong generating set of Aut(G) for the base ``_search_order``.
 
     Base points b_0, b_1, ... are taken deepest first. The generators found
-    so far fix b_0..b_{i-1}; each vertex of b_i's colour outside the orbit
-    of b_i under them is tried as the image of b_i, with b_0..b_{i-1}
-    pinned, and an automorphism found joins the generators. A vertex w whose
-    neighbours among the fixed points F = {b_0..b_{i-1}} differ from b_i's
-    is not tried: an automorphism that fixes F pointwise keeps adjacency to
-    F, and the pinned search would fail at step i for exactly these w, so
-    the generators found are the same."""
+    so far fix F = {b_0..b_{i-1}} pointwise; each vertex w of b_i's colour
+    outside the orbit of b_i under them is tried as the image of b_i, and
+    an automorphism found joins the generators. A w in F, or whose
+    neighbours in F differ from b_i's, is not tried: an automorphism that
+    fixes F pointwise keeps adjacency to F, and a search with F pinned
+    would fail at step i for exactly these w. So each search starts at
+    step i + 1, from the identity on F and b_i -> w, which agree by the
+    same test; a base point alone in its colour has no other image.
+
+    One ``image`` list serves every search: its entries for F stay the
+    identity, and a search that succeeds writes every other entry, so each
+    generator is a copy taken then."""
     order = _search_order(colors, cells)
     generators = []
+    image = [1 << v for v in range(len(order))]
     fixed = (1 << len(order)) - 1
     for i in reversed(range(len(order))):
         base = order[i]
         fixed ^= 1 << base  # b_0..b_{i-1}
+        cell = cells[colors[base]]
+        if len(cell) == 1:
+            continue
         want = adj[base] & fixed
+        done1 = fixed | 1 << base
         orbit = _orbit(base, generators)
-        for w in cells[colors[base]]:
-            if w not in orbit and adj[w] & fixed == want:
-                perm = _isomorphism(adj, colors, adj, cells, order, order[:i] + [w])
-                if perm is not None:
-                    generators.append(perm)
+        for w in cell:
+            bit = 1 << w
+            if w not in orbit and not fixed & bit and adj[w] & fixed == want:
+                image[base] = bit
+                if _extend(adj, colors, adj, cells, order, image, i + 1, done1, fixed | bit):
+                    generators.append([b.bit_length() - 1 for b in image])
                     orbit = _orbit(base, generators)
     return generators
 
@@ -246,6 +267,10 @@ def _augmenting_masks(adj, colors, cells, family) -> list[int]:
 # graph on n <= 62 vertices has fewer than 2^24 triangles.
 _TRIANGLE_BIT = 1 << (6 * MAX_VERTICES)
 _SQUARE_BIT = _TRIANGLE_BIT << 24
+# A member of k + 1 vertices against one of k: _SIZE_STEP[k] in grow (one
+# size step) and _PAIR_STEP[k] in shrink (k more pairs).
+_SIZE_STEP = [b - a for a, b in zip(_COUNT_BIT, _COUNT_BIT[1:])]
+_PAIR_STEP = [_SQUARE_BIT * k for k in range(MAX_VERTICES)]
 
 
 def _tables(adj, family):
@@ -266,21 +291,23 @@ def _tables(adj, family):
     vertex's own."""
     grow = {0: _COUNT_BIT[0]}
     shrink = {0: 0}
+    size_step, pair_step = _SIZE_STEP, _PAIR_STEP
     for top, members in groupby(family[1:], int.bit_length):
         v = top - 1
+        v_bit = 1 << v
         d = adj[v].bit_count()
-        step = _COUNT_BIT[d + 1] - _COUNT_BIT[d]
+        step = size_step[d]
         bend = step - _COUNT_BIT[d] + (_COUNT_BIT[d - 1] if d else 0)
         with_v = {1 << b: _TRIANGLE_BIT * (adj[v] >> b & 1)
                   + _SQUARE_BIT * (adj[v] & row).bit_count() for b, row in enumerate(adj[:v])}
         with_v[0] = 0
         pairs = {0: 0}  # pairs[Y]: the sum of with_v over the vertices of Y
         for x in members:
-            y = x ^ 1 << v
+            y = x ^ v_bit
             k = y.bit_count()
             pairs[y] = pairs[y & y - 1] + with_v[y & -y]
-            grow[x] = grow[y] + step + _COUNT_BIT[k + 1] - _COUNT_BIT[k] + pairs[y]
-            shrink[x] = shrink[y] + bend + _SQUARE_BIT * k
+            grow[x] = grow[y] + step + size_step[k] + pairs[y]
+            shrink[x] = shrink[y] + bend + pair_step[k]
     return grow, shrink
 
 
@@ -390,11 +417,11 @@ def positioned_stream(n: int, predicate=None, min_n: int = 0, shard=(0, 1)):
                     minus.append(i_v)
                 if len(minus) < k - 1:
                     continue
-                minus.reverse()
                 if any(sharing[i][0] < p and _earlier(
                         *deletions[v], _drop(mask, v), i, p, firsts, parents)
-                       for v, i in enumerate(minus)):
+                       for v, i in zip(range(k - 2, -1, -1), minus)):  # tiers 2 and 3
                     continue
+                minus.reverse()
                 adj = _child_rows(adj0, mask, bit)
                 inv = inv0 + grow[mask]
                 same = twins.setdefault(inv, [])

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 from collections import Counter, defaultdict
 
 import pytest
@@ -273,7 +274,58 @@ def _parent_state(g):
     return list(g.adj), colors, _cells(colors)
 
 
+def _pinned_search(adj, colors, cells, order, pinned, image, k: int) -> bool:
+    """Map order[k:] onto unused vertices of the same colour, order[j] onto
+    pinned[j] while j < len(pinned), each image adjacent to the images of
+    the mapped vertices iff the vertex is adjacent to them; ``image`` holds
+    the map, and the first map found in that order is kept."""
+    if k == len(order):
+        return True
+    v = order[k]
+    for w in [pinned[k]] if k < len(pinned) else cells[colors[v]]:
+        if w not in image.values() and all(
+                adj[v] >> u & 1 == adj[w] >> x & 1 for u, x in image.items()):
+            image[v] = w
+            if _pinned_search(adj, colors, cells, order, pinned, image, k + 1):
+                return True
+            del image[v]
+    return False
+
+
+def _automorphisms_walking_the_prefix(adj, colors, cells) -> list[list[int]]:
+    """``_automorphisms`` as a search from step 0 does it: each vertex w of
+    b_i's colour outside the orbit of b_i under the generators found so far
+    is tried, with b_0..b_{i-1} pinned to themselves and b_i to w."""
+    order = _search_order(colors, cells)
+    generators = []
+    for i in reversed(range(len(order))):
+        base = order[i]
+        for w in cells[colors[base]]:
+            orbit, grown = set(), {base}
+            while grown != orbit:
+                orbit = grown
+                grown = orbit | {g[x] for g in generators for x in orbit}
+            image = {}
+            if w not in orbit and _pinned_search(adj, colors, cells, order,
+                                                 order[:i] + [w], image, 0):
+                generators.append([image[v] for v in range(len(order))])
+    return generators
+
+
 class TestOrbitPruning:
+    def test_searches_past_the_prefix_find_the_same_generators(
+            self, graphs_up_to_6, c3free_up_to_9):
+        # Every parent of enum <= 7 and of c3free <= 9: a search that starts
+        # past its fixed prefix, and skips base points alone in their colour
+        # and images in the prefix, yields the same generator lists, in the
+        # same order, as one that walks the pinned prefix for every w.
+        parents = [*graphs_up_to_6, *(g for g in c3free_up_to_9 if g.n <= 8)]
+        assert len(parents) == 209 + 583
+        for g in parents:
+            state = _parent_state(g)
+            assert _automorphisms(*state) == _automorphisms_walking_the_prefix(*state), (
+                g.edges())
+
     def test_group_order_matches_oracle(self, graphs_up_to_6):
         # The generators are automorphisms, and the group they generate is
         # as large as Aut(G), so it is Aut(G).
@@ -421,18 +473,21 @@ class TestDeletionRule:
         assert self.refinements(monkeypatch, 9, triangle_free) == 583 + 190
 
     # The backtracking searches of the same streams: the pinned searches for
-    # the parents' automorphism generators (3,665 and 3,044; an image whose
-    # adjacency to the fixed base points differs from the base point's is
-    # not searched), and one per earlier sibling with a child's refinement
-    # key, 4 on enum:8, each a duplicate. The search order is sorted once
-    # per parent for its automorphism group and once per sibling search.
+    # the parents' automorphism generators, each started past its fixed
+    # prefix (2,234 and 1,405; an image in the prefix, or whose adjacency
+    # to it differs from the base point's, is not searched, nor a base
+    # point alone in its colour), and one ``_isomorphism`` per earlier
+    # sibling with a child's refinement key, 4 on enum:8, each a duplicate;
+    # tier 3 searches none here. ``_extend`` counts every node of every
+    # search: 8,291 and 6,010. The search order is sorted once per parent
+    # for its automorphism group and once per sibling search.
     def test_searches_on_enum8(self, monkeypatch):
-        assert self.calls(monkeypatch, 8, None, "_isomorphism", "_search_order") == {
-            "_isomorphism": 3665 + 4, "_search_order": 1253 + 4}
+        assert self.searches(monkeypatch, 8, None) == {
+            "pinned": 2234, "_isomorphism": 4, "_extend": 8291, "_search_order": 1253 + 4}
 
     def test_searches_on_c3free9(self, monkeypatch):
-        assert self.calls(monkeypatch, 9, triangle_free, "_isomorphism", "_search_order") == {
-            "_isomorphism": 3044, "_search_order": 583}
+        assert self.searches(monkeypatch, 9, triangle_free) == {
+            "pinned": 1405, "_isomorphism": 0, "_extend": 6010, "_search_order": 583}
 
     def test_generation_leaves_no_cyclic_garbage(self):
         # Every search recurses through a module-level function, so a stream
@@ -449,24 +504,26 @@ class TestDeletionRule:
     # The first-round keys of the same streams: one per child kept below
     # the last level (1,252 and 582), for the level's store, and one per
     # tier-2 deletion C - v that the sibling group's memo has not met:
-    # 5,530 of the 13,124 deletions tier 1 leaves unsure on enum:8, and
-    # 2,414 of the 3,860 on c3free:9.
+    # 4,460 of the 12,297 deletions tier 2 reads on enum:8, and 1,796 of
+    # the 3,387 on c3free:9. Tier 2 probes the newest vertex first and
+    # stops at the first that drops C, as tier 1 does.
     def test_first_keys_on_enum8(self, monkeypatch):
-        assert self.calls(monkeypatch, 8, None, "_first_key") == {"_first_key": 1252 + 5530}
+        assert self.calls(monkeypatch, 8, None, "_first_key") == {"_first_key": 1252 + 4460}
 
     def test_first_keys_on_c3free9(self, monkeypatch):
         assert self.calls(monkeypatch, 9, triangle_free, "_first_key") == {
-            "_first_key": 582 + 2414}
+            "_first_key": 582 + 1796}
 
     # Each stream of PINNED_STREAMS: its order and predicate, and its
     # refinements when tier 2 always ties: those without that plus one per
-    # deletion tier 1 leaves unsure (237, 13,124, 3,860, 213 and 162).
+    # deletion tier 2 reads, newest vertex first (232, 12,297, 3,387, 211
+    # and 160).
     TIED = {
-        "graphs_up_to_7": (7, None, 278 + 237),
-        "graphs_up_to_8": (8, None, 2980 + 13124),
-        "c3free_up_to_9": (9, triangle_free, 773 + 3860),
-        "girth6_up_to_9": (9, girth_at_least(6), 201 + 213),
-        "one_cycle_per_component_up_to_8": (8, at_most_one_cycle_per_component, 223 + 162),
+        "graphs_up_to_7": (7, None, 278 + 232),
+        "graphs_up_to_8": (8, None, 2980 + 12297),
+        "c3free_up_to_9": (9, triangle_free, 773 + 3387),
+        "girth6_up_to_9": (9, girth_at_least(6), 201 + 211),
+        "one_cycle_per_component_up_to_8": (8, at_most_one_cycle_per_component, 223 + 160),
     }
 
     @pytest.mark.parametrize("stream", sorted(PINNED_STREAMS))
@@ -487,6 +544,24 @@ class TestDeletionRule:
     def refinements(monkeypatch, n, predicate) -> int:
         """The ``_refine`` calls of generating the stream up to order n."""
         return TestDeletionRule.calls(monkeypatch, n, predicate, "_refine")["_refine"]
+
+    @staticmethod
+    def searches(monkeypatch, n, predicate) -> dict:
+        """The calls of ``_isomorphism``, ``_extend`` and ``_search_order``
+        in generating the stream up to order n, and under "pinned" the
+        ``_extend`` calls made by ``_automorphisms``, one per pinned
+        search."""
+        nodes = Counter()  # _extend calls by the name of the caller
+        extend = generate._extend
+
+        def counted(*args):
+            nodes[sys._getframe(1).f_code.co_name] += 1
+            return extend(*args)
+
+        monkeypatch.setattr(generate, "_extend", counted)
+        calls = TestDeletionRule.calls(monkeypatch, n, predicate, "_isomorphism", "_search_order")
+        return {"pinned": nodes["_automorphisms"], "_isomorphism": calls.get("_isomorphism", 0),
+                "_extend": nodes.total(), "_search_order": calls["_search_order"]}
 
     @staticmethod
     def calls(monkeypatch, n, predicate, *names) -> dict:

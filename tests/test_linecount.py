@@ -1,7 +1,10 @@
 """``tools/linecount.py``: each line falls in one class, on a fixture whose
-counts are known, and the classes add up on every module of ``src/``."""
+counts are known, and the classes add up on every module of ``src/``;
+``--help`` prints usage, and a path that is not a file is a usage error."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,3 +49,18 @@ def test_classes_add_up_on_src():
         c = linecount.count(path)
         assert c["code"] + c["doc"] + c["blank"] == c["lines"] == len(
             path.read_text().splitlines()), path.name
+
+
+def test_help_prints_usage():
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "linecount.py"), "--help"],
+                          capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: ") and not done.stderr
+
+
+def test_path_that_is_not_a_file_is_a_usage_error(tmp_path, capsys):
+    for path in (tmp_path / "missing.py", tmp_path):
+        assert linecount.main([str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == f"linecount.py: error: not a file: {path}\n"

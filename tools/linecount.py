@@ -4,8 +4,9 @@ and blank lines.
     python3 tools/linecount.py [FILE ...]
 
 With no FILE, counts ``src/pairdom/*.py``. Prints one row per module and a
-total row. Each physical line falls in exactly one class, read off the
-``tokenize`` stream:
+total row; a FILE that is not a file is a usage error, exit 2. Each
+physical line falls in exactly one class, read off the ``tokenize``
+stream:
 
 - blank: the line is whitespace alone, wherever it lies, a docstring
   included;
@@ -19,6 +20,7 @@ total row. Each physical line falls in exactly one class, read off the
 
 from __future__ import annotations
 
+import argparse
 import sys
 import tokenize
 from pathlib import Path
@@ -60,8 +62,17 @@ def count(path) -> dict[str, int]:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    paths = [Path(a) for a in argv] or sorted((ROOT / "src" / "pairdom").glob("*.py"))
+    parser = argparse.ArgumentParser(
+        prog=Path(__file__).name,
+        description="Line counts of Python files: code, docstring and comment, blank.")
+    parser.add_argument("files", nargs="*", type=Path, metavar="FILE",
+                        help="files to count (default: src/pairdom/*.py)")
+    args = parser.parse_args(argv)
+    for path in args.files:
+        if not path.is_file():
+            print(f"{parser.prog}: error: not a file: {path}", file=sys.stderr)
+            return 2
+    paths = args.files or sorted((ROOT / "src" / "pairdom").glob("*.py"))
     rows = [(p.name, count(p)) for p in paths]
     rows.append(("total", {k: sum(c[k] for _, c in rows) for k in KINDS}))
     width = max(len(name) for name, _ in rows)
