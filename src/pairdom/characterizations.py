@@ -7,9 +7,11 @@ hypothesis ``applies(facts)`` and a ``violation(facts)`` that returns a
 counterexample witness or None. Called on a ``Facts``, it gives a
 ``Verdict`` whose status is na when the graph misses the hypothesis, holds
 when there is no violation, and fails (with the witness) otherwise. A
-fourth status, skipped, is set only by ``run_checks``, when a guard stops
-a check on a graph too large for the exact scans. A check never raises for
-an unmet hypothesis, and an na verdict is never silently treated as holds.
+fourth status, skipped, is set only by ``check_chunk``, when a guard
+stops a check on a graph too large for the exact scans. A check never
+raises for an unmet hypothesis, and an na verdict is never silently
+treated as holds. ``check_chunk`` runs the checks check-major over a chunk
+of graphs, and ``run_checks`` over one graph.
 ``EQUALITY_CLASSES`` is the one table of the four equality
 characterizations. It gives the fast path, ``Facts.votes``, and each
 ``equality-*`` check reads its class's vote there, so a theorem is
@@ -532,20 +534,50 @@ CHECKS: dict[str, Callable[[Facts], Verdict]] = {c.check_id: c for c in (
 ALL_CHECK_IDS = tuple(CHECKS)
 
 
-def run_checks(g: Graph, check_ids) -> list[Verdict]:
-    """Run the selected checks on one graph, sharing one Facts. A check that
-    the guard stops on a graph too large for the exact scans is skipped, with
-    the guard's message as witness; that is the only skip. Any other
-    exception propagates, and ``harness.run`` makes it the graph's error
-    record."""
-    facts = Facts(g)
-    out = []
+def check_chunk(graphs, check_ids) -> list[list[Verdict] | Exception]:
+    """The selected checks on a chunk of graphs, check-major: each
+    ``CHECKS`` row, looked up as it starts, runs on every graph's ``Facts``
+    before the next row starts. Per graph, in chunk order: its verdicts in
+    ``check_ids`` order, or the exception of the first check that raised
+    on it, after which no later check runs on that graph while the rest of
+    the chunk goes on. The exception comes without its traceback, whose
+    frames would hold this call's frame, and with it the chunk's ``Facts``,
+    in a reference cycle. A check that the guard stops on a graph too large
+    for the exact scans is skipped, with the guard's message as witness;
+    that is the only skip, and ``harness.run`` makes any other exception
+    the graph's error record.
+
+    The order cannot change a verdict. A check reads only its own graph's
+    ``Facts``, whose fields depend on that graph alone and are computed on
+    first read, whichever check reads them first; a row keeps no state
+    from one call to the next, as its shared na and holds verdicts are
+    immutable; and a graph's checks still run in ``check_ids`` order, so
+    the same check is its first to raise. The order changes only the cost
+    (``harness._apply`` gives the figures)."""
+    out = [[] for _ in graphs]
+    live = list(enumerate(map(Facts, graphs)))
     for cid in check_ids:
-        try:
-            out.append(CHECKS[cid](facts))
-        except GuardError as exc:
-            out.append(Verdict(cid, facts.graph6, "skipped", {"skipped": str(exc)}))
+        check = CHECKS[cid]
+        raised = False
+        for i, f in live:
+            try:
+                out[i].append(check(f))
+            except GuardError as exc:
+                out[i].append(Verdict(cid, f.graph6, "skipped", {"skipped": str(exc)}))
+            except Exception as exc:
+                out[i], raised = exc.with_traceback(None), True
+        if raised:
+            live = [(i, f) for i, f in live if not isinstance(out[i], Exception)]
     return out
+
+
+def run_checks(g: Graph, check_ids) -> list[Verdict]:
+    """The selected checks on one graph, a chunk of one: its verdicts, or
+    the exception of the first check that raised on it, raised here."""
+    (verdicts,) = check_chunk([g], check_ids)
+    if isinstance(verdicts, Exception):
+        raise verdicts
+    return verdicts
 
 
 # --- open-question hunt ---------------------------------------------------

@@ -29,8 +29,10 @@ from .matching import perfect_matching_tester
 # One guard for every exact scan, so that Γ and Γ_pr are always computed on
 # the same graphs. Its budget at n = 24, on a 2-vCPU Xeon with Python 3.11,
 # one process per graph, the least of three runs: the time of invariants,
-# then of a following run_checks(g, ALL_CHECK_IDS), which scans again, and
-# the peak RSS (ru_maxrss) of both. No check is skipped on any of them.
+# then of every check on a new Facts of the same graph, which scans again,
+# and the peak RSS (ru_maxrss) of both. A graph this large is a chunk of
+# one in ``harness``, so a run holds no other graph's scans beside it. No
+# check is skipped on any of them.
 #   K24         0.22 s  0.20 s  139 MB     C24        0.22 s  0.25 s  150 MB
 #   K12,12      0.23 s  0.21 s  140 MB     P24        0.26 s  0.28 s  151 MB
 #   11K2        0.05 s  0.05 s   46 MB     12K2       0.26 s  0.25 s  149 MB

@@ -9,7 +9,7 @@ import pytest
 import oracles
 from conftest import call_bounded
 from oracles import path_graph
-from pairdom import characterizations, domination, families
+from pairdom import characterizations, domination, families, harness
 from pairdom.graph import build_graph, components, encode_graph6
 from pairdom.families import (
     disjoint_union,
@@ -19,6 +19,7 @@ from pairdom.families import (
 )
 from pairdom.characterizations import (
     ALL_CHECK_IDS,
+    CHECKS,
     Facts,
     HUNT_SKIP_REASONS,
     HuntReport,
@@ -653,6 +654,118 @@ class TestRegistry:
         try:
             report, code = run(RunConfig("verify", "enum:7"))
             assert code == 0
+            del report
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestCheckMajor:
+    @staticmethod
+    def chunk_verdicts(positioned, sizes):
+        """Each graph of a stream with its verdicts from ``check_chunk`` on
+        the chunk that the harness map puts it in; each chunk's size is
+        added to ``sizes``."""
+        def worker(graphs):
+            sizes.append(len(graphs))
+            verdicts = characterizations.check_chunk(graphs, ALL_CHECK_IDS)
+            return [(harness._RESULT, pair) for pair in zip(graphs, verdicts)]
+
+        return [value for chunk in harness._apply(worker, positioned)
+                for _, kind, value in chunk]
+
+    @pytest.mark.parametrize("source", ["enum", "c3free", "mixed"])
+    def test_chunks_give_each_graph_its_verdicts_alone(
+            self, tmp_path, graphs_up_to_7, c3free_up_to_9, source):
+        # Every graph of enum <= 7 and c3free <= 9, and a graph6 file of
+        # mixed orders: C5, C25 (past the guard, so skipped), P4, K0 and an
+        # unreadable line. C25 is a chunk of its own, so the file gives
+        # chunks of 1, 1 and 2 graphs.
+        if source == "mixed":
+            big = make_cycle(25)
+            graphs = [make_cycle(5), big, path_graph(4), build_graph(0, [])]
+            path = tmp_path / "mixed.g6"
+            path.write_text("".join(encode_graph6(g) + "\n" for g in graphs) + "!!\n")
+            shards, _, errors = harness.load_source(str(path))
+            positioned = shards((0, 1))
+            assert len(errors) == 1
+        else:
+            graphs = graphs_up_to_7 if source == "enum" else c3free_up_to_9
+            positioned = (((i,), g) for i, g in enumerate(graphs))
+        sizes = []
+        pairs = self.chunk_verdicts(positioned, sizes)
+        assert [encode_graph6(g) for g, _ in pairs] == [encode_graph6(g) for g in graphs]
+        for g, verdicts in pairs:
+            assert verdicts == run_checks(g, ALL_CHECK_IDS), encode_graph6(g)
+        if source == "mixed":
+            assert sizes == [1, 1, 2]
+            assert {v.status for v in pairs[1][1]} == {"skipped", "na"}
+        else:
+            assert max(sizes) > 1 and sum(sizes) == len(graphs)
+
+    def test_a_check_raising_on_the_middle_graph_spares_the_rest(
+            self, monkeypatch, tmp_path):
+        # A check in the middle of the registry raises on the middle graph
+        # of a chunk: that graph gets its error record, no later check runs
+        # on it, and the other graphs keep their verdicts. At two jobs the
+        # file's shard 0 is the chunk of graphs 0, 2 and 4, so the victim
+        # is again in the middle.
+        graphs = [make_cycle(5), path_graph(4), make_cycle(6), path_graph(5),
+                  make_cycle(7)]
+        victim = encode_graph6(graphs[2])
+        alone = [run_checks(g, ALL_CHECK_IDS) for g in graphs]
+        raising, later = ALL_CHECK_IDS[5], ALL_CHECK_IDS[-1]
+        original, last, seen = CHECKS[raising], CHECKS[later], []
+
+        def raises_on_victim(facts):
+            if facts.graph6 == victim:
+                raise ArithmeticError(f"bad {victim}")
+            return original(facts)
+
+        def recording(facts):
+            seen.append(facts.graph6)
+            return last(facts)
+
+        monkeypatch.setitem(CHECKS, raising, raises_on_victim)
+        monkeypatch.setitem(CHECKS, later, recording)
+        out = characterizations.check_chunk(graphs, ALL_CHECK_IDS)
+        assert isinstance(out[2], ArithmeticError) and str(out[2]) == f"bad {victim}"
+        assert out[:2] + out[3:] == alone[:2] + alone[3:]
+        assert seen == [encode_graph6(g) for i, g in enumerate(graphs) if i != 2]
+        with pytest.raises(ArithmeticError):
+            run_checks(graphs[2], ALL_CHECK_IDS)
+
+        path = tmp_path / "five.g6"
+        path.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
+        expect = {cid: {"scanned": 5, "holds": 0, "fails": 0, "na": 0, "skipped": 1}
+                  for cid in ALL_CHECK_IDS}
+        for verdicts in alone[:2] + alone[3:]:
+            for v in verdicts:
+                expect[v.check_id][v.status] += 1
+        record = {"graph6": victim, "error": f"ArithmeticError: bad {victim}"}
+        for jobs in (1, 2):
+            report, code = call_bounded(run, RunConfig("verify", str(path), jobs=jobs),
+                                        timeout=60)
+            assert (code, report.failures, report.errors) == (1, [record], []), jobs
+            assert report.totals == expect, jobs
+
+
+    def test_a_raising_check_leaves_no_cyclic_garbage(self, monkeypatch):
+        # The error path frees the chunk's Facts by reference counting, as
+        # a run with no error does.
+        original = CHECKS["gpr-upper-bound"]
+
+        def raises_on_order_6(facts):
+            if facts.g.n == 6:
+                raise ArithmeticError("x")
+            return original(facts)
+
+        monkeypatch.setitem(CHECKS, "gpr-upper-bound", raises_on_order_6)
+        gc.collect()
+        gc.disable()
+        try:
+            report, code = run(RunConfig("verify", "enum:6"))
+            assert (code, len(report.failures)) == (1, 156)
             del report
             assert gc.collect() == 0
         finally:

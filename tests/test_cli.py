@@ -439,9 +439,11 @@ class TestCommands:
     def test_verify_failure_streams_before_next_graph(
         self, capsys, monkeypatch, tmp_path
     ):
+        # A graph of order 15 is a chunk of its own, so the check reaches it
+        # only after the records of the chunk before it are streamed.
         first = encode_graph6(make_cycle(5))
         p = tmp_path / "graphs.g6"
-        p.write_text(first + "\n" + encode_graph6(path_graph(3)) + "\n")
+        p.write_text(first + "\n" + encode_graph6(path_graph(15)) + "\n")
         stderr_at_second_graph = []
 
         def fails_on_first(facts):
@@ -944,25 +946,69 @@ class TestStreaming:
                                      GuardError("over budget"),
                                      TypeError("bad type")],
                              ids=["graph", "value", "guard", "type"])
-    @pytest.mark.parametrize("jobs,k", [(1, 2), (1, 10), (1, 40), (2, 2), (2, 40)])
+    @pytest.mark.parametrize("jobs,k", [(1, 2), (1, 10), (1, 40), (1, 1100),
+                                        (2, 2), (2, 40), (2, 1100)])
     def test_source_raising_partway_is_an_error(self, monkeypatch, exc, jobs, k):
         # The failure sits at global position k: every shard yields its
         # graphs before it, then raises, as a failure below the last level
-        # would make it do.
-        graphs = nonisomorphic_graphs(6, min_n=6)[:k]
+        # would make it do. A chunk holds 512 graphs of order 6, so at
+        # k = 1100 the graphs taken before the raise fill two chunks of a
+        # shard and part of a third, and are all checked.
+        graphs = nonisomorphic_graphs(6, min_n=6)
 
         def failing_stream(n, predicate=None, min_n=0, shard=(0, 1)):
             index, count = shard
             for p in range(index, k, count):
-                yield (6, 0, p), graphs[p]
+                yield (6, 0, p), graphs[p % len(graphs)]
             raise exc
 
+        sizes, verify_worker = [], harness._verify_worker
+
+        def sized(chunk, check_ids):
+            sizes.append(len(chunk))
+            return verify_worker(chunk, check_ids)
+
         monkeypatch.setattr(harness, "positioned_stream", failing_stream)
+        monkeypatch.setattr(harness, "_verify_worker", sized)
         report, code = call_bounded(run, RunConfig("verify", "enum:6", jobs=jobs),
                                     timeout=60)
         assert code == 2
         assert report.errors == [str(exc)]
         assert {t["scanned"] for t in report.totals.values()} == {k}
+        if jobs == 1:  # the chunks are made here, not in worker processes
+            assert sizes == [512] * (k // 512) + [k % 512]
+
+    def test_chunks_keep_to_the_budget(self):
+        # Chunks fill in source order while the 2^n sum stays within 2^15,
+        # so 128 graphs of order 8 or 256 of order 7 make one; a graph of
+        # order 15 or more is always alone, and positions come back in
+        # source order, through the serial map and through two shards.
+        orders = ([8] * 300 + [14, 14, 13, 15, 2, 2, 16, 24, 15] + [7] * 300
+                  + [0, 1, 14, 3] * 5)
+        graphs = [build_graph(n, [(v, v + 1) for v in range(0, n - 1, 2)])
+                  for n in orders]
+        chunks = []
+
+        def worker(chunk):
+            chunks.append([g.n for g in chunk])
+            return [(harness._RESULT, g.n) for g in chunk]
+
+        shards, _, _ = harness._listed(graphs)
+        entries = [e for chunk in harness._apply(worker, shards((0, 1))) for e in chunk]
+        assert [pos for pos, _, _ in entries] == [(i,) for i in range(len(graphs))]
+        assert [value for _, _, value in entries] == orders
+        assert [n for chunk in chunks for n in chunk] == orders
+        budget = 2 ** 15
+        for chunk, after in zip(chunks, chunks[1:] + [[]]):
+            cost = sum(2 ** n for n in chunk)
+            assert cost <= budget or len(chunk) == 1, chunk
+            assert len(chunk) == 1 or max(chunk) < 15, chunk
+            if after:  # no chunk ends while the next graph would fit
+                assert cost + 2 ** after[0] > budget, (chunk, after[0])
+        # 44 graphs of order 8 and one of order 14 are 11,264 + 16,384
+        assert chunks[2] == [8] * 44 + [14] and chunks[3] == [14, 13]
+        merged = call_bounded(list, harness._sharded(worker, shards, 2), timeout=60)
+        assert merged == entries
 
     def test_worker_exit_ends_run_with_error(self, monkeypatch):
         order7 = list(positioned_stream(7, min_n=7))
@@ -970,10 +1016,10 @@ class TestStreaming:
         shard = order7[500][0][1] % 2  # the victim's parent index mod 2
         original = harness._verify_worker
 
-        def exits_on_victim(g, check_ids):
-            if encode_graph6(g) == victim:
+        def exits_on_victim(graphs, check_ids):  # on the victim's chunk
+            if victim in map(encode_graph6, graphs):
                 os._exit(3)
-            return original(g, check_ids)
+            return original(graphs, check_ids)
 
         monkeypatch.setattr(harness, "_verify_worker", exits_on_victim)
         report, code = call_bounded(run, RunConfig("verify", "enum:7", jobs=2),
@@ -990,15 +1036,16 @@ class TestStreaming:
     def test_worker_exception_is_a_failure_record(self, monkeypatch, capsys):
         # The graph is counted as skipped in every check, as an unreadable
         # line is, and the run goes on; no exception crosses the pipe.
+        # The first check raises on the victim, so no check runs on it.
         victim = encode_graph6(nonisomorphic_graphs(7, min_n=7)[500])
-        original = harness._verify_worker
+        original = CHECKS[ALL_CHECK_IDS[0]]
 
-        def raises_on_victim(g, check_ids):
-            if encode_graph6(g) == victim:
+        def raises_on_victim(facts):
+            if facts.graph6 == victim:
                 raise ArithmeticError(f"no checks for {victim}")
-            return original(g, check_ids)
+            return original(facts)
 
-        monkeypatch.setattr(harness, "_verify_worker", raises_on_victim)
+        monkeypatch.setitem(CHECKS, ALL_CHECK_IDS[0], raises_on_victim)
         record = {"graph6": victim, "error": f"ArithmeticError: no checks for {victim}"}
         reports = []
         for jobs in (1, 2):
@@ -1047,27 +1094,32 @@ class TestStreaming:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("command, worker", [
-        ("verify", (harness, "_verify_worker")),
+        ("verify", (CHECKS, ALL_CHECK_IDS[0])),
         ("hunt", (characterizations, "hunt_record")),
         ("invariants", (characterizations, "invariants_record")),
     ], ids=["verify", "hunt", "invariants"])
     def test_worker_raising_on_a_graph_is_a_failure_at_every_job_count(
             self, monkeypatch, capsys, tmp_path, command, worker):
-        # The worker raises on the 2nd and 4th graph. Each one's error
-        # record goes to stderr in source order, the run goes on and exits
-        # 1, and the --output file holds the report.
+        # The worker raises on the 2nd and 4th graph; for verify, the first
+        # check does, on each graph's Facts. Each one's error record goes to
+        # stderr in source order, the run goes on and exits 1, and the
+        # --output file holds the report.
         graphs = (make_cycle(5), path_graph(4), make_cycle(6), path_graph(5))
         source = self.graph6_file(tmp_path, graphs)
         victims = [encode_graph6(graphs[1]), encode_graph6(graphs[3])]
         module, name = worker
-        original = getattr(module, name)
+        original = module[name] if module is CHECKS else getattr(module, name)
 
-        def raises_on_victims(g, *args, **kwargs):
+        def raises_on_victims(arg, *args, **kwargs):
+            g = arg.g if isinstance(arg, characterizations.Facts) else arg
             if encode_graph6(g) in victims:
                 raise ArithmeticError(f"bad {encode_graph6(g)}")
-            return original(g, *args, **kwargs)
+            return original(arg, *args, **kwargs)
 
-        monkeypatch.setattr(module, name, raises_on_victims)
+        if module is CHECKS:
+            monkeypatch.setitem(CHECKS, name, raises_on_victims)
+        else:
+            monkeypatch.setattr(module, name, raises_on_victims)
         records = [{"graph6": v, "error": f"ArithmeticError: bad {v}"} for v in victims]
         reports = []
         for jobs in ("1", "2"):

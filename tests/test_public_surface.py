@@ -106,7 +106,7 @@ def test_one_module_reads_facts_and_catches_the_guard():
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SRC}
     handlers = {(module, name) for module, tree in trees.items()
                 for name in guard_handlers(tree)}
-    assert handlers == {("characterizations.py", "run_checks"),
+    assert handlers == {("characterizations.py", "check_chunk"),
                         ("characterizations.py", "hunt_record"),
                         ("characterizations.py", "invariants_record")}
     assert "Facts" not in references(trees["harness.py"], strings=False)

@@ -31,10 +31,38 @@ from pathlib import Path
 
 from trees import SIDES, TreeError, build_trees
 
+C25 = "XhCGGC@?G?_@?@??_?G?@??C??G??G??C??@???G???_??@_??@"
+
+
+def _graph6(n: int, mask: int) -> str:
+    """The graph6 line of the graph on n < 63 vertices whose adjacency
+    bits, in graph6 order, are the low bits of mask, lowest first."""
+    bits = "".join(str(mask >> i & 1) for i in range(n * (n - 1) // 2))
+    bits += "0" * (-len(bits) % 6)
+    return chr(63 + n) + "".join(chr(63 + int(bits[i:i + 6], 2))
+                                 for i in range(0, len(bits), 6))
+
+
+def _chunks_g6() -> str:
+    """1,200 pseudo-random graphs of orders 5 to 7, whose 2^n sum is past
+    three times the harness's chunk budget, so every shard of three fills
+    more than one chunk; C25, past the exact scans' guard and so a chunk
+    of its own; 60 more of orders 3 to 7; and an unreadable line."""
+    x, lines = 1, []
+    for i in range(1260):
+        n = (5, 6, 7, 7, 7, 7)[i % 6] if i < 1200 else 3 + i % 5
+        x = (x * 1103515245 + 12345) % 2 ** 31
+        lines.append(_graph6(n, x >> 7))
+        if i == 1199:
+            lines.append(C25)
+    return "\n".join(lines) + "\n!!\n"
+
+
 # Input files, written into the directory the commands run from. The
-# graph6 file has two unreadable lines, the 2nd and the last.
+# graph6 file mixed.g6 has two unreadable lines, the 2nd and the last.
 INPUTS = {
     "mixed.g6": "Dhc\nDq\nCh\nC~\nE`?G\nJ`?G?C@?GC_\nHkE?KA@\nIheA@GUAo\n!!\n",
+    "chunks.g6": _chunks_g6(),
     "c5.edges": "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n",
 }
 COMMANDS = [
@@ -42,7 +70,7 @@ COMMANDS = [
     ("verify", "enum:6", "--format", "text"),
     ("hunt", "c3free:10", "--jobs", "2"),
     ("invariants", "enum:6"),
-    *((command, "mixed.g6", "--jobs", jobs)
+    *((command, source, "--jobs", jobs) for source in ("mixed.g6", "chunks.g6")
       for command in ("verify", "hunt", "invariants") for jobs in ("1", "3")),
     ("invariants", "c5.edges"),
     ("verify", "enum:3", "--jobs", "4"),
