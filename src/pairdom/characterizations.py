@@ -22,7 +22,7 @@ from both exact scans.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
@@ -153,7 +153,7 @@ class Facts:
         full = self.g.full_mask
         pm_test = perfect_matching_tester(self.g)
         dominating_edges = [1 << u | 1 << v for u, row in enumerate(adj)
-                            for v in bits_of(row) if u < v and row | adj[v] == full]
+                            for v in bits_of(row & -(2 << u)) if row | adj[v] == full]
         out = []
         for smask in self.report.mpds_masks:
             size = smask.bit_count()
@@ -684,7 +684,7 @@ def invariants_record(g: Graph) -> dict:
     split, else null unless there are votes and an equality, and then
     whether the vote is the equality."""
     facts = Facts(g)
-    rec = {"graph6": facts.graph6, "n": g.n, **asdict(facts.flags),
+    rec = {"graph6": facts.graph6, "n": g.n, **facts.flags._asdict(),
            "family": facts.family, "votes": facts.votes}
     if rec["girth"] == INFINITE:  # acyclic
         rec["girth"] = None

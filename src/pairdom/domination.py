@@ -342,11 +342,16 @@ def _size_extremes(bitmap: int, n: int, step: int = 1) -> tuple[int, int, tuple,
     """The least and the largest size of a set in a non-empty subset bitmap,
     and the lexicographically least set of each of the two sizes, among the
     multiples of ``step``. ``invariants`` passes 2 for the minimal PDSs: a
-    PDS is the disjoint pairs of a perfect matching, so its size is even."""
+    PDS is the disjoint pairs of a perfect matching, so its size is even.
+    Each size's witness is read off the layer of the bitmap found there."""
     layers, sizes = _layers(n), range(0, n + 1, step)
-    low = next(k for k in sizes if bitmap & layers[k])
-    high = next(k for k in reversed(sizes) if bitmap & layers[k])
-    return low, high, _least_of_size(bitmap, n, low), _least_of_size(bitmap, n, high)
+    for low in sizes:
+        if least := bitmap & layers[low]:
+            break
+    for high in reversed(sizes):
+        if most := bitmap & layers[high]:
+            break
+    return low, high, _least_of_size(least, n, low), _least_of_size(most, n, high)
 
 
 def invariants(g: Graph) -> InvariantReport:

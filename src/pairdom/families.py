@@ -12,7 +12,7 @@ edge on the centre.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import (
     Graph,
@@ -27,8 +27,7 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
-class ClassFlags:
+class ClassFlags(NamedTuple):
     connected: bool
     bipartite: bool
     unicyclic: bool
@@ -106,7 +105,15 @@ def every_block_edge_or_cycle(g: Graph) -> bool:
       shared an edge, each cycle, the sum of those of its non-tree edges,
       would hold exactly one; but with k_i non-tree edges on path i of the
       theta, k_i + k_j = 1 for its three cycles gives 2(k_1 + k_2 + k_3) = 3.
+
+    Before the walk, 2m > 3(n - 1) with n > 0 answers False. Where every
+    block is an edge or a cycle, a component of n_i vertices has n_i - 1 =
+    sum(|B| - 1) over its blocks B; a cycle block adds |B| - 1 >= 2 to that
+    sum and |B| edges, so its c_i cycles give c_i <= (n_i - 1)/2 and m_i =
+    n_i - 1 + c_i. Over k >= 1 components, m = n - k + c <= 3(n - 1)/2.
     """
+    if g.n and 2 * g.edge_count > 3 * (g.n - 1):
+        return False
     path = [0] * (g.n + 1)  # path[-1] = 0: above a root
     used = 0  # the tree edges on some fundamental cycle, by lower endpoint
     for layer, above in bfs_layers(g):
@@ -155,8 +162,12 @@ def _recognize_subdivided_star(g: Graph) -> str | None:
     definition, one with a centre c such that G - c is a perfect matching,
     each of whose edges has an end adjacent to c (as g is connected). A leg
     is such an edge with one end on c and a triangle one with both, so
-    t + δ = ⌊n/2⌋ and deg(c) = t + 2δ."""
-    if g.n % 2 == 0:
+    t + δ = ⌊n/2⌋ and deg(c) = t + 2δ.
+
+    Before the centres are tried, n even or m outside n - 1 <= m <=
+    ⌊3(n - 1)/2⌋ answers None: such a star has m = (n - 1)/2 + deg(c) =
+    n - 1 + δ edges with 0 <= δ <= (n - 1)/2."""
+    if g.n % 2 == 0 or not g.n - 1 <= g.edge_count <= 3 * (g.n - 1) // 2:
         return None
     for c in range(g.n):
         rest = g.full_mask ^ (1 << c)

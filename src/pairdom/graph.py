@@ -119,7 +119,8 @@ def girth(g: Graph):
     A BFS per root, by layers (vertex masks). An edge inside layer d, or a
     vertex of layer d + 1 reached twice from layer d, closes a cycle of
     length at most 2d + 1, or 2d + 2; from a root on a shortest cycle the
-    bound is tight. A search stops once 2d + 1 reaches the best so far.
+    bound is tight. A search stops once 2d + 1 reaches the best so far, and
+    the whole walk at the first triangle, as no cycle is shorter.
     """
     best = INFINITE
     adj = g.adj
@@ -134,6 +135,8 @@ def girth(g: Graph):
                 rest ^= low
                 row = adj[low.bit_length() - 1]
                 if row & layer:
+                    if d == 1:
+                        return 3
                     best = 2 * d + 1
                 new = row & ~seen
                 twice |= nxt & new
@@ -167,13 +170,19 @@ def bfs_layers(g: Graph):
 
 def components(g: Graph) -> list[int]:
     """The vertex masks of the connected components, in increasing order of
-    least vertex: the union of each component's BFS layers."""
+    least vertex: each grown from its least vertex, a BFS layer at a time."""
     out = []
-    for layer, above in bfs_layers(g):
-        if above:
-            out[-1] |= layer
-        else:
-            out.append(layer)
+    rest = g.full_mask
+    while rest:
+        layer = seen = rest & -rest
+        while layer:
+            reach = 0
+            for v in bits_of(layer):
+                reach |= g.adj[v]
+            layer = reach & ~seen
+            seen |= layer
+        out.append(seen)
+        rest ^= seen
     return out
 
 

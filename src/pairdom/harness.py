@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from multiprocessing.connection import wait
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from . import characterizations as ch
 # CHECKS and run_checks are re-exported as part of this module's API.
@@ -207,17 +207,19 @@ def _error_record(g: Graph, exc: Exception) -> dict:
 def _verify_worker(graphs, check_ids):
     """(kind, value) per graph of a chunk, from ``check_chunk``: a result,
     the tuple of each check's status in ``check_ids`` order and the records
-    of the failing checks, or the error record of the first check that
-    raised on the graph. ``run`` counts the distinct tuples (18 over the
-    12,346 graphs of order 8) and adds each into the totals once, after the
-    last graph."""
-    out = []
+    of the failing checks, built only when a status is fails, or the error
+    record of the first check that raised on the graph. ``run`` counts the
+    distinct tuples (18 over the 12,346 graphs of order 8) and adds each
+    into the totals once, after the last graph."""
+    out, status = [], attrgetter("status")
     for g, verdicts in zip(graphs, ch.check_chunk(graphs, check_ids)):
         if isinstance(verdicts, Exception):
             out.append((_RAISED, _error_record(g, verdicts)))
         else:
-            failed = [v.to_record() for v in verdicts if v.status == "fails"]
-            out.append((_RESULT, (tuple(v.status for v in verdicts), failed)))
+            statuses = tuple(map(status, verdicts))
+            failed = ([v.to_record() for v in verdicts if v.status == "fails"]
+                      if "fails" in statuses else [])
+            out.append((_RESULT, (statuses, failed)))
     return out
 
 

@@ -6,8 +6,10 @@ import tracemalloc
 import pytest
 
 from oracles import are_isomorphic, labeled_graphs, path_graph, relabel, star_graph
+from pairdom import families
 from pairdom.generate import triangle_free
-from pairdom.graph import GraphError, build_graph, components, encode_graph6, girth
+from pairdom.graph import (Graph, GraphError, bits_of, build_graph, components,
+                           encode_graph6, girth)
 from pairdom.families import (
     ClassFlags,
     classify,
@@ -222,6 +224,60 @@ class TestRecognition:
         assert recognize_family(extra) is None
         assert recognize_family(make_cycle(7)) is None
         assert recognize_family(disjoint_union([make_k2(), make_cycle(3)])) is None
+
+
+def full_centre_scan(g: Graph) -> str | None:
+    """``_recognize_subdivided_star`` without its parity and edge bounds:
+    every centre is tried."""
+    for c in range(g.n):
+        rest = g.full_mask ^ (1 << c)
+        if all((g.adj[v] & rest).bit_count() == 1 for v in bits_of(rest)):
+            delta = g.adj[c].bit_count() - g.n // 2
+            return f"star:t={g.n // 2 - delta},d={delta}"
+    return None
+
+
+class TestEdgeBounds:
+    """Each edge-count exit against the walk it skips."""
+
+    def test_cactus_bound_matches_the_walk(self, graphs_up_to_8, monkeypatch):
+        # With edge_count read as 0, the bound fires on no graph with
+        # 0 < n <= 8, and the walk decides. K0 has no block at all, so the
+        # bound asks for n > 0.
+        assert every_block_edge_or_cycle(build_graph(0, []))
+        with monkeypatch.context() as patch:
+            patch.setattr(Graph, "edge_count", 0)
+            walked = [every_block_edge_or_cycle(g) for g in graphs_up_to_8]
+        assert [every_block_edge_or_cycle(g) for g in graphs_up_to_8] == walked
+        assert sum(2 * g.edge_count > 3 * (g.n - 1) for g in graphs_up_to_8[1:]) > 5000
+
+    def test_dense_graphs_have_a_block_neither_edge_nor_cycle(self, graphs_up_to_8):
+        # The premise of the bound, on networkx's blocks.
+        nx = pytest.importorskip("networkx")
+        for g in graphs_up_to_8:
+            if g.n and 2 * g.edge_count > 3 * (g.n - 1):
+                h = networkx_graph(nx, g)
+                assert not networkx_blocks_edge_or_cycle(nx, h), encode_graph6(g)
+
+    def test_star_bounds_match_the_full_centre_scan(self, graphs_up_to_7, c3free_up_to_9,
+                                                    monkeypatch):
+        # Every odd-order graph with n <= 7, every triangle-free one with
+        # n <= 9 and every star with n <= 21, relabelled.
+        rng = random.Random(5)
+        stars = []
+        for t in range(11):
+            for d in range(11 - t):
+                if t + d:
+                    perm = list(range(1 + 2 * (t + d)))
+                    rng.shuffle(perm)
+                    stars.append(relabel(make_subdivided_star(t, d), perm))
+        graphs = [g for g in graphs_up_to_7 if g.n % 2] + c3free_up_to_9 + stars
+        bounded = [recognize_family(g) for g in graphs]
+        monkeypatch.setattr(families, "_recognize_subdivided_star", full_centre_scan)
+        assert [recognize_family(g) for g in graphs] == bounded
+        assert None not in bounded[-len(stars):]
+        assert sum(g.n % 2 and not g.n - 1 <= g.edge_count <= 3 * (g.n - 1) // 2
+                   for g in graphs) > 500
 
 
 class TestSpecParsing:

@@ -9,6 +9,7 @@ from oracles import edge_list_text, path_graph
 from pairdom.graph import (
     Graph,
     GraphError,
+    bfs_layers,
     bits_of,
     build_graph,
     components,
@@ -100,11 +101,26 @@ class TestGirth:
         g = build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
         assert girth(g) == 3
 
-    def test_against_oracle(self, graphs_up_to_7, girth6_up_to_9):
-        for g in graphs_up_to_7 + girth6_up_to_9:
+    def test_against_oracle(self, graphs_up_to_8, c3free_up_to_9):
+        # The walk returns at its first triangle: every graph with n <= 8,
+        # where most stop there, and every triangle-free one with n <= 9
+        # (girth 6 or more included), where none does.
+        for g in graphs_up_to_8 + c3free_up_to_9:
             expect = oracles.girth(g)
             got = girth(g)
             assert got == (math.inf if expect is None else expect), g.edges()
+
+
+def components_by_layers(g: Graph) -> list[int]:
+    """The components as the fold over ``bfs_layers``: a layer with none
+    above it starts a component, and every other joins the last one."""
+    out = []
+    for layer, above in bfs_layers(g):
+        if above:
+            out[-1] |= layer
+        else:
+            out.append(layer)
+    return out
 
 
 class TestComponents:
@@ -137,6 +153,10 @@ class TestComponents:
                 assert reached == mask, (g.edges(), mask)
                 assert all(g.adj[v] & ~mask == 0 for v in range(g.n)
                            if (mask >> v) & 1), (g.edges(), mask)
+
+    def test_match_the_layer_fold(self, graphs_up_to_8):
+        for g in graphs_up_to_8:
+            assert components(g) == components_by_layers(g), g.edges()
 
 
 class TestGraph6:

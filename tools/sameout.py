@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import re
 import subprocess
 import sys
@@ -58,12 +59,40 @@ def _chunks_g6() -> str:
     return "\n".join(lines) + "\n!!\n"
 
 
+def _edges_g6(n: int, edges) -> str:
+    """The graph6 line of the graph on n vertices with the given edges."""
+    return _graph6(n, sum(1 << (max(e) * (max(e) - 1) // 2 + min(e)) for e in edges))
+
+
+def _odd_g6() -> str:
+    """Every subdivided star with n <= 15 (t legs, d triangles), its labels
+    shuffled, and 200 seeded pseudo-random graphs each of orders 9 and 11
+    with m from 3(n - 1)/2 - 4 to 3(n - 1)/2 + 4 edges: odd orders, where
+    the star and cactus edge bounds fire or not, that the other inputs miss."""
+    rng, lines = random.Random(9), []
+    for t in range(8):
+        for d in range(8 - t):
+            n, perm = 1 + 2 * (t + d), list(range(1 + 2 * (t + d)))
+            rng.shuffle(perm)
+            edges = [e for x in range(1, 2 * t, 2) for e in ((0, x), (x, x + 1))]
+            edges += [e for p in range(1 + 2 * t, n, 2)
+                      for e in ((0, p), (0, p + 1), (p, p + 1))]
+            if edges:
+                lines.append(_edges_g6(n, [(perm[u], perm[v]) for u, v in edges]))
+    for n in (9, 11):
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        for i in range(200):
+            lines.append(_edges_g6(n, rng.sample(pairs, 3 * (n - 1) // 2 - 4 + i % 9)))
+    return "\n".join(lines) + "\n"
+
+
 # Input files, written into the directory the commands run from. The
 # graph6 file mixed.g6 has two unreadable lines, the 2nd and the last.
 INPUTS = {
     "mixed.g6": "Dhc\nDq\nCh\nC~\nE`?G\nJ`?G?C@?GC_\nHkE?KA@\nIheA@GUAo\n!!\n",
     "chunks.g6": _chunks_g6(),
     "c5.edges": "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n",
+    "odd.g6": _odd_g6(),
 }
 COMMANDS = [
     ("verify", "enum:8", "--jobs", "2"),
@@ -72,6 +101,8 @@ COMMANDS = [
     ("invariants", "enum:6"),
     *((command, source, "--jobs", jobs) for source in ("mixed.g6", "chunks.g6")
       for command in ("verify", "hunt", "invariants") for jobs in ("1", "3")),
+    *((command, "odd.g6", "--jobs", jobs)
+      for command in ("verify", "invariants") for jobs in ("1", "3")),
     ("invariants", "c5.edges"),
     ("verify", "enum:3", "--jobs", "4"),
     ("gen", "union:K2*2+C5*1"),
